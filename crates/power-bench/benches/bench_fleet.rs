@@ -10,7 +10,10 @@
 //!   bottleneck);
 //! * **leaderboard latency** — ranking 1 000 finished campaigns must
 //!   take at most 1 ms per query at the median, so the live endpoint
-//!   stays interactive while the fleet churns.
+//!   stays interactive while the fleet churns;
+//! * **top-10 poll latency** — the `limit=10` query the live endpoint
+//!   is polled with must take at most 150 µs at the median over 2 000
+//!   finished campaigns.
 //!
 //! Every measured figure lands in `BENCH_fleet.json` via
 //! [`power_bench::report`].
@@ -191,6 +194,20 @@ fn bench_plane_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times `queries` leaderboard queries at `limit`; returns the sorted
+/// per-query latencies in µs.
+fn leaderboard_times_us(fleet: &Fleet, limit: usize, queries: usize) -> Vec<f64> {
+    let mut times_us: Vec<f64> = (0..queries)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(fleet.leaderboard(limit));
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times_us
+}
+
 /// Budget 3: leaderboard latency at 1 000 campaigns.
 fn bench_leaderboard(c: &mut Criterion) {
     let fleet = full_fleet();
@@ -199,14 +216,7 @@ fn bench_leaderboard(c: &mut Criterion) {
     assert!(warm[0].gflops_per_w >= warm[99].gflops_per_w);
 
     let queries = 201;
-    let mut times_us: Vec<f64> = (0..queries)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(fleet.leaderboard(100));
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let times_us = leaderboard_times_us(&fleet, 100, queries);
     let median = times_us[queries / 2];
     report::budget("leaderboard_median_us", median, Direction::AtMost, 1_000.0);
     report::metric("leaderboard_p99_us", times_us[queries * 99 / 100]);
@@ -224,10 +234,64 @@ fn bench_leaderboard(c: &mut Criterion) {
     group.finish();
 }
 
+/// Budget 4: the `GET /v1/leaderboard?limit=10` poll over 2 000
+/// finished campaigns of the load generator's shape. The top-k
+/// selection builds rows only for candidates; building, cloning and
+/// sorting every row costs about three times the ceiling.
+fn bench_leaderboard_top10(c: &mut Criterion) {
+    const POLL_CAMPAIGNS: u64 = 2_000;
+    let fleet = Fleet::new(FleetConfig::default()).expect("fleet config");
+    for i in 0..POLL_CAMPAIGNS {
+        let spec = FleetCampaignSpec {
+            name: format!("loadgen-{}-{}", i / 50, i % 50),
+            population: 128,
+            samples_per_node: 16,
+            seed: 1 + i,
+            ..FleetCampaignSpec::default()
+        };
+        fleet.create(spec).expect("create campaign");
+    }
+    fleet.drive_until_idle();
+    let full = fleet.leaderboard(0);
+    assert_eq!(full.len(), POLL_CAMPAIGNS as usize);
+    assert_eq!(
+        fleet.leaderboard(10),
+        full[..10],
+        "top 10 must head the board"
+    );
+
+    let queries = 401;
+    let times_us = leaderboard_times_us(&fleet, 10, queries);
+    let median = times_us[queries / 2];
+    report::budget(
+        "leaderboard_top10_of_2000_median_us",
+        median,
+        Direction::AtMost,
+        150.0,
+    );
+    report::metric(
+        "leaderboard_top10_of_2000_p99_us",
+        times_us[queries * 99 / 100],
+    );
+    println!(
+        "fleet_leaderboard: top 10 of {POLL_CAMPAIGNS} median {median:.1}us, p99 {:.1}us \
+         (ceiling 150us median)",
+        times_us[queries * 99 / 100]
+    );
+
+    let mut group = c.benchmark_group("fleet_leaderboard");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("query", "top10_of_2000"), |b| {
+        b.iter(|| black_box(fleet.leaderboard(10).len()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fleet_concurrency,
     bench_plane_ingest,
-    bench_leaderboard
+    bench_leaderboard,
+    bench_leaderboard_top10
 );
 power_bench::bench_main!("fleet", benches);

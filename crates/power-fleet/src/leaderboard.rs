@@ -19,11 +19,12 @@
 
 use crate::fleet::{CampaignState, Fleet};
 use power_method::Methodology;
+use std::cmp::Ordering;
 
 /// One ranked leaderboard entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeaderboardRow {
-    /// 1-based rank after sorting by efficiency (ties break by id).
+    /// 1-based rank by descending efficiency (ties break by ascending id).
     pub rank: u64,
     /// Campaign id.
     pub id: u64,
@@ -56,16 +57,26 @@ pub struct LeaderboardRow {
 
 impl Fleet {
     /// Builds the leaderboard: every campaign with at least one
-    /// finalized node, sorted by descending efficiency, truncated to
-    /// `limit` rows (0 = no limit).
+    /// finalized node, ranked by descending efficiency (ties by
+    /// ascending id), truncated to `limit` rows (0 = no limit).
     ///
-    /// Rows are built straight off each campaign's runtime under its
-    /// shard lock — no [`CampaignStatus`](crate::CampaignStatus)
-    /// snapshots, no spec clones, no plane lookups — so the query stays
-    /// interactive (sub-millisecond at a thousand campaigns) while the
-    /// fleet churns.
+    /// A bounded top-k selection. One scan computes each campaign's
+    /// sort key, `rmax / (mean × population)`, under its shard lock;
+    /// a campaign whose key cannot beat the current `limit`-th row is
+    /// rejected before its row — name clone, CI, relative accuracy —
+    /// is built. The candidate buffer is compacted back to `limit` rows
+    /// each time it doubles, so a `limit=10` poll over thousands of
+    /// finished campaigns builds a few dozen rows and sorts them once.
+    /// `limit = 0` runs the same loop with no cutoff and no compaction.
+    /// Rows are built off the campaign runtimes (no
+    /// [`CampaignStatus`](crate::CampaignStatus) snapshots, no spec
+    /// clones, no plane lookups), so the query stays interactive while
+    /// the fleet churns.
     pub fn leaderboard(&self, limit: usize) -> Vec<LeaderboardRow> {
         let mut rows: Vec<LeaderboardRow> = Vec::new();
+        // Key of the `limit`-th row after the last compaction: a
+        // campaign ranking after it cannot make the cut.
+        let mut cutoff: Option<(f64, u64)> = None;
         self.for_each_runtime(|id, rt| {
             if rt.estimator.count() == 0 {
                 return;
@@ -74,6 +85,9 @@ impl Fleet {
             let power_w = rt.estimator.mean() * population as f64;
             let rmax = rt.spec.rmax_gflops();
             let gflops_per_w = rmax / power_w;
+            if cutoff.is_some_and(|c| rank_order((gflops_per_w, id), c).is_gt()) {
+                return;
+            }
             let ci_gflops_per_w = rt.estimator.ci().ok().map(|ci| {
                 let p_lo = ci.lower() * population as f64;
                 let p_hi = ci.upper() * population as f64;
@@ -94,13 +108,13 @@ impl Fleet {
                 ci_gflops_per_w,
                 relative_accuracy: rt.estimator.relative_accuracy().ok(),
             });
+            if limit > 0 && rows.len() >= limit.saturating_mul(2) {
+                rows.select_nth_unstable_by(limit - 1, row_order);
+                rows.truncate(limit);
+                cutoff = Some(rank_key(&rows[limit - 1]));
+            }
         });
-        rows.sort_by(|a, b| {
-            b.gflops_per_w
-                .partial_cmp(&a.gflops_per_w)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        rows.sort_unstable_by(row_order);
         if limit > 0 {
             rows.truncate(limit);
         }
@@ -109,4 +123,19 @@ impl Fleet {
         }
         rows
     }
+}
+
+/// A row's position in the ranking: `(gflops_per_w, id)`.
+fn rank_key(row: &LeaderboardRow) -> (f64, u64) {
+    (row.gflops_per_w, row.id)
+}
+
+/// The leaderboard's one total order: descending efficiency under
+/// [`f64::total_cmp`], ties by ascending id. `Less` ranks first.
+fn rank_order(a: (f64, u64), b: (f64, u64)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+fn row_order(a: &LeaderboardRow, b: &LeaderboardRow) -> Ordering {
+    rank_order(rank_key(a), rank_key(b))
 }

@@ -2,7 +2,7 @@
 //! leaderboard CI semantics, and journal resume.
 
 use power_fleet::journal::{CampaignReplay, FleetJournal, MemJournal};
-use power_fleet::{CampaignState, Fleet, FleetCampaignSpec, FleetConfig};
+use power_fleet::{CampaignState, Fleet, FleetCampaignSpec, FleetConfig, LeaderboardRow};
 use power_stats::ci::{mean_ci_t_finite, mean_ci_z_finite};
 use power_stats::Summary;
 use power_telemetry::online::CiQuantile;
@@ -242,6 +242,110 @@ fn leaderboard_ci_matches_batch_ci_on_the_same_averages() {
     }
 }
 
+/// A fleet whose roster mixes exact efficiency ties (campaigns of one
+/// class share spec and seed, so equal node counts give bit-identical
+/// estimates), finished campaigns, live ones part-way through, and ones
+/// with no finalized node yet: shard `s` is advanced `rounds[s]` times.
+fn mixed_fleet(shards: usize, campaigns: u64, classes: u64, rounds: &[u8]) -> Fleet {
+    let fleet = Fleet::new(FleetConfig {
+        shards,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    for i in 0..campaigns {
+        let c = i % classes;
+        fleet
+            .create(FleetCampaignSpec {
+                name: format!("tie-{c}"),
+                population: 32 + c * 16,
+                mean_node_w: 300.0 + c as f64 * 40.0,
+                cv: 0.02 + c as f64 * 0.01,
+                samples_per_node: 4,
+                seed: 7 + c,
+                ..FleetCampaignSpec::default()
+            })
+            .unwrap();
+    }
+    for (shard, &n) in rounds.iter().enumerate().take(shards) {
+        for _ in 0..n {
+            fleet.advance_shard(shard);
+        }
+    }
+    fleet
+}
+
+/// Brute-force leaderboard from status snapshots: every campaign with a
+/// finalized node, sorted by descending efficiency then ascending id.
+fn oracle_leaderboard(fleet: &Fleet) -> Vec<LeaderboardRow> {
+    let mut rows: Vec<LeaderboardRow> = fleet
+        .list()
+        .into_iter()
+        .filter_map(|s| {
+            let power_w = s.power_w()?;
+            let n = s.spec.population as f64;
+            let rmax = s.spec.rmax_gflops();
+            Some(LeaderboardRow {
+                rank: 0,
+                id: s.id,
+                name: s.spec.name.clone(),
+                level: s.spec.level,
+                power_capped: s.spec.power_capped,
+                state: s.state,
+                population: s.spec.population,
+                metered_nodes: s.metered_nodes,
+                rmax_gflops: rmax,
+                power_w,
+                gflops_per_w: s.gflops_per_w()?,
+                ci_gflops_per_w: s
+                    .ci_node_w
+                    .map(|ci| (rmax / (ci.upper() * n), rmax / (ci.lower() * n))),
+                relative_accuracy: s.relative_accuracy,
+            })
+        })
+        .collect();
+    rows.sort_by(|a, b| {
+        b.gflops_per_w
+            .partial_cmp(&a.gflops_per_w)
+            .unwrap()
+            .then(a.id.cmp(&b.id))
+    });
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.rank = i as u64 + 1;
+    }
+    rows
+}
+
+/// Checks the top-k contract: the full board is the brute-force sort,
+/// and every limited board is its prefix, field for field.
+fn assert_topk_matches_oracle(fleet: &Fleet) {
+    let full = fleet.leaderboard(0);
+    assert_eq!(full, oracle_leaderboard(fleet));
+    let n = full.len();
+    for limit in [1, 2, 3, 10, 17, n.saturating_sub(1), n, n + 5] {
+        if limit == 0 {
+            continue;
+        }
+        let top = fleet.leaderboard(limit);
+        assert_eq!(top, full[..limit.min(n)], "limit {limit} of {n}");
+    }
+}
+
+#[test]
+fn top_k_leaderboard_is_the_prefix_of_the_full_ranking() {
+    let fleet = mixed_fleet(4, 120, 3, &[0, 3, 8, 40]);
+    let board = fleet.leaderboard(0);
+    // The fixture exercises what the selection must get right: rows
+    // with no finalized node left out, live and finished rows ranked
+    // together, and exact efficiency ties broken by id.
+    assert!(board.len() < 120 && board.len() >= 60, "{}", board.len());
+    assert!(board.iter().any(|r| r.state == CampaignState::Live));
+    assert!(board.iter().any(|r| r.state != CampaignState::Live));
+    assert!(board
+        .windows(2)
+        .any(|w| w[0].gflops_per_w == w[1].gflops_per_w && w[0].id < w[1].id));
+    assert_topk_matches_oracle(&fleet);
+}
+
 /// A journal handle the test can keep while the fleet owns its half —
 /// the crash seam for resume tests.
 struct SharedJournal(Arc<Mutex<MemJournal>>);
@@ -430,5 +534,17 @@ proptest! {
         let flushed = plane.stats();
         prop_assert_eq!(flushed.pending, 0);
         prop_assert!(flushed.conserved(), "after flush: {:?}", flushed);
+    }
+
+    /// The top-k selection agrees with a brute-force sort on any mix of
+    /// ties, live and finished campaigns, shard counts and limits.
+    #[test]
+    fn top_k_leaderboard_matches_brute_force_sort(
+        shards in 1usize..6,
+        campaigns in 1u64..80,
+        classes in 1u64..5,
+        rounds in prop::collection::vec(0u8..30, 5..6),
+    ) {
+        assert_topk_matches_oracle(&mixed_fleet(shards, campaigns, classes, &rounds));
     }
 }
