@@ -41,26 +41,12 @@ macro_rules! bench_main {
     };
 }
 
-use power_repro::RunScale;
 use power_sim::cluster::Cluster;
 use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator};
 use power_sim::store::TraceStore;
 use power_sim::systems::SystemPreset;
 use power_sim::trace::SystemTrace;
 use power_workload::RunPhases;
-
-/// Bench-friendly run scale: small machines, coarse steps.
-pub fn bench_scale() -> RunScale {
-    RunScale {
-        max_nodes: 128,
-        dt_scale: 8.0,
-        bootstrap_reps: 2_000,
-        bootstrap_population: 1_024,
-        rank_reps: 2_000,
-        interval_placements: 51,
-        seed: 0xBE7C,
-    }
-}
 
 /// Simulation config used across benches.
 pub fn bench_sim_config(dt: f64) -> SimulationConfig {

@@ -22,6 +22,8 @@
 //!   `methodologies` dimension: the four EE HPC WG measurement levels
 //!   plus the paper-artifact probes (`trace`, `nodes`, `samplesize`,
 //!   `gaming`, `coverage`, `vid`, `accuracy_gap`, `t_vs_z`);
+//! * [`artifacts`] — the typed computations behind the paper-artifact
+//!   probes, shared with `power-repro`'s drivers;
 //! * [`pool`] — the work-stealing pool that executes (cell, seed) tasks;
 //! * [`summary`] — per-metric cross-seed variance bands;
 //! * [`gate`] — `expect` evaluation: absolute value ± band, interval
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifacts;
 pub mod engine;
 pub mod gate;
 pub mod grid;

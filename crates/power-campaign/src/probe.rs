@@ -12,7 +12,8 @@
 //!   grid), `gaming` (Section 3 interval exploits), `coverage`
 //!   (Figure 3 bootstrap under-coverage), `vid` (the Figure 4 case
 //!   study) plus the scale-free `accuracy_gap` and `t_vs_z` worked
-//!   examples.
+//!   examples. Each is a thin adapter from the typed rows of
+//!   [`crate::artifacts`] to a metric map.
 //!
 //! A third family covers the **accelerator layer** (`power_accel`):
 //! `accel` sweeps a binned GPU population capped and uncapped and
@@ -34,29 +35,20 @@
 
 use std::collections::BTreeMap;
 
+use crate::artifacts::{self, LcscConfigurations, TraceResult};
 use crate::grid::Cell;
 use crate::scenario::Scale;
 use power_accel::{AccelPreset, SweepResult};
 use power_meter::device::MeterModel;
 use power_meter::occ::OccModel;
 use power_method::capcov::{capped_sizing_study, CapCoverageConfig};
-use power_method::gaming::{optimal_interval, unrestricted_interval, vid_bias};
+use power_method::gaming::vid_bias;
 use power_method::level::Methodology;
 use power_method::measure::{measure_with_store, MeasurementPlan, NodeSelection, WindowPlacement};
-use power_method::window::TimingRule;
 use power_sim::cluster::Cluster;
-use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator};
 use power_sim::store::TraceStore;
-use power_sim::systems::{LcscCaseStudy, SystemPreset};
-use power_sim::trace::SystemTrace;
-use power_stats::bootstrap::{coverage_study, CoverageConfig};
-use power_stats::ci::predicted_relative_accuracy;
-use power_stats::empirical::Empirical;
-use power_stats::normal::z_critical;
-use power_stats::sample_size::{paper_table5, SampleSizePlan};
-use power_stats::student_t::t_critical;
-use power_stats::summary::Summary;
-use power_workload::{registry, RunPhases, Workload};
+use power_sim::systems::SystemPreset;
+use power_workload::{registry, Workload};
 
 /// Why a probe could not run its cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,42 +179,20 @@ fn resolve_workload<'a>(
     Ok(&**boxed.insert(wl))
 }
 
-fn sim_config(scale: &Scale, core_secs: f64, seed: u64) -> SimulationConfig {
-    SimulationConfig {
-        dt: scale.dt_for_core(core_secs),
-        noise_sigma: 0.01,
-        common_noise_sigma: 0.003,
-        seed,
-        threads: 1,
-    }
-}
-
-/// Simulates the cell's system and returns the full-machine trace plus
-/// phases (Table 2 / gaming input).
+/// Simulates the cell's system and scales its trace to the full machine
+/// (Table 2 / gaming input).
 fn system_trace(
     cell: &Cell,
     scale: &Scale,
     store: &TraceStore,
     seed: u64,
-) -> Result<(SystemTrace, RunPhases, usize), ProbeError> {
+) -> Result<TraceResult, ProbeError> {
     let (preset, full_nodes) = resolve_preset(cell, scale)?;
-    let cluster =
-        Cluster::build(preset.cluster_spec.clone()).map_err(|e| perr(cell, e.to_string()))?;
     let mut boxed = None;
     let workload = resolve_workload(cell, &preset, &mut boxed)?;
-    let phases = workload.phases();
-    let cfg = sim_config(scale, phases.core(), mix(cell.sim_tag(), seed));
-    let sim = Simulator::new(&cluster, workload, preset.balance, cfg)
-        .map_err(|e| perr(cell, e.to_string()))?;
-    let products = store
-        .products(&sim, &ProductRequest::system_only())
-        .map_err(|e| perr(cell, e.to_string()))?;
-    let factor = full_nodes as f64 / cluster.len() as f64;
-    let trace = products
-        .system_trace(MeterScope::Wall)
-        .expect("system trace was requested")
-        .scaled(factor);
-    Ok((trace, phases, full_nodes))
+    let seed = mix(cell.sim_tag(), seed);
+    artifacts::system_trace(&preset, workload, full_nodes, scale, store, seed, 1)
+        .map_err(|e| perr(cell, e.to_string()))
 }
 
 fn probe_trace(
@@ -231,35 +201,25 @@ fn probe_trace(
     store: &TraceStore,
     seed: u64,
 ) -> Result<Metrics, ProbeError> {
-    let (trace, phases, _) = system_trace(cell, scale, store, seed)?;
-    let window = |a: f64, b: f64| -> Result<f64, ProbeError> {
-        trace
-            .window_average(a, b)
-            .map_err(|e| perr(cell, e.to_string()))
-    };
-    let core = window(phases.core_start(), phases.core_end())?;
-    let (a, b) = phases.core_segment(0.0, 0.2);
-    let first = window(a, b)?;
-    let (a, b) = phases.core_segment(0.8, 1.0);
-    let last = window(a, b)?;
+    let trace = system_trace(cell, scale, store, seed)?;
+    let row = artifacts::table2_row(&trace).map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
-    m.insert("runtime_h".into(), phases.core() / 3600.0);
-    m.insert("core_kw".into(), core / 1000.0);
-    m.insert("first20_kw".into(), first / 1000.0);
-    m.insert("last20_kw".into(), last / 1000.0);
-    m.insert("first20_delta_pct".into(), (first / core - 1.0) * 100.0);
-    m.insert("last20_delta_pct".into(), (last / core - 1.0) * 100.0);
+    m.insert("runtime_h".into(), row.runtime_h);
+    m.insert("core_kw".into(), row.core_kw);
+    m.insert("first20_kw".into(), row.first20_kw);
+    m.insert("last20_kw".into(), row.last20_kw);
+    m.insert("first20_delta_pct".into(), row.first20_delta * 100.0);
+    m.insert("last20_delta_pct".into(), row.last20_delta * 100.0);
     Ok(m)
 }
 
-/// Per-node averages over the paper's Table 4 window (core phase minus
-/// the first 10%), at the preset's meter scope.
+/// The cell's system, sized for Table 4, and its per-node averages.
 fn node_averages(
     cell: &Cell,
     scale: &Scale,
     store: &TraceStore,
     seed: u64,
-) -> Result<Vec<f64>, ProbeError> {
+) -> Result<(SystemPreset, Vec<f64>), ProbeError> {
     let (preset, _) = resolve_preset(cell, scale)?;
     // Match the repro drivers: simulate at least 200 nodes so σ estimates
     // have support even when `measured_nodes` is tiny.
@@ -269,29 +229,12 @@ fn node_averages(
             .unwrap_or_else(|| preset.measured_nodes.max(200)),
     );
     let preset = preset.with_total_nodes(n);
-    let cluster =
-        Cluster::build(preset.cluster_spec.clone()).map_err(|e| perr(cell, e.to_string()))?;
     let mut boxed = None;
     let workload = resolve_workload(cell, &preset, &mut boxed)?;
-    let phases = workload.phases();
-    let mut cfg = sim_config(scale, phases.core(), mix(cell.sim_tag(), seed ^ 0x40));
-    // Avoid sampling in lockstep with periodic workloads.
-    cfg.dt *= 1.0371;
-    let sim = Simulator::new(&cluster, workload, preset.balance, cfg)
+    let seed = mix(cell.sim_tag(), seed ^ 0x40);
+    let averages = artifacts::node_averages(&preset, workload, scale, store, seed, 1)
         .map_err(|e| perr(cell, e.to_string()))?;
-    let products = store
-        .products(
-            &sim,
-            &ProductRequest::with_averages(
-                phases.core_start() + 0.1 * phases.core(),
-                phases.core_end(),
-            ),
-        )
-        .map_err(|e| perr(cell, e.to_string()))?;
-    Ok(products
-        .node_averages(preset.scope)
-        .expect("averages were requested")
-        .to_vec())
+    Ok((preset, averages))
 }
 
 fn probe_nodes(
@@ -300,29 +243,18 @@ fn probe_nodes(
     store: &TraceStore,
     seed: u64,
 ) -> Result<Metrics, ProbeError> {
-    let averages = node_averages(cell, scale, store, seed)?;
-    let summary = Summary::from_slice(&averages);
+    let (preset, averages) = node_averages(cell, scale, store, seed)?;
+    let row = artifacts::table4_row(&preset, averages).map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
-    m.insert("simulated_nodes".into(), averages.len() as f64);
-    m.insert("mean_w".into(), summary.mean());
-    m.insert(
-        "sigma_w".into(),
-        summary
-            .sample_std_dev()
-            .map_err(|e| perr(cell, e.to_string()))?,
-    );
-    m.insert(
-        "cv_pct".into(),
-        summary
-            .coefficient_of_variation()
-            .map_err(|e| perr(cell, e.to_string()))?
-            * 100.0,
-    );
+    m.insert("simulated_nodes".into(), row.simulated_nodes as f64);
+    m.insert("mean_w".into(), row.mean_w);
+    m.insert("sigma_w".into(), row.sigma_w);
+    m.insert("cv_pct".into(), row.cv * 100.0);
     Ok(m)
 }
 
 fn probe_samplesize(cell: &Cell) -> Result<Metrics, ProbeError> {
-    let cells = paper_table5().map_err(|e| perr(cell, e.to_string()))?;
+    let cells = artifacts::table5().map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
     for c in cells {
         m.insert(
@@ -339,19 +271,19 @@ fn probe_gaming(
     store: &TraceStore,
     seed: u64,
 ) -> Result<Metrics, ProbeError> {
-    let (trace, phases, _) = system_trace(cell, scale, store, seed)?;
-    let level1 = optimal_interval(&trace, &phases, &TimingRule::level1(), scale.placements)
-        .map_err(|e| perr(cell, e.to_string()))?;
-    let open = unrestricted_interval(&trace, &phases, 0.2, scale.placements)
-        .map_err(|e| perr(cell, e.to_string()))?;
+    let trace = system_trace(cell, scale, store, seed)?;
+    let row = artifacts::gaming_row(&trace, scale).map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
-    m.insert("honest_kw".into(), level1.honest_w / 1000.0);
-    m.insert("level1_gain_pct".into(), level1.gaming_gain() * 100.0);
+    m.insert("honest_kw".into(), row.level1.honest_w / 1000.0);
+    m.insert("level1_gain_pct".into(), row.level1.gaming_gain() * 100.0);
     m.insert(
         "level1_spread_pct".into(),
-        level1.measurement_spread() * 100.0,
+        row.level1.measurement_spread() * 100.0,
     );
-    m.insert("unrestricted_gain_pct".into(), open.gaming_gain() * 100.0);
+    m.insert(
+        "unrestricted_gain_pct".into(),
+        row.unrestricted.gaming_gain() * 100.0,
+    );
     Ok(m)
 }
 
@@ -361,19 +293,10 @@ fn probe_coverage(
     store: &TraceStore,
     seed: u64,
 ) -> Result<Metrics, ProbeError> {
-    let averages = node_averages(cell, scale, store, seed)?;
-    let pilot = Empirical::new(&averages).map_err(|e| perr(cell, e.to_string()))?;
-    let cfg = CoverageConfig {
-        population_size: scale.bootstrap_population,
-        sample_sizes: vec![5, 10, 20],
-        confidences: vec![0.95],
-        replications: scale.bootstrap_reps,
-        // Fixed worker count: the study's RNG substreams are per worker,
-        // so this must not follow the campaign's --threads.
-        threads: 2,
-        seed: mix(cell.stream_tag(), seed ^ 0xF163),
-    };
-    let points = coverage_study(&pilot, &cfg).map_err(|e| perr(cell, e.to_string()))?;
+    let (_, averages) = node_averages(cell, scale, store, seed)?;
+    let seed = mix(cell.stream_tag(), seed ^ 0xF163);
+    let points = artifacts::coverage(&averages, &[5, 10, 20], &[0.95], scale, seed)
+        .map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
     for p in points {
         m.insert(
@@ -384,44 +307,13 @@ fn probe_coverage(
     Ok(m)
 }
 
-/// Full-load steady-state wall power of one node: iterate the
-/// thermal/fan/power fixed point (the Figure 4 operating point).
-fn steady_power(cluster: &Cluster, node: usize) -> f64 {
-    let thermal = &cluster.spec().node.thermal;
-    let mut temp = 60.0;
-    let mut power = cluster
-        .node_power(node, 0.0, 1.0, temp)
-        .expect("node exists");
-    for _ in 0..20 {
-        let heat = power.dc_w - power.fan_w;
-        temp = thermal.steady_temp(heat, power.fan_speed);
-        power = cluster
-            .node_power(node, 0.0, 1.0, temp)
-            .expect("node exists");
-    }
-    power.wall_w
-}
-
 fn probe_vid(cell: &Cell) -> Result<Metrics, ProbeError> {
-    let cs = LcscCaseStudy::new();
-    let tuned = Cluster::build(cs.cluster_spec.clone()).map_err(|e| perr(cell, e.to_string()))?;
-    let default = tuned
-        .clone()
-        .with_governor(cs.default_governor.clone())
-        .map_err(|e| perr(cell, e.to_string()))?
-        .with_fan_policy(cs.fast_fans)
-        .map_err(|e| perr(cell, e.to_string()))?;
-    let n = tuned.len();
-    let gf_tuned = cs.gflops_at(774.0);
-    let gf_default = cs.gflops_at(900.0);
-    let (mut eff_tuned, mut eff_default) = (0.0, 0.0);
-    for node in 0..n {
-        eff_tuned += gf_tuned / steady_power(&tuned, node);
-        eff_default += gf_default / steady_power(&default, node);
-    }
-    eff_tuned /= n as f64;
-    eff_default /= n as f64;
-    let bias = vid_bias(&default, 16, 60.0).map_err(|e| perr(cell, e.to_string()))?;
+    let lcsc = LcscConfigurations::build().map_err(|e| perr(cell, e.to_string()))?;
+    let rows = artifacts::figure4(&lcsc, usize::MAX).map_err(|e| perr(cell, e.to_string()))?;
+    let n = rows.len() as f64;
+    let eff_tuned = rows.iter().map(|r| r.eff_tuned).sum::<f64>() / n;
+    let eff_default = rows.iter().map(|r| r.eff_default).sum::<f64>() / n;
+    let bias = vid_bias(&lcsc.default, 16, 60.0).map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
     m.insert("eff_tuned_gflops_w".into(), eff_tuned);
     m.insert("eff_default_gflops_w".into(), eff_default);
@@ -434,29 +326,21 @@ fn probe_vid(cell: &Cell) -> Result<Metrics, ProbeError> {
 }
 
 fn probe_accuracy_gap(cell: &Cell) -> Result<Metrics, ProbeError> {
-    let small_n = 210u64.div_ceil(64);
-    let large_n = 18_688u64.div_ceil(64);
-    let small_lambda = predicted_relative_accuracy(0.95, 0.02, small_n, true)
-        .map_err(|e| perr(cell, e.to_string()))?;
-    let plan = SampleSizePlan::new(0.95, 0.01, 0.02).map_err(|e| perr(cell, e.to_string()))?;
-    let large_lambda = plan
-        .achieved_lambda(large_n, 18_688)
-        .map_err(|e| perr(cell, e.to_string()))?;
+    let gap = artifacts::accuracy_gap().map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
-    m.insert("small_n".into(), small_n as f64);
-    m.insert("small_lambda_pct".into(), small_lambda * 100.0);
-    m.insert("large_n".into(), large_n as f64);
-    m.insert("large_lambda_pct".into(), large_lambda * 100.0);
+    m.insert("small_n".into(), gap.small_n as f64);
+    m.insert("small_lambda_pct".into(), gap.small_lambda * 100.0);
+    m.insert("large_n".into(), gap.large_n as f64);
+    m.insert("large_lambda_pct".into(), gap.large_lambda * 100.0);
     Ok(m)
 }
 
 fn probe_t_vs_z(cell: &Cell) -> Result<Metrics, ProbeError> {
-    let z = z_critical(0.95).map_err(|e| perr(cell, e.to_string()))?;
+    let rows = artifacts::t_vs_z().map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
-    m.insert("z_crit".into(), z);
-    for n in [3u64, 10, 50] {
-        let t = t_critical(0.95, n as f64 - 1.0).map_err(|e| perr(cell, e.to_string()))?;
-        m.insert(format!("t_over_z_n{n}"), t / z);
+    m.insert("z_crit".into(), rows[0].z_crit);
+    for r in rows.iter().filter(|r| matches!(r.n, 3 | 10 | 50)) {
+        m.insert(format!("t_over_z_n{}", r.n), r.ratio);
     }
     Ok(m)
 }
@@ -659,7 +543,12 @@ fn probe_measure(
     let placement = resolve_placement(cell)?;
     // Simulation seed pinned to the cell: all campaign seeds of this cell
     // share one sweep in the store; the campaign seed drives the plan.
-    let cfg = sim_config(scale, workload.phases().core(), mix(cell.sim_tag(), 0x51D));
+    let cfg = artifacts::sim_config(
+        scale,
+        workload.phases().core(),
+        mix(cell.sim_tag(), 0x51D),
+        1,
+    );
     let plan = MeasurementPlan {
         methodology,
         meter_model: meter,

@@ -1,83 +1,58 @@
 //! Runs every reproduction experiment in sequence (the EXPERIMENTS.md
 //! generator). Pass --full for paper-fidelity scale and
 //! `--csv <dir>` to also write machine-readable artifacts.
-use power_repro::{csv, experiments, render, RunScale};
-use std::path::PathBuf;
+use power_campaign::artifacts::{self, LcscConfigurations, Result};
+use power_repro::{csv, experiments, paper, render, scale, Args, SEED};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = RunScale::from_args(args.clone());
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+fn main() -> Result<()> {
+    let args = Args::from_env(true);
+    let scale = args.scale;
     println!(
         "Reproduction run at {} scale\n",
-        if scale == RunScale::full() {
+        if scale == scale::full() {
             "FULL"
         } else {
             "QUICK"
         }
     );
     println!("{}", render::render_table1());
-    let traces = experiments::trace_experiments(&scale);
-    if let Some(dir) = &csv_dir {
-        csv::write_artifact(dir, "figure1.csv", &csv::figure1_csv(&traces)).expect("write csv");
-        csv::write_artifact(
-            dir,
-            "table2.csv",
-            &csv::table2_csv(&experiments::table2(&traces)),
-        )
-        .expect("write csv");
-        csv::write_artifact(
-            dir,
-            "gaming.csv",
-            &csv::gaming_csv(&experiments::gaming(&scale, &traces)),
-        )
-        .expect("write csv");
-        let t4 = experiments::table4(&scale);
-        csv::write_artifact(dir, "table4.csv", &csv::table4_csv(&t4)).expect("write csv");
-        csv::write_artifact(dir, "figure2.csv", &csv::figure2_csv(&t4)).expect("write csv");
-        csv::write_artifact(
-            dir,
-            "figure3.csv",
-            &csv::figure3_csv(&experiments::figure3(&scale)),
-        )
-        .expect("write csv");
-        csv::write_artifact(
-            dir,
-            "figure4.csv",
-            &csv::figure4_csv(&experiments::figure4(56)),
-        )
-        .expect("write csv");
+    let traces = paper::traces(&scale, SEED)?;
+    let t2 = paper::table2(&traces)?;
+    let gaming = paper::gaming(&scale, &traces)?;
+    let t4 = paper::table4(&scale, SEED)?;
+    let f3 = paper::figure3(&scale, SEED)?;
+    let f4 = artifacts::figure4(&LcscConfigurations::build()?, 56)?;
+    if let Some(dir) = &args.csv {
+        csv::write_artifact(dir, "figure1.csv", &csv::figure1_csv(&traces))?;
+        csv::write_artifact(dir, "table2.csv", &csv::table2_csv(&t2))?;
+        csv::write_artifact(dir, "gaming.csv", &csv::gaming_csv(&gaming))?;
+        csv::write_artifact(dir, "table4.csv", &csv::table4_csv(&t4))?;
+        csv::write_artifact(dir, "figure2.csv", &csv::figure2_csv(&t4))?;
+        csv::write_artifact(dir, "figure3.csv", &csv::figure3_csv(&f3))?;
+        csv::write_artifact(dir, "figure4.csv", &csv::figure4_csv(&f4))?;
         eprintln!("CSV artifacts written to {}", dir.display());
     }
     println!("{}", render::render_figure1(&traces));
-    println!("{}", render::render_table2(&experiments::table2(&traces)));
+    println!("{}", render::render_table2(&t2));
     println!("{}", render::render_table3());
-    let t4 = experiments::table4(&scale);
     println!("{}", render::render_figure2(&t4));
     println!("{}", render::render_table4(&t4));
     println!(
         "{}",
-        render::render_accuracy_gap(&experiments::accuracy_gap())
+        render::render_accuracy_gap(&artifacts::accuracy_gap()?)
     );
-    println!("{}", render::render_table5(&experiments::table5()));
-    println!("{}", render::render_figure3(&experiments::figure3(&scale)));
-    println!("{}", render::render_t_vs_z(&experiments::t_vs_z()));
-    println!("{}", render::render_figure4(&experiments::figure4(56)));
-    println!(
-        "{}",
-        render::render_gaming(&experiments::gaming(&scale, &traces))
-    );
+    println!("{}", render::render_table5(&artifacts::table5()?));
+    println!("{}", render::render_figure3(&f3));
+    println!("{}", render::render_t_vs_z(&artifacts::t_vs_z()?));
+    println!("{}", render::render_figure4(&f4));
+    println!("{}", render::render_gaming(&gaming));
     println!(
         "{}",
         render::render_subsystems(&experiments::subsystem_overstatement())
     );
     println!(
         "{}",
-        render::render_imbalance(&experiments::imbalance_study(&scale))
+        render::render_imbalance(&experiments::imbalance_study(&scale, SEED)?)
     );
     println!(
         "{}",
@@ -89,6 +64,7 @@ fn main() {
     );
     println!(
         "{}",
-        render::render_rank_stability(&experiments::rank_stability_sweep(&scale))
+        render::render_rank_stability(&experiments::rank_stability_sweep(&scale, SEED))
     );
+    Ok(())
 }

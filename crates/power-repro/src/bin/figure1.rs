@@ -1,7 +1,8 @@
 //! Reproduces paper Figure 1: system power over time for four HPL runs.
-use power_repro::{experiments, render, RunScale};
-fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
-    let traces = experiments::trace_experiments(&scale);
-    print!("{}", render::render_figure1(&traces));
+use power_campaign::artifacts::Result;
+use power_repro::{paper, render, Args, SEED};
+fn main() -> Result<()> {
+    let scale = Args::from_env(false).scale;
+    print!("{}", render::render_figure1(&paper::traces(&scale, SEED)?));
+    Ok(())
 }

@@ -1,6 +1,8 @@
 //! Reproduces paper Figure 2: per-node power histograms.
-use power_repro::{experiments, render, RunScale};
-fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
-    print!("{}", render::render_figure2(&experiments::table4(&scale)));
+use power_campaign::artifacts::Result;
+use power_repro::{paper, render, Args, SEED};
+fn main() -> Result<()> {
+    let scale = Args::from_env(false).scale;
+    print!("{}", render::render_figure2(&paper::table4(&scale, SEED)?));
+    Ok(())
 }

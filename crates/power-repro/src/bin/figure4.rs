@@ -1,5 +1,10 @@
 //! Reproduces paper Figure 4: L-CSC per-node efficiency vs VID.
-use power_repro::{experiments, render};
-fn main() {
-    print!("{}", render::render_figure4(&experiments::figure4(56)));
+use power_campaign::artifacts::{self, LcscConfigurations, Result};
+use power_repro::render;
+fn main() -> Result<()> {
+    print!(
+        "{}",
+        render::render_figure4(&artifacts::figure4(&LcscConfigurations::build()?, 56)?)
+    );
+    Ok(())
 }

@@ -1,10 +1,12 @@
 //! Reproduces the Section 3 gaming analyses: optimal-interval selection.
-use power_repro::{experiments, render, RunScale};
-fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
-    let traces = experiments::trace_experiments(&scale);
+use power_campaign::artifacts::Result;
+use power_repro::{paper, render, Args, SEED};
+fn main() -> Result<()> {
+    let scale = Args::from_env(false).scale;
+    let traces = paper::traces(&scale, SEED)?;
     print!(
         "{}",
-        render::render_gaming(&experiments::gaming(&scale, &traces))
+        render::render_gaming(&paper::gaming(&scale, &traces)?)
     );
+    Ok(())
 }

@@ -13,10 +13,11 @@
 //! the watermark instead of re-metering recorded nodes.
 
 use power_archive::CampaignWal;
+use power_campaign::artifacts::sim_config;
 use power_meter::{MeterFault, MeterModel};
-use power_repro::RunScale;
+use power_repro::{paper, scale, Args, SEED};
 use power_sim::cluster::Cluster;
-use power_sim::engine::{SimulationConfig, Simulator};
+use power_sim::engine::Simulator;
 use power_sim::systems;
 use power_stats::SampleSizePlan;
 use power_telemetry::{
@@ -44,20 +45,21 @@ fn main() {
             rest.push(arg);
         }
     }
-    let scale = RunScale::from_args(rest);
+    let scale = Args::parse(rest, false)
+        .unwrap_or_else(|e| scale::usage(&e, " [--store-dir DIR]"))
+        .scale;
     let preset = systems::calcul_quebec();
     let nodes = scale.clamp_nodes(preset.cluster_spec.total_nodes);
     let preset = preset.with_total_nodes(nodes);
     let cluster = Cluster::build(preset.cluster_spec.clone()).expect("preset cluster");
     let wl = preset.workload.workload();
-    let dt = scale.dt_for_core(wl.phases().core());
-    let config = SimulationConfig {
-        dt,
-        noise_sigma: 0.01,
-        common_noise_sigma: 0.003,
-        seed: scale.seed ^ 0x11FE,
-        threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-    };
+    let config = sim_config(
+        &scale,
+        wl.phases().core(),
+        SEED ^ 0x11FE,
+        paper::sim_threads(),
+    );
+    let dt = config.dt;
     let sim = Simulator::new(&cluster, wl, preset.balance, config).expect("simulator");
 
     println!(
@@ -80,7 +82,7 @@ fn main() {
             .expect("plan");
         let mut cfg = LiveCampaignConfig::table5(lambda, cv, MeterModel::ideal());
         cfg.scope = preset.scope;
-        cfg.seed = scale.seed;
+        cfg.seed = SEED;
         let report = run_live_campaign(&sim, &cfg).expect("campaign");
         let live = report
             .stopped_at
@@ -97,7 +99,7 @@ fn main() {
     cfg.cv = CvAssumption::Empirical;
     cfg.pilot_nodes = 8;
     cfg.scope = preset.scope;
-    cfg.seed = scale.seed ^ 0xF00D;
+    cfg.seed = SEED ^ 0xF00D;
     // The drift detector's trailing window must fit the run (~500
     // samples per node at this scale), and the alarm must sit above the
     // HPL profile's own ~0.07/hr power trend so only meter faults fire.

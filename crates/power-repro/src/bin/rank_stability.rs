@@ -1,9 +1,9 @@
 //! Reproduces the Section 1 motivation: Green500 rank fragility.
-use power_repro::{experiments, render, RunScale};
+use power_repro::{experiments, render, Args, SEED};
 fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
+    let scale = Args::from_env(false).scale;
     print!(
         "{}",
-        render::render_rank_stability(&experiments::rank_stability_sweep(&scale))
+        render::render_rank_stability(&experiments::rank_stability_sweep(&scale, SEED))
     );
 }

@@ -1,7 +1,9 @@
 //! Reproduces paper Table 2: HPL runtime and segment powers.
-use power_repro::{experiments, render, RunScale};
-fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
-    let traces = experiments::trace_experiments(&scale);
-    print!("{}", render::render_table2(&experiments::table2(&traces)));
+use power_campaign::artifacts::Result;
+use power_repro::{paper, render, Args, SEED};
+fn main() -> Result<()> {
+    let scale = Args::from_env(false).scale;
+    let traces = paper::traces(&scale, SEED)?;
+    print!("{}", render::render_table2(&paper::table2(&traces)?));
+    Ok(())
 }

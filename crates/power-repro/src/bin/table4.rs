@@ -1,6 +1,8 @@
 //! Reproduces paper Table 4: per-node power statistics across systems.
-use power_repro::{experiments, render, RunScale};
-fn main() {
-    let scale = RunScale::from_args(std::env::args().skip(1));
-    print!("{}", render::render_table4(&experiments::table4(&scale)));
+use power_campaign::artifacts::Result;
+use power_repro::{paper, render, Args, SEED};
+fn main() -> Result<()> {
+    let scale = Args::from_env(false).scale;
+    print!("{}", render::render_table4(&paper::table4(&scale, SEED)?));
+    Ok(())
 }

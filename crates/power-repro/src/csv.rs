@@ -5,7 +5,7 @@
 //! regenerate the paper's figures graphically. `all --csv <dir>` writes
 //! one file per artifact.
 
-use crate::experiments::{Figure4Row, GamingRow, Table2Row, Table4Row, TraceResult};
+use power_campaign::artifacts::{Figure4Row, GamingRow, Table2Row, Table4Row, TraceResult};
 use power_stats::bootstrap::CoveragePoint;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -130,44 +130,43 @@ pub fn gaming_csv(rows: &[GamingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments;
-    use crate::scale::RunScale;
+    use crate::paper;
+    use power_campaign::{artifacts, Scale};
 
-    fn tiny() -> RunScale {
-        RunScale {
+    fn tiny() -> Scale {
+        Scale {
             max_nodes: 32,
             dt_scale: 32.0,
+            placements: 11,
             bootstrap_reps: 50,
             bootstrap_population: 64,
-            rank_reps: 50,
-            interval_placements: 11,
-            seed: 5,
         }
     }
 
     #[test]
     fn csv_headers_and_row_counts() {
         let scale = tiny();
-        let traces = experiments::trace_experiments(&scale);
-        let t2 = table2_csv(&experiments::table2(&traces));
+        let traces = paper::traces(&scale, 5).unwrap();
+        let t2 = table2_csv(&paper::table2(&traces).unwrap());
         assert!(t2.starts_with("system,"));
         assert_eq!(t2.lines().count(), 5); // header + 4 systems
 
         let f1 = figure1_csv(&traces);
         assert!(f1.lines().count() > 100);
 
-        let rows = experiments::table4(&scale);
+        let rows = paper::table4(&scale, 5).unwrap();
         assert_eq!(table4_csv(&rows).lines().count(), 7);
         let f2 = figure2_csv(&rows);
         assert!(f2.lines().count() > 6 * 30);
 
-        let f3 = figure3_csv(&experiments::figure3(&scale));
+        let f3 = figure3_csv(&paper::figure3(&scale, 5).unwrap());
         assert_eq!(f3.lines().count(), 22); // header + 7 n x 3 conf
 
-        let f4 = figure4_csv(&experiments::figure4(8));
+        let lcsc = artifacts::LcscConfigurations::build().unwrap();
+        let f4 = figure4_csv(&artifacts::figure4(&lcsc, 8).unwrap());
         assert_eq!(f4.lines().count(), 9);
 
-        let g = gaming_csv(&experiments::gaming(&scale, &traces));
+        let g = gaming_csv(&paper::gaming(&scale, &traces).unwrap());
         assert_eq!(g.lines().count(), 5);
     }
 

@@ -22,17 +22,22 @@
 //! | `campaign`      | scenario-file sweeps with repeatability gates (`scenarios/*.json`) |
 //! | `all`           | everything above in sequence |
 //!
-//! The [`experiments`] module holds the runnable logic (shared with the
-//! benchmark crate); [`plot`] and [`table`] render results for terminals;
-//! [`scale`] selects full-fidelity or quick runs.
+//! The tables and figures are computed by
+//! [`power_campaign::artifacts`], the same functions behind the
+//! campaign probes. This crate adds the drivers' seed policy over the
+//! paper's systems ([`paper`]), the five experiments that have no
+//! probe ([`experiments`]), renderers for terminals ([`render`],
+//! [`plot`], [`table`]) and CSV ([`csv`]), and the `--quick` / `--full`
+//! flag parser ([`scale`]).
 
 #![warn(missing_docs)]
 
 pub mod csv;
 pub mod experiments;
+pub mod paper;
 pub mod plot;
 pub mod render;
 pub mod scale;
 pub mod table;
 
-pub use scale::RunScale;
+pub use scale::{Args, SEED};

@@ -1,12 +1,12 @@
 //! Rendering experiment results as terminal tables and plots, with
 //! paper-vs-reproduced columns. Shared by every `bin/` driver.
 
-use crate::experiments::{
-    AccuracyGap, Figure4Row, GamingRow, RecommendationRow, Table2Row, Table4Row, TraceResult,
-    TvsZRow,
-};
+use crate::experiments::{ExascaleCell, ImbalanceStudy, RecommendationRow, SubsystemRow};
 use crate::plot::{downsample, line_plot, Series};
 use crate::table::{kw, pct, TextTable};
+use power_campaign::artifacts::{
+    AccuracyGap, Figure4Row, GamingRow, Table2Row, Table4Row, TraceResult, TvsZRow,
+};
 use power_green500::perturb::RankStability;
 use power_method::level::Methodology;
 use power_sim::systems::SystemPreset;
@@ -395,7 +395,7 @@ pub fn render_rank_stability(sweep: &[(f64, RankStability)]) -> String {
 }
 
 /// Renders the subsystem-coverage (Aspect 3) comparison.
-pub fn render_subsystems(rows: &[crate::experiments::SubsystemRow]) -> String {
+pub fn render_subsystems(rows: &[SubsystemRow]) -> String {
     let mut t = TextTable::new([
         "System",
         "compute (kW)",
@@ -418,7 +418,7 @@ pub fn render_subsystems(rows: &[crate::experiments::SubsystemRow]) -> String {
 }
 
 /// Renders the imbalanced-workload study.
-pub fn render_imbalance(s: &crate::experiments::ImbalanceStudy) -> String {
+pub fn render_imbalance(s: &ImbalanceStudy) -> String {
     let mut t = TextTable::new([
         "quantity",
         "balanced (HPL-like)",
@@ -458,7 +458,7 @@ pub fn render_imbalance(s: &crate::experiments::ImbalanceStudy) -> String {
 }
 
 /// Renders the exascale projection.
-pub fn render_exascale(cells: &[crate::experiments::ExascaleCell]) -> String {
+pub fn render_exascale(cells: &[ExascaleCell]) -> String {
     let mut t = TextTable::new([
         "N (nodes)",
         "sigma/mu",
@@ -484,18 +484,16 @@ pub fn render_exascale(cells: &[crate::experiments::ExascaleCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments;
-    use crate::scale::RunScale;
+    use crate::{experiments, paper};
+    use power_campaign::{artifacts, Scale};
 
-    fn tiny() -> RunScale {
-        RunScale {
+    fn tiny() -> Scale {
+        Scale {
             max_nodes: 48,
             dt_scale: 24.0,
+            placements: 11,
             bootstrap_reps: 100,
             bootstrap_population: 128,
-            rank_reps: 100,
-            interval_placements: 11,
-            seed: 3,
         }
     }
 
@@ -507,7 +505,7 @@ mod tests {
         let t3 = render_table3();
         assert!(t3.contains("Titan"));
         assert!(t3.contains("FIRESTARTER"));
-        let t5 = render_table5(&experiments::table5());
+        let t5 = render_table5(&artifacts::table5().unwrap());
         assert!(t5.contains("370"));
         assert!(t5.contains("0.5%"));
     }
@@ -515,34 +513,35 @@ mod tests {
     #[test]
     fn dynamic_tables_render() {
         let scale = tiny();
-        let traces = experiments::trace_experiments(&scale);
-        let t2 = render_table2(&experiments::table2(&traces));
+        let traces = paper::traces(&scale, 3).unwrap();
+        let t2 = render_table2(&paper::table2(&traces).unwrap());
         assert!(t2.contains("Sequoia-25"));
         let f1 = render_figure1(&traces);
         assert!(f1.contains("Piz Daint"));
-        let g = render_gaming(&experiments::gaming(&scale, &traces));
+        let g = render_gaming(&paper::gaming(&scale, &traces).unwrap());
         assert!(g.contains("L-CSC"));
-        let rows = experiments::table4(&scale);
+        let rows = paper::table4(&scale, 3).unwrap();
         assert!(render_table4(&rows).contains("LRZ"));
         assert!(render_figure2(&rows).contains('#'));
     }
 
     #[test]
     fn analytic_renders() {
-        assert!(render_accuracy_gap(&experiments::accuracy_gap()).contains("3.2%"));
-        assert!(render_t_vs_z(&experiments::t_vs_z()).contains("1.09"));
+        assert!(render_accuracy_gap(&artifacts::accuracy_gap().unwrap()).contains("3.2%"));
+        assert!(render_t_vs_z(&artifacts::t_vs_z().unwrap()).contains("1.09"));
         assert!(render_recommendation(&experiments::recommendation()).contains("Titan"));
-        let f4 = render_figure4(&experiments::figure4(16));
+        let lcsc = artifacts::LcscConfigurations::build().unwrap();
+        let f4 = render_figure4(&artifacts::figure4(&lcsc, 16).unwrap());
         assert!(f4.contains("DVFS gain"));
-        let f3 = render_figure3(&experiments::figure3(&tiny()));
+        let f3 = render_figure3(&paper::figure3(&tiny(), 3).unwrap());
         assert!(f3.contains("coverage"));
-        let rs = render_rank_stability(&experiments::rank_stability_sweep(&tiny()));
+        let rs = render_rank_stability(&experiments::rank_stability_sweep(&tiny(), 3));
         assert!(rs.contains("#1 retained"));
         let ss = render_subsystems(&experiments::subsystem_overstatement());
         assert!(ss.contains("overheads"));
         let ex = render_exascale(&experiments::exascale_sweep());
         assert!(ex.contains("1000000"));
-        let im = render_imbalance(&experiments::imbalance_study(&tiny()));
+        let im = render_imbalance(&experiments::imbalance_study(&tiny(), 3).unwrap());
         assert!(im.contains("UNSAFE"));
     }
 }

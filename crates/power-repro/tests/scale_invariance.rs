@@ -3,26 +3,28 @@
 //! the contract that lets CI run in seconds while EXPERIMENTS.md reports
 //! full fidelity.
 
-use power_repro::experiments;
-use power_repro::RunScale;
+use power_campaign::{artifacts, Scale};
+use power_repro::{experiments, paper, SEED};
 
-fn scale(max_nodes: usize, dt_scale: f64) -> RunScale {
-    RunScale {
+fn scale(max_nodes: usize, dt_scale: f64) -> Scale {
+    Scale {
         max_nodes,
         dt_scale,
+        placements: 21,
         bootstrap_reps: 300,
         bootstrap_population: 256,
-        rank_reps: 300,
-        interval_placements: 21,
-        seed: 20_150_715,
     }
+}
+
+fn table2(scale: &Scale) -> Vec<artifacts::Table2Row> {
+    paper::table2(&paper::traces(scale, SEED).unwrap()).unwrap()
 }
 
 /// Table 2 segment *ratios* are invariant to simulated machine size.
 #[test]
 fn table2_ratios_scale_invariant() {
-    let small = experiments::table2(&experiments::trace_experiments(&scale(32, 24.0)));
-    let large = experiments::table2(&experiments::trace_experiments(&scale(96, 24.0)));
+    let small = table2(&scale(32, 24.0));
+    let large = table2(&scale(96, 24.0));
     for (a, b) in small.iter().zip(&large) {
         assert_eq!(a.name, b.name);
         let ra = a.first20_kw / a.core_kw;
@@ -42,8 +44,8 @@ fn table2_ratios_scale_invariant() {
 /// step (the preset's calibration is per-node physics, not tuned totals).
 #[test]
 fn table4_means_scale_invariant() {
-    let coarse = experiments::table4(&scale(64, 32.0));
-    let fine = experiments::table4(&scale(64, 8.0));
+    let coarse = paper::table4(&scale(64, 32.0), SEED).unwrap();
+    let fine = paper::table4(&scale(64, 8.0), SEED).unwrap();
     for (a, b) in coarse.iter().zip(&fine) {
         assert_eq!(a.name, b.name);
         assert!(
@@ -61,8 +63,8 @@ fn table4_means_scale_invariant() {
 #[test]
 fn gaming_ordering_scale_invariant() {
     for s in [scale(24, 48.0), scale(64, 16.0)] {
-        let traces = experiments::trace_experiments(&s);
-        let rows = experiments::gaming(&s, &traces);
+        let traces = paper::traces(&s, SEED).unwrap();
+        let rows = paper::gaming(&s, &traces).unwrap();
         let gain = |name: &str| {
             rows.iter()
                 .find(|r| r.name == name)
@@ -81,14 +83,14 @@ fn gaming_ordering_scale_invariant() {
 /// Pure-math experiments are literally identical at every scale.
 #[test]
 fn analytic_experiments_scale_free() {
-    let a = experiments::table5();
-    let b = experiments::table5();
+    let a = artifacts::table5().unwrap();
+    let b = artifacts::table5().unwrap();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.nodes, y.nodes);
     }
-    let g1 = experiments::accuracy_gap();
-    let g2 = experiments::accuracy_gap();
+    let g1 = artifacts::accuracy_gap().unwrap();
+    let g2 = artifacts::accuracy_gap().unwrap();
     assert_eq!(g1.small_n, g2.small_n);
     assert_eq!(g1.large_lambda, g2.large_lambda);
     let e = experiments::exascale_sweep();

@@ -37,21 +37,6 @@ pub struct CoverageConfig {
     pub seed: u64,
 }
 
-impl CoverageConfig {
-    /// The paper's Figure 3 configuration scaled by `replications`
-    /// (use 100 000 for the full-fidelity run).
-    pub fn paper_figure3(population_size: usize, replications: usize, seed: u64) -> Self {
-        CoverageConfig {
-            population_size,
-            sample_sizes: vec![3, 5, 10, 15, 20, 30, 50],
-            confidences: vec![0.80, 0.95, 0.99],
-            replications,
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-            seed,
-        }
-    }
-}
-
 /// One point of the coverage curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoveragePoint {
@@ -309,14 +294,6 @@ mod tests {
         };
         assert!((p.calibration_error() + 0.01).abs() < 1e-12);
         assert!((p.std_error() - (0.94f64 * 0.06 / 10_000.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn paper_config_shape() {
-        let cfg = CoverageConfig::paper_figure3(9216, 1000, 1);
-        assert_eq!(cfg.population_size, 9216);
-        assert_eq!(cfg.confidences, vec![0.80, 0.95, 0.99]);
-        assert!(cfg.sample_sizes.contains(&5));
     }
 
     #[test]
