@@ -1,13 +1,92 @@
 //! Table 4 / Figure 2: per-node time-averaged power statistics and
-//! histogram construction across the six node-variability systems.
+//! histogram construction across the six node-variability systems, plus
+//! the simulator's node-step throughput, with an enforced budget:
+//!
+//! * **node-step throughput** — a fixed single-thread
+//!   `Simulator::run_products` sweep (system traces and per-node
+//!   averages) over the ten paper presets must sustain
+//!   ≥ [`NODE_STEPS_PER_S_FLOOR`] node-steps/s. Every Table 2/4, Figure
+//!   1–3 and gaming probe spends its time in this loop.
+//!
+//! Every measured figure lands in `BENCH_table4.json` via
+//! [`power_bench::report`].
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use power_bench::{bench_sim_config, fixture};
-use power_sim::engine::Simulator;
+use power_bench::report::{self, Direction};
+use power_bench::{bench_sim_config, fixture, Fixture};
+use power_sim::engine::{ProductRequest, SimulationConfig, Simulator};
 use power_sim::systems::SystemPreset;
 use power_stats::histogram::{Binning, Histogram};
 use power_stats::summary::Summary;
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Nodes per preset in the throughput sweep.
+const SWEEP_NODES: usize = 256;
+/// Timed passes over the ten presets; the median pass is reported.
+const SWEEP_PASSES: usize = 7;
+/// Budget: single-thread node-steps/s through `run_products`. On a 2-vCPU
+/// Xeon host, five alternating runs each measured 5.3–7.2 M/s for the
+/// earlier scalar per-node stepper (which fails this floor) and
+/// 12.1–15.7 M/s for the block kernel.
+const NODE_STEPS_PER_S_FLOOR: f64 = 9.0e6;
+
+/// One single-thread full sweep of every paper preset; returns
+/// (node-steps, seconds).
+fn sweep_pass(fixtures: &[Fixture]) -> (usize, f64) {
+    let mut node_steps = 0;
+    let mut secs = 0.0;
+    for f in fixtures {
+        let workload = f.preset.workload.workload();
+        let config = SimulationConfig {
+            threads: 1,
+            ..bench_sim_config(f.dt)
+        };
+        let sim = Simulator::new(&f.cluster, workload, f.preset.balance, config).unwrap();
+        let phases = workload.phases();
+        let request = ProductRequest::with_averages(
+            phases.core_start() + 0.1 * phases.core(),
+            phases.core_end(),
+        );
+        let start = Instant::now();
+        let products = black_box(sim.run_products(&request).unwrap());
+        secs += start.elapsed().as_secs_f64();
+        node_steps += products.steps() * f.cluster.len();
+    }
+    (node_steps, secs)
+}
+
+fn bench_node_steps(_c: &mut Criterion) {
+    let fixtures: Vec<Fixture> = SystemPreset::trace_presets()
+        .into_iter()
+        .chain(SystemPreset::variability_presets())
+        .map(|preset| fixture(preset, SWEEP_NODES))
+        .collect();
+    sweep_pass(&fixtures); // warm-up
+    let mut rates: Vec<f64> = Vec::with_capacity(SWEEP_PASSES);
+    let mut node_steps = 0;
+    for _ in 0..SWEEP_PASSES {
+        let (steps, secs) = sweep_pass(&fixtures);
+        node_steps = steps;
+        rates.push(steps as f64 / secs);
+    }
+    rates.sort_by(f64::total_cmp);
+    let median = rates[SWEEP_PASSES / 2];
+    report::metric("sim_node_steps", node_steps as f64);
+    report::metric("sim_node_steps_per_s_best", rates[SWEEP_PASSES - 1]);
+    report::budget(
+        "sim_node_steps_per_s",
+        median,
+        Direction::AtLeast,
+        NODE_STEPS_PER_S_FLOOR,
+    );
+    println!(
+        "sim_node_steps: {:.2}M node-steps/s single-thread (median of {SWEEP_PASSES} \
+         passes of {node_steps} node-steps; floor {:.1}M)",
+        median / 1e6,
+        NODE_STEPS_PER_S_FLOOR / 1e6
+    );
+}
 
 fn bench_node_averages(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4_node_averages");
@@ -70,5 +149,10 @@ fn bench_figure2_histograms(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_node_averages, bench_figure2_histograms);
+criterion_group!(
+    benches,
+    bench_node_steps,
+    bench_node_averages,
+    bench_figure2_histograms
+);
 power_bench::bench_main!("table4", benches);

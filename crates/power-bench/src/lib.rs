@@ -8,7 +8,7 @@
 //! | bench target      | paper artifact |
 //! |-------------------|----------------|
 //! | `bench_table2`    | Table 2 / Figure 1 trace generation |
-//! | `bench_table4`    | Table 4 / Figure 2 per-node statistics |
+//! | `bench_table4`    | Table 4 / Figure 2 per-node statistics, sim node-step throughput budget |
 //! | `bench_table5`    | Table 5 sample-size grid + Eq. 4/5 kernels |
 //! | `bench_figure3`   | Figure 3 bootstrap coverage study |
 //! | `bench_figure4`   | Figure 4 case-study sweep |

@@ -3,15 +3,37 @@
 //! The engine advances each node's thermal state through a run and records
 //! power. Nodes are mutually independent (the workload couples them only
 //! through its deterministic utilization function), so the node loop
-//! parallelizes trivially; `std::thread::scope` splits the node range and
-//! per-node RNG substreams keep results independent of thread count.
+//! parallelizes trivially: `std::thread::scope` splits the node range into
+//! one contiguous range per worker.
+//!
+//! # The block kernel
+//!
+//! Every sample of every node comes out of one kernel, `NodeBlock`. It
+//! holds per-lane state for a block of nodes as a struct of arrays — RNG
+//! substream, normal sampler, die temperature, ambient-shifted inlet
+//! temperature, ASIC samples, residual multiplier and load-balance factor
+//! — and advances the whole block one sample at a time. Work that does not
+//! depend on the node is done once per step for the block (the sample
+//! time, the common-mode multiplier, the averaging-window overlap and the
+//! node-independent part of the utilization, via
+//! [`Workload::utilizations`]) or once per sweep (the thermal step
+//! factor). [`Simulator::run_products`] walks each worker's range
+//! [`BLOCK_WIDTH`] nodes at a time; [`Simulator::stream_subset`] runs its
+//! subset through the same kernel. No node-step allocates.
+//!
+//! The kernel is bit-identical to the scalar reference loop —
+//! [`Cluster::node_power`] then [`ThermalState::step`], one node at a
+//! time — because every floating-point expression keeps its operand order,
+//! hoisted subexpressions are evaluated exactly as before, and each node
+//! draws from its own RNG substream keyed by `(seed, node)`.
 //!
 //! # One sweep, every product
 //!
-//! [`NodePower`] already carries wall, DC and processor power for each
-//! sample, so a single node sweep can feed every meter scope and every
-//! product at once. [`Simulator::run_products`] is that sweep: it takes a
-//! [`ProductRequest`] and returns [`RunProducts`] holding, per scope,
+//! [`NodePower`](crate::node::NodePower) already carries wall, DC and
+//! processor power for each sample, so a single node sweep can feed every
+//! meter scope and every product at once. [`Simulator::run_products`] is
+//! that sweep: it takes a [`ProductRequest`] and returns [`RunProducts`]
+//! holding, per scope,
 //!
 //! * whole-machine power vs time (Figure 1, Table 2);
 //! * per-node time-averaged power over a window (Table 4, Figure 2, the
@@ -26,21 +48,34 @@
 //! [`crate::store::TraceStore`], which memoizes `RunProducts` per
 //! (machine, workload, balance, config) so the node loop runs once.
 //!
-//! Because all scopes are derived from the same per-sample [`NodePower`]
-//! and the per-node RNG substreams depend only on `(seed, node)`, results
-//! are independent of the product mix, the scope queried, and the worker
-//! thread count.
+//! # What the thread count can change
+//!
+//! Per-node values depend only on `(seed, node)`, never on which worker
+//! or block a node landed in. So per-node window averages, subset traces
+//! and streamed samples are bit-identical for every product mix, every
+//! scope queried and every worker thread count. Whole-machine totals are
+//! not quite: each worker sums its own nodes in node order, and the
+//! workers' partial sums are then added together, so a different thread
+//! count re-associates the sum. System traces therefore agree across
+//! thread counts only up to floating-point re-association (differences in
+//! the last bits); for a fixed thread count they are exactly reproducible.
 
 use crate::cluster::Cluster;
-use crate::node::{NodePower, NodeSpec};
+use crate::node::NodeSpec;
 use crate::thermal::{ThermalSpec, ThermalState};
 use crate::trace::{NodeTrace, SystemTrace};
+use crate::variability::AsicSample;
 use crate::{Result, SimError};
 use power_stats::rng::{substream, StandardNormal};
 use power_workload::{LoadBalance, Workload};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+/// Nodes a [`Simulator::run_products`] worker advances together. Any width
+/// gives the same bits; this one keeps a block's lane state in L1 while
+/// spreading each step's node-independent work over many nodes.
+pub const BLOCK_WIDTH: usize = 64;
 
 /// Which part of the node's power a product should report.
 ///
@@ -86,8 +121,11 @@ pub struct SimulationConfig {
     pub common_noise_sigma: f64,
     /// RNG seed for the noise streams.
     pub seed: u64,
-    /// Worker threads (clamped to at least 1). Never affects results, only
-    /// wall-clock time — and is therefore excluded from cache keys.
+    /// Worker threads (clamped to at least 1). Per-node averages, subset
+    /// traces and streams are bit-identical for any value; system traces
+    /// add the workers' partial sums, so they agree across thread counts
+    /// only up to floating-point re-association (see the module docs).
+    /// Excluded from cache keys for that reason.
     pub threads: usize,
 }
 
@@ -434,7 +472,8 @@ pub struct ProductParts {
 struct WorkerOut {
     system: [Vec<f64>; 3],
     averages: Vec<(usize, [f64; 3])>,
-    subset: Vec<(usize, [Vec<f64>; 3])>,
+    /// `(subset slot, lane in the current block, per-scope series)`.
+    subset: Vec<(usize, usize, [Vec<f64>; 3])>,
 }
 
 /// One streamed per-node power sample; see [`Simulator::stream_subset`].
@@ -465,63 +504,133 @@ impl StreamSample {
     }
 }
 
-/// Sequential single-node simulation state — thermal history, the node's
-/// RNG substream and its noise sampler — advanced one sample per call.
+/// The block kernel: per-lane simulation state for a block of nodes,
+/// stored as a struct of arrays and advanced one sample per
+/// [`NodeBlock::step`] for the whole block.
 ///
 /// Both the batch sweep ([`Simulator::run_products`]) and the streaming
 /// emitter ([`Simulator::stream_subset`]) drive nodes through this type,
-/// which is what guarantees they produce identical samples.
-struct NodeStepper<'s, 'a> {
+/// which is what guarantees they produce identical samples. Its buffers
+/// are sized once; [`NodeBlock::load`] reuses them for the next block.
+struct NodeBlock<'s, 'a> {
     sim: &'s Simulator<'a>,
-    node: usize,
-    thermal_spec: ThermalSpec,
-    thermal: ThermalState,
-    gauss: StandardNormal,
-    rng: StdRng,
-    factor: f64,
-    step: usize,
+    /// Thermal step factor `1 - exp(-dt / tau)`, fixed for the sweep.
+    alpha: f64,
+    nodes: Vec<usize>,
+    rng: Vec<StdRng>,
+    gauss: Vec<StandardNormal>,
+    temp_c: Vec<f64>,
+    /// Inlet temperature: nominal ambient plus the node's position in the
+    /// room's thermal gradient.
+    t_ambient_c: Vec<f64>,
+    asics: Vec<&'a [AsicSample]>,
+    multiplier: Vec<f64>,
+    factor: Vec<f64>,
+    /// Scratch: the workload's utilization per lane for the current step.
+    util: Vec<f64>,
+    /// Scratch: the per-lane noise multiplier `1 + sigma * z`.
+    noise: Vec<f64>,
+    /// The current step's `[wall, dc, processors]` watts per lane.
+    watts: Vec<[f64; 3]>,
 }
 
-impl<'s, 'a> NodeStepper<'s, 'a> {
-    fn new(sim: &'s Simulator<'a>, node: usize) -> Self {
-        // Per-node inlet temperature: nominal ambient plus the node's
-        // position in the room's thermal gradient.
-        let mut thermal_spec = sim.cluster.spec().node.thermal;
-        thermal_spec.t_ambient_c += sim.cluster.ambient_offset(node);
-        NodeStepper {
+impl<'s, 'a> NodeBlock<'s, 'a> {
+    /// An empty block with room for `width` lanes.
+    fn new(sim: &'s Simulator<'a>, width: usize) -> Self {
+        NodeBlock {
             sim,
-            node,
-            thermal_spec,
-            thermal: ThermalState::at_ambient(&thermal_spec),
-            gauss: StandardNormal::new(),
-            rng: substream(sim.config.seed, node as u64),
-            factor: sim.balance.factor(node, sim.cluster.len()),
-            step: 0,
+            alpha: sim.cluster.spec().node.thermal.step_alpha(sim.config.dt),
+            nodes: Vec::with_capacity(width),
+            rng: Vec::with_capacity(width),
+            gauss: Vec::with_capacity(width),
+            temp_c: Vec::with_capacity(width),
+            t_ambient_c: Vec::with_capacity(width),
+            asics: Vec::with_capacity(width),
+            multiplier: Vec::with_capacity(width),
+            factor: Vec::with_capacity(width),
+            util: Vec::with_capacity(width),
+            noise: Vec::with_capacity(width),
+            watts: Vec::with_capacity(width),
         }
     }
 
-    /// Advances the node by one sample and returns its power breakdown.
-    fn step(&mut self, common_mult: f64) -> NodePower {
+    /// Resets the lanes to `nodes` (validated indices), each at sample 0
+    /// and at its inlet temperature. Allocates nothing when `nodes` fits
+    /// the width the block was created with.
+    fn load(&mut self, nodes: &[usize]) {
         let sim = self.sim;
-        let dt = sim.config.dt;
-        let t = self.step as f64 * dt;
-        let mut u = sim.workload.utilization(self.node, t) * self.factor * common_mult;
-        if sim.config.noise_sigma > 0.0 {
-            u *= 1.0 + sim.config.noise_sigma * self.gauss.sample(&mut self.rng);
+        let cluster = sim.cluster;
+        let t_ambient_c = cluster.spec().node.thermal.t_ambient_c;
+        self.nodes.clear();
+        self.rng.clear();
+        self.gauss.clear();
+        self.temp_c.clear();
+        self.t_ambient_c.clear();
+        self.asics.clear();
+        self.multiplier.clear();
+        self.factor.clear();
+        for &node in nodes {
+            let inlet = t_ambient_c + cluster.ambient_offset(node);
+            self.nodes.push(node);
+            self.rng.push(substream(sim.config.seed, node as u64));
+            self.gauss.push(StandardNormal::new());
+            self.temp_c.push(inlet);
+            self.t_ambient_c.push(inlet);
+            self.asics
+                .push(cluster.asics(node).expect("node index validated by caller"));
+            self.multiplier.push(
+                cluster
+                    .multiplier(node)
+                    .expect("node index validated by caller"),
+            );
+            self.factor.push(sim.balance.factor(node, cluster.len()));
         }
-        let u = u.clamp(0.0, 1.0);
-        let power = sim
-            .cluster
-            .node_power(self.node, t, u, self.thermal.temp_c)
-            .expect("node index validated by caller");
-        self.thermal.step(
-            &self.thermal_spec,
-            NodeSpec::heat_w(&power),
-            power.fan_speed,
-            dt,
-        );
-        self.step += 1;
-        power
+        self.util.resize(nodes.len(), 0.0);
+        self.noise.resize(nodes.len(), 0.0);
+        self.watts.resize(nodes.len(), [0.0; 3]);
+    }
+
+    /// Advances every lane by sample `step` (the sample starting at
+    /// `step * dt`) under the machine-wide multiplier `common_mult`, and
+    /// returns each lane's `[wall, dc, processors]` watts in lane order.
+    fn step(&mut self, step: usize, common_mult: f64) -> &[[f64; 3]] {
+        let sim = self.sim;
+        let t = step as f64 * sim.config.dt;
+        let sigma = sim.config.noise_sigma;
+        let thermal = sim.cluster.spec().node.thermal;
+        sim.workload.utilizations(t, &self.nodes, &mut self.util);
+        let lanes = self.nodes.len();
+        let (rng, gauss) = (&mut self.rng[..lanes], &mut self.gauss[..lanes]);
+        let (temp_c, t_ambient_c) = (&mut self.temp_c[..lanes], &self.t_ambient_c[..lanes]);
+        let (asics, multiplier) = (&self.asics[..lanes], &self.multiplier[..lanes]);
+        let (factor, util) = (&self.factor[..lanes], &self.util[..lanes]);
+        let (noise, watts) = (&mut self.noise[..lanes], &mut self.watts[..lanes]);
+        // The draws get a loop of their own: it keeps the lanes' independent
+        // `ln`/`sqrt` chains in flight together.
+        if sigma > 0.0 {
+            for k in 0..lanes {
+                noise[k] = 1.0 + sigma * gauss[k].sample(&mut rng[k]);
+            }
+        }
+        for k in 0..lanes {
+            let mut u = util[k] * factor[k] * common_mult;
+            if sigma > 0.0 {
+                u *= noise[k];
+            }
+            let u = u.clamp(0.0, 1.0);
+            let power = sim
+                .cluster
+                .power_of(asics[k], multiplier[k], t, u, temp_c[k]);
+            let spec = ThermalSpec {
+                t_ambient_c: t_ambient_c[k],
+                ..thermal
+            };
+            let mut state = ThermalState { temp_c: temp_c[k] };
+            state.step_with_alpha(&spec, NodeSpec::heat_w(&power), power.fan_speed, self.alpha);
+            temp_c[k] = state.temp_c;
+            watts[k] = [power.wall_w, power.dc_w, power.processors_w];
+        }
+        watts
     }
 }
 
@@ -599,30 +708,13 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Simulates one node across `steps` samples starting at t = 0,
-    /// invoking `sink(step, &power)` per sample with the full per-sample
-    /// power breakdown (every scope is derived from it).
-    fn run_node<F: FnMut(usize, &NodePower)>(
-        &self,
-        node: usize,
-        steps: usize,
-        common: &[f64],
-        mut sink: F,
-    ) {
-        let mut stepper = NodeStepper::new(self, node);
-        for (step, &common_mult) in common.iter().enumerate().take(steps) {
-            let power = stepper.step(common_mult);
-            sink(step, &power);
-        }
-    }
-
     /// Streams per-node power samples for a metered subset in time-major
     /// order (every node's sample 0, then every node's sample 1, ...) —
     /// the shape live telemetry arrives in at a site.
     ///
-    /// Each node evolves its own thermal state and RNG substream exactly
-    /// as in a batch sweep, so the streamed values are sample-for-sample
-    /// identical to [`Simulator::subset_trace`] over the same nodes.
+    /// The subset runs through the same block kernel as a batch sweep, so
+    /// the streamed values are sample-for-sample identical to
+    /// [`Simulator::subset_trace`] over the same nodes.
     pub fn stream_subset<F: FnMut(StreamSample)>(
         &self,
         nodes: &[usize],
@@ -632,21 +724,20 @@ impl<'a> Simulator<'a> {
         let steps = self.run_steps();
         let common = self.common_noise(steps);
         let dt = self.config.dt;
-        let mut steppers: Vec<NodeStepper<'_, '_>> = nodes
-            .iter()
-            .map(|&node| NodeStepper::new(self, node))
-            .collect();
-        for (step, &common_mult) in common.iter().enumerate().take(steps) {
+        let mut block = NodeBlock::new(self, nodes.len());
+        block.load(nodes);
+        for (step, &common_mult) in common.iter().enumerate() {
             let t = step as f64 * dt;
-            for stepper in &mut steppers {
-                let power = stepper.step(common_mult);
+            for (&node, &[wall_w, dc_w, processors_w]) in
+                nodes.iter().zip(block.step(step, common_mult))
+            {
                 emit(StreamSample {
-                    node: stepper.node,
+                    node,
                     step,
                     t,
-                    wall_w: power.wall_w,
-                    dc_w: power.dc_w,
-                    processors_w: power.processors_w(),
+                    wall_w,
+                    dc_w,
+                    processors_w,
                 });
             }
         }
@@ -655,7 +746,7 @@ impl<'a> Simulator<'a> {
 
     /// Validates `request` against this simulator without simulating
     /// anything: degenerate or fully-out-of-run averaging windows and
-    /// out-of-range subset indices are rejected.
+    /// out-of-range or repeated subset indices are rejected.
     pub fn validate_request(&self, request: &ProductRequest) -> Result<()> {
         if !request.system && request.averages_window.is_none() && request.subset.is_none() {
             return Err(SimError::InvalidConfig {
@@ -677,13 +768,22 @@ impl<'a> Simulator<'a> {
                 });
             }
         }
-        let n = self.cluster.len();
-        for &node in request.subset.as_deref().unwrap_or(&[]) {
-            if node >= n {
-                return Err(SimError::NoSuchNode {
-                    index: node,
-                    total: n,
-                });
+        if let Some(subset) = request.subset.as_deref() {
+            let n = self.cluster.len();
+            let mut seen = vec![false; n];
+            for &node in subset {
+                if node >= n {
+                    return Err(SimError::NoSuchNode {
+                        index: node,
+                        total: n,
+                    });
+                }
+                if std::mem::replace(&mut seen[node], true) {
+                    return Err(SimError::InvalidConfig {
+                        field: "subset",
+                        reason: "subset node ids must be distinct",
+                    });
+                }
             }
         }
         Ok(())
@@ -734,7 +834,7 @@ impl<'a> Simulator<'a> {
             for (w, out) in outs.iter_mut().enumerate() {
                 let lo = (w * chunk).min(work.len());
                 let hi = ((w + 1) * chunk).min(work.len());
-                let sim = &self;
+                let sim = self;
                 let common = &common;
                 let slot_of = &slot_of;
                 let work = &work;
@@ -744,21 +844,31 @@ impl<'a> Simulator<'a> {
                         averages,
                         subset: subset_out,
                     } = out;
-                    for &node in &work[lo..hi] {
-                        let slot = slot_of.get(&node).copied();
-                        let mut series =
-                            slot.map(|_| [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]]);
-                        let mut weighted = [0.0f64; 3];
+                    let mut block = NodeBlock::new(sim, BLOCK_WIDTH);
+                    let mut weighted = [[0.0f64; 3]; BLOCK_WIDTH];
+                    for nodes in work[lo..hi].chunks(BLOCK_WIDTH) {
+                        block.load(nodes);
+                        let retained = subset_out.len();
+                        for (lane, node) in nodes.iter().enumerate() {
+                            if let Some(&slot) = slot_of.get(node) {
+                                let series = [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]];
+                                subset_out.push((slot, lane, series));
+                            }
+                        }
+                        let weighted = &mut weighted[..nodes.len()];
+                        weighted.fill([0.0; 3]);
                         let mut weight = 0.0f64;
-                        sim.run_node(node, steps, common, |step, power| {
-                            let vals = [power.wall_w, power.dc_w, power.processors_w()];
+                        for (step, &common_mult) in common.iter().enumerate() {
+                            let watts = block.step(step, common_mult);
                             if request.system {
-                                for (acc, v) in system.iter_mut().zip(vals) {
-                                    acc[step] += v;
+                                for vals in watts {
+                                    for (acc, v) in system.iter_mut().zip(vals) {
+                                        acc[step] += v;
+                                    }
                                 }
                             }
-                            if let Some(series) = series.as_mut() {
-                                for (s, v) in series.iter_mut().zip(vals) {
+                            for (_, lane, series) in &mut subset_out[retained..] {
+                                for (s, v) in series.iter_mut().zip(watts[*lane]) {
                                     s[step] = v;
                                 }
                             }
@@ -767,17 +877,18 @@ impl<'a> Simulator<'a> {
                                 let overlap = ((a + dt).min(to) - a.max(from)).max(0.0);
                                 if overlap > 0.0 {
                                     weight += overlap;
-                                    for (acc, v) in weighted.iter_mut().zip(vals) {
-                                        *acc += v * overlap;
+                                    for (accs, vals) in weighted.iter_mut().zip(watts) {
+                                        for (acc, v) in accs.iter_mut().zip(vals) {
+                                            *acc += v * overlap;
+                                        }
                                     }
                                 }
                             }
-                        });
-                        if request.averages_window.is_some() {
-                            averages.push((node, weighted.map(|x| x / weight)));
                         }
-                        if let (Some(slot), Some(series)) = (slot, series) {
-                            subset_out.push((slot, series));
+                        if request.averages_window.is_some() {
+                            for (&node, accs) in nodes.iter().zip(weighted.iter()) {
+                                averages.push((node, accs.map(|x| x / weight)));
+                            }
                         }
                     }
                 });
@@ -828,7 +939,7 @@ impl<'a> Simulator<'a> {
                 vec![Vec::new(); subset.len()],
             ];
             for out in &mut outs {
-                for (slot, series) in out.subset.drain(..) {
+                for (slot, _, series) in out.subset.drain(..) {
                     let [w, d, p] = series;
                     per_scope[0][slot] = w;
                     per_scope[1][slot] = d;
@@ -1000,8 +1111,25 @@ mod tests {
             .unwrap()
             .system_trace(MeterScope::Wall)
             .unwrap();
+        // System totals add the workers' partial sums, so a different
+        // thread count re-associates them: equal up to rounding only.
         for (a, b) in t1.watts.iter().zip(&t8.watts) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+        // Per-node products never cross a worker boundary, so they are
+        // bit-identical across thread counts.
+        let request = ProductRequest::with_averages(20.0, 250.0).and_subset(&[15, 2, 9]);
+        let p1 = Simulator::new(&cluster, &wl, LoadBalance::Balanced, c1)
+            .unwrap()
+            .run_products(&request)
+            .unwrap();
+        let p8 = Simulator::new(&cluster, &wl, LoadBalance::Balanced, c8)
+            .unwrap()
+            .run_products(&request)
+            .unwrap();
+        for scope in MeterScope::ALL {
+            assert_eq!(p1.node_averages(scope), p8.node_averages(scope));
+            assert_eq!(p1.subset_trace(scope), p8.subset_trace(scope));
         }
     }
 
@@ -1213,6 +1341,47 @@ mod tests {
             start.elapsed() < std::time::Duration::from_secs(5),
             "validation must not simulate the machine"
         );
+    }
+
+    #[test]
+    fn duplicate_subset_ids_rejected_before_simulation() {
+        // A repeated node id used to pass validation and then fail after
+        // the whole sweep; it must be rejected up front, like a bad window.
+        let cluster = Cluster::build(spec(50_000)).unwrap();
+        let phases = RunPhases::core_only(10_000.0).unwrap();
+        let wl = Firestarter::new(phases);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let duplicate = |e: SimError| {
+            matches!(
+                e,
+                SimError::InvalidConfig {
+                    field: "subset",
+                    ..
+                }
+            )
+        };
+        let start = std::time::Instant::now();
+        for request in [
+            ProductRequest::subset_only(&[3, 3]),
+            ProductRequest::system_only().and_subset(&[3, 3]),
+            ProductRequest::with_averages(0.0, 500.0).and_subset(&[7, 1, 7]),
+        ] {
+            assert!(duplicate(sim.validate_request(&request).unwrap_err()));
+            assert!(duplicate(sim.run_products(&request).unwrap_err()));
+        }
+        let mut emitted = 0usize;
+        assert!(duplicate(
+            sim.stream_subset(&[5, 9, 5], |_| emitted += 1).unwrap_err()
+        ));
+        assert_eq!(emitted, 0);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "validation must not simulate the machine"
+        );
+        // Distinct ids still pass.
+        assert!(sim
+            .validate_request(&ProductRequest::subset_only(&[3, 4]))
+            .is_ok());
     }
 
     #[test]

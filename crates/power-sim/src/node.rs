@@ -73,13 +73,16 @@ impl NodeSpec {
         temp_c: f64,
     ) -> NodePower {
         let nominal = AsicSample::nominal();
-        let mut processors = Vec::with_capacity(self.processors.len());
-        for (i, proc) in self.processors.iter().enumerate() {
-            let asic = asics.get(i).unwrap_or(&nominal);
-            let v = pstate.voltage.voltage(asic.vid_bin);
-            let w = proc.power(utilization, pstate.f_mhz, v, temp_c, asic.leakage_factor);
-            processors.push(w);
-        }
+        let processors_w: f64 = self
+            .processors
+            .iter()
+            .enumerate()
+            .map(|(i, proc)| {
+                let asic = asics.get(i).unwrap_or(&nominal);
+                let v = pstate.voltage.voltage(asic.vid_bin);
+                proc.power(utilization, pstate.f_mhz, v, temp_c, asic.leakage_factor)
+            })
+            .sum();
         let memory_w = self.memory.power(utilization);
         let static_w = self.static_power.power();
         let fan_speed = fan_policy.speed(temp_c, &self.fan);
@@ -87,10 +90,10 @@ impl NodeSpec {
 
         // The node multiplier models residual manufacturing/assembly spread
         // in the compute path; fans are modelled explicitly and excluded.
-        let compute_w = (processors.iter().sum::<f64>() + memory_w + static_w) * node_multiplier;
+        let compute_w = (processors_w + memory_w + static_w) * node_multiplier;
         let dc_w = compute_w + fan_w;
         NodePower {
-            processors,
+            processors_w,
             memory_w,
             static_w,
             fan_w,
@@ -112,8 +115,9 @@ impl NodeSpec {
 /// Instantaneous power breakdown of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodePower {
-    /// Per-processor power in watts (order matches `NodeSpec::processors`).
-    pub processors: Vec<f64>,
+    /// Summed processor power in watts (processors added in
+    /// `NodeSpec::processors` order) — the scope of the Titan GPU dataset.
+    pub processors_w: f64,
     /// Memory subsystem power.
     pub memory_w: f64,
     /// Static board power.
@@ -128,13 +132,6 @@ pub struct NodePower {
     pub dc_w: f64,
     /// AC power at the wall (DC / PSU efficiency).
     pub wall_w: f64,
-}
-
-impl NodePower {
-    /// Sum of processor power only — the scope of the Titan GPU dataset.
-    pub fn processors_w(&self) -> f64 {
-        self.processors.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +194,7 @@ mod tests {
         let expect_fan = 60.0 * 0.125;
         assert!((p.dc_w - (expect_compute + expect_fan)).abs() < 1e-9);
         assert!((p.wall_w - p.dc_w / 0.92).abs() < 1e-9);
-        assert!((p.processors_w() - 230.0).abs() < 1e-9);
+        assert!((p.processors_w - 230.0).abs() < 1e-9);
         assert!((NodeSpec::heat_w(&p) - expect_compute).abs() < 1e-9);
     }
 

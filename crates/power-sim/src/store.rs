@@ -17,8 +17,10 @@
 //!   sampled at a deterministic probe grid of `(node, t)` points — trait
 //!   objects cannot be hashed structurally);
 //! * the load-balance policy;
-//! * the engine configuration *except* `threads`, which never affects
-//!   results, only wall-clock time.
+//! * the engine configuration *except* `threads`, which leaves per-node
+//!   averages, subset traces and streams bit-identical and changes system
+//!   traces only by floating-point re-association of the workers' partial
+//!   sums (see [`crate::engine`]).
 //!
 //! Within one key, a cached entry serves any request it subsumes: a
 //! system-only request is satisfied by any full-sweep entry, repeated
@@ -125,7 +127,8 @@ pub fn simulation_key(sim: &Simulator<'_>) -> u64 {
     h.write_f64(cfg.noise_sigma);
     h.write_f64(cfg.common_noise_sigma);
     h.write_u64(cfg.seed);
-    // cfg.threads deliberately excluded: it never affects results.
+    // cfg.threads deliberately excluded: it changes system totals only by
+    // re-association, and per-node products not at all.
     h.finish()
 }
 

@@ -64,6 +64,13 @@ impl ThermalSpec {
     pub fn steady_temp(&self, heat_w: f64, fan_speed: f64) -> f64 {
         self.t_ambient_c + self.r_th(fan_speed) * heat_w.max(0.0)
     }
+
+    /// Fraction of the remaining gap to the steady state closed in one
+    /// step of `dt` seconds: `1 - exp(-dt / tau)`. Constant over a
+    /// fixed-step run, so sweeps compute it once.
+    pub(crate) fn step_alpha(&self, dt: f64) -> f64 {
+        1.0 - (-dt / self.tau_s).exp()
+    }
 }
 
 /// Mutable thermal state of one node.
@@ -84,8 +91,20 @@ impl ThermalState {
     /// Advances the state by `dt` seconds with `heat_w` dissipated and the
     /// given fan speed (exact exponential step of the first-order ODE).
     pub fn step(&mut self, spec: &ThermalSpec, heat_w: f64, fan_speed: f64, dt: f64) {
+        self.step_with_alpha(spec, heat_w, fan_speed, spec.step_alpha(dt));
+    }
+
+    /// [`ThermalState::step`] with the step's `alpha` precomputed by
+    /// [`ThermalSpec::step_alpha`]; bit-identical to `step` for the same
+    /// `dt`.
+    pub(crate) fn step_with_alpha(
+        &mut self,
+        spec: &ThermalSpec,
+        heat_w: f64,
+        fan_speed: f64,
+        alpha: f64,
+    ) {
         let target = spec.steady_temp(heat_w, fan_speed);
-        let alpha = 1.0 - (-dt / spec.tau_s).exp();
         self.temp_c += (target - self.temp_c) * alpha;
     }
 }

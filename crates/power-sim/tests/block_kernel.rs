@@ -1,0 +1,269 @@
+//! Oracle test for the engine's block kernel.
+//!
+//! The reference is the plain scalar model written out here, one node at a
+//! time: `Cluster::node_power`, then `ThermalState::step`. `run_products`
+//! (every product, every scope) and `stream_subset` must reproduce it bit
+//! for bit, whatever the block boundaries, the node count, the subset
+//! order or the worker count.
+
+use proptest::prelude::*;
+
+use power_sim::cluster::Cluster;
+use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator, BLOCK_WIDTH};
+use power_sim::node::NodeSpec;
+use power_sim::systems::SystemPreset;
+use power_sim::thermal::ThermalState;
+use power_stats::rng::{substream, StandardNormal};
+use power_workload::{
+    Graph500, Hpl, HplVariant, IoPhase, LoadBalance, MPrime, RodiniaCfd, Workload,
+};
+
+/// Per-node, per-step `[wall, dc, processors]` watts.
+type Series = Vec<Vec<[f64; 3]>>;
+
+/// The scalar model: every node on its own, sample by sample.
+fn reference(
+    cluster: &Cluster,
+    workload: &dyn Workload,
+    balance: LoadBalance,
+    cfg: &SimulationConfig,
+    nodes: &[usize],
+) -> Series {
+    let steps = (workload.phases().total() / cfg.dt).ceil() as usize;
+    let mut common = vec![1.0; steps];
+    if cfg.common_noise_sigma != 0.0 {
+        let mut rng = substream(cfg.seed ^ 0xC0FF_EE00_D00D_F00Du64, u64::MAX);
+        let mut gauss = StandardNormal::new();
+        for c in &mut common {
+            *c = 1.0 + cfg.common_noise_sigma * gauss.sample(&mut rng);
+        }
+    }
+    nodes
+        .iter()
+        .map(|&node| {
+            let mut spec = cluster.spec().node.thermal;
+            spec.t_ambient_c += cluster.ambient_offset(node);
+            let mut thermal = ThermalState::at_ambient(&spec);
+            let mut rng = substream(cfg.seed, node as u64);
+            let mut gauss = StandardNormal::new();
+            let factor = balance.factor(node, cluster.len());
+            (0..steps)
+                .map(|step| {
+                    let t = step as f64 * cfg.dt;
+                    let mut u = workload.utilization(node, t) * factor * common[step];
+                    if cfg.noise_sigma > 0.0 {
+                        u *= 1.0 + cfg.noise_sigma * gauss.sample(&mut rng);
+                    }
+                    let u = u.clamp(0.0, 1.0);
+                    let p = cluster.node_power(node, t, u, thermal.temp_c).unwrap();
+                    thermal.step(&spec, NodeSpec::heat_w(&p), p.fan_speed, cfg.dt);
+                    [p.wall_w, p.dc_w, p.processors_w]
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Whole-machine totals as the engine defines them: each worker adds its
+/// contiguous node range in node order, then the partials are added in
+/// worker order.
+fn reference_totals(all: &Series, threads: usize, scope: usize) -> Vec<f64> {
+    let steps = all[0].len();
+    let threads = threads.max(1).min(all.len());
+    let chunk = all.len().div_ceil(threads);
+    let mut totals = vec![0.0; steps];
+    for worker in all.chunks(chunk) {
+        let mut partial = vec![0.0; steps];
+        for node in worker {
+            for (acc, w) in partial.iter_mut().zip(node) {
+                *acc += w[scope];
+            }
+        }
+        for (t, p) in totals.iter_mut().zip(&partial) {
+            *t += p;
+        }
+    }
+    totals
+}
+
+fn reference_average(node: &[[f64; 3]], dt: f64, (from, to): (f64, f64), scope: usize) -> f64 {
+    let (mut weighted, mut weight) = (0.0, 0.0);
+    for (step, w) in node.iter().enumerate() {
+        let a = step as f64 * dt;
+        let overlap = ((a + dt).min(to) - a.max(from)).max(0.0);
+        if overlap > 0.0 {
+            weight += overlap;
+            weighted += w[scope] * overlap;
+        }
+    }
+    weighted / weight
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Node counts around block boundaries, plus non-multiples.
+fn node_counts() -> Vec<usize> {
+    vec![
+        1,
+        2,
+        BLOCK_WIDTH - 1,
+        BLOCK_WIDTH,
+        BLOCK_WIDTH + 1,
+        2 * BLOCK_WIDTH - 1,
+        2 * BLOCK_WIDTH + 1,
+        3 * BLOCK_WIDTH + 17,
+        45,
+    ]
+}
+
+/// The preset's own workload, or one of the other workload types over the
+/// preset's phases.
+fn workload_for(preset: &SystemPreset, pick: usize) -> Box<dyn Workload> {
+    let phases = preset.workload.workload().phases();
+    match pick {
+        0 => Box::new(Hpl::new(HplVariant::GpuInCore, phases, 1.0e15).unwrap()),
+        1 => Box::new(Hpl::new(HplVariant::CpuMainMemory, phases, 1.0e15).unwrap()),
+        2 => Box::new(MPrime::new(phases)),
+        3 => Box::new(RodiniaCfd::new(phases)),
+        4 => Box::new(Graph500::new(phases)),
+        5 => Box::new(IoPhase::new(phases, 1.0e15).unwrap()),
+        _ => match &preset.workload {
+            power_sim::systems::PresetWorkload::Hpl(w) => Box::new(*w),
+            power_sim::systems::PresetWorkload::Firestarter(w) => Box::new(*w),
+            power_sim::systems::PresetWorkload::MPrime(w) => Box::new(*w),
+            power_sim::systems::PresetWorkload::Rodinia(w) => Box::new(*w),
+        },
+    }
+}
+
+fn balance_for(pick: usize) -> LoadBalance {
+    match pick {
+        0 => LoadBalance::Balanced,
+        1 => LoadBalance::Uneven { spread: 0.2 },
+        _ => LoadBalance::HotCold {
+            hot_fraction: 0.3,
+            cold_factor: 0.4,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn run_products_and_stream_match_scalar_reference(
+        preset_pick in 0usize..10,
+        workload_pick in 0usize..9,
+        count_pick in 0usize..9,
+        balance_pick in 0usize..3,
+        threads in 1usize..4,
+        noisy in prop::bool::ANY,
+        gradient in prop::bool::ANY,
+        steps_target in 20usize..90,
+        seed in 0u64..1_000_000,
+        window in (0.0..0.9f64, 0.05..1.2f64),
+        subset_raw in prop::collection::vec(0usize..4 * BLOCK_WIDTH, 1..40),
+    ) {
+        let presets: Vec<SystemPreset> = SystemPreset::trace_presets()
+            .into_iter()
+            .chain(SystemPreset::variability_presets())
+            .collect();
+        let n = node_counts()[count_pick];
+        let mut preset = presets[preset_pick].clone().with_total_nodes(n);
+        if gradient {
+            preset.cluster_spec.ambient_gradient_c = 6.0;
+        }
+        let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+        let workload = workload_for(&preset, workload_pick);
+        let balance = balance_for(balance_pick);
+        let total = workload.phases().total();
+        let cfg = SimulationConfig {
+            dt: total / steps_target as f64 * 1.0371,
+            noise_sigma: if noisy { 0.01 } else { 0.0 },
+            common_noise_sigma: if noisy { 0.004 } else { 0.0 },
+            seed,
+            threads,
+        };
+        let sim = Simulator::new(&cluster, workload.as_ref(), balance, cfg).unwrap();
+        let from = window.0 * total;
+        let to = from + window.1 * (total - from);
+        // Distinct ids in arbitrary order.
+        let mut subset: Vec<usize> = Vec::new();
+        for id in subset_raw.into_iter().map(|id| id % n) {
+            if !subset.contains(&id) {
+                subset.push(id);
+            }
+        }
+
+        let all: Vec<usize> = (0..n).collect();
+        let want = reference(&cluster, workload.as_ref(), balance, &cfg, &all);
+        let request = ProductRequest::with_averages(from, to).and_subset(&subset);
+        let got = sim.run_products(&request).unwrap();
+        let subset_only = sim.run_products(&ProductRequest::subset_only(&subset)).unwrap();
+        for scope in MeterScope::ALL {
+            let k = scope.index();
+            let system = got.system_trace(scope).unwrap();
+            prop_assert!(
+                same_bits(&system.watts, &reference_totals(&want, threads, k)),
+                "system {scope:?} differs"
+            );
+            let averages = got.node_averages(scope).unwrap();
+            for (node, avg) in averages.iter().enumerate() {
+                let expect = reference_average(&want[node], cfg.dt, (from, to), k);
+                prop_assert_eq!(avg.to_bits(), expect.to_bits(), "average {:?} node {}", scope, node);
+            }
+            for trace in [got.subset_trace(scope).unwrap(), subset_only.subset_trace(scope).unwrap()] {
+                prop_assert_eq!(&trace.node_ids, &subset);
+                for (row, &node) in trace.samples.iter().zip(&subset) {
+                    let expect: Vec<f64> = want[node].iter().map(|w| w[k]).collect();
+                    prop_assert!(same_bits(row, &expect), "subset {scope:?} node {node} differs");
+                }
+            }
+        }
+
+        let mut streamed = Vec::new();
+        sim.stream_subset(&subset, |s| streamed.push(s)).unwrap();
+        prop_assert_eq!(streamed.len(), subset.len() * want[0].len());
+        for (i, s) in streamed.iter().enumerate() {
+            let (step, slot) = (i / subset.len(), i % subset.len());
+            prop_assert_eq!((s.node, s.step), (subset[slot], step));
+            let w = want[s.node][step];
+            prop_assert!(
+                same_bits(&[s.wall_w, s.dc_w, s.processors_w], &w),
+                "stream node {} step {} differs", s.node, step
+            );
+        }
+    }
+}
+
+#[test]
+fn single_thread_system_total_is_the_node_ordered_sum() {
+    // threads = 1 needs no model of the worker split: each step's total is
+    // 0.0 plus every node in node order.
+    let preset = power_sim::systems::piz_daint().with_total_nodes(BLOCK_WIDTH + 3);
+    let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+    let workload = preset.workload.workload();
+    let cfg = SimulationConfig {
+        dt: workload.phases().total() / 150.0,
+        noise_sigma: 0.01,
+        common_noise_sigma: 0.003,
+        seed: 11,
+        threads: 1,
+    };
+    let sim = Simulator::new(&cluster, workload, preset.balance, cfg).unwrap();
+    let all: Vec<usize> = (0..cluster.len()).collect();
+    let want = reference(&cluster, workload, preset.balance, &cfg, &all);
+    let got = sim.run_products(&ProductRequest::system_only()).unwrap();
+    for scope in MeterScope::ALL {
+        let mut totals = vec![0.0; want[0].len()];
+        for node in &want {
+            for (t, w) in totals.iter_mut().zip(node) {
+                *t += w[scope.index()];
+            }
+        }
+        let totals: Vec<f64> = totals.into_iter().map(|t| 0.0 + t).collect();
+        assert!(same_bits(&got.system_trace(scope).unwrap().watts, &totals));
+    }
+}

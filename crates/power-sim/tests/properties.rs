@@ -86,7 +86,7 @@ proptest! {
         // Wall power always exceeds DC power (PSU loss).
         prop_assert!(a.wall_w >= a.dc_w - 1e-12);
         // Breakdown sums: dc = multiplier*(procs + mem + static) + fan.
-        let parts = a.processors_w() + a.memory_w + a.static_w;
+        let parts = a.processors_w + a.memory_w + a.static_w;
         prop_assert!((a.dc_w - (parts + a.fan_w)).abs() < 1e-9);
     }
 

@@ -233,6 +233,61 @@ impl Hpl {
     }
 }
 
+/// The node-independent part of [`Hpl`]'s utilization at one instant.
+#[derive(Debug, Clone, Copy)]
+enum HplAt {
+    /// Outside the core phase: every node sits at this level.
+    Flat(f64),
+    /// Inside the core phase: the smooth envelope plus, when the shape has
+    /// ripple, the node-independent part of the ripple phase.
+    Core {
+        envelope: f64,
+        ripple: f64,
+        ripple_phase: f64,
+    },
+}
+
+impl HplAt {
+    fn node(self, node: usize) -> f64 {
+        match self {
+            HplAt::Flat(u) => u,
+            HplAt::Core {
+                envelope,
+                ripple,
+                ripple_phase,
+            } => {
+                let mut u = envelope;
+                // Deterministic panel/update ripple, dephased per node so
+                // that the machine-level sum stays jagged but bounded.
+                if ripple > 0.0 {
+                    let phase = ripple_phase + (node as f64) * 2.399_963; // golden-angle dephasing
+                    u += ripple * phase.sin();
+                }
+                u.clamp(0.0, 1.0)
+            }
+        }
+    }
+}
+
+impl Hpl {
+    /// Everything about the utilization at `t` that does not depend on the
+    /// node — the `powf` envelope above all.
+    fn at(&self, t: f64) -> HplAt {
+        if !self.phases.in_run(t) {
+            return HplAt::Flat(0.0);
+        }
+        if !self.phases.in_core(t) {
+            return HplAt::Flat(self.shape.idle);
+        }
+        let tau = self.phases.core_progress(t);
+        HplAt::Core {
+            envelope: self.envelope(tau),
+            ripple: self.shape.ripple,
+            ripple_phase: tau * self.shape.panel_steps * std::f64::consts::TAU,
+        }
+    }
+}
+
 impl Workload for Hpl {
     fn name(&self) -> &str {
         match self.variant {
@@ -246,22 +301,15 @@ impl Workload for Hpl {
     }
 
     fn utilization(&self, node: usize, t: f64) -> f64 {
-        if !self.phases.in_run(t) {
-            return 0.0;
+        self.at(t).node(node)
+    }
+
+    fn utilizations(&self, t: f64, nodes: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(nodes.len(), out.len());
+        let at = self.at(t);
+        for (u, &node) in out.iter_mut().zip(nodes) {
+            *u = at.node(node);
         }
-        if !self.phases.in_core(t) {
-            return self.shape.idle;
-        }
-        let tau = self.phases.core_progress(t);
-        let mut u = self.envelope(tau);
-        // Deterministic panel/update ripple, dephased per node so that the
-        // machine-level sum stays jagged but bounded.
-        if self.shape.ripple > 0.0 {
-            let phase =
-                tau * self.shape.panel_steps * std::f64::consts::TAU + (node as f64) * 2.399_963; // golden-angle dephasing
-            u += self.shape.ripple * phase.sin();
-        }
-        u.clamp(0.0, 1.0)
     }
 
     fn total_flops(&self) -> f64 {

@@ -56,6 +56,21 @@ pub trait Workload: Send + Sync {
     /// `[0, 1]`; outside the run it should return the idle level.
     fn utilization(&self, node: usize, t: f64) -> f64;
 
+    /// Utilization of every node in `nodes` at time `t`, written to `out`
+    /// in the same order (`out.len()` must equal `nodes.len()`).
+    ///
+    /// Each value must be bit-identical to `utilization(node, t)`; the
+    /// default loops over it. Workloads whose per-node value shares an
+    /// expensive node-independent part override this to compute that part
+    /// once per call — the simulator calls it once per time step for a
+    /// whole block of nodes.
+    fn utilizations(&self, t: f64, nodes: &[usize], out: &mut [f64]) {
+        debug_assert_eq!(nodes.len(), out.len());
+        for (u, &node) in out.iter_mut().zip(nodes) {
+            *u = self.utilization(node, t);
+        }
+    }
+
     /// Total useful floating-point operations performed by the run across
     /// the whole machine (used for FLOPS/W metrics). Zero for workloads
     /// without a meaningful flop count.
