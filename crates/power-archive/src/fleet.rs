@@ -1,35 +1,32 @@
-//! Fleet write-ahead log: one durable file for a whole fleet.
+//! Campaign write-ahead log: one durable file for many campaigns.
 //!
-//! [`CampaignWal`](crate::CampaignWal) persists exactly one campaign
-//! per file. A fleet multiplexes thousands of campaigns onto one ingest
-//! plane, and [`FleetWal`] multiplexes their durability the same way:
-//! one append-only log whose records are tagged by campaign id,
-//! implementing [`power_fleet::FleetJournal`]. Reopening the file
-//! truncates any torn tail and replays the durable prefix into the
-//! per-campaign state the fleet needs to resume every in-flight
-//! campaign at its watermark.
+//! [`FleetWal`] is the file-backed [`FleetJournal`]: one append-only
+//! log whose records are tagged by campaign id. A fleet multiplexes
+//! thousands of campaigns onto it; a live campaign
+//! (`power_telemetry::live`) is recorded in its own file as a fleet of
+//! one, campaign 0. Reopening the file truncates any torn tail and
+//! replays the durable prefix into the per-campaign state needed to
+//! resume every in-flight campaign at its watermark.
 //!
 //! Record payloads (all little-endian, framed by `crate::record`):
 //!
 //! ```text
-//! Created  op=1 | id u64 | fingerprint u64 | encoded spec bytes
+//! Created  op=1 | id u64 | fingerprint u64 | creation payload (non-empty)
 //! Node     op=2 | id u64 | node u64        | average f64 bits
 //! Finished op=3 | id u64
 //! Deleted  op=4 | id u64
 //! ```
 //!
-//! Fsync policy: `Created` and `Deleted` are fsynced — they are the
-//! user-visible CRUD operations whose loss would change which campaigns
-//! exist. `Node` and `Finished` appends are *not* fsynced: losing the
-//! last few of them to a crash only rewinds a campaign's watermark, and
-//! re-metering is safe because node averages are deterministic
-//! functions of the spec (see `power_fleet::spec`). This keeps the
-//! per-node append on the fleet's hot path at memory speed while the
-//! resume contract stays exact.
+//! Fsync policy: `Created` and `Deleted` are always fsynced — their loss
+//! would change which campaigns exist. `Node` and `Finished` appends are
+//! fsynced only by [`FleetJournal::sync`], which a live campaign calls
+//! after every node and the fleet never calls: losing a node record only
+//! rewinds a watermark, and re-metering reproduces it (node averages are
+//! deterministic), so the fleet's per-node append stays at memory speed.
 
-use crate::record::{append_record, scan_records, sync_dir, truncate_to};
-use power_fleet::journal::{CampaignReplay, FleetJournal};
-use power_fleet::FleetError;
+use crate::record::{append_record, parent_dir, scan_records, sync_dir, truncate_to};
+use power_telemetry::journal::{CampaignReplay, FleetJournal, MemJournal};
+use power_telemetry::TelemetryError;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io;
@@ -40,14 +37,15 @@ const OP_NODE: u8 = 2;
 const OP_FINISHED: u8 = 3;
 const OP_DELETED: u8 = 4;
 
-/// A file-backed multiplexed [`FleetJournal`] with torn-tail recovery.
+/// A file-backed multiplexed [`FleetJournal`] with torn-tail recovery:
+/// a [`MemJournal`] holding the durable state, plus the log it is
+/// rebuilt from.
 #[derive(Debug)]
 pub struct FleetWal {
     path: PathBuf,
     file: File,
     offset: u64,
-    fsync: bool,
-    campaigns: BTreeMap<u64, CampaignReplay>,
+    state: MemJournal,
     recovered_truncation: bool,
 }
 
@@ -55,108 +53,62 @@ fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-fn journal_err(e: io::Error) -> FleetError {
-    FleetError::Journal(format!("fleet wal: {e}"))
+fn journal_err(e: io::Error) -> TelemetryError {
+    TelemetryError::Journal(format!("fleet wal: {e}"))
 }
 
-fn id_payload(op: u8, id: u64) -> [u8; 9] {
-    let mut payload = [0u8; 9];
+/// A record payload `op | id | a | b`, little-endian; Created keeps the
+/// first 17 bytes, Finished and Deleted the first 9.
+fn frame(op: u8, id: u64, a: u64, b: u64) -> [u8; 25] {
+    let mut payload = [0u8; 25];
     payload[0] = op;
     payload[1..9].copy_from_slice(&id.to_le_bytes());
+    payload[9..17].copy_from_slice(&a.to_le_bytes());
+    payload[17..25].copy_from_slice(&b.to_le_bytes());
     payload
 }
 
 impl FleetWal {
-    /// Opens (or creates) the fleet log at `path`, truncating any torn
-    /// tail left by an interrupted append and replaying the durable
-    /// prefix into memory. Fails with `InvalidData` when the durable
-    /// prefix is not a well-formed fleet log — CRC-valid garbage is
-    /// someone else's file, not a torn write.
+    /// Opens (or creates) the log at `path`, truncating any torn tail
+    /// left by an interrupted append and replaying the durable prefix
+    /// into memory. A durable prefix that is not a well-formed log —
+    /// CRC-valid records with an unknown op or an impossible sequence —
+    /// is someone else's file, not a torn write: `open` fails with
+    /// `InvalidData` and leaves it untouched.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_fsync(path, true)
-    }
-
-    /// [`FleetWal::open`] with an explicit fsync policy for the CRUD
-    /// records (`Created`/`Deleted`). Node records are never fsynced —
-    /// see the module docs for why that is safe.
-    pub fn open_with_fsync(path: impl Into<PathBuf>, fsync: bool) -> io::Result<Self> {
         let path = path.into();
         let scan = scan_records(&path)?;
-        if scan.torn {
-            truncate_to(&path, scan.valid_len)?;
-        }
-        let mut campaigns: BTreeMap<u64, CampaignReplay> = BTreeMap::new();
+        let mut state = MemJournal::default();
         for (_, payload) in &scan.records {
-            let op = *payload
-                .first()
-                .ok_or_else(|| corrupt("empty fleet wal record"))?;
-            let field = |lo: usize| -> io::Result<u64> {
-                payload
-                    .get(lo..lo + 8)
-                    .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                    .ok_or_else(|| corrupt("fleet wal record too short"))
-            };
-            match op {
-                OP_CREATED => {
-                    if payload.len() < 18 {
-                        // 1 + id + fingerprint + a non-empty spec. A
-                        // 17-byte op=1 record is a CampaignWal Start —
-                        // reject the foreign file instead of replaying
-                        // an empty spec.
-                        return Err(corrupt("fleet wal Created record too short"));
-                    }
-                    let id = field(1)?;
-                    let fingerprint = field(9)?;
-                    if campaigns.contains_key(&id) {
-                        return Err(corrupt("fleet wal Created for existing campaign"));
-                    }
-                    campaigns.insert(
-                        id,
-                        CampaignReplay {
-                            spec: payload[17..].to_vec(),
-                            fingerprint,
-                            nodes: Vec::new(),
-                            finished: false,
-                        },
-                    );
+            let field = |lo: usize| u64::from_le_bytes(payload[lo..lo + 8].try_into().expect("8"));
+            let applied = match (payload.first(), payload.len()) {
+                // 1 + id + fingerprint + a non-empty payload. A 17-byte
+                // op=1 record is the Start of the retired single-campaign
+                // log — reject the foreign file instead of replaying an
+                // empty payload.
+                (Some(&OP_CREATED), len) if len < 18 => {
+                    return Err(corrupt("fleet wal Created record too short"))
                 }
-                OP_NODE => {
-                    if payload.len() != 25 {
-                        return Err(corrupt("fleet wal Node record wrong length"));
-                    }
-                    let id = field(1)?;
-                    let node = field(9)?;
-                    let avg = f64::from_bits(field(17)?);
+                (Some(&OP_CREATED), _) => state.record_created(field(1), field(9), &payload[17..]),
+                (Some(&OP_NODE), 25) => {
+                    let avg = f64::from_bits(field(17));
                     if !avg.is_finite() {
                         return Err(corrupt("fleet wal Node average not finite"));
                     }
-                    campaigns
-                        .get_mut(&id)
-                        .ok_or_else(|| corrupt("fleet wal Node for unknown campaign"))?
-                        .nodes
-                        .push((node, avg));
+                    state.record_node(field(1), field(9), avg)
                 }
-                OP_FINISHED => {
-                    if payload.len() != 9 {
-                        return Err(corrupt("fleet wal Finished record wrong length"));
-                    }
-                    let id = field(1)?;
-                    campaigns
-                        .get_mut(&id)
-                        .ok_or_else(|| corrupt("fleet wal Finished for unknown campaign"))?
-                        .finished = true;
-                }
-                OP_DELETED => {
-                    if payload.len() != 9 {
-                        return Err(corrupt("fleet wal Deleted record wrong length"));
-                    }
-                    let id = field(1)?;
-                    if campaigns.remove(&id).is_none() {
-                        return Err(corrupt("fleet wal Deleted for unknown campaign"));
-                    }
+                (Some(&OP_FINISHED), 9) => state.record_finished(field(1)),
+                (Some(&OP_DELETED), 9) => state.record_deleted(field(1)),
+                (Some(&(OP_NODE | OP_FINISHED | OP_DELETED)), _) => {
+                    return Err(corrupt("fleet wal record wrong length"))
                 }
                 _ => return Err(corrupt("unknown fleet wal record op")),
-            }
+            };
+            applied.map_err(|e| corrupt(&format!("fleet wal record out of sequence: {e}")))?;
+        }
+        // Only a well-formed log loses its torn tail.
+        if scan.torn {
+            truncate_to(&path, scan.valid_len)?;
         }
         let file = File::options()
             .create(true)
@@ -164,15 +116,12 @@ impl FleetWal {
             .read(true)
             .write(true)
             .open(&path)?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
+        sync_dir(parent_dir(&path))?;
         Ok(FleetWal {
             offset: scan.valid_len,
             file,
             path,
-            fsync,
-            campaigns,
+            state,
             recovered_truncation: scan.torn,
         })
     }
@@ -187,27 +136,25 @@ impl FleetWal {
         self.recovered_truncation
     }
 
-    /// Campaigns currently live in the log's durable state.
-    pub fn campaign_count(&self) -> usize {
-        self.campaigns.len()
-    }
-
     /// Bytes of durable log.
     pub fn len_bytes(&self) -> u64 {
         self.offset
     }
 
-    fn append(&mut self, payload: &[u8], fsync: bool) -> power_fleet::Result<()> {
-        let len = append_record(&mut self.file, self.offset, payload, fsync && self.fsync)
-            .map_err(journal_err)?;
+    fn append(&mut self, payload: &[u8], fsync: bool) -> power_telemetry::Result<()> {
+        let len =
+            append_record(&mut self.file, self.offset, payload, fsync).map_err(journal_err)?;
         self.offset += len;
         Ok(())
     }
 }
 
+/// Each record is applied to the in-memory state first, which refuses
+/// the ones that would not replay (a duplicate Created, a record for an
+/// unknown campaign), so the log never holds a record it cannot reopen.
 impl FleetJournal for FleetWal {
-    fn replay(&mut self) -> power_fleet::Result<BTreeMap<u64, CampaignReplay>> {
-        Ok(self.campaigns.clone())
+    fn replay(&mut self) -> power_telemetry::Result<BTreeMap<u64, CampaignReplay>> {
+        self.state.replay()
     }
 
     fn record_created(
@@ -215,68 +162,46 @@ impl FleetJournal for FleetWal {
         id: u64,
         fingerprint: u64,
         spec: &[u8],
-    ) -> power_fleet::Result<()> {
+    ) -> power_telemetry::Result<()> {
         if spec.is_empty() {
-            return Err(FleetError::Journal("refusing to record empty spec".into()));
+            return Err(TelemetryError::Journal(
+                "refusing to record empty spec".into(),
+            ));
         }
-        if self.campaigns.contains_key(&id) {
-            return Err(FleetError::Journal(format!(
-                "campaign {id} already created"
-            )));
-        }
-        let mut payload = Vec::with_capacity(17 + spec.len());
-        payload.push(OP_CREATED);
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(&fingerprint.to_le_bytes());
-        payload.extend_from_slice(spec);
-        self.append(&payload, true)?;
-        self.campaigns.insert(
-            id,
-            CampaignReplay {
-                spec: spec.to_vec(),
-                fingerprint,
-                nodes: Vec::new(),
-                finished: false,
-            },
-        );
-        Ok(())
+        self.state.record_created(id, fingerprint, spec)?;
+        let payload = [&frame(OP_CREATED, id, fingerprint, 0)[..17], spec].concat();
+        self.append(&payload, true)
     }
 
-    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_fleet::Result<()> {
-        let c = self
-            .campaigns
-            .get_mut(&id)
-            .ok_or_else(|| FleetError::Journal(format!("campaign {id} unknown to wal")))?;
-        let mut payload = [0u8; 25];
-        payload[0] = OP_NODE;
-        payload[1..9].copy_from_slice(&id.to_le_bytes());
-        payload[9..17].copy_from_slice(&node.to_le_bytes());
-        payload[17..25].copy_from_slice(&average.to_bits().to_le_bytes());
-        c.nodes.push((node, average));
-        self.append(&payload, false)
+    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_telemetry::Result<()> {
+        self.state.record_node(id, node, average)?;
+        self.append(&frame(OP_NODE, id, node, average.to_bits()), false)
     }
 
-    fn record_finished(&mut self, id: u64) -> power_fleet::Result<()> {
-        let c = self
-            .campaigns
-            .get_mut(&id)
-            .ok_or_else(|| FleetError::Journal(format!("campaign {id} unknown to wal")))?;
-        c.finished = true;
-        self.append(&id_payload(OP_FINISHED, id), false)
+    fn record_finished(&mut self, id: u64) -> power_telemetry::Result<()> {
+        self.state.record_finished(id)?;
+        self.append(&frame(OP_FINISHED, id, 0, 0)[..9], false)
     }
 
-    fn record_deleted(&mut self, id: u64) -> power_fleet::Result<()> {
-        if self.campaigns.remove(&id).is_none() {
-            return Err(FleetError::Journal(format!("campaign {id} unknown to wal")));
-        }
-        self.append(&id_payload(OP_DELETED, id), true)
+    fn record_deleted(&mut self, id: u64) -> power_telemetry::Result<()> {
+        self.state.record_deleted(id)?;
+        self.append(&frame(OP_DELETED, id, 0, 0)[..9], true)
+    }
+
+    fn sync(&mut self) -> power_telemetry::Result<()> {
+        self.file.sync_data().map_err(journal_err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use power_fleet::FleetCampaignSpec;
+    use power_fleet::{Fleet, FleetCampaignSpec, FleetConfig, FleetError};
+    use power_sim::{Cluster, SimulationConfig, Simulator, SystemPreset};
+    use power_telemetry::{
+        run_live_campaign_journaled, LiveCampaignConfig, LiveCampaignReport, LIVE_CAMPAIGN_ID,
+    };
+    use power_workload::{Firestarter, LoadBalance, RunPhases};
     use std::io::{Seek, SeekFrom, Write};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -372,49 +297,46 @@ mod tests {
     #[test]
     fn foreign_files_are_rejected() {
         let dir = tmpdir("foreign");
-        // A CampaignWal file: op=1 Start with a 17-byte payload parses
-        // as a Created record with an empty spec — must be refused.
-        let single = dir.join("single.wal");
-        {
-            use power_telemetry::CampaignJournal;
-            let mut wal = crate::CampaignWal::open(&single).unwrap();
-            wal.resume(0xDEAD, 64).unwrap();
-            wal.record_node(0, 100.0).unwrap();
-        }
-        let err = FleetWal::open(&single).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let write_records = |path: &Path, payloads: &[&[u8]]| {
+            let mut file = File::create(path).unwrap();
+            let mut offset = 0;
+            for payload in payloads {
+                offset += append_record(&mut file, offset, payload, false).unwrap();
+            }
+        };
+        let refused_untouched = |path: &Path| {
+            let before = std::fs::read(path).unwrap();
+            let err = FleetWal::open(path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(path).unwrap(), before);
+        };
 
-        // CRC-valid garbage with an unknown op byte.
+        // A log of the retired single-campaign format: a 17-byte op=1
+        // Start (fingerprint 0xDEAD, population 64) parses as a Created
+        // record with an empty payload and must be refused, as must the
+        // 17-byte op=2 NodeDone (node 0, average 100 W) behind it.
+        let single = dir.join("single.wal");
+        let start = frame(OP_CREATED, 0xDEAD, 64, 0);
+        let node = frame(OP_NODE, 0, 100f64.to_bits(), 0);
+        write_records(&single, &[&start[..17], &node[..17]]);
+        refused_untouched(&single);
+
+        // CRC-valid garbage with an unknown op byte — refused untouched
+        // even behind a torn tail.
         let garbage = dir.join("garbage.wal");
-        {
-            let mut file = File::options()
-                .create(true)
-                .truncate(false)
-                .read(true)
-                .write(true)
-                .open(&garbage)
-                .unwrap();
-            append_record(&mut file, 0, &[0x7F, 1, 2, 3], false).unwrap();
-        }
-        let err = FleetWal::open(&garbage).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        write_records(&garbage, &[&[0x7F, 1, 2, 3]]);
+        File::options()
+            .append(true)
+            .open(&garbage)
+            .unwrap()
+            .write_all(b"PAR1\x99")
+            .unwrap();
+        refused_untouched(&garbage);
 
         // Node record for a campaign that was never created.
         let orphan = dir.join("orphan.wal");
-        {
-            let mut file = File::options()
-                .create(true)
-                .truncate(false)
-                .read(true)
-                .write(true)
-                .open(&orphan)
-                .unwrap();
-            let mut payload = [0u8; 25];
-            payload[0] = OP_NODE;
-            append_record(&mut file, 0, &payload, false).unwrap();
-        }
-        let err = FleetWal::open(&orphan).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        write_records(&orphan, &[&frame(OP_NODE, 0, 0, 0)]);
+        refused_untouched(&orphan);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -437,6 +359,95 @@ mod tests {
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[&7].fingerprint, spec_bytes("second", 2).1);
         assert_eq!(replay[&7].nodes, vec![(0, 222.0)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs the small L-CSC live campaign used by the resume tests
+    /// (24 nodes, a 12-node budget the unreachable λ meters in full).
+    fn run_live(journal: &mut FleetWal) -> power_telemetry::Result<LiveCampaignReport> {
+        let preset = SystemPreset::trace_presets()
+            .into_iter()
+            .find(|p| p.name == "L-CSC")
+            .expect("L-CSC trace preset exists")
+            .with_total_nodes(24);
+        let cluster = Cluster::build(preset.cluster_spec).unwrap();
+        let wl = Firestarter::new(RunPhases::new(30.0, 300.0, 30.0).unwrap());
+        let mut sim_cfg = SimulationConfig::one_hertz(17);
+        sim_cfg.dt = 5.0;
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, sim_cfg).unwrap();
+        let cfg = LiveCampaignConfig {
+            lambda: 1e-6,
+            max_nodes: 12,
+            ..LiveCampaignConfig::table5(0.02, 0.03, power_meter::MeterModel::ideal())
+        };
+        run_live_campaign_journaled(&sim, &cfg, journal)
+    }
+
+    /// The acceptance property: a live campaign interrupted after `k`
+    /// nodes and resumed from its log reports exactly what an
+    /// uninterrupted run reports, and leaves identical node records.
+    #[test]
+    fn resumed_campaign_matches_uninterrupted() {
+        let dir = tmpdir("resume");
+        let full_path = dir.join("full.wal");
+        let mut full_wal = FleetWal::open(&full_path).unwrap();
+        let baseline = run_live(&mut full_wal).unwrap();
+        assert_eq!(baseline.resumed_nodes, 0);
+        assert_eq!(baseline.metered_nodes, 12);
+
+        // Cut a copy after Created and the first k Node records — the
+        // on-disk state after a crash k nodes in.
+        let k = 5;
+        let cut_path = dir.join("cut.wal");
+        std::fs::copy(&full_path, &cut_path).unwrap();
+        truncate_to(
+            &cut_path,
+            scan_records(&full_path).unwrap().records[1 + k].0,
+        )
+        .unwrap();
+
+        let mut cut_wal = FleetWal::open(&cut_path).unwrap();
+        assert_eq!(cut_wal.replay().unwrap()[&LIVE_CAMPAIGN_ID].nodes.len(), k);
+        let resumed = run_live(&mut cut_wal).unwrap();
+        assert_eq!(resumed.resumed_nodes, k as u64);
+        assert_eq!(resumed.metered_nodes, baseline.metered_nodes);
+        assert_eq!(resumed.stopped_at, baseline.stopped_at);
+        assert_eq!(resumed.mean_node_w, baseline.mean_node_w);
+        assert_eq!(resumed.relative_accuracy, baseline.relative_accuracy);
+        // Both logs now hold identical records, read back from disk.
+        drop((full_wal, cut_wal));
+        let full = FleetWal::open(&full_path).unwrap().replay().unwrap();
+        let cut = FleetWal::open(&cut_path).unwrap().replay().unwrap();
+        assert_eq!(cut, full);
+        assert_eq!(full[&LIVE_CAMPAIGN_ID].nodes.len(), 12);
+        assert!(full[&LIVE_CAMPAIGN_ID].finished);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A live campaign and a fleet never share a log: each refuses the
+    /// other's, and the refused log is left as it was.
+    #[test]
+    fn live_and_fleet_logs_refuse_each_other() {
+        let dir = tmpdir("cross");
+        let fleet_path = dir.join("fleet.wal");
+        let mut wal = FleetWal::open(&fleet_path).unwrap();
+        let (spec, fp) = spec_bytes("fleet", 3);
+        wal.record_created(5, fp, &spec).unwrap();
+        wal.record_node(5, 0, 300.0).unwrap();
+        let before = std::fs::read(&fleet_path).unwrap();
+        let err = run_live(&mut wal).unwrap_err();
+        assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+        drop(wal);
+        assert_eq!(std::fs::read(&fleet_path).unwrap(), before);
+
+        let live_path = dir.join("live_campaign.wal");
+        run_live(&mut FleetWal::open(&live_path).unwrap()).unwrap();
+        let live_log = Box::new(FleetWal::open(&live_path).unwrap());
+        let err = Fleet::open(FleetConfig::default(), live_log).unwrap_err();
+        assert!(
+            matches!(&err, FleetError::Journal(what) if what.starts_with("spec decode")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A std-only embedded storage engine for the expensive artifacts of the
 //! reproduction pipeline: full-sweep [`power_sim::RunProducts`], per-node
-//! power traces, and live-campaign progress. Everything in-process memory
+//! power traces, and campaign progress. Everything in-process memory
 //! holds (the `TraceStore` LRU, a campaign's ingested samples) is lost on
 //! restart; this crate makes those artifacts durable.
 //!
@@ -17,15 +17,14 @@
 //!   record → fsync), recovery that truncates torn tails and verifies
 //!   every committed checksum on open, and size-triggered compaction
 //!   that rewrites live blocks and drops superseded sweeps.
-//! * [`products`] / [`wal`] — the integration layer: a
+//! * [`products`] / [`fleet`] — the integration layer: a
 //!   [`power_sim::store::ArchiveTier`] implementation making the archive
 //!   a second tier beneath the in-memory `TraceStore` (memory LRU → disk
-//!   archive → recompute), and a campaign write-ahead log implementing
-//!   `power_telemetry`'s `CampaignJournal` so an interrupted live
-//!   campaign resumes at its watermark. [`fleet`] extends the same
-//!   contract to whole fleets: one multiplexed WAL (`FleetWal`)
-//!   implementing `power_fleet::FleetJournal`, so a killed fleet
-//!   resumes every in-flight campaign at its watermark.
+//!   archive → recompute), and the one campaign write-ahead log
+//!   ([`FleetWal`]) implementing `power_telemetry`'s `FleetJournal`, so
+//!   a killed fleet resumes every in-flight campaign at its watermark
+//!   and an interrupted live campaign, journaled as a fleet of one,
+//!   resumes at its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +35,6 @@ pub mod fleet;
 pub mod products;
 pub mod query;
 mod record;
-pub mod wal;
 
 pub use archive::{Archive, ArchiveConfig, ArchiveStats, EntryInfo, FLAG_FULL_SWEEP};
 pub use codec::{
@@ -46,4 +44,3 @@ pub use codec::{
 pub use fleet::FleetWal;
 pub use products::ProductsArchive;
 pub use query::{pruned_window_sum, BlockMeta, PrunedWindow};
-pub use wal::CampaignWal;

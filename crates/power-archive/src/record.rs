@@ -121,6 +121,16 @@ pub fn truncate_to(path: &Path, valid_len: u64) -> io::Result<()> {
     Ok(())
 }
 
+/// The directory whose fsync makes the creation of `path` durable: its
+/// parent, or `.` for a bare file name (whose parent is the empty path,
+/// which cannot be opened).
+pub fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// Fsync the directory itself so file creations/renames are durable.
 /// No-op on platforms where directories cannot be opened as files.
 pub fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -186,6 +196,16 @@ mod tests {
             read_record_at(&mut file, *off3, RECORD_HEADER_LEN + payload3.len() as u64).unwrap();
         assert_eq!(&read, payload3);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bare_file_names_sync_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("fleet.wal")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("store/fleet.wal")), Path::new("store"));
+        assert_eq!(parent_dir(Path::new("/tmp/fleet.wal")), Path::new("/tmp"));
+        sync_dir(parent_dir(Path::new("fleet.wal"))).unwrap();
+        // The empty parent itself cannot be opened.
+        assert_eq!(sync_dir(Path::new("")).is_err(), cfg!(unix));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Grid expansion: scenario grids → the flat, ordered list of cells.
 
 use crate::scenario::{GridSpec, Scenario, SystemRef};
+use power_stats::hash::fnv1a;
 
 /// One point of a grid's cross product. A cell is run once per seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +60,7 @@ impl Cell {
     /// of every probe's RNG stream, so streams follow the cell, not the
     /// scheduling order.
     pub fn stream_tag(&self) -> u64 {
-        fnv1a(&self.id())
+        fnv1a(self.id().as_bytes())
     }
 
     /// Hash of the cell's *simulation* identity only (system + workload).
@@ -69,17 +70,8 @@ impl Cell {
     /// identical sweeps and share a single [`power_sim::store::TraceStore`]
     /// entry.
     pub fn sim_tag(&self) -> u64 {
-        fnv1a(&format!("{}\u{1f}{}", self.system.label, self.workload))
+        fnv1a(format!("{}\u{1f}{}", self.system.label, self.workload).as_bytes())
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Expands one grid block into its full cross product, in deterministic

@@ -22,13 +22,12 @@
 //! their counters fold into the shard's retired totals, so plane-wide
 //! conservation accounting survives campaign churn.
 
-use crate::journal::FleetJournal;
 use crate::spec::FleetCampaignSpec;
 use crate::{FleetError, Result};
 use power_stats::ConfidenceInterval;
-use power_telemetry::online::SequentialEstimator;
+use power_telemetry::online::{replay_nodes, SequentialEstimator};
 use power_telemetry::plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};
-use power_telemetry::{IngestConfig, IngestStats, Sample};
+use power_telemetry::{FleetJournal, IngestConfig, IngestStats, Sample};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -246,23 +245,18 @@ impl Fleet {
                     spec.fingerprint()
                 )));
             }
-            let mut estimator =
-                SequentialEstimator::new(spec.rule()).map_err(FleetError::Telemetry)?;
-            let mut rule_fired = false;
-            for (i, &(node, avg)) in rep.nodes.iter().enumerate() {
-                if node != i as u64 {
-                    return Err(FleetError::Journal(format!(
-                        "campaign {id}: journal node {node} at position {i} breaks metering order"
-                    )));
-                }
-                if rule_fired {
-                    return Err(FleetError::Journal(format!(
-                        "campaign {id}: journal records nodes past the stopping decision"
-                    )));
-                }
-                rule_fired = estimator.push(avg).stop;
-            }
             let budget = spec.budget();
+            // Fleet campaigns meter nodes 0, 1, 2, … (see `spec`).
+            let estimator =
+                replay_nodes(spec.rule(), &rep.nodes, budget, |i| i as u64).map_err(|e| {
+                    match FleetError::from(e) {
+                        FleetError::Journal(what) => {
+                            FleetError::Journal(format!("campaign {id}: {what}"))
+                        }
+                        other => other,
+                    }
+                })?;
+            let rule_fired = estimator.stopped_at().is_some();
             let metered = rep.nodes.len() as u64;
             let state = if rep.finished || rule_fired || metered >= budget {
                 if rule_fired {
@@ -537,7 +531,7 @@ impl Fleet {
                     .record_finished(id)
                 {
                     rt.state = CampaignState::Failed;
-                    rt.error = Some(e.to_string());
+                    rt.error = Some(FleetError::from(e).to_string());
                 }
             }
         }

@@ -15,10 +15,10 @@
 //!   round-robin (one node per live campaign per pass — the fairness
 //!   contract), each node's finalized window average feeding that
 //!   campaign's [`power_telemetry::SequentialEstimator`];
-//! * [`journal`] — the multiplexed durability contract: one log for
-//!   every campaign's `(node, average)` records, so a killed fleet
-//!   resumes every in-flight campaign at its watermark (the
-//!   file-backed implementation is `power_archive::FleetWal`);
+//! * durability — [`Fleet::open`] journals every campaign's `(node,
+//!   average)` pairs into one [`power_telemetry::FleetJournal`] (e.g.
+//!   `power_archive::FleetWal`), so a killed fleet resumes every
+//!   in-flight campaign at its watermark;
 //! * [`leaderboard`] — the live ranking: GFLOPS/W with confidence
 //!   intervals mapped exactly from the power CI, tagged by methodology
 //!   level.
@@ -27,12 +27,10 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod fleet;
-pub mod journal;
 pub mod leaderboard;
 pub mod spec;
 
 pub use fleet::{CampaignState, CampaignStatus, Fleet, FleetConfig, FleetDriver};
-pub use journal::{CampaignReplay, FleetJournal, MemJournal};
 pub use leaderboard::LeaderboardRow;
 pub use spec::FleetCampaignSpec;
 
@@ -88,9 +86,14 @@ impl std::error::Error for FleetError {
     }
 }
 
+/// A journal failure (the journal contract lives in `power_telemetry`)
+/// is a [`FleetError::Journal`] with the journal's own text.
 impl From<power_telemetry::TelemetryError> for FleetError {
     fn from(e: power_telemetry::TelemetryError) -> Self {
-        FleetError::Telemetry(e)
+        match e {
+            power_telemetry::TelemetryError::Journal(what) => FleetError::Journal(what),
+            other => FleetError::Telemetry(other),
+        }
     }
 }
 

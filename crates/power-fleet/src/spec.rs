@@ -18,6 +18,7 @@
 
 use crate::{FleetError, Result};
 use power_method::Methodology;
+use power_stats::hash::fnv1a;
 use power_stats::rng::{substream, StandardNormal};
 use power_telemetry::online::{CiQuantile, CvAssumption, StoppingRule};
 use power_telemetry::Sample;
@@ -173,15 +174,10 @@ impl FleetCampaignSpec {
         Ok(())
     }
 
-    /// FNV-1a fingerprint binding a journal to one campaign identity —
-    /// same construction as `power_telemetry::campaign_fingerprint`.
+    /// FNV-1a fingerprint of the spec's `Debug` rendering, binding a
+    /// journal to one campaign identity.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in format!("{self:?}").as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// Serializes the spec to the journal wire format (version-tagged,

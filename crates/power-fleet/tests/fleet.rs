@@ -1,13 +1,12 @@
 //! Fleet acceptance tests: scheduler fairness, shard accounting,
 //! leaderboard CI semantics, and journal resume.
 
-use power_fleet::journal::{CampaignReplay, FleetJournal, MemJournal};
 use power_fleet::{CampaignState, Fleet, FleetCampaignSpec, FleetConfig, LeaderboardRow};
 use power_stats::ci::{mean_ci_t_finite, mean_ci_z_finite};
 use power_stats::Summary;
 use power_telemetry::online::CiQuantile;
 use power_telemetry::plane::{IngestPlane, PlaneConfig, PlaneStats};
-use power_telemetry::{IngestConfig, Sample};
+use power_telemetry::{CampaignReplay, FleetJournal, IngestConfig, MemJournal, Sample};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -189,7 +188,7 @@ fn lockstep_scheduling_never_starves_a_campaign() {
 #[test]
 fn leaderboard_ci_matches_batch_ci_on_the_same_averages() {
     for quantile in [CiQuantile::Normal, CiQuantile::StudentT] {
-        let shared = Arc::new(Mutex::new(MemJournal::new()));
+        let shared = Arc::new(Mutex::new(MemJournal::default()));
         let fleet = Fleet::open(
             FleetConfig::default(),
             Box::new(SharedJournal(Arc::clone(&shared))),
@@ -351,20 +350,23 @@ fn top_k_leaderboard_is_the_prefix_of_the_full_ranking() {
 struct SharedJournal(Arc<Mutex<MemJournal>>);
 
 impl FleetJournal for SharedJournal {
-    fn replay(&mut self) -> power_fleet::Result<BTreeMap<u64, CampaignReplay>> {
+    fn replay(&mut self) -> power_telemetry::Result<BTreeMap<u64, CampaignReplay>> {
         self.0.lock().unwrap().replay()
     }
-    fn record_created(&mut self, id: u64, fp: u64, spec: &[u8]) -> power_fleet::Result<()> {
+    fn record_created(&mut self, id: u64, fp: u64, spec: &[u8]) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_created(id, fp, spec)
     }
-    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_fleet::Result<()> {
+    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_node(id, node, average)
     }
-    fn record_finished(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_finished(&mut self, id: u64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_finished(id)
     }
-    fn record_deleted(&mut self, id: u64) -> power_fleet::Result<()> {
+    fn record_deleted(&mut self, id: u64) -> power_telemetry::Result<()> {
         self.0.lock().unwrap().record_deleted(id)
+    }
+    fn sync(&mut self) -> power_telemetry::Result<()> {
+        self.0.lock().unwrap().sync()
     }
 }
 
@@ -382,7 +384,7 @@ fn resumed_fleet_matches_uninterrupted_run() {
 
     // Interrupted run: advance only a few rounds, then "crash" (drop
     // the fleet; the shared journal is the surviving disk state).
-    let shared = Arc::new(Mutex::new(MemJournal::new()));
+    let shared = Arc::new(Mutex::new(MemJournal::default()));
     let ids: Vec<u64> = {
         let fleet = Fleet::open(
             FleetConfig::default(),

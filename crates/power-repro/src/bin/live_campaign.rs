@@ -8,11 +8,12 @@
 //! prints the full live report the operator would act on.
 //!
 //! `--store-dir DIR` makes Part 2 durable: every finalized per-node
-//! average is appended to a write-ahead log under `DIR` before the
-//! campaign moves on, and a rerun over the same directory resumes at
-//! the watermark instead of re-metering recorded nodes.
+//! average is synced to `DIR/live_campaign.wal` (a `FleetWal` holding
+//! the campaign as a fleet of one) before the campaign moves on, and a
+//! rerun over the same directory resumes at the watermark instead of
+//! re-metering recorded nodes.
 
-use power_archive::CampaignWal;
+use power_archive::FleetWal;
 use power_campaign::artifacts::sim_config;
 use power_meter::{MeterFault, MeterModel};
 use power_repro::{paper, scale, Args, SEED};
@@ -118,7 +119,7 @@ fn main() {
     let report = match &store_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).expect("create store dir");
-            let mut wal = CampaignWal::open(dir.join("live_campaign.wal")).expect("campaign wal");
+            let mut wal = FleetWal::open(dir.join("live_campaign.wal")).expect("campaign wal");
             let report = run_live_campaign_journaled(&sim, &cfg, &mut wal).expect("campaign");
             println!(
                 "  durable: {} of {} nodes resumed from {}",

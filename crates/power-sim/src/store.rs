@@ -65,49 +65,21 @@
 use crate::engine::{MeterScope, ProductRequest, RunProducts, Simulator};
 use crate::trace::err_degenerate_window;
 use crate::Result;
+use power_stats::hash::Fnv1a;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// FNV-1a, the workspace's standard cheap stable hash.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Fingerprints the simulation identity of `sim` (everything that can
 /// change its results; see the module docs for what is included).
 pub fn simulation_key(sim: &Simulator<'_>) -> u64 {
-    let mut h = Fnv::new();
-    h.write_bytes(format!("{:?}", sim.cluster().spec()).as_bytes());
-    h.write_bytes(format!("{:?}", sim.balance()).as_bytes());
+    let mut h = Fnv1a::default();
+    h.write(format!("{:?}", sim.cluster().spec()).as_bytes());
+    h.write(format!("{:?}", sim.balance()).as_bytes());
 
     let wl = sim.workload();
-    h.write_bytes(wl.name().as_bytes());
-    h.write_bytes(format!("{:?}", wl.phases()).as_bytes());
+    h.write(wl.name().as_bytes());
+    h.write(format!("{:?}", wl.phases()).as_bytes());
     h.write_f64(wl.total_flops());
     // Utilization probe: trait objects cannot be hashed structurally, so
     // sample the function on a deterministic grid. Workloads differing
@@ -347,9 +319,9 @@ impl Drop for FlightGuard<'_> {
 /// single-flight coalescing groups concurrent callers by, and the stable
 /// per-blob identity an [`ArchiveTier`] stores entries under.
 pub fn request_fingerprint(key: u64, request: &ProductRequest) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.write_u64(key);
-    h.write_bytes(format!("{request:?}").as_bytes());
+    h.write(format!("{request:?}").as_bytes());
     h.finish()
 }
 

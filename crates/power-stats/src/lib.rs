@@ -19,7 +19,8 @@
 //! * bootstrap re-sampling and the confidence-interval coverage simulation
 //!   ([`bootstrap`]) behind the paper's Figure 3;
 //! * histograms ([`histogram`]) for Figure 2, empirical distributions
-//!   ([`empirical`]) and normality diagnostics ([`normality`]).
+//!   ([`empirical`]) and normality diagnostics ([`normality`]);
+//! * the workspace's one stable hash, FNV-1a ([`hash`]).
 //!
 //! Everything is deterministic when seeded: all randomized routines take an
 //! explicit [`rand::Rng`], and [`rng`] provides seed-derivation helpers so
@@ -45,6 +46,7 @@ pub mod anderson_darling;
 pub mod bootstrap;
 pub mod ci;
 pub mod empirical;
+pub mod hash;
 pub mod histogram;
 pub mod normal;
 pub mod normality;

@@ -24,6 +24,10 @@
 //! * [`live`] — a live-campaign driver that feeds `power-sim` engine
 //!   output through sampling meters sample-by-sample and stops the
 //!   campaign with a defensible accuracy statement;
+//! * [`journal`] — the one campaign journal contract: a log of
+//!   per-campaign `(node, average)` records that the fleet multiplexes
+//!   and a live campaign writes as a fleet of one, replayed through
+//!   [`online::replay_nodes`] on resume;
 //! * [`plane`] — a sharded multi-campaign ingestion fabric: campaigns
 //!   are partitioned across independently locked shards so thousands of
 //!   concurrent campaigns share one sample plane without a global
@@ -38,6 +42,7 @@
 
 pub mod anomaly;
 pub mod ingest;
+pub mod journal;
 pub mod live;
 pub mod online;
 pub mod plane;
@@ -45,9 +50,10 @@ pub mod ring;
 
 pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyMonitor, DetectorConfig};
 pub use ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
+pub use journal::{CampaignReplay, FleetJournal, MemJournal};
 pub use live::{
-    campaign_fingerprint, run_live_campaign, run_live_campaign_journaled, CampaignJournal,
-    JournalReplay, LiveCampaignConfig, LiveCampaignReport,
+    campaign_fingerprint, run_live_campaign, run_live_campaign_journaled, LiveCampaignConfig,
+    LiveCampaignReport, LIVE_CAMPAIGN_ID,
 };
 pub use online::{CiQuantile, CvAssumption, Decision, SequentialEstimator, StoppingRule};
 pub use plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};
@@ -79,7 +85,8 @@ pub enum TelemetryError {
     /// An underlying methodology call failed.
     Method(power_method::MethodError),
     /// A campaign journal failed or disagrees with the campaign it is
-    /// being replayed into (wrong fingerprint, out-of-order nodes, I/O).
+    /// being replayed into (wrong identity or campaign id, out-of-order
+    /// nodes, nodes past the budget or the stopping decision, I/O).
     Journal(String),
 }
 

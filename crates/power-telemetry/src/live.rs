@@ -20,23 +20,30 @@
 //! That determinism is what makes a crashed campaign *resumable*: the
 //! only state that matters at a node boundary is the sequence of
 //! finalized per-node window averages fed to the estimator so far.
-//! [`run_live_campaign_journaled`] appends each `(node, average)` to a
-//! [`CampaignJournal`] (e.g. the write-ahead log in `power-archive`)
-//! after it lands, and on startup replays the journal's durable prefix
-//! into the estimator — the campaign continues metering at its
-//! watermark, and the final report is identical to an uninterrupted
-//! run's estimate (ingestion accounting and anomaly events cover only
-//! the resumed portion, since the crashed process's samples are gone).
+//! [`run_live_campaign_journaled`] journals the campaign as a fleet of
+//! one, campaign [`LIVE_CAMPAIGN_ID`], through the fleet's
+//! [`FleetJournal`] (e.g. `FleetWal` in `power-archive`): `Created` with
+//! [`campaign_fingerprint`] and the population `N` as 8 little-endian
+//! bytes, one synced `Node` record per finalized average, and `Finished`
+//! when the rule fires or the budget runs out. On startup the durable
+//! prefix is checked by [`replay_nodes`] against the selection order and
+//! replayed into the estimator, so the campaign continues at its
+//! watermark and reports what an uninterrupted run reports (ingestion
+//! accounting and anomaly events cover only the resumed portion). A
+//! journal holding another campaign id (a fleet's log), fingerprint or
+//! population is refused before anything is written to it.
 
 use crate::anomaly::{AnomalyEvent, AnomalyMonitor, DetectorConfig};
 use crate::ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
-use crate::online::{CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
+use crate::journal::FleetJournal;
+use crate::online::{replay_nodes, CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
 use crate::{Result, TelemetryError};
 use power_meter::faults::MeterFault;
 use power_meter::MeterModel;
 use power_sim::engine::MeterScope;
 use power_sim::Simulator;
 use power_stats::ci::ConfidenceInterval;
+use power_stats::hash::Fnv1a;
 use power_stats::rng::{substream, StandardNormal};
 use power_stats::sampling::sample_without_replacement;
 use power_stats::SampleSizePlan;
@@ -46,6 +53,9 @@ use rand::Rng;
 const STREAM_SELECT: u64 = 0x11FE_CA3E_5E1E_C700;
 const STREAM_METER: u64 = 0x11FE_CA3E_3E7E_D000;
 const STREAM_JITTER: u64 = 0x11FE_CA3E_917E_4000;
+
+/// The campaign id a live campaign journals under: it is a fleet of one.
+pub const LIVE_CAMPAIGN_ID: u64 = 0;
 
 /// Configuration of a live campaign.
 #[derive(Debug, Clone)]
@@ -162,46 +172,10 @@ impl LiveCampaignConfig {
 /// structural hashing) and the machine size. A journal written under
 /// one fingerprint refuses to replay into a campaign with another.
 pub fn campaign_fingerprint(cfg: &LiveCampaignConfig, population: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut write = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    write(format!("{cfg:?}").as_bytes());
-    write(&(population as u64).to_le_bytes());
-    h
-}
-
-/// The durable prefix a [`CampaignJournal`] hands back on resume.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JournalReplay {
-    /// `(node id, finalized window average)` in metering order.
-    pub nodes: Vec<(usize, f64)>,
-    /// Whether the journal recorded the stopping rule firing.
-    pub stopped: bool,
-}
-
-/// Durable storage for a live campaign's progress.
-///
-/// The driver calls `resume` once at startup, then `record_node` after
-/// every finalized per-node average and `record_stop` when the rule
-/// fires. Implementations must make each record durable before
-/// returning (or accept losing that node to re-metering — determinism
-/// makes re-metering safe, never wrong).
-pub trait CampaignJournal {
-    /// Validate the journal against this campaign's identity and return
-    /// the durable prefix. A fresh journal records the identity and
-    /// returns an empty replay; a journal written by a *different*
-    /// campaign must error rather than poison the estimator.
-    fn resume(&mut self, fingerprint: u64, population: u64) -> Result<JournalReplay>;
-
-    /// Append one finalized `(node, window average)` pair.
-    fn record_node(&mut self, node: usize, average: f64) -> Result<()>;
-
-    /// Record that the stopping rule fired.
-    fn record_stop(&mut self) -> Result<()>;
+    let mut h = Fnv1a::default();
+    h.write(format!("{cfg:?}").as_bytes());
+    h.write_u64(population as u64);
+    h.finish()
 }
 
 /// What a finished live campaign reports.
@@ -270,14 +244,15 @@ pub fn run_live_campaign(
 
 /// Runs a live campaign with durable progress: like
 /// [`run_live_campaign`], but every finalized per-node average is
-/// appended to `journal` and, if the journal already holds a prefix of
-/// this campaign (same [`campaign_fingerprint`]), the campaign resumes
-/// at its watermark instead of re-metering the recorded nodes. See the
-/// module docs for the exact resume semantics.
+/// recorded in `journal` (as campaign [`LIVE_CAMPAIGN_ID`]) and synced
+/// and, if the journal already holds a prefix of this campaign (same
+/// [`campaign_fingerprint`] and population), the campaign resumes at its
+/// watermark instead of re-metering the recorded nodes. See the module
+/// docs for the exact resume semantics.
 pub fn run_live_campaign_journaled(
     sim: &Simulator<'_>,
     cfg: &LiveCampaignConfig,
-    journal: &mut dyn CampaignJournal,
+    journal: &mut dyn FleetJournal,
 ) -> Result<LiveCampaignReport> {
     run_campaign(sim, cfg, Some(journal))
 }
@@ -285,7 +260,7 @@ pub fn run_live_campaign_journaled(
 fn run_campaign(
     sim: &Simulator<'_>,
     cfg: &LiveCampaignConfig,
-    mut journal: Option<&mut dyn CampaignJournal>,
+    mut journal: Option<&mut dyn FleetJournal>,
 ) -> Result<LiveCampaignReport> {
     cfg.validate()?;
     let population = sim.cluster().len();
@@ -331,43 +306,42 @@ fn run_campaign(
         None => None,
     };
 
-    let mut next_slot = 0usize;
-    let mut stopped = false;
-
     // Replay the journal's durable prefix into the estimator: those
     // nodes were metered by a previous incarnation of this campaign,
     // and determinism guarantees re-metering them would reproduce the
     // recorded averages exactly.
-    let mut resumed_nodes = 0u64;
+    let mut finished = false;
     if let Some(journal) = journal.as_deref_mut() {
-        let replay = journal.resume(campaign_fingerprint(cfg, population), population as u64)?;
-        if replay.nodes.len() > candidates.len() {
+        let fingerprint = campaign_fingerprint(cfg, population);
+        let population_bytes = (population as u64).to_le_bytes();
+        let mut replays = journal.replay()?;
+        let live = replays.remove(&LIVE_CAMPAIGN_ID);
+        if let Some(other) = replays.keys().next() {
             return Err(TelemetryError::Journal(format!(
-                "journal holds {} nodes but the campaign can meter at most {}",
-                replay.nodes.len(),
-                candidates.len()
+                "journal holds campaign {other}: a live campaign only resumes its own"
             )));
         }
-        for (slot, &(node, average)) in replay.nodes.iter().enumerate() {
-            if candidates[slot] != node {
-                return Err(TelemetryError::Journal(format!(
-                    "journal node {node} at position {slot} does not match the \
-                     campaign's deterministic selection order (expected {})",
-                    candidates[slot]
-                )));
+        match live {
+            None => journal.record_created(LIVE_CAMPAIGN_ID, fingerprint, &population_bytes)?,
+            Some(rep) => {
+                if rep.fingerprint != fingerprint || rep.spec != population_bytes {
+                    return Err(TelemetryError::Journal(format!(
+                        "journal belongs to campaign {:#018x} ({} creation bytes), \
+                         not {fingerprint:#018x}/{population} nodes",
+                        rep.fingerprint,
+                        rep.spec.len()
+                    )));
+                }
+                estimator = replay_nodes(rule, &rep.nodes, candidates.len() as u64, |i| {
+                    candidates[i] as u64
+                })?;
+                finished = rep.finished || estimator.stopped_at().is_some();
             }
-            let decision = estimator.push(average);
-            resumed_nodes += 1;
-            if decision.stop {
-                stopped = true;
-                break;
-            }
-        }
-        next_slot = resumed_nodes as usize;
-        if replay.stopped {
-            stopped = true;
         }
     }
+    let resumed_nodes = estimator.count();
+    let mut next_slot = resumed_nodes as usize;
+    let mut stopped = finished;
 
     while next_slot < candidates.len() && !stopped {
         let batch_len = if next_slot < cfg.pilot_nodes {
@@ -470,17 +444,19 @@ fn run_campaign(
                 })?;
             let decision = estimator.push(avg);
             if let Some(journal) = journal.as_deref_mut() {
-                journal.record_node(candidates[slot], avg)?;
+                journal.record_node(LIVE_CAMPAIGN_ID, candidates[slot] as u64, avg)?;
+                journal.sync()?;
             }
             if decision.stop {
-                if let Some(journal) = journal.as_deref_mut() {
-                    journal.record_stop()?;
-                }
                 stopped = true;
                 break;
             }
         }
         next_slot += batch_len;
+    }
+    if let Some(journal) = journal.filter(|_| !finished) {
+        journal.record_finished(LIVE_CAMPAIGN_ID)?;
+        journal.sync()?;
     }
 
     let ci = estimator.ci()?;
@@ -505,6 +481,7 @@ fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{CampaignReplay, MemJournal};
     use power_sim::cluster::{Cluster, ClusterSpec};
     use power_sim::components::{MemorySpec, ProcessorSpec, StaticSpec};
     use power_sim::dvfs::{Governor, PState};
@@ -515,6 +492,7 @@ mod tests {
     use power_sim::vid::VoltagePolicy;
     use power_sim::NodeSpec;
     use power_workload::{Firestarter, LoadBalance, RunPhases};
+    use std::collections::BTreeMap;
 
     fn spec(nodes: usize) -> ClusterSpec {
         ClusterSpec {
@@ -576,6 +554,16 @@ mod tests {
         }
     }
 
+    /// Firestarter with `ramp`-second ramps around a `core`-second core
+    /// phase, on `spec(nodes)`.
+    fn rig(nodes: usize, ramp: f64, core: f64) -> (Cluster, Firestarter) {
+        let phases = RunPhases::new(ramp, core, ramp).unwrap();
+        (
+            Cluster::build(spec(nodes)).unwrap(),
+            Firestarter::new(phases),
+        )
+    }
+
     fn campaign(cv: CvAssumption) -> LiveCampaignConfig {
         LiveCampaignConfig {
             cv,
@@ -586,9 +574,7 @@ mod tests {
 
     #[test]
     fn campaign_stops_and_meets_lambda() {
-        let cluster = Cluster::build(spec(120)).unwrap();
-        let phases = RunPhases::new(60.0, 600.0, 60.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(120, 60.0, 600.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
         let report = run_live_campaign(&sim, &cfg).unwrap();
@@ -613,9 +599,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let cluster = Cluster::build(spec(60)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(60, 30.0, 300.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
         let a = run_live_campaign(&sim, &cfg).unwrap();
@@ -628,9 +612,7 @@ mod tests {
 
     #[test]
     fn node_budget_caps_the_campaign() {
-        let cluster = Cluster::build(spec(60)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(60, 30.0, 300.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let mut cfg = campaign(CvAssumption::Empirical);
         cfg.lambda = 1e-6; // unreachable target
@@ -643,9 +625,7 @@ mod tests {
 
     #[test]
     fn injected_faults_surface_as_anomalies() {
-        let cluster = Cluster::build(spec(40)).unwrap();
-        let phases = RunPhases::new(30.0, 600.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(40, 30.0, 600.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let mut cfg = campaign(CvAssumption::Empirical);
         cfg.lambda = 1e-6; // force a metering sweep of the whole budget
@@ -693,72 +673,85 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
-    /// In-memory journal that can simulate a crash by erroring after
-    /// `fail_after` durable records (the record itself still lands, as
-    /// with a real WAL that fsyncs then dies).
+    /// A [`MemJournal`] that simulates a crash by erroring after
+    /// `fail_after` node records (the record itself still lands, as with
+    /// a real WAL that syncs then dies).
     #[derive(Default)]
-    struct MockJournal {
-        identity: Option<(u64, u64)>,
-        nodes: Vec<(usize, f64)>,
-        stopped: bool,
+    struct CrashingJournal {
+        inner: MemJournal,
         fail_after: Option<usize>,
     }
 
-    impl CampaignJournal for MockJournal {
-        fn resume(&mut self, fingerprint: u64, population: u64) -> Result<JournalReplay> {
-            match self.identity {
-                None => {
-                    self.identity = Some((fingerprint, population));
-                    Ok(JournalReplay::default())
-                }
-                Some(id) if id == (fingerprint, population) => Ok(JournalReplay {
-                    nodes: self.nodes.clone(),
-                    stopped: self.stopped,
-                }),
-                Some(_) => Err(TelemetryError::Journal("foreign journal".into())),
-            }
-        }
+    /// The live campaign's durable state in `journal`.
+    fn live(journal: &mut dyn FleetJournal) -> CampaignReplay {
+        journal.replay().unwrap().remove(&LIVE_CAMPAIGN_ID).unwrap()
+    }
 
-        fn record_node(&mut self, node: usize, average: f64) -> Result<()> {
-            self.nodes.push((node, average));
+    impl FleetJournal for CrashingJournal {
+        fn replay(&mut self) -> Result<BTreeMap<u64, CampaignReplay>> {
+            self.inner.replay()
+        }
+        fn record_created(&mut self, id: u64, fingerprint: u64, spec: &[u8]) -> Result<()> {
+            self.inner.record_created(id, fingerprint, spec)
+        }
+        fn record_node(&mut self, id: u64, node: u64, average: f64) -> Result<()> {
+            self.inner.record_node(id, node, average)?;
             if self
                 .fail_after
-                .is_some_and(|limit| self.nodes.len() >= limit)
+                .is_some_and(|limit| live(&mut self.inner).nodes.len() >= limit)
             {
                 return Err(TelemetryError::Journal("injected crash".into()));
             }
             Ok(())
         }
-
-        fn record_stop(&mut self) -> Result<()> {
-            self.stopped = true;
-            Ok(())
+        fn record_finished(&mut self, id: u64) -> Result<()> {
+            self.inner.record_finished(id)
         }
+        fn record_deleted(&mut self, id: u64) -> Result<()> {
+            self.inner.record_deleted(id)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A live journal holding `nodes` under the given identity.
+    fn live_journal(fingerprint: u64, population: u64, nodes: &[(u64, f64)]) -> MemJournal {
+        let mut journal = MemJournal::default();
+        let created = population.to_le_bytes();
+        journal
+            .record_created(LIVE_CAMPAIGN_ID, fingerprint, &created)
+            .unwrap();
+        for &(node, avg) in nodes {
+            journal.record_node(LIVE_CAMPAIGN_ID, node, avg).unwrap();
+        }
+        journal
     }
 
     #[test]
     fn journaled_campaign_matches_plain_run() {
-        let cluster = Cluster::build(spec(60)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(60, 30.0, 300.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
         let plain = run_live_campaign(&sim, &cfg).unwrap();
-        let mut journal = MockJournal::default();
+        let mut journal = CrashingJournal::default();
         let journaled = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
         assert_eq!(journaled.resumed_nodes, 0);
         assert_eq!(journaled.metered_nodes, plain.metered_nodes);
         assert_eq!(journaled.mean_node_w, plain.mean_node_w);
         assert_eq!(journaled.relative_accuracy, plain.relative_accuracy);
-        assert_eq!(journal.nodes.len() as u64, plain.metered_nodes);
-        assert_eq!(journal.stopped, plain.stopped_at.is_some());
+        let rep = live(&mut journal);
+        assert_eq!(rep.nodes.len() as u64, plain.metered_nodes);
+        assert_eq!(rep.spec, 60u64.to_le_bytes());
+        assert_eq!(rep.fingerprint, campaign_fingerprint(&cfg, 60));
+        // Finished marks the end of the campaign, rule or budget.
+        assert!(plain.stopped_at.is_some());
+        assert!(rep.finished);
     }
 
     #[test]
     fn interrupted_campaign_resumes_and_matches() {
-        let cluster = Cluster::build(spec(60)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(60, 30.0, 300.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let mut cfg = campaign(CvAssumption::Empirical);
         cfg.lambda = 1e-6; // unreachable: meter the whole 12-node budget
@@ -767,13 +760,13 @@ mod tests {
         assert!(baseline.metered_nodes > 4, "need room to interrupt");
 
         // "Crash" after 4 nodes have been made durable.
-        let mut journal = MockJournal {
+        let mut journal = CrashingJournal {
             fail_after: Some(4),
-            ..MockJournal::default()
+            ..CrashingJournal::default()
         };
         let err = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
-        assert_eq!(journal.nodes.len(), 4);
+        assert_eq!(live(&mut journal).nodes.len(), 4);
 
         // Resume from the durable prefix: the report is identical to an
         // uninterrupted run's.
@@ -788,31 +781,72 @@ mod tests {
 
     #[test]
     fn journal_mismatches_are_rejected() {
-        let cluster = Cluster::build(spec(60)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Firestarter::new(phases);
+        let (cluster, wl) = rig(60, 30.0, 300.0);
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
         let cfg = campaign(CvAssumption::Empirical);
 
         // A journal written under a different campaign config.
-        let mut foreign = MockJournal::default();
         let other = campaign(CvAssumption::Planned(0.10));
-        foreign.identity = Some((campaign_fingerprint(&other, 60), 60));
+        let mut foreign = live_journal(campaign_fingerprint(&other, 60), 60, &[]);
         let err = run_live_campaign_journaled(&sim, &cfg, &mut foreign).unwrap_err();
+        assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+
+        // A journal written for a different population.
+        let mut resized = live_journal(campaign_fingerprint(&cfg, 60), 61, &[]);
+        let err = run_live_campaign_journaled(&sim, &cfg, &mut resized).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
 
         // A journal whose node order disagrees with the deterministic
         // selection order.
-        let mut run_first = MockJournal::default();
+        let mut run_first = MemJournal::default();
         run_live_campaign_journaled(&sim, &cfg, &mut run_first).unwrap();
-        let mut tampered = MockJournal {
-            identity: run_first.identity,
-            nodes: run_first.nodes.clone(),
-            stopped: run_first.stopped,
-            fail_after: None,
-        };
-        tampered.nodes.swap(0, 1);
+        let mut nodes = live(&mut run_first).nodes;
+        nodes.swap(0, 1);
+        let mut tampered = live_journal(campaign_fingerprint(&cfg, 60), 60, &nodes);
         let err = run_live_campaign_journaled(&sim, &cfg, &mut tampered).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+
+        // More nodes than the node budget (a capped selection order is a
+        // prefix of the uncapped one).
+        let mut capped = cfg.clone();
+        capped.max_nodes = 3;
+        let over: Vec<(u64, f64)> = cfg.selection_order(60).unwrap()[..4]
+            .iter()
+            .map(|&n| (n as u64, 400.0))
+            .collect();
+        let mut over_budget = live_journal(campaign_fingerprint(&capped, 60), 60, &over);
+        let err = run_live_campaign_journaled(&sim, &capped, &mut over_budget).unwrap_err();
+        assert!(
+            matches!(&err, TelemetryError::Journal(what) if what.contains("at most 3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nodes_past_the_stopping_decision_are_rejected() {
+        let (cluster, wl) = rig(60, 30.0, 300.0);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let cfg = campaign(CvAssumption::Empirical);
+        let mut run_first = MemJournal::default();
+        let report = run_live_campaign_journaled(&sim, &cfg, &mut run_first).unwrap();
+        let n = report.stopped_at.expect("rule fires on 60 nodes") as usize;
+        let mut nodes = live(&mut run_first).nodes;
+        assert_eq!(nodes.len(), n);
+
+        // The journal as written resumes cleanly, metering nothing.
+        let mut intact = run_first.clone();
+        let resumed = run_live_campaign_journaled(&sim, &cfg, &mut intact).unwrap();
+        assert_eq!(resumed.resumed_nodes, n as u64);
+        assert_eq!(resumed.mean_node_w, report.mean_node_w);
+
+        // One more node, next in selection order, after the rule fired.
+        let next = cfg.selection_order(60).unwrap()[n] as u64;
+        nodes.push((next, report.mean_node_w));
+        let mut overrun = live_journal(campaign_fingerprint(&cfg, 60), 60, &nodes);
+        let err = run_live_campaign_journaled(&sim, &cfg, &mut overrun).unwrap_err();
+        assert!(
+            matches!(&err, TelemetryError::Journal(what) if what.contains("past the stopping decision")),
+            "{err}"
+        );
     }
 }

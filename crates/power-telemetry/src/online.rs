@@ -222,6 +222,42 @@ impl SequentialEstimator {
     }
 }
 
+/// Replays journaled `(node, window average)` pairs into a fresh
+/// estimator for `rule` — the one validator both campaign runtimes
+/// resume through. Refused with [`TelemetryError::Journal`]: more than
+/// `budget` nodes, a node at position `i` other than `expected(i)` (the
+/// selection order), or any node after the stopping decision. The
+/// estimator's `stopped_at` says whether the rule fired in the replay.
+pub fn replay_nodes(
+    rule: StoppingRule,
+    nodes: &[(u64, f64)],
+    budget: u64,
+    expected: impl Fn(usize) -> u64,
+) -> Result<SequentialEstimator> {
+    if nodes.len() as u64 > budget {
+        return Err(TelemetryError::Journal(format!(
+            "journal holds {} nodes but the campaign can meter at most {budget}",
+            nodes.len()
+        )));
+    }
+    let mut estimator = SequentialEstimator::new(rule)?;
+    for (i, &(node, average)) in nodes.iter().enumerate() {
+        if let Some(n) = estimator.stopped_at() {
+            return Err(TelemetryError::Journal(format!(
+                "journal records nodes past the stopping decision (rule fired at n = {n})"
+            )));
+        }
+        let want = expected(i);
+        if node != want {
+            return Err(TelemetryError::Journal(format!(
+                "journal node {node} at position {i} breaks metering order (expected {want})"
+            )));
+        }
+        estimator.push(average);
+    }
+    Ok(estimator)
+}
+
 /// Overlap-weighted running mean of a sample stream over one fixed
 /// window `[from, to)` — the per-node reduction a live campaign performs
 /// while samples are still arriving.
@@ -441,6 +477,27 @@ mod tests {
             }
         }
         assert_eq!(stopped, Some(30));
+    }
+
+    #[test]
+    fn replay_validates_order_budget_and_stop() {
+        // The planned rule stops at n = 4 (Table 5: λ = 2%, σ/μ = 2%).
+        let order = [7u64, 3, 5, 1, 2];
+        let nodes: Vec<_> = order.iter().map(|&n| (n, 400.0)).collect();
+        let replay =
+            |n: usize, budget| replay_nodes(rule(0.02, 0.02), &nodes[..n], budget, |i| order[i]);
+        assert_eq!(replay(3, 10).unwrap().stopped_at(), None);
+        assert_eq!(replay(4, 10).unwrap().stopped_at(), Some(4));
+        for refused in [
+            replay(5, 10),
+            replay(3, 2),
+            replay_nodes(rule(0.02, 0.02), &nodes, 10, |i| i as u64),
+        ] {
+            assert!(
+                matches!(refused, Err(TelemetryError::Journal(_))),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]
