@@ -36,7 +36,7 @@ use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 const MANIFEST: &str = "MANIFEST.log";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
@@ -383,11 +383,23 @@ impl Archive {
         &self.dir
     }
 
+    /// The archive's state, or an error when a thread panicked while
+    /// holding it: the in-memory index may be half-updated, so the
+    /// archive stops serving it rather than trust it. The window query
+    /// path (`get`, `read_payload_range`, `entry_location`,
+    /// `entries_for_key`) and `put` go through here, so a query on a
+    /// poisoned archive falls back to recomputing instead of panicking.
+    fn state(&self) -> io::Result<MutexGuard<'_, Inner>> {
+        self.inner
+            .lock()
+            .map_err(|_| io::Error::other("archive lock poisoned by a panicked thread"))
+    }
+
     /// Commit `blob` under `(key, fingerprint)`, superseding any
     /// previous blob with the same identity. Durable once this returns
     /// (when `fsync` is on). May trigger a compaction.
     pub fn put(&self, key: u64, fingerprint: u64, flags: u8, blob: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("archive lock");
+        let mut inner = self.state()?;
         let inner = &mut *inner;
 
         // Roll to a fresh segment when the current one is full.
@@ -449,7 +461,7 @@ impl Archive {
     /// Fetch the blob committed under `(key, fingerprint)`, verifying
     /// its checksum. `Ok(None)` when no such entry exists.
     pub fn get(&self, key: u64, fingerprint: u64) -> io::Result<Option<Vec<u8>>> {
-        let mut inner = self.inner.lock().expect("archive lock");
+        let mut inner = self.state()?;
         let inner = &mut *inner;
         let Some(entry) = inner.entries.get(&(key, fingerprint)).copied() else {
             return Ok(None);
@@ -465,14 +477,14 @@ impl Archive {
 
     /// Stable location `(segment, offset, record_len)` of the record
     /// committed under `(key, fingerprint)`, or `None` when no such
-    /// entry exists.
+    /// entry exists (or the archive lock is poisoned).
     ///
     /// The location changes whenever the entry is superseded by a new
     /// `put` or moved by compaction, so callers that cache byte offsets
     /// derived from a blob (block indexes for positioned reads) must
     /// revalidate their cache against this triple before every use.
     pub fn entry_location(&self, key: u64, fingerprint: u64) -> Option<(u32, u64, u64)> {
-        let inner = self.inner.lock().expect("archive lock");
+        let inner = self.state().ok()?;
         inner
             .entries
             .get(&(key, fingerprint))
@@ -498,7 +510,7 @@ impl Archive {
         len: usize,
     ) -> io::Result<Option<Vec<u8>>> {
         use std::io::{Read, Seek, SeekFrom};
-        let mut inner = self.inner.lock().expect("archive lock");
+        let mut inner = self.state()?;
         let inner = &mut *inner;
         let Some(entry) = inner.entries.get(&(key, fingerprint)).copied() else {
             return Ok(None);
@@ -530,20 +542,35 @@ impl Archive {
         inner
             .entries
             .iter()
-            .map(|(&(key, fingerprint), e)| EntryInfo {
-                key,
-                fingerprint,
-                flags: e.flags,
-                blob_len: e.record_len - RECORD_HEADER_LEN,
-            })
+            .map(|(&id, e)| entry_info(id, e))
             .collect()
     }
 
-    /// Live entries under `key`, in unspecified order.
+    /// Poisons the state lock the way a thread panicking mid-operation
+    /// would.
+    #[cfg(test)]
+    pub(crate) fn poison_for_test(&self) {
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = self.inner.lock();
+                    panic!("a writer panicked while holding the archive lock");
+                })
+                .join();
+        });
+    }
+
+    /// Live entries under `key`, in unspecified order; none when the
+    /// archive lock is poisoned.
     pub fn entries_for_key(&self, key: u64) -> Vec<EntryInfo> {
-        self.entries()
-            .into_iter()
-            .filter(|e| e.key == key)
+        let Ok(inner) = self.state() else {
+            return Vec::new();
+        };
+        inner
+            .entries
+            .iter()
+            .filter(|((k, _), _)| *k == key)
+            .map(|(&id, e)| entry_info(id, e))
             .collect()
     }
 
@@ -660,6 +687,15 @@ impl Archive {
         inner.manifest_len = tmp_len;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+fn entry_info((key, fingerprint): (u64, u64), e: &Entry) -> EntryInfo {
+    EntryInfo {
+        key,
+        fingerprint,
+        flags: e.flags,
+        blob_len: e.record_len - RECORD_HEADER_LEN,
     }
 }
 
@@ -883,6 +919,27 @@ mod tests {
         assert_eq!(under_5[0].blob_len, 32);
         assert_eq!(under_5[1].flags, 0);
         assert_eq!(archive.entries().len(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poisoned_lock_fails_queries_instead_of_panicking() {
+        let dir = tmpdir("poison");
+        let archive = Archive::open(&dir).unwrap();
+        archive.put(3, 4, 0, &blob(3, 64)).unwrap();
+        archive.poison_for_test();
+        // Every call on the window-query path reports the poisoned lock
+        // as a failure; none of them panics.
+        assert!(archive.get(3, 4).is_err());
+        assert!(archive.read_payload_range(3, 4, 0, 8).is_err());
+        assert_eq!(archive.entry_location(3, 4), None);
+        assert!(archive.entries_for_key(3).is_empty());
+        assert!(archive.put(5, 6, 0, &blob(5, 64)).is_err());
+        drop(archive);
+        // The committed entry is intact for the next process.
+        let reopened = Archive::open(&dir).unwrap();
+        assert_eq!(reopened.get(3, 4).unwrap().unwrap(), blob(3, 64));
+        assert_eq!(reopened.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

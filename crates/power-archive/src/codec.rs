@@ -1,18 +1,39 @@
 //! Compressed trace-block codec.
 //!
 //! A *block* holds one run of `(timestamp, watts)` samples from a single
-//! series, encoded as:
+//! series. A version-3 block is laid out as:
 //!
-//! * timestamps: first value raw, then delta-of-delta zigzag varints —
-//!   a regular sampling grid costs one byte per sample after the first
-//!   two;
-//! * power: fixed-point quantization against a caller-chosen quantum
-//!   (default ~1 mW), then first-order deltas as zigzag varints — noise
-//!   around an operating point costs two to three bytes per sample;
-//! * a fixed 60-byte header carrying the sample count, quantum, time
-//!   bounds, and min/max/sum summaries so window scans can skip whole
-//!   blocks without decoding the body;
-//! * a trailing CRC32 (IEEE) over everything before it.
+//! ```text
+//! header     60 bytes: magic, version, count, quantum, t_first, t_last,
+//!            min/max/sum summaries (unchanged since version 2)
+//! directory  one 32-byte entry per 512-sample chunk, then a CRC32 over
+//!            header + entries:
+//!              delta offset u32 | chunk CRC32 u32 | first quanta i64 |
+//!              exact quanta sum i128
+//! timestamps first value in the header, then delta-of-delta zigzag
+//!            varints — a regular grid costs one byte per sample
+//! chunks     per chunk, first-order power deltas as zigzag varints,
+//!            restarting at every chunk (its first value lives in the
+//!            directory) — noise around an operating point costs two to
+//!            three bytes per sample
+//! trailer    CRC32 (IEEE) over everything before it
+//! ```
+//!
+//! The header lets window scans skip whole blocks without touching the
+//! body ([`peek_summary`]). The directory lets [`decode_watts_span`]
+//! answer a boundary block from the header, the directory and at most
+//! two 512-sample chunks: whole chunks contribute their stored integer
+//! sums, values at chunk edges come from the stored first values, and
+//! only a chunk the span starts or ends inside is fetched, CRC-checked
+//! and decoded. The timestamp section and every other chunk stay
+//! unread, so a span costs O(chunk), not O(block). [`decode_block`]
+//! still verifies the trailing whole-block CRC and decodes everything.
+//!
+//! Versions 1 and 2 (no directory: header, timestamps, the first
+//! quantized value, then deltas over the whole block) are still read.
+//! The span decoder treats such a block as a single chunk: it verifies
+//! the trailing CRC, skips the timestamps and decodes up to the span's
+//! end — the same routine, with one chunk spanning the whole block.
 //!
 //! # Quantization contract
 //!
@@ -26,7 +47,10 @@
 //! assembled from block summaries agrees with the in-memory prefix-sum
 //! reference instead of drifting by O(n) rounding. Version-1 blocks
 //! (written before the compensated summary) decode identically; only
-//! their stored `sum_watts` reflects the old naive accumulation.
+//! their stored `sum_watts` reflects the old naive accumulation. Span
+//! sums accumulate integer quanta exactly and dequantize once, so a
+//! span over a version-3 block is bit-identical to the same span over
+//! the version-2 encoding of the same samples.
 
 use power_sim::trace::Neumaier;
 use std::fmt;
@@ -41,12 +65,19 @@ pub const MAX_QUANTA: i128 = 1 << 62;
 const MAGIC: [u8; 4] = *b"PABK";
 /// Oldest block version this codec still reads: naive summary sums.
 const MIN_VERSION: u8 = 1;
-/// Version written by this codec: summaries use compensated summation.
-const VERSION: u8 = 2;
+/// First version with a chunk directory; older blocks read as one chunk.
+const CHUNKED_VERSION: u8 = 3;
+/// Version written by this codec.
+const VERSION: u8 = CHUNKED_VERSION;
 /// Fixed header length in bytes (magic through summaries).
 pub const HEADER_LEN: usize = 60;
 /// Trailing checksum length in bytes.
 pub const TRAILER_LEN: usize = 4;
+/// Samples per chunk of a version-3 block; the last chunk may be shorter.
+pub const CHUNK_SAMPLES: u32 = 512;
+/// Bytes per chunk-directory entry: delta offset (u32), chunk CRC32
+/// (u32), first quantized value (i64), exact quanta sum (i128).
+const DIR_ENTRY_LEN: usize = 32;
 
 /// Errors from encoding or decoding a trace block.
 #[derive(Debug, Clone, PartialEq)]
@@ -376,6 +407,11 @@ fn check_quantum(quantum: f64) -> Result<(), CodecError> {
 // Block encode / decode.
 // ---------------------------------------------------------------------------
 
+/// Chunks in a version-3 block of `count` samples.
+fn chunk_count(count: u32) -> usize {
+    count.div_ceil(CHUNK_SAMPLES) as usize
+}
+
 /// Encode one block of samples. `timestamps_us` and `watts` must have
 /// equal, non-zero length (at most `u32::MAX` samples).
 pub fn encode_block(
@@ -408,11 +444,13 @@ pub fn encode_block(
     }
     let sum = sum.total();
 
-    let mut buf = Vec::with_capacity(HEADER_LEN + watts.len() * 3 + TRAILER_LEN);
+    let count = timestamps_us.len() as u32;
+    let dir_end = HEADER_LEN + chunk_count(count) * DIR_ENTRY_LEN;
+    let mut buf = Vec::with_capacity(dir_end + watts.len() * 4 + 2 * TRAILER_LEN);
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
     buf.extend_from_slice(&[0u8; 3]); // reserved
-    buf.extend_from_slice(&(timestamps_us.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&count.to_le_bytes());
     buf.extend_from_slice(&quantum.to_bits().to_le_bytes());
     buf.extend_from_slice(&timestamps_us[0].to_le_bytes());
     buf.extend_from_slice(&timestamps_us[timestamps_us.len() - 1].to_le_bytes());
@@ -420,6 +458,8 @@ pub fn encode_block(
     buf.extend_from_slice(&max.to_bits().to_le_bytes());
     buf.extend_from_slice(&sum.to_bits().to_le_bytes());
     debug_assert_eq!(buf.len(), HEADER_LEN);
+    // Directory and its CRC are filled in once the chunks are written.
+    buf.resize(dir_end + 4, 0);
 
     // Timestamps: delta, then delta-of-delta.
     let mut prev_delta: i128 = 0;
@@ -428,11 +468,23 @@ pub fn encode_block(
         put_ivarint(&mut buf, delta - prev_delta);
         prev_delta = delta;
     }
-    // Power: first quantized value, then first-order deltas.
-    put_ivarint(&mut buf, quanta[0]);
-    for i in 1..quanta.len() {
-        put_ivarint(&mut buf, quanta[i] - quanta[i - 1]);
+    // Power: per chunk, first-order deltas from the chunk's first value.
+    for (c, chunk) in quanta.chunks(CHUNK_SAMPLES as usize).enumerate() {
+        let off = u32::try_from(buf.len()).map_err(|_| CodecError::BadShape)?;
+        for pair in chunk.windows(2) {
+            put_ivarint(&mut buf, pair[1] - pair[0]);
+        }
+        let crc = crc32(&buf[off as usize..]);
+        let entry = HEADER_LEN + c * DIR_ENTRY_LEN;
+        buf[entry..entry + 4].copy_from_slice(&off.to_le_bytes());
+        buf[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+        // |quanta| <= 2^62, so the first value fits i64.
+        buf[entry + 8..entry + 16].copy_from_slice(&(chunk[0] as i64).to_le_bytes());
+        let chunk_sum: i128 = chunk.iter().sum();
+        buf[entry + 16..entry + 32].copy_from_slice(&chunk_sum.to_le_bytes());
     }
+    let dir_crc = crc32(&buf[..dir_end]);
+    buf[dir_end..dir_end + 4].copy_from_slice(&dir_crc.to_le_bytes());
 
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
@@ -478,7 +530,158 @@ pub fn peek_summary(bytes: &[u8]) -> Result<BlockSummary, CodecError> {
     parse_header(bytes)
 }
 
-/// Decode a block, verifying its CRC32 first.
+/// How many bytes from the front of a block [`decode_watts_span_from`]
+/// needs as its `prefix`: the header and chunk directory of a version-3
+/// block, or the whole `block_len` bytes of a version-1/2 block (its
+/// single chunk is checked by the trailing CRC). `header` must hold at
+/// least the block's first `HEADER_LEN + TRAILER_LEN` bytes.
+pub fn span_prefix_len(header: &[u8], block_len: usize) -> Result<usize, CodecError> {
+    let summary = parse_header(header)?;
+    Ok(if header[4] >= CHUNKED_VERSION {
+        HEADER_LEN + chunk_count(summary.count) * DIR_ENTRY_LEN + 4
+    } else {
+        block_len
+    })
+}
+
+/// One chunk of a block, as its directory describes it.
+struct Chunk {
+    /// The chunk's first quantized value.
+    first: i128,
+    /// Exact quanta sum over the chunk; `None` for a version-1/2 block,
+    /// which stores no integer sum.
+    sum: Option<i128>,
+    /// Byte range of the chunk's deltas within the block.
+    start: usize,
+    end: usize,
+    /// CRC32 of those bytes; `None` when the directory check already
+    /// covered them (a version-1/2 block's trailing CRC).
+    crc: Option<u32>,
+}
+
+/// The verified front of a block: what every span decode reads first.
+struct Directory<'a> {
+    count: u32,
+    quantum: f64,
+    /// Samples per chunk: [`CHUNK_SAMPLES`], or `count` for a
+    /// version-1/2 block read as a single chunk.
+    chunk_len: u32,
+    /// Start of the bytes after the directory (the timestamp section).
+    data_start: usize,
+    /// End of the chunk bytes: the block length minus the trailer.
+    data_end: usize,
+    layout: Layout<'a>,
+}
+
+enum Layout<'a> {
+    /// Version 3: the raw directory entries, covered by the directory CRC.
+    Indexed(&'a [u8]),
+    /// Versions 1/2: one chunk; `deltas` is where the deltas after the
+    /// first value start.
+    Legacy { first: i128, deltas: usize },
+}
+
+impl<'a> Directory<'a> {
+    /// Parse and verify the front of a block of `block_len` bytes. A
+    /// version-3 `prefix` must hold the header and directory (see
+    /// [`span_prefix_len`]) and is checked against the directory CRC; a
+    /// version-1/2 `prefix` must be the whole block and is checked
+    /// against the trailing CRC.
+    fn verify(prefix: &'a [u8], block_len: usize) -> Result<Self, CodecError> {
+        let summary = parse_header(prefix)?;
+        check_quantum(summary.quantum)?;
+        let count = summary.count;
+        let data_end = block_len
+            .checked_sub(TRAILER_LEN)
+            .ok_or(CodecError::Truncated)?;
+        if prefix[4] >= CHUNKED_VERSION {
+            let dir_end = HEADER_LEN + chunk_count(count) * DIR_ENTRY_LEN;
+            let mut pos = dir_end;
+            let stored = get_u32(prefix, &mut pos)?;
+            if crc32(&prefix[..dir_end]) != stored {
+                return Err(CodecError::ChecksumMismatch);
+            }
+            return Ok(Directory {
+                count,
+                quantum: summary.quantum,
+                chunk_len: CHUNK_SAMPLES,
+                data_start: pos,
+                data_end,
+                layout: Layout::Indexed(&prefix[HEADER_LEN..dir_end]),
+            });
+        }
+        if prefix.len() != block_len {
+            return Err(CodecError::Truncated);
+        }
+        let body = &prefix[..data_end];
+        let mut pos = data_end;
+        if crc32(body) != get_u32(prefix, &mut pos)? {
+            return Err(CodecError::ChecksumMismatch);
+        }
+        // Skip the timestamp section: count - 1 varints, each ending at
+        // its first byte without the continuation bit.
+        let mut pos = HEADER_LEN;
+        skip_varints(body, &mut pos, count - 1)?;
+        let first = get_ivarint_fast(body, &mut pos)?;
+        Ok(Directory {
+            count,
+            quantum: summary.quantum,
+            chunk_len: count,
+            data_start: HEADER_LEN,
+            data_end,
+            layout: Layout::Legacy { first, deltas: pos },
+        })
+    }
+
+    /// Samples in chunk `c`.
+    fn samples_in(&self, c: u32) -> u32 {
+        (self.count - c * self.chunk_len).min(self.chunk_len)
+    }
+
+    /// Chunk `c` (which must exist), with its byte range checked to lie
+    /// after the directory and before the trailer.
+    fn chunk(&self, c: u32) -> Result<Chunk, CodecError> {
+        let entries = match self.layout {
+            Layout::Indexed(entries) => entries,
+            Layout::Legacy { first, deltas } => {
+                return Ok(Chunk {
+                    first,
+                    sum: None,
+                    start: deltas,
+                    end: self.data_end,
+                    crc: None,
+                })
+            }
+        };
+        let at = c as usize * DIR_ENTRY_LEN;
+        let entry = &entries[at..at + DIR_ENTRY_LEN];
+        let word = |i: usize| u32::from_le_bytes(entry[i..i + 4].try_into().expect("4 bytes"));
+        let start = word(0) as usize;
+        let end = match entries.get(at + DIR_ENTRY_LEN..at + DIR_ENTRY_LEN + 4) {
+            Some(next) => u32::from_le_bytes(next.try_into().expect("4 bytes")) as usize,
+            None => self.data_end,
+        };
+        if start < self.data_start || start > end || end > self.data_end {
+            return Err(CodecError::Truncated);
+        }
+        Ok(Chunk {
+            first: i128::from(i64::from_le_bytes(
+                entry[8..16].try_into().expect("8 bytes"),
+            )),
+            sum: Some(i128::from_le_bytes(
+                entry[16..32].try_into().expect("16 bytes"),
+            )),
+            start,
+            end,
+            crc: Some(word(4)),
+        })
+    }
+}
+
+/// Decode a block, verifying its CRC32 first. A version-3 block is also
+/// checked for internal consistency: its directory CRC, and each
+/// chunk's stored first value, byte range and quanta sum against what
+/// its deltas decode to.
 pub fn decode_block(bytes: &[u8]) -> Result<DecodedBlock, CodecError> {
     let summary = parse_header(bytes)?;
     let body = &bytes[..bytes.len() - TRAILER_LEN];
@@ -487,10 +690,17 @@ pub fn decode_block(bytes: &[u8]) -> Result<DecodedBlock, CodecError> {
     if crc32(body) != stored_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    check_quantum(summary.quantum)?;
+    // The trailing CRC covers a version-1/2 block whole; a version-3
+    // block also has its directory checked.
+    let dir = if bytes[4] >= CHUNKED_VERSION {
+        Some(Directory::verify(bytes, bytes.len())?)
+    } else {
+        check_quantum(summary.quantum)?;
+        None
+    };
 
     let count = summary.count as usize;
-    let mut pos = HEADER_LEN;
+    let mut pos = dir.as_ref().map_or(HEADER_LEN, |d| d.data_start);
 
     let mut timestamps_us = Vec::with_capacity(count);
     timestamps_us.push(summary.t_first_us);
@@ -505,11 +715,38 @@ pub fn decode_block(bytes: &[u8]) -> Result<DecodedBlock, CodecError> {
     }
 
     let mut watts = Vec::with_capacity(count);
-    let mut q = get_ivarint_fast(body, &mut pos)?;
-    watts.push(dequantize(q, summary.quantum));
-    for _ in 1..count {
-        q += get_ivarint_fast(body, &mut pos)?;
-        watts.push(dequantize(q, summary.quantum));
+    match dir {
+        None => {
+            let mut q = get_ivarint_fast(body, &mut pos)?;
+            watts.push(dequantize(q, summary.quantum));
+            for _ in 1..count {
+                q += get_ivarint_fast(body, &mut pos)?;
+                watts.push(dequantize(q, summary.quantum));
+            }
+        }
+        Some(dir) => {
+            for c in 0..chunk_count(summary.count) as u32 {
+                let chunk = dir.chunk(c)?;
+                if chunk.start != pos {
+                    return Err(CodecError::Truncated);
+                }
+                let deltas = &body[..chunk.end];
+                let mut q = chunk.first;
+                let mut sum = q;
+                watts.push(dequantize(q, summary.quantum));
+                for _ in 1..dir.samples_in(c) {
+                    q += get_ivarint_fast(deltas, &mut pos)?;
+                    sum += q;
+                    watts.push(dequantize(q, summary.quantum));
+                }
+                if pos != chunk.end {
+                    return Err(CodecError::Truncated);
+                }
+                if Some(sum) != chunk.sum {
+                    return Err(CodecError::ChecksumMismatch);
+                }
+            }
+        }
     }
     if pos != body.len() {
         return Err(CodecError::Truncated);
@@ -539,77 +776,126 @@ pub struct WattsSpan {
 
 /// Decode only the power values a window boundary needs from one block:
 /// the sum over local indices `[start, end)` and the values at `start`
-/// and `end`. Verifies the block CRC first, then skips the timestamp
-/// section without materializing it and stops decoding power deltas at
-/// the last index needed — the batched path that keeps a boundary-block
-/// visit cheaper than a full [`decode_block`].
+/// and `end`. See [`decode_watts_span_from`] for what is read and
+/// verified; here the whole block is in memory.
 ///
 /// Requires `start <= end <= count`.
 pub fn decode_watts_span(bytes: &[u8], start: u32, end: u32) -> Result<WattsSpan, CodecError> {
-    let summary = parse_header(bytes)?;
-    let body = &bytes[..bytes.len() - TRAILER_LEN];
-    let mut crc_pos = bytes.len() - TRAILER_LEN;
-    let stored_crc = get_u32(bytes, &mut crc_pos)?;
-    if crc32(body) != stored_crc {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    check_quantum(summary.quantum)?;
-    if start > end || end > summary.count {
+    decode_watts_span_from(bytes, bytes.len(), start, end, |_, _| {
+        Err::<&[u8], _>(CodecError::Truncated)
+    })
+}
+
+/// The span decode behind [`decode_watts_span`], for a block of
+/// `block_len` bytes that need not be in memory: `prefix` holds its
+/// first [`span_prefix_len`] bytes, and `fetch(offset, len)` returns the
+/// block's bytes `[offset, offset + len)` for any chunk the span needs
+/// beyond the prefix.
+///
+/// The prefix is verified first (directory CRC, or the whole-block CRC
+/// of a version-1/2 block). Whole chunks inside the span contribute
+/// their stored integer quanta sums; values at chunk edges come from
+/// the directory; at most two chunks — the ones `start` and `end` fall
+/// inside — are fetched, checked against their CRC32 and decoded up to
+/// the last index needed. The sum is accumulated over integer quanta
+/// and dequantized once, so it is bit-identical across codec versions.
+///
+/// Requires `start <= end <= count`.
+pub fn decode_watts_span_from<B: AsRef<[u8]>>(
+    prefix: &[u8],
+    block_len: usize,
+    start: u32,
+    end: u32,
+    mut fetch: impl FnMut(usize, usize) -> Result<B, CodecError>,
+) -> Result<WattsSpan, CodecError> {
+    let dir = Directory::verify(prefix, block_len)?;
+    if start > end || end > dir.count {
         return Err(CodecError::BadShape);
     }
-
-    // Skip the timestamp section: count - 1 varints, each ending at its
-    // first byte without the continuation bit. The CRC above vouches for
-    // the bytes, but stay defensive about running off the body.
-    let mut pos = HEADER_LEN;
-    skip_varints(body, &mut pos, summary.count - 1)?;
-
+    let mut span = WattsSpan {
+        sum: 0.0,
+        value_at_start: None,
+        value_at_end: None,
+    };
     // A span starting at (or past) the last sample carries no values.
-    if start >= summary.count {
-        return Ok(WattsSpan {
-            sum: 0.0,
-            value_at_start: None,
-            value_at_end: None,
-        });
+    if start >= dir.count {
+        return Ok(span);
     }
-
-    // Decode power deltas in three phases: roll the cumulative quantum
-    // count up to `start` without touching the accumulator, sum the
-    // in-span samples, then (when asked) decode one more delta for the
-    // sample at `end`. Stops at the last index needed.
-    let mut q = get_ivarint_fast(body, &mut pos)?;
-    for _ in 0..start {
-        q += get_ivarint_fast(body, &mut pos)?;
-    }
+    let quantum = dir.quantum;
+    let has_end_value = end < dir.count;
+    // Last sample the span needs: the one at `end`, or the last summed.
+    let last = if has_end_value { end } else { end - 1 };
+    let first_chunk = start / dir.chunk_len;
     // Every sample is an integer multiple of the quantum, so the span
-    // sum accumulates quanta exactly in integer arithmetic and rounds
-    // once at the final dequantize — at least as tight as compensated
-    // summation over the dequantized terms, and branch-free per sample.
+    // sum accumulates quanta exactly and rounds once at the end.
     let mut sum_quanta: i128 = 0;
-    let mut value_at_start = None;
-    let mut value_at_end = None;
-    if start < end {
-        value_at_start = Some(dequantize(q, summary.quantum));
-        sum_quanta += q;
-        for _ in start + 1..end {
-            q += get_ivarint_fast(body, &mut pos)?;
-            sum_quanta += q;
+    for c in first_chunk..=last / dir.chunk_len {
+        let chunk = dir.chunk(c)?;
+        let c0 = c * dir.chunk_len;
+        let len = dir.samples_in(c);
+        // The span's local range within this chunk, and which edge
+        // values the chunk holds.
+        let a = start.max(c0) - c0;
+        let b = end.min(c0 + len) - c0;
+        let holds_start = c == first_chunk;
+        let holds_end = has_end_value && end < c0 + len;
+        let whole = a == 0 && b == len && chunk.sum.is_some();
+        let needs_deltas = (b > a && !whole) || (holds_start && a > 0) || (holds_end && b > 0);
+        if !needs_deltas {
+            // Whole chunk, or edges on the chunk's first sample: the
+            // directory answers.
+            if b > a {
+                sum_quanta += chunk.sum.unwrap_or_default();
+            }
+            let first = Some(dequantize(chunk.first, quantum));
+            if holds_start {
+                span.value_at_start = first;
+            }
+            if holds_end {
+                span.value_at_end = first;
+            }
+            continue;
         }
-    } else if start == end && end < summary.count {
-        // Point query: the caller only wants the edge values.
-        value_at_start = Some(dequantize(q, summary.quantum));
+        let fetched;
+        let deltas: &[u8] = if chunk.end <= prefix.len() {
+            &prefix[chunk.start..chunk.end]
+        } else {
+            fetched = fetch(chunk.start, chunk.end - chunk.start)?;
+            fetched.as_ref()
+        };
+        if deltas.len() != chunk.end - chunk.start {
+            return Err(CodecError::Truncated);
+        }
+        if chunk.crc.is_some_and(|crc| crc32(deltas) != crc) {
+            return Err(CodecError::ChecksumMismatch);
+        }
+        // Roll up to `a` without touching the accumulator, sum the
+        // in-span samples, then (when asked) one more delta for the
+        // sample at `end`. Stops at the last index needed.
+        let mut pos = 0usize;
+        let mut q = chunk.first;
+        for _ in 0..a {
+            q += get_ivarint_fast(deltas, &mut pos)?;
+        }
+        if holds_start {
+            span.value_at_start = Some(dequantize(q, quantum));
+        }
+        if b > a {
+            sum_quanta += q;
+            for _ in a + 1..b {
+                q += get_ivarint_fast(deltas, &mut pos)?;
+                sum_quanta += q;
+            }
+        }
+        if holds_end {
+            if b > a {
+                q += get_ivarint_fast(deltas, &mut pos)?;
+            }
+            span.value_at_end = Some(dequantize(q, quantum));
+        }
     }
-    if end < summary.count && start < end {
-        q += get_ivarint_fast(body, &mut pos)?;
-        value_at_end = Some(dequantize(q, summary.quantum));
-    } else if start == end && end < summary.count {
-        value_at_end = Some(dequantize(q, summary.quantum));
-    }
-    Ok(WattsSpan {
-        sum: sum_quanta as f64 * summary.quantum,
-        value_at_start,
-        value_at_end,
-    })
+    span.sum = sum_quanta as f64 * quantum;
+    Ok(span)
 }
 
 #[cfg(test)]
@@ -694,33 +980,172 @@ mod tests {
         assert!(!peek.overlaps(i64::MIN, 0));
     }
 
-    #[test]
-    fn version_1_blocks_still_decode() {
-        // A v1 block differs only in the version byte (and, for real
-        // historical blocks, a naively accumulated sum). Rewriting the
-        // version byte and re-stamping the CRC must decode cleanly.
-        let ts: Vec<i64> = (0..100).map(|i| i * 1_000_000).collect();
-        let watts: Vec<f64> = (0..100).map(|i| 300.0 + i as f64 * 0.25).collect();
-        let mut bytes = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
-        bytes[4] = 1;
+    /// Blocks written by the version-2 encoder: the series
+    /// `quantize(200 + ((i * 13) % 37) * 0.25)` at 1 Hz for 8,705
+    /// samples, cut into blocks of 8,192 (a `u32` length before each).
+    const V2_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v2_blocks.bin");
+
+    fn v2_fixture_blocks() -> Vec<&'static [u8]> {
+        let mut blocks = Vec::new();
+        let mut rest = V2_FIXTURE;
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            blocks.push(&rest[4..4 + len]);
+            rest = &rest[4 + len..];
+        }
+        blocks
+    }
+
+    fn restamp_crc(bytes: &mut [u8]) {
         let body_len = bytes.len() - TRAILER_LEN;
         let crc = crc32(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&crc);
-        let out = decode_block(&bytes).unwrap();
+    }
+
+    #[test]
+    fn version_1_blocks_still_decode() {
+        // A v1 block differs from a v2 block only in the version byte
+        // (and, for real historical blocks, a naively accumulated sum).
+        // Rewriting the version byte and re-stamping the CRC must decode
+        // cleanly, and answer spans as the v3 encoding of the samples.
+        let v2 = v2_fixture_blocks()[1];
+        assert_eq!(v2[4], 2);
+        let out = decode_block(v2).unwrap();
+        let ts: Vec<i64> = (8192..8705).map(|i| i * 1_000_000).collect();
         assert_eq!(out.timestamps_us, ts);
+        let v3 = encode_block(&ts, &out.watts, DEFAULT_QUANTUM).unwrap();
+        assert_eq!(decode_block(&v3).unwrap(), out);
+        let mut bytes = v2.to_vec();
+        bytes[4] = 1;
+        restamp_crc(&mut bytes);
+        assert_eq!(decode_block(&bytes).unwrap().watts, out.watts);
         assert!(peek_summary(&bytes).is_ok());
+        for (s, e) in [
+            (0, 513),
+            (0, 0),
+            (3, 511),
+            (512, 512),
+            (511, 513),
+            (513, 513),
+        ] {
+            let want = decode_watts_span(&v3, s, e).unwrap();
+            assert_eq!(decode_watts_span(v2, s, e).unwrap(), want, "v2 [{s},{e})");
+            assert_eq!(
+                decode_watts_span(&bytes, s, e).unwrap(),
+                want,
+                "v1 [{s},{e})"
+            );
+        }
         // Versions outside [MIN_VERSION, VERSION] are rejected.
         bytes[4] = VERSION + 1;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
+        restamp_crc(&mut bytes);
         assert_eq!(
             decode_block(&bytes),
             Err(CodecError::BadVersion(VERSION + 1))
         );
         bytes[4] = 0;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
+        restamp_crc(&mut bytes);
         assert_eq!(decode_block(&bytes), Err(CodecError::BadVersion(0)));
+    }
+
+    /// Reference span over a full decode, in exact integer quanta.
+    fn reference_span(watts: &[f64], start: usize, end: usize) -> WattsSpan {
+        let quanta: i128 = watts[start..end]
+            .iter()
+            .map(|w| (w / DEFAULT_QUANTUM) as i128)
+            .sum();
+        WattsSpan {
+            sum: quanta as f64 * DEFAULT_QUANTUM,
+            value_at_start: watts.get(start).copied(),
+            value_at_end: watts.get(end).copied(),
+        }
+    }
+
+    #[test]
+    fn spans_match_full_decode_at_chunk_edges() {
+        // Blocks shorter than, equal to, and just past one chunk, a
+        // last chunk of a single sample, and a partial last chunk; every
+        // pair of edge-adjacent indices, point queries included.
+        for n in [1u32, 2, 511, 512, 513, 1024, 1031] {
+            let ts: Vec<i64> = (0..i64::from(n)).map(|i| i * 250_000).collect();
+            let watts: Vec<f64> = (0..n)
+                .map(|i| 180.0 + f64::from((i * 29) % 71) * 0.375 - f64::from(i % 5) * 11.0)
+                .collect();
+            let bytes = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
+            let full = decode_block(&bytes).unwrap().watts;
+            let mut marks: Vec<u32> = [0, 1, 2, 255, 510, 511, 512, 513, 514, 1023, 1024, 1025]
+                .into_iter()
+                .chain([n - 1, n])
+                .filter(|&i| i <= n)
+                .collect();
+            marks.sort_unstable();
+            marks.dedup();
+            for &s in &marks {
+                for &e in marks.iter().filter(|&&e| e >= s) {
+                    let span = decode_watts_span(&bytes, s, e).unwrap();
+                    let want = reference_span(&full, s as usize, e as usize);
+                    assert_eq!(span.sum.to_bits(), want.sum.to_bits(), "n={n} [{s},{e})");
+                    assert_eq!(span, want, "n={n} [{s},{e})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_reads_only_the_prefix_and_its_edge_chunks() {
+        // 8,192 HPL-like samples: a span on chunk edges needs no chunk
+        // at all, a span inside chunks fetches exactly the two edge
+        // chunks, and nothing before the chunks (the timestamps) is read.
+        let n = 8192u32;
+        let ts: Vec<i64> = (0..i64::from(n)).map(|i| i * 1_000_000).collect();
+        let watts: Vec<f64> = (0..n).map(|i| 350.0 + f64::from(i % 97) * 0.05).collect();
+        let bytes = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
+        let prefix_len = span_prefix_len(&bytes[..HEADER_LEN + TRAILER_LEN], bytes.len()).unwrap();
+        assert_eq!(prefix_len, HEADER_LEN + 16 * DIR_ENTRY_LEN + 4);
+        let ts_end = prefix_len + (n as usize - 1);
+        for (s, e, want_fetches) in [(2048, 6144, 0), (0, n, 0), (2047, 6145, 2), (700, 900, 1)] {
+            let mut fetched = Vec::new();
+            let span =
+                decode_watts_span_from(&bytes[..prefix_len], bytes.len(), s, e, |off, len| {
+                    fetched.push((off, len));
+                    Ok::<_, CodecError>(&bytes[off..off + len])
+                })
+                .unwrap();
+            assert_eq!(span, decode_watts_span(&bytes, s, e).unwrap());
+            assert_eq!(fetched.len(), want_fetches, "[{s},{e}): {fetched:?}");
+            assert!(fetched.iter().all(|&(off, _)| off >= ts_end), "{fetched:?}");
+        }
+    }
+
+    #[test]
+    fn span_checks_every_byte_it_reads_and_ignores_the_rest() {
+        let n = 2000u32;
+        let ts: Vec<i64> = (0..i64::from(n)).map(|i| 5 + i * 1_000_000).collect();
+        let watts: Vec<f64> = (0..n)
+            .map(|i| 240.0 + f64::from((i * 7) % 31) * 0.5)
+            .collect();
+        let good = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
+        // [700, 1500) starts in chunk 1 and ends in chunk 2.
+        let (s, e) = (700, 1500);
+        let want = decode_watts_span(&good, s, e).unwrap();
+        let prefix_len = span_prefix_len(&good, good.len()).unwrap();
+        let dir = Directory::verify(&good[..prefix_len], good.len()).unwrap();
+        let (c1, c2) = (dir.chunk(1).unwrap(), dir.chunk(2).unwrap());
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x01;
+            let got = decode_watts_span(&bad, s, e);
+            let read = i < prefix_len || (c1.start..c2.end).contains(&i);
+            if i < 12 {
+                // Magic, version and count are validated before the
+                // directory CRC can be located.
+                assert!(got.is_err(), "flip at header byte {i} accepted");
+            } else if read {
+                assert_eq!(got, Err(CodecError::ChecksumMismatch), "flip at byte {i}");
+            } else {
+                assert_eq!(got, Ok(want), "flip at unread byte {i}");
+            }
+        }
     }
 
     #[test]

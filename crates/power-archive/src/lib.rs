@@ -11,7 +11,9 @@
 //! * [`codec`] — compressed trace blocks: timestamp delta-of-delta +
 //!   zigzag/varint power deltas against a fixed-point quantization, with
 //!   per-block CRC32 and min/max/sum summaries so window scans can skip
-//!   blocks without decoding them.
+//!   blocks without decoding them, and a CRC'd directory of 512-sample
+//!   chunks (exact sums, first values, chunk CRCs) so a window boundary
+//!   decodes one chunk instead of the whole block.
 //! * [`archive`] — append-only segment files under a manifest with a
 //!   write-ahead commit protocol (segment append → fsync → manifest
 //!   record → fsync), recovery that truncates torn tails and verifies

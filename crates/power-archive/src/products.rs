@@ -18,7 +18,8 @@
 
 use crate::archive::{Archive, ArchiveStats, FLAG_FULL_SWEEP};
 use crate::codec::{
-    self, decode_block, decode_watts_span, encode_block, peek_summary, CodecError, DEFAULT_QUANTUM,
+    self, decode_block, decode_watts_span_from, encode_block, peek_summary, span_prefix_len,
+    CodecError, DEFAULT_QUANTUM,
 };
 use crate::query::{pruned_window_sum, BlockMeta};
 use power_sim::engine::MeterScope;
@@ -26,7 +27,7 @@ use power_sim::store::{request_fingerprint, ArchiveTier, WindowAggregate};
 use power_sim::trace::{err_outside_window, window_span};
 use power_sim::{NodeTrace, ProductParts, ProductRequest, RunProducts, SystemTrace};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const BLOB_VERSION: u8 = 1;
 const MAX_BLOCK_SAMPLES: usize = 8192;
@@ -252,30 +253,34 @@ pub fn decode_products(blob: &[u8]) -> Result<RunProducts, CodecError> {
     .map_err(|_| CodecError::BadShape)
 }
 
-/// Location of one compressed block inside a blob payload, plus the
-/// header metadata a pruned scan needs.
+/// Location of one compressed block inside a blob payload.
 #[derive(Debug, Clone, Copy)]
 struct BlockLoc {
     /// Byte offset of the block within the blob payload.
     off: u64,
     /// Length of the block in bytes.
     len: u32,
-    meta: BlockMeta,
+    /// Bytes a span decode reads first: header and chunk directory
+    /// ([`span_prefix_len`]).
+    prefix_len: u32,
 }
 
-/// Index of one scope's system-trace series within a blob.
-#[derive(Debug, Clone)]
+/// Index of one scope's system-trace series within a blob: per block,
+/// the pruned scan's metadata and the block's byte location, in series
+/// order.
+#[derive(Debug)]
 struct SeriesIndex {
     t0: f64,
     dt: f64,
-    blocks: Vec<BlockLoc>,
+    metas: Vec<BlockMeta>,
+    locs: Vec<BlockLoc>,
 }
 
 /// Byte-level index of a blob's three system-trace series, cached so
-/// repeated window queries touch only headers and boundary blocks via
-/// positioned segment reads — the blob is fully read (and checksummed)
-/// exactly once, when the index is built.
-#[derive(Debug, Clone)]
+/// repeated window queries touch only chunk directories and boundary
+/// chunks via positioned segment reads — the blob is fully read (and
+/// checksummed) exactly once, when the index is built.
+#[derive(Debug)]
 struct BlobIndex {
     fingerprint: u64,
     /// `(segment, offset, record_len)` the index was built against;
@@ -317,21 +322,23 @@ fn index_blob(blob: &[u8]) -> Option<(u64, [SeriesIndex; 3])> {
         let t0 = codec::get_f64(blob, &mut pos).ok()?;
         let dt = codec::get_f64(blob, &mut pos).ok()?;
         let nblocks = codec::get_uvarint(blob, &mut pos).ok()? as usize;
-        let mut blocks = Vec::with_capacity(nblocks);
+        let mut metas = Vec::with_capacity(nblocks);
+        let mut locs = Vec::with_capacity(nblocks);
         let mut first = 0u64;
         for _ in 0..nblocks {
             let len = codec::get_uvarint(blob, &mut pos).ok()? as usize;
             let end = pos.checked_add(len)?;
             let bytes = blob.get(pos..end)?;
             let summary = peek_summary(bytes).ok()?;
-            blocks.push(BlockLoc {
+            metas.push(BlockMeta {
+                first,
+                count: summary.count,
+                sum_watts: summary.sum_watts,
+            });
+            locs.push(BlockLoc {
                 off: pos as u64,
-                len: len as u32,
-                meta: BlockMeta {
-                    first,
-                    count: summary.count,
-                    sum_watts: summary.sum_watts,
-                },
+                len: u32::try_from(len).ok()?,
+                prefix_len: u32::try_from(span_prefix_len(bytes, len).ok()?).ok()?,
             });
             first += u64::from(summary.count);
             pos = end;
@@ -339,7 +346,12 @@ fn index_blob(blob: &[u8]) -> Option<(u64, [SeriesIndex; 3])> {
         if first != steps {
             return None;
         }
-        series.push(SeriesIndex { t0, dt, blocks });
+        series.push(SeriesIndex {
+            t0,
+            dt,
+            metas,
+            locs,
+        });
     }
     let arr: [SeriesIndex; 3] = series.try_into().expect("three scopes");
     Some((steps, arr))
@@ -350,7 +362,7 @@ fn index_blob(blob: &[u8]) -> Option<(u64, [SeriesIndex; 3])> {
 pub struct ProductsArchive {
     archive: Archive,
     quantum: f64,
-    index: Mutex<HashMap<u64, BlobIndex>>,
+    index: Mutex<HashMap<u64, Arc<BlobIndex>>>,
 }
 
 impl ProductsArchive {
@@ -382,11 +394,23 @@ impl ProductsArchive {
     /// cached one if its record hasn't moved, else freshly built from a
     /// full (checksummed) read. `None` when no archived entry under
     /// `key` carries system traces, or on any read/parse failure.
-    fn current_index(&self, key: u64) -> Option<BlobIndex> {
-        let mut cache = self.index.lock().expect("index lock");
+    ///
+    /// A thread that panicked while holding the cache lock may have left
+    /// it half-updated: that query gets `None` (the caller falls back to
+    /// the decoded path), the cache is dropped, and later queries
+    /// rebuild it.
+    fn current_index(&self, key: u64) -> Option<Arc<BlobIndex>> {
+        let mut cache = match self.index.lock() {
+            Ok(cache) => cache,
+            Err(poisoned) => {
+                poisoned.into_inner().clear();
+                self.index.clear_poison();
+                return None;
+            }
+        };
         if let Some(idx) = cache.get(&key) {
             if self.archive.entry_location(key, idx.fingerprint) == Some(idx.location) {
-                return Some(idx.clone());
+                return Some(Arc::clone(idx));
             }
             cache.remove(&key);
         }
@@ -401,13 +425,13 @@ impl ProductsArchive {
             let Some((steps, series)) = index_blob(&blob) else {
                 continue;
             };
-            let idx = BlobIndex {
+            let idx = Arc::new(BlobIndex {
                 fingerprint: entry.fingerprint,
                 location,
                 steps,
                 series,
-            };
-            cache.insert(key, idx.clone());
+            });
+            cache.insert(key, Arc::clone(&idx));
             return Some(idx);
         }
         None
@@ -476,26 +500,29 @@ impl ArchiveTier for ProductsArchive {
         let idx = self.current_index(key)?;
         let scope_i = MeterScope::ALL.iter().position(|s| *s == scope)?;
         let series = &idx.series[scope_i];
-        if series.blocks.is_empty() {
+        if series.metas.is_empty() {
             return None;
         }
         let Some((lo, hi)) = window_span(series.t0, series.dt, idx.steps as usize, from, to) else {
             return Some(Err(err_outside_window()));
         };
-        let metas: Vec<BlockMeta> = series.blocks.iter().map(|b| b.meta).collect();
-        // Boundary blocks are fetched with positioned reads of exactly
-        // the block's byte range; their own CRC32 (verified by
-        // `decode_watts_span`) guards against torn or relocated bytes.
-        // Any failure degrades to `None` — the caller falls back to the
-        // decoded path — never to an error.
-        let pruned = pruned_window_sum(&metas, lo, hi, |k, s, e| {
-            let block = &series.blocks[k];
-            let bytes = self
-                .archive
-                .read_payload_range(key, idx.fingerprint, block.off, block.len as usize)
-                .map_err(|_| ())?
-                .ok_or(())?;
-            decode_watts_span(&bytes, s, e).map_err(|_| ())
+        // A boundary block is read with positioned reads of its header
+        // and chunk directory, then of at most two edge chunks; the
+        // directory CRC and each chunk's CRC32 (verified by
+        // `decode_watts_span_from`) guard against torn or relocated
+        // bytes. Any failure degrades to `None` — the caller falls back
+        // to the decoded path — never to an error.
+        let pruned = pruned_window_sum(&series.metas, lo, hi, |k, s, e| {
+            let loc = series.locs[k];
+            let read = |off: usize, len: usize| {
+                self.archive
+                    .read_payload_range(key, idx.fingerprint, loc.off + off as u64, len)
+                    .ok()
+                    .flatten()
+                    .ok_or(CodecError::Truncated)
+            };
+            let prefix = read(0, loc.prefix_len as usize)?;
+            decode_watts_span_from(&prefix, loc.len as usize, s, e, read)
         })
         .ok()?;
         Some(Ok(WindowAggregate {
@@ -751,6 +778,65 @@ mod tests {
         assert!(products.system_trace(MeterScope::Wall).is_some());
         let stats = store.stats();
         assert_eq!((stats.misses, stats.archive_pruned_queries), (1, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poisoned_locks_fall_back_to_the_decoded_path() {
+        let (cluster, wl, cfg) = fixture();
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, cfg).unwrap();
+        let dir = tmpdir("poison");
+        let tier = Arc::new(ProductsArchive::new(Archive::open(&dir).unwrap()));
+        let request = ProductRequest::system_only();
+        let reference = {
+            let store = TraceStore::bounded(8).with_archive(Arc::clone(&tier) as _);
+            let products = store.products(&sim, &request).unwrap();
+            products.system_trace(MeterScope::Wall).unwrap().clone()
+        };
+        let (from, to) = (12.5, 61.25);
+        let want = reference.window_average(from, to).unwrap();
+        let decoded_average = |store: &TraceStore| {
+            let products = store.products(&sim, &request).unwrap();
+            let trace = products.system_trace(MeterScope::Wall).unwrap();
+            trace.window_average(from, to).unwrap()
+        };
+
+        // A thread panics while holding the block-index cache: the next
+        // window declines instead of panicking, and the decoded path
+        // answers from the archive.
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _cache = tier.index.lock();
+                    panic!("a query panicked while holding the index lock");
+                })
+                .join();
+        });
+        let store = TraceStore::bounded(8).with_archive(Arc::clone(&tier) as _);
+        assert!(store
+            .window_aggregate(&sim, MeterScope::Wall, from, to)
+            .is_none());
+        assert!((decoded_average(&store) - want).abs() <= DEFAULT_QUANTUM);
+        assert_eq!(store.stats().archive_hits, 1);
+        // The dropped cache is rebuilt: the pruned path answers again.
+        let store = TraceStore::bounded(8).with_archive(Arc::clone(&tier) as _);
+        let agg = store
+            .window_aggregate(&sim, MeterScope::Wall, from, to)
+            .unwrap()
+            .unwrap();
+        assert!((agg.average_w - want).abs() <= DEFAULT_QUANTUM);
+
+        // A thread panics while holding the archive lock: the window
+        // declines, the archive refuses reads and writes, and the decoded
+        // path recomputes the exact answer.
+        tier.archive().poison_for_test();
+        let store = TraceStore::bounded(8).with_archive(Arc::clone(&tier) as _);
+        assert!(store
+            .window_aggregate(&sim, MeterScope::Wall, from, to)
+            .is_none());
+        assert_eq!(decoded_average(&store), want);
+        let stats = store.stats();
+        assert_eq!((stats.misses, stats.archive_hits), (1, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

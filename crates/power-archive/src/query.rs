@@ -8,9 +8,10 @@
 //! * the stored `sum_watts` of every block whose samples fall entirely
 //!   inside `[⌊lo⌋, ⌊hi⌋)` — read from the 60-byte header, body never
 //!   decoded;
-//! * at most two *boundary* blocks, decoded only far enough to produce
-//!   the partial-range sum and the edge sample values
-//!   ([`crate::codec::decode_watts_span`]);
+//! * at most two *boundary* blocks, each answered from its chunk
+//!   directory plus at most two 512-sample chunks
+//!   ([`crate::codec::decode_watts_span`]): the partial-range sum and
+//!   the edge sample values;
 //! * fractional edge corrections `-v[⌊lo⌋]·frac(lo) + v[⌊hi⌋]·frac(hi)`.
 //!
 //! Every term folds through the same Neumaier accumulator the in-memory
@@ -22,8 +23,8 @@
 //! [`pruned_window_sum`] is deliberately storage-agnostic: callers
 //! supply per-block metadata (first sample index, count, stored sum) and
 //! a closure that decodes one boundary span. `power-archive`'s products
-//! tier drives it with positioned segment reads; the benchmark drives it
-//! straight off raw block records.
+//! tier drives it with positioned segment reads of chunk directories and
+//! chunks; the benchmark drives it straight off raw block records.
 
 use crate::codec::WattsSpan;
 use power_sim::trace::Neumaier;

@@ -4,9 +4,10 @@
 //! bitwise identical to one recomputed from the quantized values, and
 //! any single corrupted byte is detected rather than decoded.
 
+use power_archive::codec::CHUNK_SAMPLES;
 use power_archive::{
     decode_block, decode_watts_span, encode_block, peek_summary, pruned_window_sum, quantize,
-    BlockMeta, DEFAULT_QUANTUM,
+    BlockMeta, PrunedWindow, DEFAULT_QUANTUM,
 };
 use power_sim::trace::window_span;
 use power_sim::SystemTrace;
@@ -30,6 +31,70 @@ fn series(mode: u8, len: usize, base: f64, step: f64, noise: &[f64]) -> Vec<f64>
             _ => base + noise[i % noise.len()],
         })
         .collect()
+}
+
+/// Block length of the pinned version-2 fixture.
+const V2_BLOCK_LEN: usize = 8192;
+
+/// The series the version-2 fixture holds: 8,705 samples at 1 Hz,
+/// two blocks of 8,192 and 513.
+fn fixture_series() -> Vec<f64> {
+    (0..8705)
+        .map(|i| quantize(200.0 + ((i * 13) % 37) as f64 * 0.25, DEFAULT_QUANTUM))
+        .collect()
+}
+
+/// The fixture's blocks, as written by the version-2 encoder (each
+/// preceded by its `u32` length in the file).
+fn v2_fixture_blocks() -> Vec<Vec<u8>> {
+    let mut rest: &[u8] = include_bytes!("fixtures/v2_blocks.bin");
+    let mut blocks = Vec::new();
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let block = &rest[4..4 + len];
+        assert_eq!(block[4], 2, "fixture blocks are version 2");
+        blocks.push(block.to_vec());
+        rest = &rest[4 + len..];
+    }
+    blocks
+}
+
+/// Encodes `watts` (1 Hz grid from t = 0) into blocks of `block_len`
+/// samples.
+fn encode_blocks(watts: &[f64], block_len: usize) -> Vec<Vec<u8>> {
+    watts
+        .chunks(block_len)
+        .enumerate()
+        .map(|(b, chunk)| {
+            let ts: Vec<i64> = (0..chunk.len())
+                .map(|i| ((b * block_len + i) as i64) * 1_000_000)
+                .collect();
+            encode_block(&ts, chunk, DEFAULT_QUANTUM).unwrap()
+        })
+        .collect()
+}
+
+/// The pruned scan over `blocks` for the fractional span `[lo, hi]`,
+/// with block metadata read from the block headers.
+fn pruned(blocks: &[Vec<u8>], lo: f64, hi: f64) -> PrunedWindow {
+    let mut first = 0u64;
+    let metas: Vec<BlockMeta> = blocks
+        .iter()
+        .map(|bytes| {
+            let summary = peek_summary(bytes).unwrap();
+            let meta = BlockMeta {
+                first,
+                count: summary.count,
+                sum_watts: summary.sum_watts,
+            };
+            first += u64::from(summary.count);
+            meta
+        })
+        .collect();
+    pruned_window_sum(&metas, lo, hi, |k, s, e| {
+        decode_watts_span(&blocks[k], s, e)
+    })
+    .expect("blocks decode")
 }
 
 proptest! {
@@ -110,53 +175,60 @@ proptest! {
 
     /// The pruned-scan window aggregate agrees with the in-memory
     /// prefix-sum reference for windows swept across every block-edge
-    /// alignment — whole blocks, fractional edges landing exactly on,
-    /// just before, and just after block boundaries, and any block
-    /// size down to single-sample blocks.
+    /// and chunk-edge alignment — whole blocks, fractional edges landing
+    /// exactly on, just before, and just after block and 512-sample
+    /// chunk boundaries — for block sizes from single samples through
+    /// lengths around one chunk (511, 512, 513, 1,031) to 8,192-sample
+    /// blocks. Over blocks of 8,192, the answer from version-3 blocks is
+    /// bit-identical to the one from the pinned version-2 blocks of the
+    /// same series; `version` picks which of the two is checked against
+    /// the reference.
     #[test]
     fn pruned_window_agrees_across_any_block_alignment(
-        block_len in 1usize..=96,
-        edge_mult in 0usize..=8,
+        small_len in 1usize..=96,
+        pick in 0usize..12,
+        version in 2u8..=3,
+        edge_on_chunk in prop::bool::ANY,
+        edge_mult in 0usize..=17,
         from_off in -1.5f64..1.5,
         exact_edge in 0u8..2,
-        width in 0.125f64..300.0,
+        width_log2 in -3.0f64..12.0,
     ) {
-        let n = 400usize;
-        let watts: Vec<f64> = (0..n)
-            .map(|i| quantize(200.0 + ((i * 13) % 37) as f64 * 0.25, DEFAULT_QUANTUM))
-            .collect();
+        const AROUND_CHUNKS: [usize; 6] = [1, 511, 512, 513, 1031, 8192];
+        let block_len = if version == 2 {
+            V2_BLOCK_LEN
+        } else if pick < AROUND_CHUNKS.len() {
+            small_len
+        } else {
+            AROUND_CHUNKS[pick - AROUND_CHUNKS.len()]
+        };
+        let watts = fixture_series();
+        let n = watts.len();
         let trace = SystemTrace::new(0.0, 1.0, watts.clone()).unwrap();
+        let v3 = encode_blocks(&watts, block_len);
+        let v2 = v2_fixture_blocks();
+        let blocks = if version == 2 { &v2 } else { &v3 };
 
-        let mut blocks = Vec::new();
-        let mut metas = Vec::new();
-        let mut first = 0u64;
-        for chunk in watts.chunks(block_len) {
-            let ts: Vec<i64> = (0..chunk.len() as i64)
-                .map(|i| (first as i64 + i) * 1_000_000)
-                .collect();
-            let bytes = encode_block(&ts, chunk, DEFAULT_QUANTUM).unwrap();
-            let summary = peek_summary(&bytes).unwrap();
-            metas.push(BlockMeta { first, count: summary.count, sum_watts: summary.sum_watts });
-            blocks.push(bytes);
-            first += chunk.len() as u64;
-        }
-
-        let edge = (edge_mult * block_len).min(n) as f64;
+        let unit = if edge_on_chunk { CHUNK_SAMPLES as usize } else { block_len };
+        let edge = (edge_mult * unit).min(n) as f64;
         let from = if exact_edge == 1 { edge } else { edge + from_off };
-        let to = from + width;
+        let to = from + width_log2.exp2();
         if let Ok(reference) = trace.window_average(from, to) {
             let (lo, hi) = window_span(0.0, 1.0, n, from, to).expect("average implies overlap");
-            let pruned = pruned_window_sum(&metas, lo, hi, |k, s, e| {
-                decode_watts_span(&blocks[k], s, e)
-            })
-            .expect("blocks decode");
-            let got = pruned.weighted_sum / (hi - lo);
+            let pw = pruned(blocks, lo, hi);
+            let got = pw.weighted_sum / (hi - lo);
             prop_assert!(
                 (got - reference).abs() <= 1e-9 * (1.0 + reference.abs()),
-                "window [{}, {}) blocks of {}: pruned {} vs reference {}",
-                from, to, block_len, got, reference
+                "window [{}, {}) blocks of {} (v{}): pruned {} vs reference {}",
+                from, to, block_len, version, got, reference
             );
-            prop_assert!(pruned.blocks_decoded <= 2, "{:?}", pruned);
+            prop_assert!(pw.blocks_decoded <= 2, "{:?}", pw);
+            if block_len == V2_BLOCK_LEN {
+                let (a, b) = (pruned(&v3, lo, hi), pruned(&v2, lo, hi));
+                prop_assert_eq!(a.weighted_sum.to_bits(), b.weighted_sum.to_bits(),
+                    "window [{}, {}): v3 {} vs v2 {}", from, to, a.weighted_sum, b.weighted_sum);
+                prop_assert_eq!(a, b);
+            }
         }
     }
 }

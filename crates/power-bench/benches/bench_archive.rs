@@ -11,20 +11,31 @@
 //!   replays the manifest and verifies every committed record's CRC —
 //!   must finish in under one second;
 //! * **pruned window query (cold)**: answering a window average for one
-//!   node straight off the archive — positioned header reads for every
-//!   block summary plus decoding at most the two boundary blocks — must
+//!   node straight off the archive — block summaries from an index of
+//!   positioned header reads, then, per boundary block, positioned reads
+//!   of its chunk directory and at most two 512-sample chunks — must
 //!   finish in at most 100 µs;
 //! * **pruned scan throughput**: window queries spanning the whole
 //!   archive must sustain at least 2x the decode-everything scan
 //!   baseline (472 MB/s when the budget was set), since interior blocks
-//!   are answered from their 60-byte header summaries.
+//!   are answered from their 60-byte header summaries;
+//! * **boundary span**: the median `decode_watts_span(block, 2048, 6144)`
+//!   on an in-memory 8,192-sample HPL block must take at most 2 µs. The
+//!   span ends on chunk edges, so the chunk directory answers it without
+//!   decoding a chunk. On a 2-vCPU Xeon, alternating runs measured
+//!   0.56–0.63 µs here against 32–43 µs for the version-2 codec, which
+//!   checksummed and decoded the whole block.
+//!
+//! Every figure, and every budget with its verdict, lands in
+//! `BENCH_archive.json` via [`power_bench::report`].
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use power_archive::codec::{HEADER_LEN, TRAILER_LEN};
+use power_archive::codec::{decode_watts_span_from, span_prefix_len, HEADER_LEN, TRAILER_LEN};
 use power_archive::{
     decode_block, decode_watts_span, encode_block, peek_summary, pruned_window_sum, Archive,
     ArchiveConfig, BlockMeta, CodecError, WattsSpan, DEFAULT_QUANTUM,
 };
+use power_bench::report::{self, Direction};
 use power_sim::trace::window_span;
 use power_sim::SystemTrace;
 use power_sim::{Cluster, ProductRequest, SimulationConfig, Simulator, SystemPreset};
@@ -39,13 +50,24 @@ const RAW_BYTES_PER_SAMPLE: usize = 16;
 /// Pruned-scan floor: 2x the 472 MB/s decode-everything scan measured
 /// when this budget was introduced.
 const PRUNED_MIN_MBPS: f64 = 944.0;
+/// Ceiling on the median boundary span over one 8,192-sample block.
+const BOUNDARY_SPAN_MAX_US: f64 = 2.0;
+/// Timed repetitions behind the boundary-span median.
+const SPAN_REPS: usize = 401;
 
-/// Block summaries for one node's blocks, lifted from 64-byte
-/// positioned header reads — the body bytes are never touched.
-fn node_metas(archive: &Archive, node: usize, list: &[(u64, u64)]) -> Vec<BlockMeta> {
+/// One node's blocks as a pruned scan sees them: summaries lifted from
+/// 64-byte positioned header reads (the body bytes are never touched),
+/// and per block its `(fingerprint, length, span prefix length)`.
+struct NodeIndex {
+    metas: Vec<BlockMeta>,
+    blocks: Vec<(u64, usize, usize)>,
+}
+
+fn node_index(archive: &Archive, node: usize, list: &[(u64, u64)]) -> NodeIndex {
     let mut metas = Vec::with_capacity(list.len());
+    let mut blocks = Vec::with_capacity(list.len());
     let mut first = 0u64;
-    for &(fingerprint, _) in list {
+    for &(fingerprint, len) in list {
         let header = archive
             .read_payload_range(node as u64, fingerprint, 0, HEADER_LEN + TRAILER_LEN)
             .expect("header read")
@@ -56,27 +78,34 @@ fn node_metas(archive: &Archive, node: usize, list: &[(u64, u64)]) -> Vec<BlockM
             count: summary.count,
             sum_watts: summary.sum_watts,
         });
+        let len = len as usize;
+        let prefix_len = span_prefix_len(&header, len).expect("header parses");
+        blocks.push((fingerprint, len, prefix_len));
         first += u64::from(summary.count);
     }
-    metas
+    NodeIndex { metas, blocks }
 }
 
-/// Boundary-block decode for the pruned scan: a positioned read of the
-/// block's bytes, then a partial decode of local indices `[s, e)`.
+/// Boundary-block decode for the pruned scan: positioned reads of the
+/// block's chunk directory and of the chunks `[s, e)` needs, as the
+/// products tier does.
 fn boundary_span(
     archive: &Archive,
     node: usize,
-    list: &[(u64, u64)],
+    index: &NodeIndex,
     k: usize,
     s: u32,
     e: u32,
 ) -> Result<WattsSpan, CodecError> {
-    let (fingerprint, len) = list[k];
-    let bytes = archive
-        .read_payload_range(node as u64, fingerprint, 0, len as usize)
-        .expect("block read")
-        .expect("entry exists");
-    decode_watts_span(&bytes, s, e)
+    let (fingerprint, len, prefix_len) = index.blocks[k];
+    let read = |off: usize, len: usize| {
+        archive
+            .read_payload_range(node as u64, fingerprint, off as u64, len)
+            .expect("block read")
+            .ok_or(CodecError::Truncated)
+    };
+    let prefix = read(0, prefix_len)?;
+    decode_watts_span_from(&prefix, len, s, e, read)
 }
 
 /// Simulated HPL traces: ramp up, long core plateau, ramp down, with
@@ -209,8 +238,8 @@ fn bench_archive(c: &mut Criterion) {
     // tier keeps a revalidated per-key index in memory), but no sample
     // data is — the two boundary blocks are read from disk and decoded
     // on every query, with no materialized trace and no LRU entry.
-    let indexed: Vec<Vec<BlockMeta>> = (0..NODES)
-        .map(|n| node_metas(&query_archive, n, &by_node[n]))
+    let indexed: Vec<NodeIndex> = (0..NODES)
+        .map(|n| node_index(&query_archive, n, &by_node[n]))
         .collect();
     let mut best_query = Duration::MAX;
     let (query_from, query_to) = (10_000.5, 40_000.25);
@@ -220,8 +249,8 @@ fn bench_archive(c: &mut Criterion) {
             let started = Instant::now();
             let (lo, hi) =
                 window_span(0.0, 1.0, steps, query_from, query_to).expect("window overlaps");
-            let pruned = pruned_window_sum(&indexed[node], lo, hi, |k, s, e| {
-                boundary_span(&query_archive, node, &by_node[node], k, s, e)
+            let pruned = pruned_window_sum(&indexed[node].metas, lo, hi, |k, s, e| {
+                boundary_span(&query_archive, node, &indexed[node], k, s, e)
             })
             .expect("blocks decode");
             let average = pruned.weighted_sum / (hi - lo);
@@ -247,11 +276,11 @@ fn bench_archive(c: &mut Criterion) {
         b.iter(|| {
             let started = Instant::now();
             let mut covered = 0usize;
-            for node in 0..NODES {
+            for (node, index) in indexed.iter().enumerate() {
                 let (lo, hi) = window_span(0.0, 1.0, steps, 0.25, steps as f64 - 0.25)
                     .expect("window overlaps");
-                let pruned = pruned_window_sum(&indexed[node], lo, hi, |k, s, e| {
-                    boundary_span(&query_archive, node, &by_node[node], k, s, e)
+                let pruned = pruned_window_sum(&index.metas, lo, hi, |k, s, e| {
+                    boundary_span(&query_archive, node, index, k, s, e)
                 })
                 .expect("blocks decode");
                 covered += steps;
@@ -265,33 +294,54 @@ fn bench_archive(c: &mut Criterion) {
     drop(query_archive);
     group.finish();
 
+    // Boundary span: one in-memory block on the core plateau, timed call
+    // by call.
+    let block = &encode_node(0, &traces[0])[1];
+    let mut span_us: Vec<f64> = (0..SPAN_REPS)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(decode_watts_span(black_box(block), 2048, 6144)).expect("span decodes");
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    span_us.sort_by(f64::total_cmp);
+    let boundary_span_us = span_us[SPAN_REPS / 2];
+
     println!(
         "archive: {total_samples} samples, {encoded_bytes} bytes encoded ({ratio:.2}x vs raw), \
          scan {best_scan_mbps:.0} MB/s, cold open {:.1} ms, \
-         pruned cold query {:.1} us, pruned scan {best_pruned_mbps:.0} MB/s",
+         pruned cold query {:.1} us, pruned scan {best_pruned_mbps:.0} MB/s, \
+         boundary span {boundary_span_us:.2} us",
         best_open.as_secs_f64() * 1e3,
         best_query.as_secs_f64() * 1e6,
     );
-    assert!(
-        ratio >= 4.0,
-        "HPL trace compression must be >= 4x vs raw f64 pairs, measured {ratio:.2}x"
+    report::metric("samples", total_samples as f64);
+    report::metric("encoded_bytes", encoded_bytes as f64);
+    report::budget("compression_ratio", ratio, Direction::AtLeast, 4.0);
+    report::budget("scan_mb_per_s", best_scan_mbps, Direction::AtLeast, 100.0);
+    report::budget(
+        "cold_open_ms",
+        best_open.as_secs_f64() * 1e3,
+        Direction::AtMost,
+        1_000.0,
     );
-    assert!(
-        best_scan_mbps >= 100.0,
-        "sequential scan must sustain >= 100 MB/s decoded, measured {best_scan_mbps:.0} MB/s"
+    report::budget(
+        "pruned_cold_query_us",
+        best_query.as_secs_f64() * 1e6,
+        Direction::AtMost,
+        100.0,
     );
-    assert!(
-        best_open < Duration::from_secs(1),
-        "cold-start recovery of a 1M-sample archive must finish under 1 s, took {best_open:?}"
+    report::budget(
+        "pruned_scan_mb_per_s",
+        best_pruned_mbps,
+        Direction::AtLeast,
+        PRUNED_MIN_MBPS,
     );
-    assert!(
-        best_query <= Duration::from_micros(100),
-        "a cold pruned window query must finish within 100 us, took {best_query:?}"
-    );
-    assert!(
-        best_pruned_mbps >= PRUNED_MIN_MBPS,
-        "pruned scan must sustain >= {PRUNED_MIN_MBPS:.0} MB/s logical \
-         (2x the decode-everything baseline), measured {best_pruned_mbps:.0} MB/s"
+    report::budget(
+        "boundary_span_us",
+        boundary_span_us,
+        Direction::AtMost,
+        BOUNDARY_SPAN_MAX_US,
     );
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
