@@ -387,8 +387,9 @@ impl Archive {
     /// holding it: the in-memory index may be half-updated, so the
     /// archive stops serving it rather than trust it. The window query
     /// path (`get`, `read_payload_range`, `entry_location`,
-    /// `entries_for_key`) and `put` go through here, so a query on a
-    /// poisoned archive falls back to recomputing instead of panicking.
+    /// `entries_for_key`), `put`, `compact` and the listings and
+    /// statistics go through here, so a poisoned archive falls back to
+    /// recomputing instead of panicking.
     fn state(&self) -> io::Result<MutexGuard<'_, Inner>> {
         self.inner
             .lock()
@@ -536,9 +537,12 @@ impl Archive {
         Ok(Some(buf))
     }
 
-    /// All live entries, in unspecified order.
+    /// All live entries, in unspecified order; none when the archive
+    /// lock is poisoned.
     pub fn entries(&self) -> Vec<EntryInfo> {
-        let inner = self.inner.lock().expect("archive lock");
+        let Ok(inner) = self.state() else {
+            return Vec::new();
+        };
         inner
             .entries
             .iter()
@@ -574,9 +578,9 @@ impl Archive {
             .collect()
     }
 
-    /// Number of live entries.
+    /// Number of live entries; 0 when the archive lock is poisoned.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("archive lock").entries.len()
+        self.state().map_or(0, |inner| inner.entries.len())
     }
 
     /// True when the archive holds no entries.
@@ -584,14 +588,24 @@ impl Archive {
         self.len() == 0
     }
 
-    /// Snapshot of sizes and counters.
+    /// Snapshot of sizes and counters. When the archive lock is
+    /// poisoned the index-derived sizes read 0 — the archive no longer
+    /// serves its index — while the operation counters stay live.
     pub fn stats(&self) -> ArchiveStats {
-        let inner = self.inner.lock().expect("archive lock");
+        let (entries, segments, live_bytes, dead_bytes) = match self.state() {
+            Ok(inner) => (
+                inner.entries.len() as u64,
+                inner.segments.len() as u64,
+                inner.live_bytes,
+                inner.dead_bytes,
+            ),
+            Err(_) => (0, 0, 0, 0),
+        };
         ArchiveStats {
-            entries: inner.entries.len() as u64,
-            segments: inner.segments.len() as u64,
-            live_bytes: inner.live_bytes,
-            dead_bytes: inner.dead_bytes,
+            entries,
+            segments,
+            live_bytes,
+            dead_bytes,
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
@@ -599,9 +613,11 @@ impl Archive {
         }
     }
 
-    /// Force a compaction regardless of the dead-byte ratio.
+    /// Force a compaction regardless of the dead-byte ratio. Fails when
+    /// the archive lock is poisoned: rewriting segments from a
+    /// half-updated index could drop committed records.
     pub fn compact(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("archive lock");
+        let mut inner = self.state()?;
         self.compact_locked(&mut inner)
     }
 
@@ -935,6 +951,38 @@ mod tests {
         assert_eq!(archive.entry_location(3, 4), None);
         assert!(archive.entries_for_key(3).is_empty());
         assert!(archive.put(5, 6, 0, &blob(5, 64)).is_err());
+        drop(archive);
+        // The committed entry is intact for the next process.
+        let reopened = Archive::open(&dir).unwrap();
+        assert_eq!(reopened.get(3, 4).unwrap().unwrap(), blob(3, 64));
+        assert_eq!(reopened.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poisoned_lock_fails_listings_stats_and_compaction_without_panicking() {
+        let dir = tmpdir("poison_admin");
+        let archive = Archive::open(&dir).unwrap();
+        archive.put(3, 4, 0, &blob(3, 64)).unwrap();
+        archive.get(3, 4).unwrap().unwrap();
+        assert_eq!(archive.entries().len(), 1);
+        archive.poison_for_test();
+        assert!(archive.entries().is_empty());
+        assert_eq!(archive.len(), 0);
+        assert!(archive.is_empty());
+        let stats = archive.stats();
+        assert_eq!(
+            (
+                stats.entries,
+                stats.segments,
+                stats.live_bytes,
+                stats.dead_bytes
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!((stats.reads, stats.writes), (1, 1), "counters stay live");
+        assert!(archive.compact().is_err());
+        assert_eq!(archive.stats().compactions, 0);
         drop(archive);
         // The committed entry is intact for the next process.
         let reopened = Archive::open(&dir).unwrap();

@@ -23,6 +23,10 @@
 //!   parser, reactor — is the measured cost rather than the window
 //!   query's JSON): at least 45 600 req/s, twice the 22.8k req/s
 //!   lockstep ceiling the thread-per-connection server measured;
+//! * **cached window route** (in-process `route`, no socket): a cached
+//!   `/v1/trace/window` at 64 nodes in at most 11 µs median — the query
+//!   is answered by its simulation key alone, and building the machine
+//!   per query (61 µs on a 2-vCPU Xeon) would break it;
 //! * **idle capacity**: at least 10 000 concurrently parked keep-alive
 //!   connections served and held by the one reactor thread. The client
 //!   sockets live in a re-exec'd child process (`--idle-client`), so
@@ -39,7 +43,10 @@ use std::hint::black_box;
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Ceiling on a cached `/v1/trace/window` route at 64 nodes, µs.
+const ROUTE_WINDOW_CACHED_US: f64 = 11.0;
 
 fn parse(raw: &[u8]) -> power_serve::http::Request {
     read_request(&mut Cursor::new(raw.to_vec()), &HttpLimits::default())
@@ -76,6 +83,33 @@ fn bench_route(c: &mut Criterion) {
         b.iter(|| black_box(route(&state, &sample).1.status))
     });
     group.finish();
+
+    // A cached window at 64 nodes is answered by its simulation key
+    // alone; building the machine per query (one ASIC sample per
+    // processor per node) would push it over budget. Median of 31
+    // batches of 200 calls.
+    let window64 = parse(&loadgen::get_request(
+        "/v1/trace/window?system=L-CSC&nodes=64&dt=120&from=600&to=3000",
+    ));
+    assert_eq!(route(&state, &window64).1.status, 200);
+    let mut batch_us: Vec<f64> = (0..31)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..200 {
+                black_box(route(&state, &window64).1.status);
+            }
+            start.elapsed().as_secs_f64() * 1e6 / 200.0
+        })
+        .collect();
+    batch_us.sort_by(f64::total_cmp);
+    let cached_us = batch_us[batch_us.len() / 2];
+    println!("serve_route: cached trace_window at 64 nodes {cached_us:.2}us median");
+    report::budget(
+        "route_window_cached_us",
+        cached_us,
+        Direction::AtMost,
+        ROUTE_WINDOW_CACHED_US,
+    );
 }
 
 /// End-to-end loopback throughput on cached queries — cold, keep-alive

@@ -38,6 +38,7 @@ use power_method::level::Methodology;
 use power_method::measure::{measure_with_store, MeasurementPlan, NodeSelection, WindowPlacement};
 use power_sim::cluster::Cluster;
 use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig};
+use power_sim::store::simulation_key;
 use power_sim::systems::SystemPreset;
 use power_sim::Simulator;
 use power_stats::sample_size::SampleSizePlan;
@@ -256,10 +257,13 @@ fn sample_size(req: &Request) -> Response {
 }
 
 /// The simulation identity a request selects: a (scaled) preset plus the
-/// engine configuration. Shared by `/v1/measure` and `/v1/trace/window`.
+/// engine configuration, and the store key they resolve to. Shared by
+/// `/v1/measure` and `/v1/trace/window`.
 struct SimSelection {
     preset: SystemPreset,
     config: SimulationConfig,
+    /// [`simulation_key`] of the preset and configuration.
+    key: u64,
 }
 
 fn select_sim(
@@ -321,7 +325,25 @@ fn select_sim(
         seed,
         threads: state.config.sim_threads.max(1),
     };
-    Ok(SimSelection { preset, config })
+    // The only checks `Cluster::build` and `Simulator::new` would run, in
+    // their order, so a window answered without building either rejects
+    // exactly what they reject.
+    preset
+        .cluster_spec
+        .validate()
+        .and_then(|()| config.validate())
+        .map_err(|e| Response::error(422, &e.to_string()))?;
+    let key = simulation_key(
+        &preset.cluster_spec,
+        preset.workload.workload(),
+        preset.balance,
+        &config,
+    );
+    Ok(SimSelection {
+        preset,
+        config,
+        key,
+    })
 }
 
 /// `POST /v1/measure` — the full methodology pipeline as a service.
@@ -559,6 +581,19 @@ fn trace_window(state: &ServeState, req: &Request) -> Response {
         Ok(q) => q,
         Err(r) => return r,
     };
+    // Fast path: a memory-cached trace or the archive tier's pruned
+    // scan answers the window under the request's key, without building
+    // the machine or materializing full products — cold queries touch
+    // block headers plus at most two boundary blocks on disk. Both paths
+    // share the window-semantics contract (`power_sim::trace::window_span`),
+    // so answers and error strings are interchangeable with the decoded
+    // path below.
+    if let Some(resp) = keyed_window(state, &query) {
+        return resp;
+    }
+    // Decoded path: simulate (or fetch + decode) the full products, then
+    // answer off in-memory prefix sums. `select_sim` already ran every
+    // check building the machine and the simulator can fail.
     let cluster = match Cluster::build(query.selection.preset.cluster_spec.clone()) {
         Ok(c) => c,
         Err(e) => return Response::error(422, &e.to_string()),
@@ -572,92 +607,61 @@ fn trace_window(state: &ServeState, req: &Request) -> Response {
         Ok(s) => s,
         Err(e) => return Response::error(422, &e.to_string()),
     };
-    // Fast path: a memory-cached trace or the archive tier's pruned
-    // scan answers the window without materializing full products —
-    // cold queries touch block headers plus at most two boundary
-    // blocks on disk. Both paths share the window-semantics contract
-    // (`power_sim::trace::window_span`), so answers and error strings
-    // are interchangeable with the decoded path below.
-    match state
-        .store
-        .window_aggregate(&sim, query.scope, query.from, query.to)
+    let products = match state.store.products(&sim, &ProductRequest::system_only()) {
+        Ok(p) => p,
+        Err(e) => return Response::error(422, &e.to_string()),
+    };
+    let trace = products
+        .system_trace(query.scope)
+        .expect("system trace was requested");
+    match trace
+        .window_average(query.from, query.to)
+        .and_then(|avg| Ok((avg, trace.window_energy(query.from, query.to)?)))
     {
-        Some(Ok(agg)) => window_response(
+        Ok((avg, energy)) => window_response(
             &query,
-            agg.average_w,
-            agg.energy_j,
-            agg.dt,
-            agg.steps as f64,
-            agg.t_end(),
+            avg,
+            energy,
+            products.dt(),
+            products.steps() as f64,
+            trace.t_end(),
         ),
-        Some(Err(e)) => Response::error(400, &e.to_string()),
-        None => {
-            // Decoded path: simulate (or fetch + decode) the full
-            // products, then answer off in-memory prefix sums.
-            let products = match state.store.products(&sim, &ProductRequest::system_only()) {
-                Ok(p) => p,
-                Err(e) => return Response::error(422, &e.to_string()),
-            };
-            let trace = products
-                .system_trace(query.scope)
-                .expect("system trace was requested");
-            match trace
-                .window_average(query.from, query.to)
-                .and_then(|avg| Ok((avg, trace.window_energy(query.from, query.to)?)))
-            {
-                Ok((avg, energy)) => window_response(
-                    &query,
-                    avg,
-                    energy,
-                    products.dt(),
-                    products.steps() as f64,
-                    trace.t_end(),
-                ),
-                Err(e) => Response::error(400, &e.to_string()),
-            }
-        }
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
-/// The reactor-inline half of `/v1/trace/window`: answers only when a
-/// store tier (memory prefix sums or the archive's pruned block scan)
-/// can aggregate the window without simulating. `None` means the query
-/// is cold — the caller must dispatch it to a worker, where
-/// [`trace_window`] may run a multi-second sweep.
-fn trace_window_fast(state: &ServeState, req: &Request) -> Option<Response> {
-    let query = match trace_window_query(state, req) {
-        Ok(q) => q,
-        // Validation failures are answered inline: rejecting a bad
-        // request never simulates, so it never needs a worker.
-        Err(r) => return Some(r),
-    };
-    let cluster = match Cluster::build(query.selection.preset.cluster_spec.clone()) {
-        Ok(c) => c,
-        Err(e) => return Some(Response::error(422, &e.to_string())),
-    };
-    let sim = match Simulator::new(
-        &cluster,
-        query.selection.preset.workload.workload(),
-        query.selection.preset.balance,
-        query.selection.config,
-    ) {
-        Ok(s) => s,
-        Err(e) => return Some(Response::error(422, &e.to_string())),
-    };
-    match state
-        .store
-        .window_aggregate(&sim, query.scope, query.from, query.to)
-    {
-        Some(Ok(agg)) => Some(window_response(
-            &query,
+/// Answers a validated window query from a store summary tier (memory
+/// prefix sums or the archive's pruned block scan) by its key alone;
+/// `None` means the key is cold.
+fn keyed_window(state: &ServeState, query: &WindowQuery) -> Option<Response> {
+    match state.store.window_aggregate_keyed(
+        query.selection.key,
+        query.scope,
+        query.from,
+        query.to,
+    )? {
+        Ok(agg) => Some(window_response(
+            query,
             agg.average_w,
             agg.energy_j,
             agg.dt,
             agg.steps as f64,
             agg.t_end(),
         )),
-        Some(Err(e)) => Some(Response::error(400, &e.to_string())),
-        None => None,
+        Err(e) => Some(Response::error(400, &e.to_string())),
+    }
+}
+
+/// The reactor-inline half of `/v1/trace/window`: answers only when a
+/// store tier can aggregate the window without simulating. `None` means
+/// the query is cold — the caller must dispatch it to a worker, where
+/// [`trace_window`] may run a multi-second sweep.
+fn trace_window_fast(state: &ServeState, req: &Request) -> Option<Response> {
+    match trace_window_query(state, req) {
+        Ok(query) => keyed_window(state, &query),
+        // Validation failures are answered inline: rejecting a bad
+        // request never simulates, so it never needs a worker.
+        Err(r) => Some(r),
     }
 }
 

@@ -10,6 +10,7 @@ use crate::fan::FanPolicy;
 use crate::node::{NodePower, NodeSpec};
 use crate::variability::{AsicSample, VariabilityModel};
 use crate::{Result, SimError};
+use power_stats::hash::Fnv1a;
 use power_stats::rng::substream;
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +40,28 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let ClusterSpec {
+            name,
+            total_nodes,
+            node,
+            variability,
+            governor,
+            fan_policy,
+            ambient_gradient_c,
+            seed,
+        } = self;
+        h.write_str(name);
+        h.write_u64(*total_nodes as u64);
+        node.fingerprint(h);
+        variability.fingerprint(h);
+        governor.fingerprint(h);
+        fan_policy.fingerprint(h);
+        h.write_f64(*ambient_gradient_c);
+        h.write_u64(*seed);
+    }
+
     /// Validates the whole spec.
     pub fn validate(&self) -> Result<()> {
         if self.total_nodes == 0 {

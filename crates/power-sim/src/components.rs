@@ -6,6 +6,7 @@
 //! utilization, frequency and the square of voltage; leakage scales with
 //! voltage squared and rises with temperature.
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A processor (CPU socket or GPU board) power model.
@@ -28,6 +29,26 @@ pub struct ProcessorSpec {
 }
 
 impl ProcessorSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let ProcessorSpec {
+            dynamic_w,
+            leakage_w,
+            idle_fraction,
+            f_nom_mhz,
+            v_nom,
+            leakage_temp_coeff,
+            t_ref_c,
+        } = *self;
+        h.write_f64(dynamic_w);
+        h.write_f64(leakage_w);
+        h.write_f64(idle_fraction);
+        h.write_f64(f_nom_mhz);
+        h.write_f64(v_nom);
+        h.write_f64(leakage_temp_coeff);
+        h.write_f64(t_ref_c);
+    }
+
     /// Power drawn by this processor.
     ///
     /// * `utilization` — activity factor in `[0, 1]`;
@@ -73,6 +94,13 @@ pub struct MemorySpec {
 }
 
 impl MemorySpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let MemorySpec { idle_w, active_w } = *self;
+        h.write_f64(idle_w);
+        h.write_f64(active_w);
+    }
+
     /// Memory power at a given utilization.
     pub fn power(&self, utilization: f64) -> f64 {
         self.idle_w + self.active_w * utilization.clamp(0.0, 1.0)
@@ -87,6 +115,12 @@ pub struct StaticSpec {
 }
 
 impl StaticSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let StaticSpec { watts } = *self;
+        h.write_f64(watts);
+    }
+
     /// The constant draw.
     pub fn power(&self) -> f64 {
         self.watts

@@ -8,6 +8,7 @@
 //! utilization.
 
 use crate::vid::VoltagePolicy;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
@@ -22,6 +23,13 @@ pub struct PState {
 }
 
 impl PState {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let PState { f_mhz, voltage } = *self;
+        h.write_f64(f_mhz);
+        voltage.fingerprint(h);
+    }
+
     /// Validates the operating point.
     pub fn validate(&self) -> Result<()> {
         if !(self.f_mhz > 0.0 && self.f_mhz.is_finite()) {
@@ -57,6 +65,34 @@ pub enum Governor {
 }
 
 impl Governor {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        match self {
+            Governor::Static(state) => {
+                h.write(&[0]);
+                state.fingerprint(h);
+            }
+            Governor::OnDemand {
+                high,
+                low,
+                threshold,
+            } => {
+                h.write(&[1]);
+                high.fingerprint(h);
+                low.fingerprint(h);
+                h.write_f64(*threshold);
+            }
+            Governor::Schedule(steps) => {
+                h.write(&[2]);
+                h.write_u64(steps.len() as u64);
+                for (at, state) in steps {
+                    h.write_f64(*at);
+                    state.fingerprint(h);
+                }
+            }
+        }
+    }
+
     /// Validates governor configuration.
     pub fn validate(&self) -> Result<()> {
         match self {

@@ -7,6 +7,7 @@
 //! against temperature (the default on real systems) or pins it (the
 //! mitigation the paper recommends for measurement runs).
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
@@ -21,6 +22,16 @@ pub struct FanSpec {
 }
 
 impl FanSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let FanSpec {
+            max_power_w,
+            min_speed,
+        } = *self;
+        h.write_f64(max_power_w);
+        h.write_f64(min_speed);
+    }
+
     /// Validates the spec.
     pub fn validate(&self) -> Result<()> {
         if !(self.max_power_w >= 0.0 && self.max_power_w.is_finite()) {
@@ -65,6 +76,21 @@ pub enum FanPolicy {
 }
 
 impl FanPolicy {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        match *self {
+            FanPolicy::Auto { t_low_c, t_high_c } => {
+                h.write(&[0]);
+                h.write_f64(t_low_c);
+                h.write_f64(t_high_c);
+            }
+            FanPolicy::Pinned { speed } => {
+                h.write(&[1]);
+                h.write_f64(speed);
+            }
+        }
+    }
+
     /// Validates the policy.
     pub fn validate(&self) -> Result<()> {
         match *self {

@@ -13,6 +13,7 @@ use crate::fan::{FanPolicy, FanSpec};
 use crate::thermal::ThermalSpec;
 use crate::variability::AsicSample;
 use crate::{Result, SimError};
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// Hardware description of one node.
@@ -33,6 +34,27 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let NodeSpec {
+            processors,
+            memory,
+            static_power,
+            fan,
+            thermal,
+            psu_efficiency,
+        } = self;
+        h.write_u64(processors.len() as u64);
+        for p in processors {
+            p.fingerprint(h);
+        }
+        memory.fingerprint(h);
+        static_power.fingerprint(h);
+        fan.fingerprint(h);
+        thermal.fingerprint(h);
+        h.write_f64(*psu_efficiency);
+    }
+
     /// Validates the node description.
     pub fn validate(&self) -> Result<()> {
         if self.processors.is_empty() {

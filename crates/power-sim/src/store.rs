@@ -7,20 +7,33 @@
 //! interval scan, `power-method::measure`, the power-meter campaigns and
 //! the `power-repro` drivers all redid identical work.
 //!
-//! [`TraceStore`] closes that gap: it memoizes [`RunProducts`] behind a key
-//! that fingerprints the complete simulation identity —
+//! [`TraceStore`] closes that gap: it memoizes [`RunProducts`] behind a
+//! [`simulation_key`] that fingerprints the complete simulation identity
+//! structurally — every type in it feeds its fields into one FNV-1a hash
+//! through a `fingerprint` method that destructures the type without
+//! `..`, so a field added later breaks the build until it is hashed.
+//! Strings and `Vec`s are length-prefixed, enum variants tagged, and
+//! `f64`s hashed by bit pattern. The key covers:
 //!
-//! * the machine (the full [`ClusterSpec`](crate::ClusterSpec), via its
-//!   `Debug` rendering: node composition, variability model, governor, fan
-//!   policy, ambient gradient, build seed);
-//! * the workload (name, phase structure, total flops, and utilization
-//!   sampled at a deterministic probe grid of `(node, t)` points — trait
-//!   objects cannot be hashed structurally);
+//! * the machine (the full [`ClusterSpec`]: name, node count, node
+//!   composition, variability model, governor, fan policy, ambient
+//!   gradient, build seed);
+//! * the workload ([`Workload::fingerprint`]: a type tag plus every
+//!   parameter its utilization and flop count read, so two HPL runs that
+//!   differ only in one envelope parameter key apart);
 //! * the load-balance policy;
 //! * the engine configuration *except* `threads`, which leaves per-node
 //!   averages, subset traces and streams bit-identical and changes system
 //!   traces only by floating-point re-association of the workers' partial
 //!   sums (see [`crate::engine`]).
+//!
+//! The key is a function of the spec, not of the built machine, so a
+//! caller holding only a preset can compute it without running
+//! [`crate::Cluster::build`] and answer warm window queries through
+//! [`TraceStore::window_aggregate_keyed`]. Archive tiers file entries
+//! under this key, so any change to what it hashes re-keys them: an
+//! entry under a key nothing asks for any more is re-simulated once on
+//! first use and written back under its new key.
 //!
 //! Within one key, a cached entry serves any request it subsumes: a
 //! system-only request is satisfied by any full-sweep entry, repeated
@@ -62,46 +75,55 @@
 //!   quantization, so a tiered store may answer within one quantum
 //!   (~1 mW) of a fresh simulation rather than bit-identically.
 
-use crate::engine::{MeterScope, ProductRequest, RunProducts, Simulator};
+use crate::cluster::ClusterSpec;
+use crate::engine::{MeterScope, ProductRequest, RunProducts, SimulationConfig, Simulator};
 use crate::trace::err_degenerate_window;
 use crate::Result;
 use power_stats::hash::Fnv1a;
+use power_workload::{LoadBalance, Workload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Fingerprints the simulation identity of `sim` (everything that can
-/// change its results; see the module docs for what is included).
-pub fn simulation_key(sim: &Simulator<'_>) -> u64 {
+/// Fingerprints a simulation identity from its parts — everything that
+/// can change a sweep's results (see the module docs for what is
+/// included). The router resolves it once per request straight from a
+/// preset, without building the machine; [`TraceStore`] derives the same
+/// value from a built [`Simulator`], so the two always agree.
+pub fn simulation_key(
+    spec: &ClusterSpec,
+    workload: &dyn Workload,
+    balance: LoadBalance,
+    config: &SimulationConfig,
+) -> u64 {
     let mut h = Fnv1a::default();
-    h.write(format!("{:?}", sim.cluster().spec()).as_bytes());
-    h.write(format!("{:?}", sim.balance()).as_bytes());
-
-    let wl = sim.workload();
-    h.write(wl.name().as_bytes());
-    h.write(format!("{:?}", wl.phases()).as_bytes());
-    h.write_f64(wl.total_flops());
-    // Utilization probe: trait objects cannot be hashed structurally, so
-    // sample the function on a deterministic grid. Workloads differing
-    // only between probe points would collide, but every workload in this
-    // workspace is smooth at the probe resolution.
-    let n = sim.cluster().len();
-    let total = wl.phases().total();
-    for node in [0, n / 3, n / 2, (2 * n) / 3, n.saturating_sub(1)] {
-        for k in 0..=8 {
-            let t = total * k as f64 / 8.0;
-            h.write_f64(wl.utilization(node, t));
-        }
-    }
-
-    let cfg = sim.config();
-    h.write_f64(cfg.dt);
-    h.write_f64(cfg.noise_sigma);
-    h.write_f64(cfg.common_noise_sigma);
-    h.write_u64(cfg.seed);
-    // cfg.threads deliberately excluded: it changes system totals only by
-    // re-association, and per-node products not at all.
+    spec.fingerprint(&mut h);
+    workload.fingerprint(&mut h);
+    balance.fingerprint(&mut h);
+    let SimulationConfig {
+        dt,
+        noise_sigma,
+        common_noise_sigma,
+        seed,
+        // Deliberately excluded: it changes system totals only by
+        // re-association, and per-node products not at all.
+        threads: _,
+    } = *config;
+    h.write_f64(dt);
+    h.write_f64(noise_sigma);
+    h.write_f64(common_noise_sigma);
+    h.write_u64(seed);
     h.finish()
+}
+
+/// [`simulation_key`] of a built simulator's parts.
+fn sim_key(sim: &Simulator<'_>) -> u64 {
+    simulation_key(
+        sim.cluster().spec(),
+        sim.workload(),
+        sim.balance(),
+        sim.config(),
+    )
 }
 
 /// Whether a cached entry answering `have` can serve a request for `want`.
@@ -319,9 +341,32 @@ impl Drop for FlightGuard<'_> {
 /// single-flight coalescing groups concurrent callers by, and the stable
 /// per-blob identity an [`ArchiveTier`] stores entries under.
 pub fn request_fingerprint(key: u64, request: &ProductRequest) -> u64 {
+    let ProductRequest {
+        system,
+        averages_window,
+        subset,
+    } = request;
     let mut h = Fnv1a::default();
     h.write_u64(key);
-    h.write(format!("{request:?}").as_bytes());
+    h.write(&[u8::from(*system)]);
+    match averages_window {
+        None => h.write(&[0]),
+        Some((from, to)) => {
+            h.write(&[1]);
+            h.write_f64(*from);
+            h.write_f64(*to);
+        }
+    }
+    match subset {
+        None => h.write(&[0]),
+        Some(nodes) => {
+            h.write(&[1]);
+            h.write_u64(nodes.len() as u64);
+            for &node in nodes {
+                h.write_u64(node as u64);
+            }
+        }
+    }
     h.finish()
 }
 
@@ -465,7 +510,7 @@ impl TraceStore {
         sim: &Simulator<'_>,
         request: &ProductRequest,
     ) -> Result<Arc<RunProducts>> {
-        let key = simulation_key(sim);
+        let key = sim_key(sim);
         let fingerprint = request_fingerprint(key, request);
         let mut waited = false;
         loop {
@@ -569,20 +614,34 @@ impl TraceStore {
     }
 
     /// Answer a `[from, to)` window aggregate over `sim`'s system trace
-    /// at `scope` without materializing a full [`RunProducts`] for cold
-    /// data: a cached trace answers in O(1) off its prefix sums (counted
-    /// as a hit); otherwise the archive tier's pruned scan combines
+    /// at `scope`: [`TraceStore::window_aggregate_keyed`] under `sim`'s
+    /// key.
+    pub fn window_aggregate(
+        &self,
+        sim: &Simulator<'_>,
+        scope: MeterScope,
+        from: f64,
+        to: f64,
+    ) -> Option<Result<WindowAggregate>> {
+        self.window_aggregate_keyed(sim_key(sim), scope, from, to)
+    }
+
+    /// Answer a `[from, to)` window aggregate over the system trace at
+    /// `scope` of the simulation keyed `key` (see [`simulation_key`])
+    /// without materializing a full [`RunProducts`] for cold data: a
+    /// cached trace answers in O(1) off its prefix sums (counted as a
+    /// hit); otherwise the archive tier's pruned scan combines
     /// whole-block summaries and decodes at most the two boundary blocks
     /// (counted in [`CacheStats::archive_pruned_queries`] /
     /// [`CacheStats::blocks_skipped`]), deliberately *not* populating
-    /// the LRU.
+    /// the LRU. Neither path needs the machine built.
     ///
     /// `None` means neither tier can answer — fall back to
     /// [`TraceStore::products`]. `Some(Err(_))` carries the same window
     /// errors [`crate::SystemTrace::window_average`] returns.
-    pub fn window_aggregate(
+    pub fn window_aggregate_keyed(
         &self,
-        sim: &Simulator<'_>,
+        key: u64,
         scope: MeterScope,
         from: f64,
         to: f64,
@@ -592,7 +651,6 @@ impl TraceStore {
             // here spares an entire simulation on the fallback path.
             return Some(Err(err_degenerate_window()));
         }
-        let key = simulation_key(sim);
         let from_memory = {
             let stamp = self.stamp();
             let mut entries = self.lock();
@@ -773,29 +831,25 @@ mod tests {
     fn key_distinguishes_simulation_identity_but_not_threads() {
         let (cluster, wl, cfg) = fixture();
         let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, cfg).unwrap();
-        let key = simulation_key(&sim);
+        let key = sim_key(&sim);
 
         let mut other_threads = cfg;
         other_threads.threads = cfg.threads + 7;
         let sim_t = Simulator::new(&cluster, &wl, LoadBalance::Balanced, other_threads).unwrap();
-        assert_eq!(
-            key,
-            simulation_key(&sim_t),
-            "threads must not change the key"
-        );
+        assert_eq!(key, sim_key(&sim_t), "threads must not change the key");
 
         let mut other_seed = cfg;
         other_seed.seed += 1;
         let sim_s = Simulator::new(&cluster, &wl, LoadBalance::Balanced, other_seed).unwrap();
-        assert_ne!(key, simulation_key(&sim_s));
+        assert_ne!(key, sim_key(&sim_s));
 
         let sim_b =
             Simulator::new(&cluster, &wl, LoadBalance::Uneven { spread: 0.2 }, cfg).unwrap();
-        assert_ne!(key, simulation_key(&sim_b));
+        assert_ne!(key, sim_key(&sim_b));
 
         let other_wl = Firestarter::new(RunPhases::core_only(400.0).unwrap());
         let sim_w = Simulator::new(&cluster, &other_wl, LoadBalance::Balanced, cfg).unwrap();
-        assert_ne!(key, simulation_key(&sim_w));
+        assert_ne!(key, sim_key(&sim_w));
     }
 
     #[test]
@@ -1264,6 +1318,6 @@ mod tests {
         }
         // And because the key ignores `threads`, either simulator's
         // products would have served the other's request.
-        assert_eq!(simulation_key(&sim1), simulation_key(&sim8));
+        assert_eq!(sim_key(&sim1), sim_key(&sim8));
     }
 }

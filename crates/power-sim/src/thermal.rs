@@ -9,6 +9,7 @@
 //! produces is exactly the "not flat at the very beginning" behaviour that
 //! motivated the middle-80% rule.
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
@@ -27,6 +28,20 @@ pub struct ThermalSpec {
 }
 
 impl ThermalSpec {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let ThermalSpec {
+            t_ambient_c,
+            r_th_max,
+            r_th_min,
+            tau_s,
+        } = *self;
+        h.write_f64(t_ambient_c);
+        h.write_f64(r_th_max);
+        h.write_f64(r_th_min);
+        h.write_f64(tau_s);
+    }
+
     /// Validates the spec.
     pub fn validate(&self) -> Result<()> {
         if !(self.r_th_min > 0.0 && self.r_th_max >= self.r_th_min) {

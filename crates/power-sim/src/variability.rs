@@ -15,6 +15,7 @@
 //!   everything the explicit sub-models don't capture (VRM efficiency
 //!   spread, assembly differences), applied to total node power.
 
+use power_stats::hash::Fnv1a;
 use power_stats::rng::StandardNormal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -37,6 +38,20 @@ pub struct VariabilityModel {
 }
 
 impl VariabilityModel {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let VariabilityModel {
+            leakage_sigma,
+            node_sigma,
+            vid_bins,
+            vid_leakage_corr,
+        } = *self;
+        h.write_f64(leakage_sigma);
+        h.write_f64(node_sigma);
+        h.write(&[vid_bins]);
+        h.write_f64(vid_leakage_corr);
+    }
+
     /// A model with no variability at all (every ASIC nominal, VID bin 0).
     pub fn none() -> Self {
         VariabilityModel {

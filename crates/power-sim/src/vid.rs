@@ -8,6 +8,7 @@
 //! ([`VoltagePolicy::Fixed`]), as the L-CSC team did (774 MHz at 1.018 V)
 //! for their Green500 submission.
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
@@ -24,6 +25,18 @@ pub struct VidTable {
 }
 
 impl VidTable {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let VidTable {
+            base_v,
+            step_v,
+            bins,
+        } = *self;
+        h.write_f64(base_v);
+        h.write_f64(step_v);
+        h.write(&[bins]);
+    }
+
     /// Creates a table; voltages must be positive and bins non-zero.
     pub fn new(base_v: f64, step_v: f64, bins: u8) -> Result<Self> {
         if !(base_v > 0.0 && base_v.is_finite()) {
@@ -85,6 +98,20 @@ pub enum VoltagePolicy {
 }
 
 impl VoltagePolicy {
+    /// Feeds every field into `h` (see [`crate::store::simulation_key`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        match *self {
+            VoltagePolicy::UseVid(table) => {
+                h.write(&[0]);
+                table.fingerprint(h);
+            }
+            VoltagePolicy::Fixed(v) => {
+                h.write(&[1]);
+                h.write_f64(v);
+            }
+        }
+    }
+
     /// Operating voltage for a part with the given VID bin.
     pub fn voltage(&self, vid_bin: u8) -> f64 {
         match *self {

@@ -42,6 +42,14 @@ impl Fnv1a {
         self.write_u64(v.to_bits());
     }
 
+    /// Feeds `s` prefixed by its byte length, so adjacent strings cannot
+    /// run into each other (`"ab" + "c"` hashes apart from `"a" + "bc"`).
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write(s.as_bytes());
+    }
+
     /// The hash of everything fed so far.
     #[inline]
     pub fn finish(self) -> u64 {
@@ -62,6 +70,21 @@ mod tests {
         h.write(b"foo");
         h.write_f64(1.5);
         let bytes = [&b"foo"[..], &1.5f64.to_bits().to_le_bytes()].concat();
+        assert_eq!(h.finish(), fnv1a(&bytes));
+    }
+
+    #[test]
+    fn strings_are_length_prefixed() {
+        let split = |a: &str, b: &str| {
+            let mut h = Fnv1a::default();
+            h.write_str(a);
+            h.write_str(b);
+            h.finish()
+        };
+        assert_ne!(split("ab", "c"), split("a", "bc"));
+        let mut h = Fnv1a::default();
+        h.write_str("ab");
+        let bytes = [&2u64.to_le_bytes()[..], b"ab"].concat();
         assert_eq!(h.finish(), fnv1a(&bytes));
     }
 }

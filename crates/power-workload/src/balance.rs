@@ -8,6 +8,7 @@
 //! experiments inject exactly that contrast: a per-node multiplicative
 //! factor applied to workload utilization.
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// Per-node load distribution policy.
@@ -62,6 +63,26 @@ impl LoadBalance {
                 } else {
                     cold_factor
                 }
+            }
+        }
+    }
+
+    /// Feeds the policy — a variant tag, then its parameters — into `h`
+    /// (see [`Workload::fingerprint`](crate::Workload::fingerprint)).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        match *self {
+            LoadBalance::Balanced => h.write(&[0]),
+            LoadBalance::Uneven { spread } => {
+                h.write(&[1]);
+                h.write_f64(spread);
+            }
+            LoadBalance::HotCold {
+                hot_fraction,
+                cold_factor,
+            } => {
+                h.write(&[2]);
+                h.write_f64(hot_fraction);
+                h.write_f64(cold_factor);
             }
         }
     }

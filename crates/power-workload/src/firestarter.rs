@@ -7,6 +7,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A FIRESTARTER stress run.
@@ -63,11 +64,40 @@ impl Workload for Firestarter {
             self.level
         }
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let Firestarter {
+            phases,
+            level,
+            ramp_secs,
+        } = self;
+        h.write_str("firestarter");
+        phases.fingerprint(h);
+        h.write_f64(*level);
+        h.write_f64(*ramp_secs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = Firestarter::new(RunPhases::core_only(600.0).unwrap());
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &Firestarter {
+                phases: RunPhases::core_only(601.0).unwrap(),
+                ..base
+            },
+            &Firestarter { level: 0.9, ..base },
+            &Firestarter {
+                ramp_secs: 6.0,
+                ..base
+            },
+        ]);
+    }
 
     #[test]
     fn flat_at_level_after_ramp() {

@@ -17,6 +17,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A Graph500 BFS run.
@@ -119,6 +120,28 @@ impl Workload for Graph500 {
         let _ = self.edges_per_second;
         0.0
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let Graph500 {
+            phases,
+            iterations,
+            peak,
+            floor,
+            shape,
+            levels,
+            lull_frac,
+            edges_per_second,
+        } = self;
+        h.write_str("graph500");
+        phases.fingerprint(h);
+        h.write_u64(u64::from(*iterations));
+        h.write_f64(*peak);
+        h.write_f64(*floor);
+        h.write_f64(*shape);
+        h.write_u64(u64::from(*levels));
+        h.write_f64(*lull_frac);
+        h.write_f64(*edges_per_second);
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +151,34 @@ mod tests {
 
     fn phases() -> RunPhases {
         RunPhases::new(120.0, 3600.0, 120.0).unwrap()
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = Graph500::new(phases());
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &Graph500 {
+                phases: RunPhases::core_only(3600.0).unwrap(),
+                ..base
+            },
+            &Graph500 {
+                iterations: 63,
+                ..base
+            },
+            &Graph500 { peak: 0.9, ..base },
+            &Graph500 { floor: 0.2, ..base },
+            &Graph500 { shape: 2.0, ..base },
+            &Graph500 { levels: 13, ..base },
+            &Graph500 {
+                lull_frac: 0.25,
+                ..base
+            },
+            &Graph500 {
+                edges_per_second: 1.0e9,
+                ..base
+            },
+        ]);
     }
 
     fn segment_mean(wl: &dyn Workload, from: f64, to: f64) -> f64 {

@@ -33,6 +33,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// Which HPL regime to model.
@@ -69,6 +70,33 @@ pub struct HplShape {
 }
 
 impl HplShape {
+    /// Feeds every envelope parameter into `h` (see
+    /// [`Workload::fingerprint`]).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let HplShape {
+            peak,
+            plateau_frac,
+            end_frac,
+            kappa,
+            warmup_frac,
+            idle,
+            ripple,
+            panel_steps,
+        } = *self;
+        for v in [
+            peak,
+            plateau_frac,
+            end_frac,
+            kappa,
+            warmup_frac,
+            idle,
+            ripple,
+            panel_steps,
+        ] {
+            h.write_f64(v);
+        }
+    }
+
     /// Default shape for the given variant, tuned against the paper's
     /// Table 2 segment ratios (per-system presets in `power-sim::systems`
     /// refine these further).
@@ -315,6 +343,23 @@ impl Workload for Hpl {
     fn total_flops(&self) -> f64 {
         self.total_flops
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let Hpl {
+            variant,
+            phases,
+            shape,
+            total_flops,
+        } = self;
+        h.write_str("hpl");
+        h.write(&[match variant {
+            HplVariant::CpuMainMemory => 0,
+            HplVariant::GpuInCore => 1,
+        }]);
+        phases.fingerprint(h);
+        shape.fingerprint(h);
+        h.write_f64(*total_flops);
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +368,45 @@ mod tests {
 
     fn phases() -> RunPhases {
         RunPhases::new(300.0, 5400.0, 300.0).unwrap()
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = Hpl::new(HplVariant::GpuInCore, phases(), 1.0e15).unwrap();
+        let with = |shape: HplShape| Hpl { shape, ..base };
+        let s = base.shape;
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &Hpl {
+                variant: HplVariant::CpuMainMemory,
+                ..base
+            },
+            &Hpl {
+                phases: RunPhases::core_only(5400.0).unwrap(),
+                ..base
+            },
+            &Hpl {
+                total_flops: 2.0e15,
+                ..base
+            },
+            &with(HplShape { peak: 0.98, ..s }),
+            &with(HplShape {
+                plateau_frac: 0.5,
+                ..s
+            }),
+            &with(HplShape { end_frac: 0.2, ..s }),
+            &with(HplShape { kappa: 1.5, ..s }),
+            &with(HplShape {
+                warmup_frac: 0.03,
+                ..s
+            }),
+            &with(HplShape { idle: 0.2, ..s }),
+            &with(HplShape { ripple: 0.03, ..s }),
+            &with(HplShape {
+                panel_steps: 121.0,
+                ..s
+            }),
+        ]);
     }
 
     fn segment_mean(hpl: &Hpl, from: f64, to: f64) -> f64 {

@@ -19,6 +19,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// An I/O-coupled run alternating compute and heavy-tailed I/O stalls.
@@ -137,6 +138,26 @@ impl Workload for IoPhase {
     fn total_flops(&self) -> f64 {
         self.total_flops
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let IoPhase {
+            phases,
+            compute_level,
+            stall_level,
+            cycle_s,
+            mean_stall_frac,
+            tail_alpha,
+            total_flops,
+        } = self;
+        h.write_str("io_phase");
+        phases.fingerprint(h);
+        h.write_f64(*compute_level);
+        h.write_f64(*stall_level);
+        h.write_f64(*cycle_s);
+        h.write_f64(*mean_stall_frac);
+        h.write_f64(*tail_alpha);
+        h.write_f64(*total_flops);
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +170,42 @@ mod tests {
 
     fn wl() -> IoPhase {
         IoPhase::new(phases(), 1.0e15).unwrap()
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = wl();
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &IoPhase {
+                phases: RunPhases::core_only(3600.0).unwrap(),
+                ..base
+            },
+            &IoPhase {
+                compute_level: 0.9,
+                ..base
+            },
+            &IoPhase {
+                stall_level: 0.15,
+                ..base
+            },
+            &IoPhase {
+                cycle_s: 250.0,
+                ..base
+            },
+            &IoPhase {
+                mean_stall_frac: 0.3,
+                ..base
+            },
+            &IoPhase {
+                tail_alpha: 1.7,
+                ..base
+            },
+            &IoPhase {
+                total_flops: 2.0e15,
+                ..base
+            },
+        ]);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub use mprime::MPrime;
 pub use phase::RunPhases;
 pub use rodinia::RodiniaCfd;
 
+use power_stats::hash::Fnv1a;
+
 /// A workload: a named load pattern over the nodes of a machine.
 ///
 /// Utilization is a dimensionless fraction of the node's peak dynamic
@@ -77,11 +79,49 @@ pub trait Workload: Send + Sync {
     fn total_flops(&self) -> f64 {
         0.0
     }
+
+    /// Feeds the workload's identity into `h`: a tag naming the type,
+    /// then every parameter [`Workload::utilization`] and
+    /// [`Workload::total_flops`] read. Two workloads that feed the same
+    /// bytes must produce the same utilizations everywhere — simulation
+    /// caches key results by this hash.
+    ///
+    /// Implementations destructure `self` without `..`, so a new field
+    /// does not compile until it is hashed.
+    fn fingerprint(&self, h: &mut Fnv1a);
+}
+
+/// Asserts that no two of `loads` share a [`Workload::fingerprint`]. Each
+/// workload's tests perturb every field in turn through it.
+#[cfg(test)]
+pub(crate) fn assert_fingerprints_distinct(loads: &[&dyn Workload]) {
+    let mut seen = std::collections::HashMap::new();
+    for (i, wl) in loads.iter().enumerate() {
+        let mut h = Fnv1a::default();
+        wl.fingerprint(&mut h);
+        if let Some(j) = seen.insert(h.finish(), i) {
+            panic!("{} variants {j} and {i} share a fingerprint", wl.name());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workload_types_fingerprint_apart() {
+        let phases = RunPhases::new(60.0, 3600.0, 60.0).unwrap();
+        assert_fingerprints_distinct(&[
+            &Hpl::new(HplVariant::CpuMainMemory, phases, 1.0e15).unwrap(),
+            &Hpl::new(HplVariant::GpuInCore, phases, 1.0e15).unwrap(),
+            &Firestarter::new(phases),
+            &MPrime::new(phases),
+            &RodiniaCfd::new(phases),
+            &Graph500::new(phases),
+            &IoPhase::new(phases, 1.0e15).unwrap(),
+        ]);
+    }
 
     /// Any workload in this crate must produce in-range utilizations
     /// throughout and beyond its run.

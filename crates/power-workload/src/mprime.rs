@@ -6,6 +6,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// An MPrime torture-test run.
@@ -63,11 +64,46 @@ impl Workload for MPrime {
         let phase = dt / self.period_secs * std::f64::consts::TAU + node as f64 * 1.618;
         (self.level + self.swing * phase.sin()).clamp(0.0, 1.0)
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let MPrime {
+            phases,
+            level,
+            swing,
+            period_secs,
+        } = self;
+        h.write_str("mprime");
+        phases.fingerprint(h);
+        h.write_f64(*level);
+        h.write_f64(*swing);
+        h.write_f64(*period_secs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = MPrime::new(RunPhases::core_only(600.0).unwrap());
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &MPrime {
+                phases: RunPhases::core_only(601.0).unwrap(),
+                ..base
+            },
+            &MPrime { level: 0.9, ..base },
+            &MPrime {
+                swing: 0.02,
+                ..base
+            },
+            &MPrime {
+                period_secs: 601.0,
+                ..base
+            },
+        ]);
+    }
 
     #[test]
     fn stays_near_level() {

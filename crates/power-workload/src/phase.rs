@@ -6,6 +6,7 @@
 //! the "middle 80%" of the core phase. All of those rules need a precise
 //! notion of where the phases lie in time, which this type provides.
 
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// Durations (seconds) of the three phases of one benchmark run.
@@ -49,6 +50,19 @@ impl RunPhases {
             core,
             teardown,
         })
+    }
+
+    /// Feeds the three durations into `h` (see
+    /// [`Workload::fingerprint`](crate::Workload::fingerprint)).
+    pub fn fingerprint(&self, h: &mut Fnv1a) {
+        let RunPhases {
+            setup,
+            core,
+            teardown,
+        } = *self;
+        h.write_f64(setup);
+        h.write_f64(core);
+        h.write_f64(teardown);
     }
 
     /// A run that is all core phase (no setup/teardown).

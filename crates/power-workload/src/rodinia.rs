@@ -8,6 +8,7 @@
 
 use crate::phase::RunPhases;
 use crate::Workload;
+use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// A Rodinia CFD run on a GPU-accelerated machine.
@@ -63,11 +64,52 @@ impl Workload for RodiniaCfd {
             self.level
         }
     }
+
+    fn fingerprint(&self, h: &mut Fnv1a) {
+        let RodiniaCfd {
+            phases,
+            level,
+            dip_depth,
+            iter_secs,
+            dip_frac,
+        } = self;
+        h.write_str("rodinia_cfd");
+        phases.fingerprint(h);
+        h.write_f64(*level);
+        h.write_f64(*dip_depth);
+        h.write_f64(*iter_secs);
+        h.write_f64(*dip_frac);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = RodiniaCfd::new(RunPhases::core_only(600.0).unwrap());
+        crate::assert_fingerprints_distinct(&[
+            &base,
+            &RodiniaCfd {
+                phases: RunPhases::core_only(601.0).unwrap(),
+                ..base
+            },
+            &RodiniaCfd { level: 0.9, ..base },
+            &RodiniaCfd {
+                dip_depth: 0.09,
+                ..base
+            },
+            &RodiniaCfd {
+                iter_secs: 2.5,
+                ..base
+            },
+            &RodiniaCfd {
+                dip_frac: 0.2,
+                ..base
+            },
+        ]);
+    }
 
     #[test]
     fn mostly_at_level_with_dips() {
