@@ -21,7 +21,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use power_bench::report::{self, Direction};
 use power_fleet::{Fleet, FleetCampaignSpec, FleetConfig};
-use power_telemetry::ingest::{BackpressurePolicy, IngestConfig, Sample};
+use power_telemetry::ingest::{IngestConfig, Sample};
 use power_telemetry::plane::{IngestPlane, PlaneConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -131,8 +131,6 @@ fn bench_plane_ingest(c: &mut Criterion) {
     let cfg = IngestConfig {
         lateness: 0,
         ring_capacity: 1_024,
-        channel_capacity: 1_024,
-        backpressure: BackpressurePolicy::Block,
     };
     for id in 0..PLANE_CAMPAIGNS {
         plane.register(id, NODES, 0.0, 1.0, &cfg).expect("register");

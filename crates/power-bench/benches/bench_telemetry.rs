@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use power_bench::report::{self, Direction};
-use power_telemetry::ingest::{BackpressurePolicy, Collector, IngestConfig, Sample};
+use power_telemetry::ingest::{Collector, IngestConfig, Sample};
 use power_telemetry::online::{CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
 use power_telemetry::ring::RingBuffer;
 use rand::{Rng, SeedableRng};
@@ -24,8 +24,6 @@ fn cfg(lateness: u64) -> IngestConfig {
     IngestConfig {
         lateness,
         ring_capacity: 1_024,
-        channel_capacity: 1_024,
-        backpressure: BackpressurePolicy::Block,
     }
 }
 

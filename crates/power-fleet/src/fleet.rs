@@ -301,7 +301,6 @@ impl Fleet {
         let ingest_cfg = IngestConfig {
             lateness: spec.lateness,
             ring_capacity: spec.samples_per_node as usize,
-            ..IngestConfig::default()
         };
         self.plane
             .register(id, slots, T0, DT, &ingest_cfg)

@@ -85,12 +85,7 @@ fn concurrent_campaigns_run_to_their_stopping_rules() {
         assert!(s.conserved(), "shard {shard}: {s:?}");
         sum.offered += s.offered;
         sum.pending += s.pending;
-        sum.ingest.accepted += s.ingest.accepted;
-        sum.ingest.late_dropped += s.ingest.late_dropped;
-        sum.ingest.backpressure_dropped += s.ingest.backpressure_dropped;
-        sum.ingest.gaps += s.ingest.gaps;
-        sum.ingest.reordered += s.ingest.reordered;
-        sum.ingest.duplicates += s.ingest.duplicates;
+        sum.ingest += s.ingest;
     }
     assert_eq!(sum.offered, total.offered);
     assert_eq!(sum.ingest, total.ingest);
@@ -471,7 +466,6 @@ proptest! {
         let cfg = IngestConfig {
             lateness,
             ring_capacity: 64,
-            ..IngestConfig::default()
         };
         for id in 0..campaigns {
             plane.register(id, 2, 0.0, 1.0, &cfg).unwrap();
@@ -520,12 +514,7 @@ proptest! {
             sum.campaigns += s.campaigns;
             sum.offered += s.offered;
             sum.pending += s.pending;
-            sum.ingest.accepted += s.ingest.accepted;
-            sum.ingest.late_dropped += s.ingest.late_dropped;
-            sum.ingest.backpressure_dropped += s.ingest.backpressure_dropped;
-            sum.ingest.gaps += s.ingest.gaps;
-            sum.ingest.reordered += s.ingest.reordered;
-            sum.ingest.duplicates += s.ingest.duplicates;
+            sum.ingest += s.ingest;
         }
         prop_assert_eq!(sum, total);
 

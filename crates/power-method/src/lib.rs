@@ -45,7 +45,6 @@ pub mod level;
 pub mod measure;
 pub mod provisioning;
 pub mod report;
-pub mod streaming;
 pub mod subsystems;
 pub mod validate;
 pub mod window;
@@ -61,7 +60,6 @@ pub use measure::{
     measure_with_store, Measurement, MeasurementPlan, NodeSelection, WindowPlacement,
 };
 pub use report::Submission;
-pub use streaming::OnlineLevelMeasurement;
 pub use subsystems::SubsystemOverheads;
 pub use window::TimingRule;
 

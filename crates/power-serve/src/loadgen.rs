@@ -715,7 +715,7 @@ pub struct CampaignReport {
     pub offered: u64,
     /// Plane counter: samples accepted.
     pub accepted: u64,
-    /// Plane counter: late + backpressure drops.
+    /// Plane counter: late drops.
     pub dropped: u64,
     /// Plane counter: duplicates discarded.
     pub duplicates: u64,
@@ -902,8 +902,7 @@ pub fn run_campaigns(addr: SocketAddr, plan: &CampaignLoadPlan) -> std::io::Resu
     }
     report.offered = fleet_counter(&response.body, "offered");
     report.accepted = fleet_counter(&response.body, "accepted");
-    report.dropped = fleet_counter(&response.body, "late_dropped")
-        + fleet_counter(&response.body, "backpressure_dropped");
+    report.dropped = fleet_counter(&response.body, "late_dropped");
     report.duplicates = fleet_counter(&response.body, "duplicates");
     report.pending = fleet_counter(&response.body, "pending");
     report.elapsed = started.elapsed();

@@ -120,8 +120,6 @@ pub struct FleetGauges {
     pub accepted: u64,
     /// Samples dropped as too late.
     pub late_dropped: u64,
-    /// Samples dropped to ring backpressure.
-    pub backpressure_dropped: u64,
     /// Duplicate sequence numbers discarded.
     pub duplicates: u64,
     /// Samples still buffered ahead of a watermark.
@@ -435,7 +433,6 @@ impl Metrics {
                 ("offered", fleet.offered),
                 ("accepted", fleet.accepted),
                 ("late_dropped", fleet.late_dropped),
-                ("backpressure_dropped", fleet.backpressure_dropped),
                 ("duplicates", fleet.duplicates),
                 ("pending", fleet.pending),
             ] {
@@ -571,7 +568,6 @@ mod tests {
                 offered: 100,
                 accepted: 98,
                 late_dropped: 1,
-                backpressure_dropped: 0,
                 duplicates: 1,
                 pending: 0,
             }),

@@ -172,7 +172,6 @@ fn metrics(state: &ServeState) -> Response {
         offered: plane.offered,
         accepted: plane.ingest.accepted,
         late_dropped: plane.ingest.late_dropped,
-        backpressure_dropped: plane.ingest.backpressure_dropped,
         duplicates: plane.ingest.duplicates,
         pending: plane.pending,
     };
@@ -965,10 +964,6 @@ fn campaign_json(status: &CampaignStatus) -> Json {
                 ("offered", Json::num(*offered as f64)),
                 ("accepted", Json::num(ingest.accepted as f64)),
                 ("late_dropped", Json::num(ingest.late_dropped as f64)),
-                (
-                    "backpressure_dropped",
-                    Json::num(ingest.backpressure_dropped as f64),
-                ),
                 ("duplicates", Json::num(ingest.duplicates as f64)),
             ]),
         ));
@@ -1499,7 +1494,6 @@ mod tests {
             counter("offered"),
             counter("accepted")
                 + counter("late_dropped")
-                + counter("backpressure_dropped")
                 + counter("duplicates")
                 + counter("pending")
         );

@@ -1,4 +1,4 @@
-//! Multi-producer sample ingestion with watermarks and drop accounting.
+//! Sample ingestion with watermarks and drop accounting.
 //!
 //! Collectors in a real campaign (one per PDU, per rack, per BMC poller)
 //! deliver samples concurrently and not quite in order: SNMP retries,
@@ -14,15 +14,15 @@
 //! paper's accuracy claims rest on knowing exactly what fraction of
 //! samples made it.
 //!
-//! The multi-producer front is plain `std::sync::mpsc` under
-//! `std::thread::scope`; a bounded channel provides backpressure with a
-//! choice of blocking or shedding ([`BackpressurePolicy`]).
+//! [`Collector::ingest`] is the only way a sample enters a ring: live
+//! campaigns call it directly, and the fleet calls it through
+//! [`IngestPlane`](crate::plane::IngestPlane), which adds sharding and
+//! locking around it.
 
 use crate::ring::RingBuffer;
 use crate::{Result, TelemetryError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::ops::AddAssign;
 
 /// One power sample from one collector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,15 +33,6 @@ pub struct Sample {
     pub seq: u64,
     /// Metered power in watts.
     pub watts: f64,
-}
-
-/// What a producer does when the ingestion channel is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the producer until the consumer drains (lossless).
-    Block,
-    /// Drop the sample being offered and count it (lossy, bounded delay).
-    DropNewest,
 }
 
 /// Ingestion tuning knobs.
@@ -56,10 +47,6 @@ pub struct IngestConfig {
     pub lateness: u64,
     /// Per-node ring capacity (samples retained for window queries).
     pub ring_capacity: usize,
-    /// Bound of the producer→consumer channel.
-    pub channel_capacity: usize,
-    /// Behaviour when the channel is full.
-    pub backpressure: BackpressurePolicy,
 }
 
 impl Default for IngestConfig {
@@ -67,8 +54,6 @@ impl Default for IngestConfig {
         IngestConfig {
             lateness: 8,
             ring_capacity: 4096,
-            channel_capacity: 1024,
-            backpressure: BackpressurePolicy::Block,
         }
     }
 }
@@ -80,12 +65,6 @@ impl IngestConfig {
             return Err(TelemetryError::InvalidConfig {
                 field: "ring_capacity",
                 reason: "ring capacity must be at least 1",
-            });
-        }
-        if self.channel_capacity == 0 {
-            return Err(TelemetryError::InvalidConfig {
-                field: "channel_capacity",
-                reason: "channel capacity must be at least 1",
             });
         }
         if self.lateness as usize >= self.ring_capacity {
@@ -105,8 +84,6 @@ pub struct IngestStats {
     pub accepted: u64,
     /// Samples rejected for arriving behind the watermark.
     pub late_dropped: u64,
-    /// Samples shed by [`BackpressurePolicy::DropNewest`].
-    pub backpressure_dropped: u64,
     /// Missing placeholders inserted for sequence gaps.
     pub gaps: u64,
     /// Accepted samples that arrived out of order (buffered before
@@ -119,10 +96,29 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
-    /// Samples lost to lateness or backpressure. Duplicates are counted
-    /// separately: discarding one loses no information.
+    /// Samples lost to lateness. Duplicates are counted separately:
+    /// discarding one loses no information.
     pub fn dropped(&self) -> u64 {
-        self.late_dropped + self.backpressure_dropped
+        self.late_dropped
+    }
+}
+
+/// The one place counters are summed: `other` is destructured without
+/// `..`, so a new counter does not compile until it is added here.
+impl AddAssign for IngestStats {
+    fn add_assign(&mut self, other: IngestStats) {
+        let IngestStats {
+            accepted,
+            late_dropped,
+            gaps,
+            reordered,
+            duplicates,
+        } = other;
+        self.accepted += accepted;
+        self.late_dropped += late_dropped;
+        self.gaps += gaps;
+        self.reordered += reordered;
+        self.duplicates += duplicates;
     }
 }
 
@@ -130,13 +126,8 @@ impl std::fmt::Display for IngestStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} accepted ({} reordered), {} late-dropped, {} shed, {} duplicates, {} gap slots",
-            self.accepted,
-            self.reordered,
-            self.late_dropped,
-            self.backpressure_dropped,
-            self.duplicates,
-            self.gaps
+            "{} accepted ({} reordered), {} late-dropped, {} duplicates, {} gap slots",
+            self.accepted, self.reordered, self.late_dropped, self.duplicates, self.gaps
         )
     }
 }
@@ -150,11 +141,7 @@ struct NodeIngest {
     /// Highest sequence number seen so far, if any.
     max_seen: Option<u64>,
     lateness: u64,
-    accepted: u64,
-    late_dropped: u64,
-    gaps: u64,
-    reordered: u64,
-    duplicates: u64,
+    counts: IngestStats,
 }
 
 impl NodeIngest {
@@ -164,11 +151,7 @@ impl NodeIngest {
             pending: BTreeMap::new(),
             max_seen: None,
             lateness,
-            accepted: 0,
-            late_dropped: 0,
-            gaps: 0,
-            reordered: 0,
-            duplicates: 0,
+            counts: IngestStats::default(),
         })
     }
 
@@ -179,7 +162,7 @@ impl NodeIngest {
 
     fn offer(&mut self, seq: u64, watts: f64) {
         if seq < self.watermark() {
-            self.late_dropped += 1;
+            self.counts.late_dropped += 1;
             return;
         }
         // In-order fast path: with no lateness allowance the watermark
@@ -189,7 +172,7 @@ impl NodeIngest {
         // 0, so no buffered sample can be skipped past.)
         if self.lateness == 0 && seq == self.ring.next_seq() && self.pending.is_empty() {
             self.ring.push(watts);
-            self.accepted += 1;
+            self.counts.accepted += 1;
             self.max_seen = Some(seq);
             return;
         }
@@ -198,7 +181,7 @@ impl NodeIngest {
             // arrival's value and count the discard, so
             // accepted + dropped + duplicates == offered.
             std::collections::btree_map::Entry::Occupied(_) => {
-                self.duplicates += 1;
+                self.counts.duplicates += 1;
                 return;
             }
             std::collections::btree_map::Entry::Vacant(slot) => {
@@ -206,7 +189,7 @@ impl NodeIngest {
             }
         }
         if self.max_seen.is_some_and(|m| seq < m) {
-            self.reordered += 1;
+            self.counts.reordered += 1;
         }
         self.max_seen = Some(self.max_seen.map_or(seq, |m| m.max(seq)));
         // The watermark trails the newest arrival by `lateness` slots:
@@ -224,10 +207,10 @@ impl NodeIngest {
             }
             while self.ring.next_seq() < seq {
                 self.ring.push_missing();
-                self.gaps += 1;
+                self.counts.gaps += 1;
             }
             self.ring.push(w);
-            self.accepted += 1;
+            self.counts.accepted += 1;
             self.pending.remove(&seq);
         }
     }
@@ -242,7 +225,6 @@ impl NodeIngest {
 #[derive(Debug)]
 pub struct Collector {
     nodes: Vec<NodeIngest>,
-    backpressure_dropped: u64,
     /// Lane template, retained so [`Collector::add_node_slots`] can grow
     /// the slot set after construction.
     t0: f64,
@@ -267,7 +249,6 @@ impl Collector {
             .collect::<Result<Vec<_>>>()?;
         Ok(Collector {
             nodes,
-            backpressure_dropped: 0,
             t0,
             dt,
             ring_capacity: cfg.ring_capacity,
@@ -333,84 +314,14 @@ impl Collector {
         self.nodes.get(node).map(|n| n.watermark())
     }
 
-    fn add_backpressure_drops(&mut self, n: u64) {
-        self.backpressure_dropped += n;
-    }
-
     /// Aggregate counters across every node slot.
     pub fn stats(&self) -> IngestStats {
-        let mut s = IngestStats {
-            backpressure_dropped: self.backpressure_dropped,
-            ..IngestStats::default()
-        };
+        let mut s = IngestStats::default();
         for n in &self.nodes {
-            s.accepted += n.accepted;
-            s.late_dropped += n.late_dropped;
-            s.gaps += n.gaps;
-            s.reordered += n.reordered;
-            s.duplicates += n.duplicates;
+            s += n.counts;
         }
         s
     }
-}
-
-/// Runs `sources` through a bounded mpsc channel into `collector`, one
-/// producer thread per source, consuming on the calling thread.
-///
-/// Returns when every producer has finished and the channel has drained;
-/// the collector is *not* flushed, so the caller can keep streaming more
-/// batches into it before finalizing.
-pub fn run_pipeline(
-    collector: &mut Collector,
-    sources: &[Vec<Sample>],
-    channel_capacity: usize,
-    policy: BackpressurePolicy,
-) -> Result<()> {
-    if channel_capacity == 0 {
-        return Err(TelemetryError::InvalidConfig {
-            field: "channel_capacity",
-            reason: "channel capacity must be at least 1",
-        });
-    }
-    let shed = AtomicU64::new(0);
-    let (tx, rx) = mpsc::sync_channel::<Sample>(channel_capacity);
-    let mut result = Ok(());
-    std::thread::scope(|scope| {
-        for source in sources {
-            let tx = tx.clone();
-            let shed = &shed;
-            scope.spawn(move || {
-                for &s in source {
-                    match policy {
-                        BackpressurePolicy::Block => {
-                            // The consumer lives past the scope body, so
-                            // send only fails if it panicked; give up then.
-                            if tx.send(s).is_err() {
-                                return;
-                            }
-                        }
-                        BackpressurePolicy::DropNewest => match tx.try_send(s) {
-                            Ok(()) => {}
-                            Err(mpsc::TrySendError::Full(_)) => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => return,
-                        },
-                    }
-                }
-            });
-        }
-        // Drop our clone so the channel closes once producers finish.
-        drop(tx);
-        for s in rx {
-            if let Err(e) = collector.ingest(s) {
-                result = Err(e);
-                break;
-            }
-        }
-    });
-    collector.add_backpressure_drops(shed.load(Ordering::Relaxed));
-    result
 }
 
 #[cfg(test)]
@@ -421,8 +332,6 @@ mod tests {
         IngestConfig {
             lateness,
             ring_capacity: 64,
-            channel_capacity: 8,
-            backpressure: BackpressurePolicy::Block,
         }
     }
 
@@ -431,12 +340,6 @@ mod tests {
         assert!(IngestConfig::default().validate().is_ok());
         assert!(IngestConfig {
             ring_capacity: 0,
-            ..IngestConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(IngestConfig {
-            channel_capacity: 0,
             ..IngestConfig::default()
         }
         .validate()
@@ -597,64 +500,5 @@ mod tests {
                 watts: 1.0,
             })
             .is_err());
-    }
-
-    #[test]
-    fn pipeline_merges_producers_losslessly_under_block() {
-        // Each producer owns a disjoint node: per-node order is preserved
-        // end to end regardless of cross-producer interleaving.
-        let sources: Vec<Vec<Sample>> = (0..4)
-            .map(|node| {
-                (0..500)
-                    .map(|seq| Sample {
-                        node,
-                        seq,
-                        watts: (node * 1000) as f64 + seq as f64,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut c = Collector::new(
-            4,
-            0.0,
-            1.0,
-            &IngestConfig {
-                ring_capacity: 512,
-                ..cfg(0)
-            },
-        )
-        .unwrap();
-        run_pipeline(&mut c, &sources, 16, BackpressurePolicy::Block).unwrap();
-        c.flush();
-        let s = c.stats();
-        assert_eq!(s.accepted, 2000);
-        assert_eq!(s.dropped(), 0);
-        assert_eq!(s.gaps, 0);
-        for node in 0..4 {
-            let ring = c.ring(node).unwrap();
-            for seq in 0..500 {
-                assert_eq!(ring.get(seq), Some((node * 1000) as f64 + seq as f64));
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_accounts_for_shed_samples_under_drop_newest() {
-        // A single tiny channel with a slow consumer cannot be forced to
-        // shed deterministically, but whatever is shed must be accounted:
-        // accepted + shed == offered, and gaps mark the holes.
-        let sources: Vec<Vec<Sample>> = vec![(0..2000)
-            .map(|seq| Sample {
-                node: 0,
-                seq,
-                watts: 1.0,
-            })
-            .collect()];
-        let mut c = Collector::new(1, 0.0, 1.0, &cfg(0)).unwrap();
-        run_pipeline(&mut c, &sources, 1, BackpressurePolicy::DropNewest).unwrap();
-        c.flush();
-        let s = c.stats();
-        assert_eq!(s.accepted + s.backpressure_dropped, 2000);
-        assert_eq!(s.late_dropped, 0);
     }
 }

@@ -11,9 +11,10 @@
 //! * [`ring`] — fixed-capacity per-node ring buffers with the same
 //!   Neumaier-compensated prefix sums as `power_sim::trace`, giving O(1)
 //!   sliding-window averages and energies over the retained horizon;
-//! * [`ingest`] — multi-producer ingestion with watermarks: bounded
-//!   reordering of late samples, gap fill for dropped ones, and explicit
-//!   drop accounting (nothing is lost silently);
+//! * [`ingest`] — the one sample-ingest path, [`Collector::ingest`],
+//!   with watermarks: bounded reordering of late samples, gap fill for
+//!   dropped ones, and explicit drop accounting (nothing is lost
+//!   silently);
 //! * [`online`] — per-node and fleet-level Welford state feeding a
 //!   sequential stopping rule: recompute the paper's Eq. 1–2 confidence
 //!   interval after every accepted node and stop as soon as the
@@ -49,7 +50,7 @@ pub mod plane;
 pub mod ring;
 
 pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyMonitor, DetectorConfig};
-pub use ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
+pub use ingest::{Collector, IngestConfig, IngestStats, Sample};
 pub use journal::{CampaignReplay, FleetJournal, MemJournal};
 pub use live::{
     campaign_fingerprint, run_live_campaign, run_live_campaign_journaled, LiveCampaignConfig,

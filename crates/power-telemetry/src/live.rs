@@ -2,7 +2,7 @@
 //!
 //! The batch pipeline picks `n` from Table 5, meters `n` nodes, and
 //! reports. The live driver inverts that: it meters nodes *one at a
-//! time* (a pilot batch first, then small increments), streams every
+//! time* (a pilot batch first, then single nodes), streams every
 //! simulated step through a sampling meter into the ingestion layer, and
 //! after each node's window average lands re-evaluates the sequential
 //! stopping rule. The campaign ends the moment the Eq. 1–2 confidence
@@ -34,7 +34,7 @@
 //! population is refused before anything is written to it.
 
 use crate::anomaly::{AnomalyEvent, AnomalyMonitor, DetectorConfig};
-use crate::ingest::{BackpressurePolicy, Collector, IngestConfig, IngestStats, Sample};
+use crate::ingest::{Collector, IngestConfig, IngestStats, Sample};
 use crate::journal::FleetJournal;
 use crate::online::{replay_nodes, CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
 use crate::{Result, TelemetryError};
@@ -70,21 +70,14 @@ pub struct LiveCampaignConfig {
     pub cv: CvAssumption,
     /// Instrument model every metered node gets an instance of.
     pub meter: MeterModel,
-    /// Nodes metered before the rule is first consulted (≥ 2).
+    /// Nodes metered before the rule is first consulted (≥ 2); after
+    /// the pilot, nodes are metered one at a time.
     pub pilot_nodes: usize,
-    /// Nodes added per increment after the pilot.
-    pub batch_nodes: usize,
     /// Hard cap on metered nodes (the campaign's meter budget).
     pub max_nodes: usize,
     /// Ingestion lateness bound; arrivals are jittered within blocks of
     /// this size to exercise the reordering path.
     pub lateness: u64,
-    /// Per-node ring capacity; `0` sizes rings to retain the whole run.
-    pub ring_capacity: usize,
-    /// Producer→consumer channel bound.
-    pub channel_capacity: usize,
-    /// Producer threads feeding the ingestion channel.
-    pub producers: usize,
     /// Root seed for selection, metering, jitter and faults.
     pub seed: u64,
     /// Which power boundary the meters see.
@@ -106,12 +99,8 @@ impl LiveCampaignConfig {
             cv: CvAssumption::Planned(cv),
             meter,
             pilot_nodes: 2,
-            batch_nodes: 1,
             max_nodes: usize::MAX,
             lateness: 4,
-            ring_capacity: 0,
-            channel_capacity: 256,
-            producers: 2,
             seed: 2015,
             scope: MeterScope::Wall,
             detector: None,
@@ -126,22 +115,10 @@ impl LiveCampaignConfig {
                 reason: "pilot needs at least two nodes for a spread estimate",
             });
         }
-        if self.batch_nodes == 0 {
-            return Err(TelemetryError::InvalidConfig {
-                field: "batch_nodes",
-                reason: "increment must add at least one node",
-            });
-        }
         if self.max_nodes < self.pilot_nodes {
             return Err(TelemetryError::InvalidConfig {
                 field: "max_nodes",
                 reason: "node budget must cover the pilot",
-            });
-        }
-        if self.producers == 0 {
-            return Err(TelemetryError::InvalidConfig {
-                field: "producers",
-                reason: "at least one producer thread is required",
             });
         }
         self.meter.validate()?;
@@ -229,12 +206,12 @@ fn block_jitter<R: Rng + ?Sized>(samples: &mut [Sample], lateness: u64, rng: &mu
 /// Runs a live campaign against `sim`.
 ///
 /// Nodes are drawn without replacement in a seeded random order. Each
-/// batch streams the engine's per-step output through that node's meter
-/// (and fault, if injected), jitters arrival order within the lateness
-/// bound, pushes the samples through the multi-producer ingestion
-/// pipeline, and hands finalized window averages to the sequential
-/// estimator. The campaign stops at the rule's word, at a census of the
-/// candidate budget, or at `max_nodes`.
+/// batch (the pilot, then one node at a time) streams the engine's
+/// per-step output through each node's meter (and fault, if injected),
+/// jitters arrival order within the lateness bound, ingests the samples
+/// into the campaign's [`Collector`], and hands finalized window
+/// averages to the sequential estimator. The campaign stops at the
+/// rule's word, at a census of the candidate budget, or at `max_nodes`.
 pub fn run_live_campaign(
     sim: &Simulator<'_>,
     cfg: &LiveCampaignConfig,
@@ -268,11 +245,6 @@ fn run_campaign(
     let window = (phases.core_start(), phases.core_end());
     let dt = sim.dt();
     let steps = sim.run_steps();
-    let ring_capacity = if cfg.ring_capacity == 0 {
-        steps + 1
-    } else {
-        cfg.ring_capacity
-    };
 
     let rule = StoppingRule {
         confidence: cfg.confidence,
@@ -294,11 +266,10 @@ fn run_campaign(
     // Candidate order: seeded draw without replacement over the machine.
     let candidates = cfg.selection_order(population)?;
 
+    // Rings retain the whole run.
     let ingest_cfg = IngestConfig {
         lateness: cfg.lateness,
-        ring_capacity,
-        channel_capacity: cfg.channel_capacity,
-        backpressure: BackpressurePolicy::Block,
+        ring_capacity: steps + 1,
     };
     let mut collector = Collector::new(candidates.len(), 0.0, dt, &ingest_cfg)?;
     let mut monitor = match cfg.detector {
@@ -344,11 +315,12 @@ fn run_campaign(
     let mut stopped = finished;
 
     while next_slot < candidates.len() && !stopped {
-        let batch_len = if next_slot < cfg.pilot_nodes {
-            (cfg.pilot_nodes - next_slot).min(candidates.len() - next_slot)
-        } else {
-            cfg.batch_nodes.min(candidates.len() - next_slot)
-        };
+        // The rest of the pilot, then one node at a time.
+        let batch_len = cfg
+            .pilot_nodes
+            .saturating_sub(next_slot)
+            .max(1)
+            .min(candidates.len() - next_slot);
         let slots: Vec<usize> = (next_slot..next_slot + batch_len).collect();
         let nodes: Vec<usize> = slots.iter().map(|&s| candidates[s]).collect();
 
@@ -396,24 +368,14 @@ fn run_campaign(
             return Err(e);
         }
 
-        // Bounded arrival jitter, then fan the batch out over producer
-        // threads — whole nodes per producer so per-node displacement
-        // stays within the lateness bound.
-        for (slot_in_batch, samples) in metered.iter_mut().enumerate() {
-            let mut rng = substream(cfg.seed ^ STREAM_JITTER, nodes[slot_in_batch] as u64);
+        // Bounded arrival jitter, then ingest node by node.
+        for (samples, &node) in metered.iter_mut().zip(&nodes) {
+            let mut rng = substream(cfg.seed ^ STREAM_JITTER, node as u64);
             block_jitter(samples, cfg.lateness, &mut rng);
+            for &s in samples.iter() {
+                collector.ingest(s)?;
+            }
         }
-        let mut sources: Vec<Vec<Sample>> = vec![Vec::new(); cfg.producers.min(batch_len)];
-        for (slot_in_batch, samples) in metered.into_iter().enumerate() {
-            let p = slot_in_batch % sources.len();
-            sources[p].extend(samples);
-        }
-        crate::ingest::run_pipeline(
-            &mut collector,
-            &sources,
-            cfg.channel_capacity,
-            BackpressurePolicy::Block,
-        )?;
         collector.flush();
 
         // Finalized rings: replay into the detectors, reduce to window
@@ -587,7 +549,7 @@ mod tests {
             report.relative_accuracy,
             cfg.lambda
         );
-        // Block backpressure + in-bound jitter: lossless ingestion.
+        // In-bound jitter: lossless ingestion.
         assert_eq!(report.ingest.dropped(), 0);
         assert_eq!(report.ingest.gaps, 0);
         assert!(report.ingest.reordered > 0, "jitter never exercised");
@@ -608,6 +570,29 @@ mod tests {
         assert_eq!(a.mean_node_w, b.mean_node_w);
         assert_eq!(a.relative_accuracy, b.relative_accuracy);
         assert_eq!(a.ingest, b.ingest);
+    }
+
+    #[test]
+    fn arrival_jitter_does_not_move_the_estimate() {
+        let (cluster, wl) = rig(60, 30.0, 300.0);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let mut cfg = campaign(CvAssumption::Empirical);
+        cfg.lateness = 0; // in-order fast path, no jitter
+        let ordered = run_live_campaign(&sim, &cfg).unwrap();
+        cfg.lateness = 8;
+        let jittered = run_live_campaign(&sim, &cfg).unwrap();
+        assert_eq!(ordered.ingest.reordered, 0);
+        assert!(jittered.ingest.reordered > 0, "jitter never exercised");
+        assert_eq!(ordered.metered_nodes, jittered.metered_nodes);
+        assert_eq!(ordered.stopped_at, jittered.stopped_at);
+        assert_eq!(
+            ordered.mean_node_w.to_bits(),
+            jittered.mean_node_w.to_bits()
+        );
+        assert_eq!(
+            ordered.relative_accuracy.to_bits(),
+            jittered.relative_accuracy.to_bits()
+        );
     }
 
     #[test]
@@ -660,13 +645,7 @@ mod tests {
         bad.pilot_nodes = 1;
         assert!(bad.validate().is_err());
         let mut bad = ok.clone();
-        bad.batch_nodes = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ok.clone();
         bad.max_nodes = 1;
-        assert!(bad.validate().is_err());
-        let mut bad = ok.clone();
-        bad.producers = 0;
         assert!(bad.validate().is_err());
         let mut bad = ok;
         bad.faults = vec![(0, MeterFault::DropSamples { prob: 2.0 })];

@@ -9,10 +9,6 @@
 //! at exactly `SampleSizePlan::required_nodes` — the two are the same
 //! inequality read in opposite directions — while the empirical-CV and
 //! Student-t variants adapt to the fleet actually being measured.
-//!
-//! [`WindowedMean`] is the small per-node accumulator that turns a
-//! sample-by-sample stream into the one number the estimator consumes:
-//! the node's average power over the measurement window.
 
 use crate::{Result, TelemetryError};
 use power_stats::ci::{
@@ -258,57 +254,6 @@ pub fn replay_nodes(
     Ok(estimator)
 }
 
-/// Overlap-weighted running mean of a sample stream over one fixed
-/// window `[from, to)` — the per-node reduction a live campaign performs
-/// while samples are still arriving.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowedMean {
-    from: f64,
-    to: f64,
-    weighted: f64,
-    weight: f64,
-}
-
-impl WindowedMean {
-    /// Creates an accumulator for `[from, to)`.
-    pub fn new(from: f64, to: f64) -> Result<Self> {
-        if !(to > from) {
-            return Err(TelemetryError::InvalidConfig {
-                field: "to",
-                reason: "window end must exceed window start",
-            });
-        }
-        Ok(WindowedMean {
-            from,
-            to,
-            weighted: 0.0,
-            weight: 0.0,
-        })
-    }
-
-    /// Folds in one sample covering `[t, t + dt)` at `watts`.
-    pub fn observe(&mut self, t: f64, dt: f64, watts: f64) {
-        let overlap = (self.to.min(t + dt) - self.from.max(t)).max(0.0);
-        if overlap > 0.0 {
-            self.weighted += watts * overlap;
-            self.weight += overlap;
-        }
-    }
-
-    /// Seconds of the window covered so far.
-    pub fn coverage(&self) -> f64 {
-        self.weight
-    }
-
-    /// The overlap-weighted average, if any overlap was observed.
-    pub fn value(&self) -> Result<f64> {
-        if !(self.weight > 0.0) {
-            return Err(TelemetryError::EmptyWindow);
-        }
-        Ok(self.weighted / self.weight)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,20 +443,5 @@ mod tests {
                 "{refused:?}"
             );
         }
-    }
-
-    #[test]
-    fn windowed_mean_weights_overlap() {
-        let mut m = WindowedMean::new(10.0, 20.0).unwrap();
-        assert!(m.value().is_err());
-        m.observe(0.0, 5.0, 999.0); // disjoint: ignored
-        m.observe(8.0, 4.0, 100.0); // 2 s of overlap
-        m.observe(12.0, 4.0, 300.0); // 4 s
-        m.observe(18.0, 4.0, 500.0); // 2 s
-        let v = m.value().unwrap();
-        let want = (100.0 * 2.0 + 300.0 * 4.0 + 500.0 * 2.0) / 8.0;
-        assert!((v - want).abs() < 1e-12, "{v} vs {want}");
-        assert_eq!(m.coverage(), 8.0);
-        assert!(WindowedMean::new(5.0, 5.0).is_err());
     }
 }

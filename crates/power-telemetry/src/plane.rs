@@ -107,12 +107,7 @@ impl ShardStats {
         self.campaigns += other.campaigns;
         self.offered += other.offered;
         self.pending += other.pending;
-        self.ingest.accepted += other.ingest.accepted;
-        self.ingest.late_dropped += other.ingest.late_dropped;
-        self.ingest.backpressure_dropped += other.ingest.backpressure_dropped;
-        self.ingest.gaps += other.ingest.gaps;
-        self.ingest.reordered += other.ingest.reordered;
-        self.ingest.duplicates += other.ingest.duplicates;
+        self.ingest += other.ingest;
     }
 }
 
@@ -198,13 +193,7 @@ impl IngestPlane {
             None => false,
             Some(mut lane) => {
                 lane.collector.flush();
-                let s = lane.collector.stats();
-                shard.retired.accepted += s.accepted;
-                shard.retired.late_dropped += s.late_dropped;
-                shard.retired.backpressure_dropped += s.backpressure_dropped;
-                shard.retired.gaps += s.gaps;
-                shard.retired.reordered += s.reordered;
-                shard.retired.duplicates += s.duplicates;
+                shard.retired += lane.collector.stats();
                 shard.retired_offered += lane.offered;
                 true
             }
@@ -276,15 +265,9 @@ impl IngestPlane {
             ingest: shard.retired,
         };
         for lane in shard.lanes.values() {
-            let s = lane.collector.stats();
             out.offered += lane.offered;
             out.pending += lane.collector.pending();
-            out.ingest.accepted += s.accepted;
-            out.ingest.late_dropped += s.late_dropped;
-            out.ingest.backpressure_dropped += s.backpressure_dropped;
-            out.ingest.gaps += s.gaps;
-            out.ingest.reordered += s.reordered;
-            out.ingest.duplicates += s.duplicates;
+            out.ingest += lane.collector.stats();
         }
         out
     }
@@ -307,7 +290,6 @@ mod tests {
         IngestConfig {
             lateness,
             ring_capacity: ring,
-            ..IngestConfig::default()
         }
     }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use power_sim::SystemTrace;
-use power_telemetry::ingest::{BackpressurePolicy, Collector, IngestConfig, Sample};
+use power_telemetry::ingest::{Collector, IngestConfig, Sample};
 use power_telemetry::ring::RingBuffer;
 use power_telemetry::TelemetryError;
 use rand::{Rng, SeedableRng};
@@ -99,8 +99,6 @@ proptest! {
         let cfg = IngestConfig {
             lateness,
             ring_capacity: n + lateness as usize + 2,
-            channel_capacity: 64,
-            backpressure: BackpressurePolicy::Block,
         };
         let mut c = Collector::new(1, 0.0, dt, &cfg).unwrap();
         for s in samples {
