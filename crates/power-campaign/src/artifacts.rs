@@ -28,7 +28,7 @@ use power_stats::normal::z_critical;
 use power_stats::sample_size::{paper_table5, SampleSizePlan, TableCell};
 use power_stats::student_t::t_critical;
 use power_stats::summary::Summary;
-use power_workload::{RunPhases, Workload};
+use power_workload::RunPhases;
 
 /// Why an artifact could not be computed.
 pub type ArtifactError = Box<dyn std::error::Error + Send + Sync>;
@@ -70,10 +70,9 @@ pub struct TraceResult {
 }
 
 /// Simulates `preset` (already sized to the simulated node count)
-/// running `workload`, and scales its wall trace up to `full_nodes`.
+/// running its workload, and scales its wall trace up to `full_nodes`.
 pub fn system_trace(
     preset: &SystemPreset,
-    workload: &dyn Workload,
     full_nodes: usize,
     scale: &Scale,
     store: &TraceStore,
@@ -81,6 +80,7 @@ pub fn system_trace(
     threads: usize,
 ) -> Result<TraceResult> {
     let cluster = Cluster::build(preset.cluster_spec.clone())?;
+    let workload = preset.workload.workload();
     let phases = workload.phases();
     let cfg = sim_config(scale, phases.core(), seed, threads);
     let sim = Simulator::new(&cluster, workload, preset.balance, cfg)?;
@@ -171,13 +171,13 @@ pub fn gaming_row(t: &TraceResult, scale: &Scale) -> Result<GamingRow> {
 /// the simulated node count.
 pub fn node_averages(
     preset: &SystemPreset,
-    workload: &dyn Workload,
     scale: &Scale,
     store: &TraceStore,
     seed: u64,
     threads: usize,
 ) -> Result<Vec<f64>> {
     let cluster = Cluster::build(preset.cluster_spec.clone())?;
+    let workload = preset.workload.workload();
     let phases = workload.phases();
     let mut cfg = sim_config(scale, phases.core(), seed, threads);
     // Avoid sampling in lockstep with periodic workloads.

@@ -10,7 +10,7 @@ pub struct Cell {
     pub grid: String,
     /// System dimension entry.
     pub system: SystemRef,
-    /// Workload name (`"preset"` or a registry name).
+    /// Workload name (`"preset"` or a `WorkloadSpec::by_name` name).
     pub workload: String,
     /// Meter-model name.
     pub meter: String,

@@ -48,7 +48,7 @@ use power_method::measure::{measure_with_store, MeasurementPlan, NodeSelection, 
 use power_sim::cluster::Cluster;
 use power_sim::store::TraceStore;
 use power_sim::systems::SystemPreset;
-use power_workload::{registry, Workload};
+use power_workload::WorkloadSpec;
 
 /// Why a probe could not run its cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,6 +106,8 @@ fn perr(cell: &Cell, reason: impl Into<String>) -> ProbeError {
     }
 }
 
+/// The cell's system running the cell's workload, sized to the scale's
+/// simulated node count, and the full machine size.
 fn resolve_preset(cell: &Cell, scale: &Scale) -> Result<(SystemPreset, usize), ProbeError> {
     if cell.system.preset == "-" {
         return Err(perr(
@@ -113,7 +115,7 @@ fn resolve_preset(cell: &Cell, scale: &Scale) -> Result<(SystemPreset, usize), P
             format!("probe `{}` needs a system", cell.methodology),
         ));
     }
-    let preset = SystemPreset::by_name(&cell.system.preset).ok_or_else(|| {
+    let mut preset = SystemPreset::by_name(&cell.system.preset).ok_or_else(|| {
         perr(
             cell,
             format!(
@@ -127,6 +129,20 @@ fn resolve_preset(cell: &Cell, scale: &Scale) -> Result<(SystemPreset, usize), P
             ),
         )
     })?;
+    if cell.workload != "preset" {
+        let base = preset.workload.workload();
+        preset.workload = WorkloadSpec::by_name(&cell.workload, base.phases(), base.total_flops())
+            .ok_or_else(|| {
+                perr(
+                    cell,
+                    format!(
+                        "unknown workload `{}` (preset, {})",
+                        cell.workload,
+                        WorkloadSpec::names().join(", ")
+                    ),
+                )
+            })?;
+    }
     let full = cell.system.nodes.unwrap_or(preset.cluster_spec.total_nodes);
     let simulated = scale.clamp_nodes(full);
     Ok((preset.with_total_nodes(simulated), full))
@@ -156,29 +172,6 @@ fn resolve_placement(cell: &Cell) -> Result<WindowPlacement, ProbeError> {
     }
 }
 
-fn resolve_workload<'a>(
-    cell: &Cell,
-    preset: &'a SystemPreset,
-    boxed: &'a mut Option<Box<dyn Workload>>,
-) -> Result<&'a dyn Workload, ProbeError> {
-    if cell.workload == "preset" {
-        return Ok(preset.workload.workload());
-    }
-    let base = preset.workload.workload();
-    let wl =
-        registry::by_name(&cell.workload, base.phases(), base.total_flops()).ok_or_else(|| {
-            perr(
-                cell,
-                format!(
-                    "unknown workload `{}` (preset, {})",
-                    cell.workload,
-                    registry::names().join(", ")
-                ),
-            )
-        })?;
-    Ok(&**boxed.insert(wl))
-}
-
 /// Simulates the cell's system and scales its trace to the full machine
 /// (Table 2 / gaming input).
 fn system_trace(
@@ -188,10 +181,8 @@ fn system_trace(
     seed: u64,
 ) -> Result<TraceResult, ProbeError> {
     let (preset, full_nodes) = resolve_preset(cell, scale)?;
-    let mut boxed = None;
-    let workload = resolve_workload(cell, &preset, &mut boxed)?;
     let seed = mix(cell.sim_tag(), seed);
-    artifacts::system_trace(&preset, workload, full_nodes, scale, store, seed, 1)
+    artifacts::system_trace(&preset, full_nodes, scale, store, seed, 1)
         .map_err(|e| perr(cell, e.to_string()))
 }
 
@@ -229,10 +220,8 @@ fn node_averages(
             .unwrap_or_else(|| preset.measured_nodes.max(200)),
     );
     let preset = preset.with_total_nodes(n);
-    let mut boxed = None;
-    let workload = resolve_workload(cell, &preset, &mut boxed)?;
     let seed = mix(cell.sim_tag(), seed ^ 0x40);
-    let averages = artifacts::node_averages(&preset, workload, scale, store, seed, 1)
+    let averages = artifacts::node_averages(&preset, scale, store, seed, 1)
         .map_err(|e| perr(cell, e.to_string()))?;
     Ok((preset, averages))
 }
@@ -528,8 +517,7 @@ fn probe_measure(
     let (preset, _) = resolve_preset(cell, scale)?;
     let cluster =
         Cluster::build(preset.cluster_spec.clone()).map_err(|e| perr(cell, e.to_string()))?;
-    let mut boxed = None;
-    let workload = resolve_workload(cell, &preset, &mut boxed)?;
+    let workload = preset.workload.workload();
     let meter = MeterModel::by_name(&cell.meter).ok_or_else(|| {
         perr(
             cell,

@@ -90,7 +90,7 @@ pub struct GridSpec {
     /// Machines.
     pub systems: Vec<SystemRef>,
     /// Workload names (`"preset"` = the preset's paper workload, else a
-    /// `power_workload::registry` name).
+    /// `power_workload::WorkloadSpec::by_name` name).
     pub workloads: Vec<String>,
     /// Meter-model names (`power_meter::device::MeterModel::by_name`).
     pub meters: Vec<String>,

@@ -1,5 +1,7 @@
 //! Cross-seed variance bands with compensated accumulation.
 
+use power_sim::trace::Neumaier;
+
 /// Mean/σ/min/max of one metric across a cell's seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
@@ -22,38 +24,28 @@ impl Band {
     }
 }
 
-/// Neumaier (improved Kahan–Babuška) compensated sum: exact enough that
-/// band folding is independent of magnitude ordering artifacts.
-fn neumaier_sum(values: impl Iterator<Item = f64>) -> f64 {
-    let mut sum = 0.0f64;
-    let mut comp = 0.0f64;
-    for v in values {
-        let t = sum + v;
-        if sum.abs() >= v.abs() {
-            comp += (sum - t) + v;
-        } else {
-            comp += (v - t) + sum;
-        }
-        sum = t;
-    }
-    sum + comp
-}
-
 /// Folds per-seed values (in seed order) into a [`Band`].
 ///
 /// Returns `None` for an empty slice. The two-pass compensated form —
-/// mean first, then squared deviations from it — keeps σ stable for
-/// metrics whose mean dwarfs their spread (e.g. reported watts on a
-/// 100 000-node machine).
+/// mean first, then squared deviations from it, both summed with
+/// [`Neumaier`] — keeps σ stable for metrics whose mean dwarfs their
+/// spread (e.g. reported watts on a 100 000-node machine).
 pub fn fold(values: &[f64]) -> Option<Band> {
     if values.is_empty() {
         return None;
     }
     let n = values.len();
-    let mean = neumaier_sum(values.iter().copied()) / n as f64;
+    let mut sum = Neumaier::new();
+    for &v in values {
+        sum.add(v);
+    }
+    let mean = sum.total() / n as f64;
     let std = if n >= 2 {
-        let ss = neumaier_sum(values.iter().map(|v| (v - mean) * (v - mean)));
-        (ss.max(0.0) / (n - 1) as f64).sqrt()
+        let mut ss = Neumaier::new();
+        for &v in values {
+            ss.add((v - mean) * (v - mean));
+        }
+        (ss.total().max(0.0) / (n - 1) as f64).sqrt()
     } else {
         0.0
     };
@@ -108,7 +100,7 @@ mod tests {
     #[test]
     fn neumaier_beats_naive_on_cancellation() {
         // 1 + 1e100 - 1e100 == 1 under Neumaier, 0 under naive f64 sum.
-        let s = neumaier_sum([1.0, 1.0e100, -1.0e100].into_iter());
-        assert_eq!(s, 1.0);
+        let b = fold(&[1.0, 1.0e100, -1.0e100]).unwrap();
+        assert_eq!(b.mean, 1.0 / 3.0);
     }
 }

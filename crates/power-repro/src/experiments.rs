@@ -152,7 +152,6 @@ pub fn imbalance_study(scale: &Scale, seed: u64) -> Result<ImbalanceStudy> {
     let averages_for = |preset: &SystemPreset, stream: u64| {
         artifacts::node_averages(
             preset,
-            preset.workload.workload(),
             scale,
             TraceStore::global(),
             seed ^ stream,

@@ -29,7 +29,6 @@ pub fn traces(scale: &Scale, seed: u64) -> Result<Vec<TraceResult>> {
             let preset = preset.with_total_nodes(n);
             artifacts::system_trace(
                 &preset,
-                preset.workload.workload(),
                 full,
                 scale,
                 TraceStore::global(),
@@ -68,7 +67,6 @@ fn variability_row(i: usize, preset: SystemPreset, scale: &Scale, seed: u64) -> 
     let preset = preset.with_total_nodes(n);
     let averages = artifacts::node_averages(
         &preset,
-        preset.workload.workload(),
         scale,
         TraceStore::global(),
         seed ^ (0x40 + i as u64),

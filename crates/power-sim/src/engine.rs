@@ -18,8 +18,7 @@
 //! node-independent part of the utilization, via
 //! [`Workload::utilizations`]) or once per sweep (the thermal step
 //! factor). [`Simulator::run_products`] walks each worker's range
-//! [`BLOCK_WIDTH`] nodes at a time; [`Simulator::stream_subset`] runs its
-//! subset through the same kernel. No node-step allocates.
+//! [`BLOCK_WIDTH`] nodes at a time. No node-step allocates.
 //!
 //! The kernel is bit-identical to the scalar reference loop —
 //! [`Cluster::node_power`] then [`ThermalState::step`], one node at a
@@ -51,8 +50,8 @@
 //! # What the thread count can change
 //!
 //! Per-node values depend only on `(seed, node)`, never on which worker
-//! or block a node landed in. So per-node window averages, subset traces
-//! and streamed samples are bit-identical for every product mix, every
+//! or block a node landed in. So per-node window averages and subset
+//! traces are bit-identical for every product mix, every
 //! scope queried and every worker thread count. Whole-machine totals are
 //! not quite: each worker sums its own nodes in node order, and the
 //! workers' partial sums are then added together, so a different thread
@@ -121,8 +120,8 @@ pub struct SimulationConfig {
     pub common_noise_sigma: f64,
     /// RNG seed for the noise streams.
     pub seed: u64,
-    /// Worker threads (clamped to at least 1). Per-node averages, subset
-    /// traces and streams are bit-identical for any value; system traces
+    /// Worker threads (clamped to at least 1). Per-node averages and
+    /// subset traces are bit-identical for any value; system traces
     /// add the workers' partial sums, so they agree across thread counts
     /// only up to floating-point re-association (see the module docs).
     /// Excluded from cache keys for that reason.
@@ -476,42 +475,13 @@ struct WorkerOut {
     subset: Vec<(usize, usize, [Vec<f64>; 3])>,
 }
 
-/// One streamed per-node power sample; see [`Simulator::stream_subset`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamSample {
-    /// Global node index.
-    pub node: usize,
-    /// Sample index (the sample covers `[step * dt, (step + 1) * dt)`).
-    pub step: usize,
-    /// Start time of the sample in seconds (`step * dt`).
-    pub t: f64,
-    /// AC power at the node wall plug (watts).
-    pub wall_w: f64,
-    /// DC power downstream of the PSU (watts).
-    pub dc_w: f64,
-    /// Processor power only (watts).
-    pub processors_w: f64,
-}
-
-impl StreamSample {
-    /// The sample's power at `scope`, matching [`MeterScope::index`].
-    pub fn power(&self, scope: MeterScope) -> f64 {
-        match scope {
-            MeterScope::Wall => self.wall_w,
-            MeterScope::Dc => self.dc_w,
-            MeterScope::ProcessorsOnly => self.processors_w,
-        }
-    }
-}
-
 /// The block kernel: per-lane simulation state for a block of nodes,
 /// stored as a struct of arrays and advanced one sample per
 /// [`NodeBlock::step`] for the whole block.
 ///
-/// Both the batch sweep ([`Simulator::run_products`]) and the streaming
-/// emitter ([`Simulator::stream_subset`]) drive nodes through this type,
-/// which is what guarantees they produce identical samples. Its buffers
-/// are sized once; [`NodeBlock::load`] reuses them for the next block.
+/// The sweep ([`Simulator::run_products`]) drives every node through
+/// this type. Its buffers are sized once; [`NodeBlock::load`] reuses them
+/// for the next block.
 struct NodeBlock<'s, 'a> {
     sim: &'s Simulator<'a>,
     /// Thermal step factor `1 - exp(-dt / tau)`, fixed for the sweep.
@@ -706,42 +676,6 @@ impl<'a> Simulator<'a> {
         (0..steps)
             .map(|_| 1.0 + self.config.common_noise_sigma * gauss.sample(&mut rng))
             .collect()
-    }
-
-    /// Streams per-node power samples for a metered subset in time-major
-    /// order (every node's sample 0, then every node's sample 1, ...) —
-    /// the shape live telemetry arrives in at a site.
-    ///
-    /// The subset runs through the same block kernel as a batch sweep, so
-    /// the streamed values are sample-for-sample identical to
-    /// [`Simulator::subset_trace`] over the same nodes.
-    pub fn stream_subset<F: FnMut(StreamSample)>(
-        &self,
-        nodes: &[usize],
-        mut emit: F,
-    ) -> Result<()> {
-        self.validate_request(&ProductRequest::subset_only(nodes))?;
-        let steps = self.run_steps();
-        let common = self.common_noise(steps);
-        let dt = self.config.dt;
-        let mut block = NodeBlock::new(self, nodes.len());
-        block.load(nodes);
-        for (step, &common_mult) in common.iter().enumerate() {
-            let t = step as f64 * dt;
-            for (&node, &[wall_w, dc_w, processors_w]) in
-                nodes.iter().zip(block.step(step, common_mult))
-            {
-                emit(StreamSample {
-                    node,
-                    step,
-                    t,
-                    wall_w,
-                    dc_w,
-                    processors_w,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Validates `request` against this simulator without simulating
@@ -1148,41 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_subset_matches_subset_trace() {
-        let cluster = Cluster::build(spec(12)).unwrap();
-        let phases = RunPhases::new(30.0, 300.0, 30.0).unwrap();
-        let wl = Hpl::new(HplVariant::CpuMainMemory, phases, 1.0e15).unwrap();
-        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
-        let nodes = [7usize, 0, 11];
-        let mut streamed: Vec<Vec<StreamSample>> = vec![Vec::new(); nodes.len()];
-        let mut expected_step = 0usize;
-        sim.stream_subset(&nodes, |s| {
-            // Emission is time-major: every node once per step, in the
-            // requested order.
-            assert_eq!(s.step, expected_step / nodes.len());
-            let slot = expected_step % nodes.len();
-            assert_eq!(s.node, nodes[slot]);
-            assert!((s.t - s.step as f64 * sim.dt()).abs() < 1e-12);
-            streamed[slot].push(s);
-            expected_step += 1;
-        })
-        .unwrap();
-        for scope in MeterScope::ALL {
-            let batch = sim.subset_trace(&nodes, scope).unwrap();
-            for (slot, series) in batch.samples.iter().enumerate() {
-                assert_eq!(series.len(), streamed[slot].len());
-                for (a, b) in series.iter().zip(&streamed[slot]) {
-                    assert_eq!(*a, b.power(scope), "scope {scope:?} diverged");
-                }
-            }
-        }
-        // Invalid nodes are rejected up front, before any emission.
-        let mut emitted = 0usize;
-        assert!(sim.stream_subset(&[99], |_| emitted += 1).is_err());
-        assert_eq!(emitted, 0);
-    }
-
-    #[test]
     fn subset_trace_matches_node_averages() {
         let cluster = Cluster::build(spec(20)).unwrap();
         let phases = RunPhases::core_only(300.0).unwrap();
@@ -1369,11 +1268,9 @@ mod tests {
             assert!(duplicate(sim.validate_request(&request).unwrap_err()));
             assert!(duplicate(sim.run_products(&request).unwrap_err()));
         }
-        let mut emitted = 0usize;
         assert!(duplicate(
-            sim.stream_subset(&[5, 9, 5], |_| emitted += 1).unwrap_err()
+            sim.subset_trace(&[5, 9, 5], MeterScope::Wall).unwrap_err()
         ));
-        assert_eq!(emitted, 0);
         assert!(
             start.elapsed() < std::time::Duration::from_secs(5),
             "validation must not simulate the machine"

@@ -23,7 +23,7 @@
 //!   differ only in one envelope parameter key apart);
 //! * the load-balance policy;
 //! * the engine configuration *except* `threads`, which leaves per-node
-//!   averages, subset traces and streams bit-identical and changes system
+//!   averages and subset traces bit-identical and changes system
 //!   traces only by floating-point re-association of the workers' partial
 //!   sums (see [`crate::engine`]).
 //!

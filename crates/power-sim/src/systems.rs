@@ -31,7 +31,8 @@ use crate::thermal::ThermalSpec;
 use crate::variability::VariabilityModel;
 use crate::vid::{VidTable, VoltagePolicy};
 use power_workload::{
-    Firestarter, Hpl, HplShape, HplVariant, LoadBalance, MPrime, RodiniaCfd, RunPhases, Workload,
+    Firestarter, Hpl, HplShape, HplVariant, LoadBalance, MPrime, RodiniaCfd, RunPhases,
+    WorkloadSpec,
 };
 
 /// Published numbers a preset is calibrated against.
@@ -53,31 +54,6 @@ pub struct PaperTargets {
     pub sigma_node_w: Option<f64>,
 }
 
-/// The workload a preset runs (owning enum so presets are self-contained).
-#[derive(Debug, Clone)]
-pub enum PresetWorkload {
-    /// High-Performance Linpack.
-    Hpl(Hpl),
-    /// FIRESTARTER stress test.
-    Firestarter(Firestarter),
-    /// MPrime torture test.
-    MPrime(MPrime),
-    /// Rodinia CFD solver.
-    Rodinia(RodiniaCfd),
-}
-
-impl PresetWorkload {
-    /// Borrow as the workload trait object.
-    pub fn workload(&self) -> &dyn Workload {
-        match self {
-            PresetWorkload::Hpl(w) => w,
-            PresetWorkload::Firestarter(w) => w,
-            PresetWorkload::MPrime(w) => w,
-            PresetWorkload::Rodinia(w) => w,
-        }
-    }
-}
-
 /// A fully specified, calibrated test system.
 #[derive(Debug, Clone)]
 pub struct SystemPreset {
@@ -85,8 +61,8 @@ pub struct SystemPreset {
     pub name: &'static str,
     /// The machine.
     pub cluster_spec: ClusterSpec,
-    /// The workload the paper ran on it.
-    pub workload: PresetWorkload,
+    /// The workload the paper ran on it (a campaign cell may name another).
+    pub workload: WorkloadSpec,
     /// Load distribution (balanced for every paper system).
     pub balance: LoadBalance,
     /// Number of components the paper actually metered (Table 3).
@@ -375,7 +351,7 @@ fn trace_preset(
             ambient_gradient_c: 0.0,
             seed: 0x5C15_0001,
         },
-        workload: PresetWorkload::Hpl(hpl),
+        workload: WorkloadSpec::Hpl(hpl),
         balance: LoadBalance::Balanced,
         measured_nodes: total_nodes,
         scope: MeterScope::Wall,
@@ -530,7 +506,7 @@ fn variability_preset(
     measured: usize,
     budget: NodeBudget,
     target_cv: f64,
-    workload: PresetWorkload,
+    workload: WorkloadSpec,
     mean_w: f64,
     sigma_w: f64,
 ) -> SystemPreset {
@@ -584,7 +560,7 @@ pub fn calcul_quebec() -> SystemPreset {
         480,
         budget,
         0.0200,
-        PresetWorkload::Hpl(hpl),
+        WorkloadSpec::Hpl(hpl),
         581.93,
         11.66,
     )
@@ -600,7 +576,7 @@ pub fn cea_fat() -> SystemPreset {
         316,
         budget,
         0.0204,
-        PresetWorkload::Hpl(hpl),
+        WorkloadSpec::Hpl(hpl),
         971.74,
         19.81,
     )
@@ -616,7 +592,7 @@ pub fn cea_thin() -> SystemPreset {
         640,
         budget,
         0.0284,
-        PresetWorkload::Hpl(hpl),
+        WorkloadSpec::Hpl(hpl),
         366.84,
         10.41,
     )
@@ -634,7 +610,7 @@ pub fn lrz() -> SystemPreset {
         512,
         budget,
         0.0253,
-        PresetWorkload::MPrime(wl),
+        WorkloadSpec::MPrime(wl),
         209.88,
         5.31,
     )
@@ -701,7 +677,7 @@ pub fn titan() -> SystemPreset {
             ambient_gradient_c: 0.0,
             seed: 0x0E17_A200,
         },
-        workload: PresetWorkload::Rodinia(wl),
+        workload: WorkloadSpec::Rodinia(wl),
         balance: LoadBalance::Balanced,
         measured_nodes: 1_000,
         scope: MeterScope::ProcessorsOnly,
@@ -729,7 +705,7 @@ pub fn tu_dresden() -> SystemPreset {
         210,
         budget,
         0.0151,
-        PresetWorkload::Firestarter(wl),
+        WorkloadSpec::Firestarter(wl),
         386.86,
         5.85,
     )
@@ -809,7 +785,7 @@ impl LcscCaseStudy {
         // GPU idle/leakage rather than board power, so re-balance the node
         // toward the processors (4 x S9150 dominate L-CSC node power).
         let hpl = match &preset.workload {
-            PresetWorkload::Hpl(h) => *h,
+            WorkloadSpec::Hpl(h) => *h,
             _ => unreachable!("lcsc preset runs HPL"),
         };
         let mut budget = NodeBudget::cpu(59_100.0 / 160.0, 0.533, hpl.mean_core_utilization(), 4);
@@ -889,7 +865,7 @@ mod tests {
         // utilization, nominal governor, 60 deg C, pinned half-speed fans.
         for preset in SystemPreset::trace_presets() {
             let hpl = match &preset.workload {
-                PresetWorkload::Hpl(h) => *h,
+                WorkloadSpec::Hpl(h) => *h,
                 _ => unreachable!(),
             };
             let u = hpl.mean_core_utilization();
@@ -1018,7 +994,7 @@ mod tests {
         assert_eq!(s.cluster_spec.total_nodes, 4_608);
         // Per-node wall power at mean utilization realizes ~2.19 kW.
         let hpl = match &s.workload {
-            PresetWorkload::Hpl(h) => *h,
+            WorkloadSpec::Hpl(h) => *h,
             _ => unreachable!("summit runs HPL"),
         };
         let u = hpl.mean_core_utilization();

@@ -64,20 +64,14 @@ fn sweep_allocations_do_not_grow_with_steps() {
             threads,
         };
         let sim = Simulator::new(&cluster, &workload, preset.balance, cfg).unwrap();
-        let mut counts: Vec<usize> = requests
+        requests
             .iter()
             .map(|request| {
                 allocations_during(|| {
                     std::hint::black_box(sim.run_products(request).unwrap());
                 })
             })
-            .collect();
-        counts.push(allocations_during(|| {
-            let mut samples = 0usize;
-            sim.stream_subset(&subset, |_| samples += 1).unwrap();
-            std::hint::black_box(samples);
-        }));
-        counts
+            .collect::<Vec<usize>>()
     };
     for threads in [1, 3] {
         // Warm up once so lazily initialised runtime state is not counted.

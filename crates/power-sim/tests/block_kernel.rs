@@ -2,9 +2,9 @@
 //!
 //! The reference is the plain scalar model written out here, one node at a
 //! time: `Cluster::node_power`, then `ThermalState::step`. `run_products`
-//! (every product, every scope) and `stream_subset` must reproduce it bit
-//! for bit, whatever the block boundaries, the node count, the subset
-//! order or the worker count.
+//! (every product, every scope) must reproduce it bit for bit, whatever
+//! the block boundaries, the node count, the subset order or the worker
+//! count.
 
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ use power_sim::systems::SystemPreset;
 use power_sim::thermal::ThermalState;
 use power_stats::rng::{substream, StandardNormal};
 use power_workload::{
-    Graph500, Hpl, HplVariant, IoPhase, LoadBalance, MPrime, RodiniaCfd, Workload,
+    Graph500, Hpl, HplVariant, IoPhase, LoadBalance, MPrime, RodiniaCfd, Workload, WorkloadSpec,
 };
 
 /// Per-node, per-step `[wall, dc, processors]` watts.
@@ -120,21 +120,16 @@ fn node_counts() -> Vec<usize> {
 
 /// The preset's own workload, or one of the other workload types over the
 /// preset's phases.
-fn workload_for(preset: &SystemPreset, pick: usize) -> Box<dyn Workload> {
+fn workload_for(preset: &SystemPreset, pick: usize) -> WorkloadSpec {
     let phases = preset.workload.workload().phases();
     match pick {
-        0 => Box::new(Hpl::new(HplVariant::GpuInCore, phases, 1.0e15).unwrap()),
-        1 => Box::new(Hpl::new(HplVariant::CpuMainMemory, phases, 1.0e15).unwrap()),
-        2 => Box::new(MPrime::new(phases)),
-        3 => Box::new(RodiniaCfd::new(phases)),
-        4 => Box::new(Graph500::new(phases)),
-        5 => Box::new(IoPhase::new(phases, 1.0e15).unwrap()),
-        _ => match &preset.workload {
-            power_sim::systems::PresetWorkload::Hpl(w) => Box::new(*w),
-            power_sim::systems::PresetWorkload::Firestarter(w) => Box::new(*w),
-            power_sim::systems::PresetWorkload::MPrime(w) => Box::new(*w),
-            power_sim::systems::PresetWorkload::Rodinia(w) => Box::new(*w),
-        },
+        0 => WorkloadSpec::Hpl(Hpl::new(HplVariant::GpuInCore, phases, 1.0e15).unwrap()),
+        1 => WorkloadSpec::Hpl(Hpl::new(HplVariant::CpuMainMemory, phases, 1.0e15).unwrap()),
+        2 => WorkloadSpec::MPrime(MPrime::new(phases)),
+        3 => WorkloadSpec::Rodinia(RodiniaCfd::new(phases)),
+        4 => WorkloadSpec::Graph500(Graph500::new(phases)),
+        5 => WorkloadSpec::IoPhase(IoPhase::new(phases, 1.0e15).unwrap()),
+        _ => preset.workload,
     }
 }
 
@@ -153,7 +148,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn run_products_and_stream_match_scalar_reference(
+    fn run_products_match_scalar_reference(
         preset_pick in 0usize..10,
         workload_pick in 0usize..9,
         count_pick in 0usize..9,
@@ -176,7 +171,8 @@ proptest! {
             preset.cluster_spec.ambient_gradient_c = 6.0;
         }
         let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
-        let workload = workload_for(&preset, workload_pick);
+        let spec = workload_for(&preset, workload_pick);
+        let workload = spec.workload();
         let balance = balance_for(balance_pick);
         let total = workload.phases().total();
         let cfg = SimulationConfig {
@@ -186,7 +182,7 @@ proptest! {
             seed,
             threads,
         };
-        let sim = Simulator::new(&cluster, workload.as_ref(), balance, cfg).unwrap();
+        let sim = Simulator::new(&cluster, workload, balance, cfg).unwrap();
         let from = window.0 * total;
         let to = from + window.1 * (total - from);
         // Distinct ids in arbitrary order.
@@ -198,7 +194,7 @@ proptest! {
         }
 
         let all: Vec<usize> = (0..n).collect();
-        let want = reference(&cluster, workload.as_ref(), balance, &cfg, &all);
+        let want = reference(&cluster, workload, balance, &cfg, &all);
         let request = ProductRequest::with_averages(from, to).and_subset(&subset);
         let got = sim.run_products(&request).unwrap();
         let subset_only = sim.run_products(&ProductRequest::subset_only(&subset)).unwrap();
@@ -221,19 +217,6 @@ proptest! {
                     prop_assert!(same_bits(row, &expect), "subset {scope:?} node {node} differs");
                 }
             }
-        }
-
-        let mut streamed = Vec::new();
-        sim.stream_subset(&subset, |s| streamed.push(s)).unwrap();
-        prop_assert_eq!(streamed.len(), subset.len() * want[0].len());
-        for (i, s) in streamed.iter().enumerate() {
-            let (step, slot) = (i / subset.len(), i % subset.len());
-            prop_assert_eq!((s.node, s.step), (subset[slot], step));
-            let w = want[s.node][step];
-            prop_assert!(
-                same_bits(&[s.wall_w, s.dc_w, s.processors_w], &w),
-                "stream node {} step {} differs", s.node, step
-            );
         }
     }
 }

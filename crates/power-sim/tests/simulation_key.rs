@@ -76,6 +76,38 @@ fn key_from_parts_matches_the_built_simulator_for_every_catalog_preset() {
     }
 }
 
+/// Archive entries are filed under these keys, so a change that moves
+/// one orphans everything archived for that preset. The values are
+/// pinned literals: re-keying must be deliberate and update this table.
+#[test]
+fn catalog_simulation_keys_are_pinned() {
+    let pinned: [(&str, u64); 11] = [
+        ("Colosse", 0x85b5_f151_9a34_c1a6),
+        ("Sequoia-25", 0x62de_c881_0bff_05f3),
+        ("Piz Daint", 0xb38b_d8fe_c6a2_1151),
+        ("L-CSC", 0xfbbc_12e6_9926_004d),
+        ("Calcul Québec", 0x6137_2a84_e110_ba67),
+        ("CEA (Fat)", 0x7a5e_8d74_e8b3_cc63),
+        ("CEA (Thin)", 0xf977_3f7a_1048_c645),
+        ("LRZ", 0xc520_499c_a734_a823),
+        ("Titan", 0xef6a_f75d_1727_a420),
+        ("TU Dresden", 0x8f95_c412_3519_7d32),
+        ("Summit", 0xde47_6c3a_86ef_3781),
+    ];
+    let presets = SystemPreset::all_presets();
+    assert_eq!(presets.len(), pinned.len());
+    for (p, (name, want)) in presets.iter().zip(pinned) {
+        assert_eq!(p.name, name);
+        let key = simulation_key(
+            &p.cluster_spec,
+            p.workload.workload(),
+            p.balance,
+            &SimulationConfig::one_hertz(7),
+        );
+        assert_eq!(key, want, "{name}: simulation key {key:#018x} moved");
+    }
+}
+
 /// Records `key` under `label`, failing if another input already mapped
 /// to it.
 fn record(seen: &mut HashMap<u64, String>, label: &str, key: u64) {

@@ -2,10 +2,10 @@
 //!
 //! The batch pipeline picks `n` from Table 5, meters `n` nodes, and
 //! reports. The live driver inverts that: it meters nodes *one at a
-//! time* (a pilot batch first, then single nodes), streams every
-//! simulated step through a sampling meter into the ingestion layer, and
-//! after each node's window average lands re-evaluates the sequential
-//! stopping rule. The campaign ends the moment the Eq. 1–2 confidence
+//! time*, takes each node's trace from the engine
+//! ([`Simulator::subset_trace`]), pushes every step through a sampling
+//! meter into the ingestion layer, and after the node's window average
+//! lands re-evaluates the sequential stopping rule. The campaign ends the moment the Eq. 1–2 confidence
 //! interval (with finite-population correction) reaches the target λ —
 //! typically after exactly the Table 5 node count, but *measured*, not
 //! assumed.
@@ -70,8 +70,7 @@ pub struct LiveCampaignConfig {
     pub cv: CvAssumption,
     /// Instrument model every metered node gets an instance of.
     pub meter: MeterModel,
-    /// Nodes metered before the rule is first consulted (≥ 2); after
-    /// the pilot, nodes are metered one at a time.
+    /// The rule cannot stop before this many nodes (≥ 2).
     pub pilot_nodes: usize,
     /// Hard cap on metered nodes (the campaign's meter budget).
     pub max_nodes: usize,
@@ -132,8 +131,8 @@ impl LiveCampaignConfig {
     /// the machine: a seeded draw without replacement, truncated to the
     /// node budget. Deterministic per (config, seed) — the same order
     /// [`run_live_campaign`] uses, so callers can know up front which
-    /// node ids the pilot and the early batches will touch (e.g. to
-    /// target fault injection at nodes that will actually be metered).
+    /// node ids will be metered first (e.g. to target fault injection at
+    /// nodes that will actually be metered).
     pub fn selection_order(&self, population: usize) -> Result<Vec<usize>> {
         let budget = self.max_nodes.min(population);
         let mut select_rng = substream(self.seed ^ STREAM_SELECT, 0);
@@ -205,12 +204,12 @@ fn block_jitter<R: Rng + ?Sized>(samples: &mut [Sample], lateness: u64, rng: &mu
 
 /// Runs a live campaign against `sim`.
 ///
-/// Nodes are drawn without replacement in a seeded random order. Each
-/// batch (the pilot, then one node at a time) streams the engine's
-/// per-step output through each node's meter (and fault, if injected),
-/// jitters arrival order within the lateness bound, ingests the samples
-/// into the campaign's [`Collector`], and hands finalized window
-/// averages to the sequential estimator. The campaign stops at the
+/// Nodes are drawn without replacement in a seeded random order and
+/// metered one at a time: the engine's trace of the node goes through
+/// the node's meter (and fault, if injected), arrival order is jittered
+/// within the lateness bound, the samples are ingested into the
+/// campaign's [`Collector`], and the finalized window average goes to
+/// the sequential estimator. The campaign stops at the
 /// rule's word, at a census of the candidate budget, or at `max_nodes`.
 pub fn run_live_campaign(
     sim: &Simulator<'_>,
@@ -311,110 +310,79 @@ fn run_campaign(
         }
     }
     let resumed_nodes = estimator.count();
-    let mut next_slot = resumed_nodes as usize;
+
+    // One node at a time: its trace from the engine, through its meter
+    // (and fault, if injected), jittered within the lateness bound,
+    // ingested, reduced to its window average and handed to the rule.
+    let mut slot = resumed_nodes as usize;
     let mut stopped = finished;
-
-    while next_slot < candidates.len() && !stopped {
-        // The rest of the pilot, then one node at a time.
-        let batch_len = cfg
-            .pilot_nodes
-            .saturating_sub(next_slot)
-            .max(1)
-            .min(candidates.len() - next_slot);
-        let slots: Vec<usize> = (next_slot..next_slot + batch_len).collect();
-        let nodes: Vec<usize> = slots.iter().map(|&s| candidates[s]).collect();
-
-        // Stream the engine's output through each node's meter into
-        // per-node sample lists (seq = simulation step).
-        let mut metered: Vec<Vec<Sample>> = vec![Vec::with_capacity(steps); batch_len];
-        let mut meters = Vec::with_capacity(batch_len);
-        for &node in &nodes {
-            let mut rng = substream(cfg.seed ^ STREAM_METER, node as u64);
-            let meter = cfg.meter.instantiate(&mut rng)?;
-            let fault = cfg
-                .faults
-                .iter()
-                .find(|(n, _)| *n == node)
-                .map(|(_, f)| *f)
-                .unwrap_or(MeterFault::None);
-            meters.push((meter, fault, rng, StandardNormal::new(), None::<f64>));
-        }
-        let mut emit_err = None;
-        sim.stream_subset(&nodes, |s| {
-            let slot_in_batch = match nodes.iter().position(|&n| n == s.node) {
-                Some(p) => p,
-                None => {
-                    emit_err = Some(TelemetryError::InvalidConfig {
-                        field: "node",
-                        reason: "engine emitted a sample for an unrequested node",
-                    });
-                    return;
-                }
-            };
-            let (meter, fault, rng, gauss, last_good) = &mut meters[slot_in_batch];
-            let w = meter.sample_one_with(gauss, rng, s.power(cfg.scope));
+    while slot < candidates.len() && !stopped {
+        let node = candidates[slot];
+        let trace = sim.subset_trace(&[node], cfg.scope)?;
+        let mut rng = substream(cfg.seed ^ STREAM_METER, node as u64);
+        let meter = cfg.meter.instantiate(&mut rng)?;
+        let fault = cfg
+            .faults
+            .iter()
+            .find(|(n, _)| *n == node)
+            .map(|(_, f)| *f)
+            .unwrap_or(MeterFault::None);
+        let mut gauss = StandardNormal::new();
+        let mut last_good = None;
+        let mut samples = Vec::with_capacity(steps);
+        for (step, &watts) in trace.samples[0].iter().enumerate() {
+            let w = meter.sample_one_with(&mut gauss, &mut rng, watts);
             // Fault layer, same draw order as `FaultyMeter::measure`;
             // t_rel is measured from the window start, before which the
             // stuck fault has nothing to freeze onto.
-            if let Some(faulted) = fault.apply_sample(rng, w, s.t - window.0, last_good) {
-                metered[slot_in_batch].push(Sample {
-                    node: slots[slot_in_batch],
-                    seq: s.step as u64,
+            let t = step as f64 * dt;
+            if let Some(faulted) = fault.apply_sample(&mut rng, w, t - window.0, &mut last_good) {
+                samples.push(Sample {
+                    node: slot,
+                    seq: step as u64,
                     watts: faulted,
                 });
             }
-        })?;
-        if let Some(e) = emit_err {
-            return Err(e);
         }
 
-        // Bounded arrival jitter, then ingest node by node.
-        for (samples, &node) in metered.iter_mut().zip(&nodes) {
-            let mut rng = substream(cfg.seed ^ STREAM_JITTER, node as u64);
-            block_jitter(samples, cfg.lateness, &mut rng);
-            for &s in samples.iter() {
-                collector.ingest(s)?;
-            }
+        let mut rng = substream(cfg.seed ^ STREAM_JITTER, node as u64);
+        block_jitter(&mut samples, cfg.lateness, &mut rng);
+        for &s in &samples {
+            collector.ingest(s)?;
         }
         collector.flush();
 
-        // Finalized rings: replay into the detectors, reduce to window
-        // averages, and consult the stopping rule node by node.
-        for &slot in &slots {
-            let ring = collector.ring(slot).ok_or(TelemetryError::InvalidConfig {
-                field: "slot",
-                reason: "collector lost a node slot",
-            })?;
-            if let Some(mon) = monitor.as_mut() {
-                for seq in ring.first_seq()..ring.next_seq() {
-                    match ring.get(seq) {
-                        Some(w) => mon.observe(slot, w)?,
-                        None => mon.observe_missing(slot)?,
-                    }
+        // The finalized ring: replay it into the detectors, reduce it to
+        // the window average, and consult the stopping rule.
+        let ring = collector.ring(slot).ok_or(TelemetryError::InvalidConfig {
+            field: "slot",
+            reason: "collector lost a node slot",
+        })?;
+        if let Some(mon) = monitor.as_mut() {
+            for seq in ring.first_seq()..ring.next_seq() {
+                match ring.get(seq) {
+                    Some(w) => mon.observe(slot, w)?,
+                    None => mon.observe_missing(slot)?,
                 }
             }
-            let avg = ring
-                .window_average(window.0, window.1)
-                .map_err(|e| match e {
-                    // An all-dropped node is a campaign-level failure the
-                    // operator should see named.
-                    TelemetryError::EmptyWindow => TelemetryError::InvalidConfig {
-                        field: "node",
-                        reason: "a metered node delivered no usable window samples",
-                    },
-                    other => other,
-                })?;
-            let decision = estimator.push(avg);
-            if let Some(journal) = journal.as_deref_mut() {
-                journal.record_node(LIVE_CAMPAIGN_ID, candidates[slot] as u64, avg)?;
-                journal.sync()?;
-            }
-            if decision.stop {
-                stopped = true;
-                break;
-            }
         }
-        next_slot += batch_len;
+        let avg = ring
+            .window_average(window.0, window.1)
+            .map_err(|e| match e {
+                // An all-dropped node is a campaign-level failure the
+                // operator should see named.
+                TelemetryError::EmptyWindow => TelemetryError::InvalidConfig {
+                    field: "node",
+                    reason: "a metered node delivered no usable window samples",
+                },
+                other => other,
+            })?;
+        stopped = estimator.push(avg).stop;
+        if let Some(journal) = journal.as_deref_mut() {
+            journal.record_node(LIVE_CAMPAIGN_ID, node as u64, avg)?;
+            journal.sync()?;
+        }
+        slot += 1;
     }
     if let Some(journal) = journal.filter(|_| !finished) {
         journal.record_finished(LIVE_CAMPAIGN_ID)?;
@@ -453,7 +421,7 @@ mod tests {
     use power_sim::variability::VariabilityModel;
     use power_sim::vid::VoltagePolicy;
     use power_sim::NodeSpec;
-    use power_workload::{Firestarter, LoadBalance, RunPhases};
+    use power_workload::{Firestarter, LoadBalance, RunPhases, Workload};
     use std::collections::BTreeMap;
 
     fn spec(nodes: usize) -> ClusterSpec {
@@ -726,6 +694,36 @@ mod tests {
         // Finished marks the end of the campaign, rule or budget.
         assert!(plain.stopped_at.is_some());
         assert!(rep.finished);
+    }
+
+    /// With an ideal meter, no faults and in-bound jitter, every
+    /// journaled average is the engine's own window average of the node.
+    #[test]
+    fn live_meters_exactly_the_engines_samples() {
+        let (cluster, wl) = rig(60, 30.0, 300.0);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let mut cfg = campaign(CvAssumption::Empirical);
+        cfg.meter = MeterModel::ideal();
+        cfg.faults.clear();
+        cfg.lateness = 4;
+        let mut journal = MemJournal::default();
+        let report = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
+        assert!(report.ingest.reordered > 0, "jitter never exercised");
+        let nodes = live(&mut journal).nodes;
+        assert_eq!(nodes.len() as u64, report.metered_nodes);
+        let phases = wl.phases();
+        let (core_start, core_end) = (phases.core_start(), phases.core_end());
+        for (node, avg) in nodes {
+            let engine = sim
+                .subset_trace(&[node as usize], MeterScope::Wall)
+                .unwrap()
+                .node_window_averages(core_start, core_end)
+                .unwrap()[0];
+            assert!(
+                (avg - engine).abs() <= 1e-12 * engine.abs(),
+                "node {node}: live {avg} vs engine {engine}"
+            );
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub use hpl::{Hpl, HplShape, HplVariant};
 pub use iophase::IoPhase;
 pub use mprime::MPrime;
 pub use phase::RunPhases;
+pub use registry::WorkloadSpec;
 pub use rodinia::RodiniaCfd;
 
 use power_stats::hash::Fnv1a;
