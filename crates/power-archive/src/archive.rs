@@ -18,6 +18,19 @@
 //! pre-commit leftovers), and re-verifies the checksum of every
 //! committed record before serving anything.
 //!
+//! # Key epoch
+//!
+//! The manifest's first record is its header: the manifest version and
+//! the [`SIMULATION_KEY_EPOCH`] its entries' keys were computed under.
+//! A store whose header differs — any store written under another key
+//! scheme or manifest format — holds blobs filed under keys nothing
+//! computes any more, so opening it retires it whole: a header-only
+//! manifest is staged in `MANIFEST.tmp`, synced and renamed over
+//! `MANIFEST.log`, no entry is replayed, and the recovery pass deletes
+//! the now unreferenced segments. A crash before the rename retires the
+//! store again on the next open; one after it leaves an empty store.
+//! [`ArchiveStats::retired_keys`] counts the distinct keys dropped.
+//!
 //! # Compaction
 //!
 //! Superseding a `(key, fingerprint)` leaves the old record as dead
@@ -31,7 +44,8 @@
 use crate::record::{
     append_record, read_record_at, scan_records, sync_dir, truncate_to, RECORD_HEADER_LEN,
 };
-use std::collections::{BTreeMap, HashMap};
+use power_sim::store::SIMULATION_KEY_EPOCH;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,7 +54,7 @@ use std::sync::{Mutex, MutexGuard};
 
 const MANIFEST: &str = "MANIFEST.log";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 
 const OP_HEADER: u8 = 0;
 const OP_ADD: u8 = 1;
@@ -95,6 +109,9 @@ pub struct ArchiveStats {
     pub compactions: u64,
     /// Torn tails truncated during the last open.
     pub recovered_truncations: u64,
+    /// Distinct keys dropped at open because the store was written
+    /// under another key epoch (see the module docs).
+    pub retired_keys: u64,
 }
 
 /// Public description of one live entry.
@@ -146,6 +163,7 @@ pub struct Archive {
     writes: AtomicU64,
     compactions: AtomicU64,
     truncations: AtomicU64,
+    retired_keys: u64,
 }
 
 fn segment_path(dir: &Path, id: u32) -> PathBuf {
@@ -203,10 +221,33 @@ fn decode_add(payload: &[u8]) -> io::Result<(u64, u64, Entry)> {
 }
 
 fn encode_header() -> Vec<u8> {
-    let mut buf = Vec::with_capacity(5);
+    let mut buf = Vec::with_capacity(9);
     buf.push(OP_HEADER);
     buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+    buf.extend_from_slice(&SIMULATION_KEY_EPOCH.to_le_bytes());
     buf
+}
+
+/// Stages a manifest of the current header plus the `adds` records in
+/// `MANIFEST.tmp`, syncs it, renames it over `MANIFEST.log` and syncs
+/// the directory, so a crash leaves either the old manifest or the new
+/// one. Returns the new manifest's length.
+fn replace_manifest(dir: &Path, adds: impl IntoIterator<Item = Vec<u8>>) -> io::Result<u64> {
+    let tmp_path = dir.join(MANIFEST_TMP);
+    let mut tmp = File::options()
+        .create(true)
+        .truncate(true)
+        .read(true)
+        .write(true)
+        .open(&tmp_path)?;
+    let mut len = append_record(&mut tmp, 0, &encode_header(), false)?;
+    for op in adds {
+        len += append_record(&mut tmp, len, &op, false)?;
+    }
+    tmp.sync_data()?;
+    fs::rename(&tmp_path, dir.join(MANIFEST))?;
+    sync_dir(dir)?;
+    Ok(len)
 }
 
 impl Archive {
@@ -217,8 +258,9 @@ impl Archive {
     }
 
     /// Open (or create) an archive in `dir`, running recovery:
-    /// truncate torn tails, drop uncommitted segment files, and verify
-    /// the checksum of every committed record.
+    /// retire a store written under another key epoch, truncate torn
+    /// tails, drop uncommitted segment files, and verify the checksum of
+    /// every committed record.
     pub fn open_with(dir: impl AsRef<Path>, config: ArchiveConfig) -> io::Result<Archive> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
@@ -231,22 +273,40 @@ impl Archive {
             fs::remove_file(&tmp)?;
         }
 
-        // 1. Manifest: scan, truncate torn tail, replay ops.
+        // 1. Manifest: scan, truncate torn tail, check the header
+        //    (retiring a store of another key epoch), replay ops.
         let manifest_path = dir.join(MANIFEST);
         let scan = scan_records(&manifest_path)?;
         if scan.torn {
             truncate_to(&manifest_path, scan.valid_len)?;
             truncations += 1;
         }
+        let mut manifest_len = scan.valid_len;
+        let mut retired_keys = 0u64;
+        let ops = match scan.records.split_first() {
+            None => &[][..],
+            Some(((_, header), ops)) if *header == encode_header() => ops,
+            Some(_) => {
+                let keys: HashSet<u64> = scan
+                    .records
+                    .iter()
+                    .filter(|(_, payload)| payload.first() == Some(&OP_ADD))
+                    .filter_map(|(_, payload)| decode_add(payload).ok())
+                    .map(|(key, _, _)| key)
+                    .collect();
+                retired_keys = keys.len() as u64;
+                manifest_len = replace_manifest(&dir, [])?;
+                &[][..]
+            }
+        };
         let mut entries: HashMap<(u64, u64), Entry> = HashMap::new();
         let mut live_bytes = 0u64;
         let mut dead_bytes = 0u64;
-        for (i, (_, payload)) in scan.records.iter().enumerate() {
+        for (i, (_, payload)) in ops.iter().enumerate() {
             let op = *payload
                 .first()
                 .ok_or_else(|| corrupt("empty manifest record".into()))?;
             match op {
-                OP_HEADER if i == 0 => {}
                 OP_ADD => {
                     let (key, fingerprint, entry) = decode_add(payload)?;
                     if let Some(old) = entries.insert((key, fingerprint), entry) {
@@ -257,12 +317,12 @@ impl Archive {
                 }
                 other => {
                     return Err(corrupt(format!(
-                        "unknown manifest op {other} at record {i}"
+                        "unknown manifest op {other} at record {}",
+                        i + 1
                     )))
                 }
             }
         }
-        let manifest_is_new = scan.records.is_empty();
 
         // 2. Committed extent of each referenced segment.
         let mut extents: BTreeMap<u32, u64> = BTreeMap::new();
@@ -351,10 +411,8 @@ impl Archive {
             .read(true)
             .write(true)
             .open(&manifest_path)?;
-        let mut manifest_len = scan.valid_len;
-        if manifest_is_new {
-            manifest_len +=
-                append_record(&mut manifest, manifest_len, &encode_header(), config.fsync)?;
+        if manifest_len == 0 {
+            manifest_len += append_record(&mut manifest, 0, &encode_header(), config.fsync)?;
         }
         sync_dir(&dir)?;
 
@@ -374,6 +432,7 @@ impl Archive {
             writes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             truncations: AtomicU64::new(truncations),
+            retired_keys,
         };
         Ok(archive)
     }
@@ -610,6 +669,7 @@ impl Archive {
             writes: self.writes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             recovered_truncations: self.truncations.load(Ordering::Relaxed),
+            retired_keys: self.retired_keys,
         }
     }
 
@@ -660,22 +720,11 @@ impl Archive {
         new_file.sync_data()?;
 
         // Fresh manifest, staged then renamed over the live one.
-        let tmp_path = self.dir.join(MANIFEST_TMP);
-        let mut tmp = File::options()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&tmp_path)?;
-        let mut tmp_len = append_record(&mut tmp, 0, &encode_header(), false)?;
-        for id in ids.iter() {
-            let entry = new_entries[id];
-            tmp_len += append_record(&mut tmp, tmp_len, &encode_add(id.0, id.1, &entry), false)?;
-        }
-        tmp.sync_data()?;
-        let manifest_path = self.dir.join(MANIFEST);
-        fs::rename(&tmp_path, &manifest_path)?;
-        sync_dir(&self.dir)?;
+        let manifest_len = replace_manifest(
+            &self.dir,
+            ids.iter()
+                .map(|id| encode_add(id.0, id.1, &new_entries[id])),
+        )?;
 
         // Swap in-memory state and drop the old segment files.
         let old_segments = std::mem::take(&mut inner.segments);
@@ -699,8 +748,8 @@ impl Archive {
         inner.manifest = File::options()
             .read(true)
             .write(true)
-            .open(&manifest_path)?;
-        inner.manifest_len = tmp_len;
+            .open(self.dir.join(MANIFEST))?;
+        inner.manifest_len = manifest_len;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -879,6 +928,66 @@ mod tests {
         assert!(!segment_path(&dir, 7).exists());
         assert!(!dir.join(MANIFEST_TMP).exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_of_another_key_epoch_is_retired_at_open() {
+        // Headers earlier builds wrote: manifest version 1 (no epoch),
+        // and the current version under the previous key epoch.
+        let v1 = [&[OP_HEADER][..], &1u32.to_le_bytes()].concat();
+        let stale_epoch = [
+            &[OP_HEADER][..],
+            &MANIFEST_VERSION.to_le_bytes(),
+            &(SIMULATION_KEY_EPOCH - 1).to_le_bytes(),
+        ]
+        .concat();
+        for (tag, old_header) in [("retire-v1", v1), ("retire-epoch", stale_epoch)] {
+            let dir = tmpdir(tag);
+            {
+                let archive = Archive::open(&dir).unwrap();
+                for i in 0..6u64 {
+                    archive.put(i % 4, i, 0, &blob(i, 128)).unwrap();
+                }
+            }
+            // Rewrite the manifest under the old header; leave a staged
+            // manifest behind, as a retirement that crashed before its
+            // rename would.
+            let path = dir.join(MANIFEST);
+            let ops = scan_records(&path).unwrap().records;
+            let mut file = File::create(&path).unwrap();
+            let mut len = append_record(&mut file, 0, &old_header, false).unwrap();
+            for (_, op) in &ops[1..] {
+                len += append_record(&mut file, len, op, false).unwrap();
+            }
+            drop(file);
+            fs::write(dir.join(MANIFEST_TMP), b"staged").unwrap();
+
+            let archive = Archive::open(&dir).unwrap();
+            let stats = archive.stats();
+            assert_eq!((stats.entries, stats.retired_keys), (0, 4), "{tag}");
+            assert_eq!(archive.get(0, 0).unwrap(), None);
+            let payloads: Vec<Vec<u8>> = scan_records(&path)
+                .unwrap()
+                .records
+                .into_iter()
+                .map(|(_, p)| p)
+                .collect();
+            assert_eq!(payloads, vec![encode_header()]);
+            assert!(!dir.join(MANIFEST_TMP).exists());
+            // The old segment is gone; a fresh empty one takes writes.
+            let mut names: Vec<String> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            assert_eq!(names, [MANIFEST, "seg-00000000.seg"]);
+            assert_eq!(fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
+            archive.put(9, 9, 0, &blob(9, 64)).unwrap();
+            drop(archive);
+            let archive = Archive::open(&dir).unwrap();
+            assert_eq!((archive.len(), archive.stats().retired_keys), (1, 0));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

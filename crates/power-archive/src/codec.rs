@@ -1,11 +1,11 @@
 //! Compressed trace-block codec.
 //!
 //! A *block* holds one run of `(timestamp, watts)` samples from a single
-//! series. A version-3 block is laid out as:
+//! series. A block is laid out as:
 //!
 //! ```text
-//! header     60 bytes: magic, version, count, quantum, t_first, t_last,
-//!            min/max/sum summaries (unchanged since version 2)
+//! header     60 bytes: magic, version (3), count, quantum, t_first,
+//!            t_last, min/max/sum summaries
 //! directory  one 32-byte entry per 512-sample chunk, then a CRC32 over
 //!            header + entries:
 //!              delta offset u32 | chunk CRC32 u32 | first quanta i64 |
@@ -29,11 +29,11 @@
 //! unread, so a span costs O(chunk), not O(block). [`decode_block`]
 //! still verifies the trailing whole-block CRC and decodes everything.
 //!
-//! Versions 1 and 2 (no directory: header, timestamps, the first
-//! quantized value, then deltas over the whole block) are still read.
-//! The span decoder treats such a block as a single chunk: it verifies
-//! the trailing CRC, skips the timestamps and decodes up to the span's
-//! end — the same routine, with one chunk spanning the whole block.
+//! Version 3 is the only version read or written: any other version
+//! byte is refused with [`CodecError::BadVersion`]. Blocks of earlier
+//! versions were only ever filed under archive keys that nothing
+//! computes any more, and the archive retires such stores when it opens
+//! them (see [`crate::archive`]).
 //!
 //! # Quantization contract
 //!
@@ -45,12 +45,10 @@
 //! *quantized* values with Neumaier-compensated summation — the same
 //! accumulator `power_sim`'s prefix sums use — so a window aggregate
 //! assembled from block summaries agrees with the in-memory prefix-sum
-//! reference instead of drifting by O(n) rounding. Version-1 blocks
-//! (written before the compensated summary) decode identically; only
-//! their stored `sum_watts` reflects the old naive accumulation. Span
-//! sums accumulate integer quanta exactly and dequantize once, so a
-//! span over a version-3 block is bit-identical to the same span over
-//! the version-2 encoding of the same samples.
+//! reference instead of drifting by O(n) rounding. Span sums
+//! accumulate integer quanta exactly and dequantize once, so a span is
+//! bit-identical to the same range summed over a full decode, whatever
+//! chunks it crosses.
 
 use power_sim::trace::Neumaier;
 use std::fmt;
@@ -63,17 +61,13 @@ pub const DEFAULT_QUANTUM: f64 = 1.0 / 1024.0;
 pub const MAX_QUANTA: i128 = 1 << 62;
 
 const MAGIC: [u8; 4] = *b"PABK";
-/// Oldest block version this codec still reads: naive summary sums.
-const MIN_VERSION: u8 = 1;
-/// First version with a chunk directory; older blocks read as one chunk.
-const CHUNKED_VERSION: u8 = 3;
-/// Version written by this codec.
-const VERSION: u8 = CHUNKED_VERSION;
+/// The one block version this codec writes and reads.
+const VERSION: u8 = 3;
 /// Fixed header length in bytes (magic through summaries).
 pub const HEADER_LEN: usize = 60;
 /// Trailing checksum length in bytes.
 pub const TRAILER_LEN: usize = 4;
-/// Samples per chunk of a version-3 block; the last chunk may be shorter.
+/// Samples per chunk of a block; the last chunk may be shorter.
 pub const CHUNK_SAMPLES: u32 = 512;
 /// Bytes per chunk-directory entry: delta offset (u32), chunk CRC32
 /// (u32), first quantized value (i64), exact quanta sum (i128).
@@ -84,7 +78,7 @@ const DIR_ENTRY_LEN: usize = 32;
 pub enum CodecError {
     /// The block does not start with the block magic.
     BadMagic,
-    /// The block version is newer than this codec understands.
+    /// The block is not version 3, the only version this codec reads.
     BadVersion(u8),
     /// The byte slice ended before the declared content did.
     Truncated,
@@ -294,39 +288,6 @@ fn get_ivarint_fast(buf: &[u8], pos: &mut usize) -> Result<i128, CodecError> {
     get_ivarint(buf, pos)
 }
 
-/// Advance `pos` past `count` varints without materializing them,
-/// consuming eight body bytes per step: a varint ends at each byte
-/// whose continuation bit is clear, so counting clear high bits in a
-/// word skips whole runs at once.
-#[inline]
-fn skip_varints(body: &[u8], pos: &mut usize, count: u32) -> Result<(), CodecError> {
-    let mut remaining = count;
-    while remaining >= 8 {
-        let Some(chunk) = body.get(*pos..*pos + 8) else {
-            break;
-        };
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte slice"));
-        let ends = (!word & 0x8080_8080_8080_8080).count_ones();
-        // A full word is consumed only while strictly more terminators
-        // remain: the word holding the final terminator may already
-        // contain bytes of the next section, which the byte loop below
-        // must not overshoot.
-        if ends >= remaining {
-            break;
-        }
-        remaining -= ends;
-        *pos += 8;
-    }
-    while remaining > 0 {
-        let b = *body.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        if b & 0x80 == 0 {
-            remaining -= 1;
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Fixed-width little-endian helpers.
 // ---------------------------------------------------------------------------
@@ -407,7 +368,7 @@ fn check_quantum(quantum: f64) -> Result<(), CodecError> {
 // Block encode / decode.
 // ---------------------------------------------------------------------------
 
-/// Chunks in a version-3 block of `count` samples.
+/// Chunks in a block of `count` samples.
 fn chunk_count(count: u32) -> usize {
     count.div_ceil(CHUNK_SAMPLES) as usize
 }
@@ -498,7 +459,7 @@ fn parse_header(bytes: &[u8]) -> Result<BlockSummary, CodecError> {
     if bytes[0..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    if bytes[4] < MIN_VERSION || bytes[4] > VERSION {
+    if bytes[4] != VERSION {
         return Err(CodecError::BadVersion(bytes[4]));
     }
     let mut pos = 8usize;
@@ -531,62 +492,43 @@ pub fn peek_summary(bytes: &[u8]) -> Result<BlockSummary, CodecError> {
 }
 
 /// How many bytes from the front of a block [`decode_watts_span_from`]
-/// needs as its `prefix`: the header and chunk directory of a version-3
-/// block, or the whole `block_len` bytes of a version-1/2 block (its
-/// single chunk is checked by the trailing CRC). `header` must hold at
-/// least the block's first `HEADER_LEN + TRAILER_LEN` bytes.
-pub fn span_prefix_len(header: &[u8], block_len: usize) -> Result<usize, CodecError> {
+/// needs as its `prefix`: the header, the chunk directory and the
+/// directory CRC. `header` must hold at least the block's first
+/// `HEADER_LEN + TRAILER_LEN` bytes.
+pub fn span_prefix_len(header: &[u8]) -> Result<usize, CodecError> {
     let summary = parse_header(header)?;
-    Ok(if header[4] >= CHUNKED_VERSION {
-        HEADER_LEN + chunk_count(summary.count) * DIR_ENTRY_LEN + 4
-    } else {
-        block_len
-    })
+    Ok(HEADER_LEN + chunk_count(summary.count) * DIR_ENTRY_LEN + 4)
 }
 
 /// One chunk of a block, as its directory describes it.
 struct Chunk {
     /// The chunk's first quantized value.
     first: i128,
-    /// Exact quanta sum over the chunk; `None` for a version-1/2 block,
-    /// which stores no integer sum.
-    sum: Option<i128>,
+    /// Exact quanta sum over the chunk.
+    sum: i128,
     /// Byte range of the chunk's deltas within the block.
     start: usize,
     end: usize,
-    /// CRC32 of those bytes; `None` when the directory check already
-    /// covered them (a version-1/2 block's trailing CRC).
-    crc: Option<u32>,
+    /// CRC32 of those bytes.
+    crc: u32,
 }
 
 /// The verified front of a block: what every span decode reads first.
 struct Directory<'a> {
     count: u32,
     quantum: f64,
-    /// Samples per chunk: [`CHUNK_SAMPLES`], or `count` for a
-    /// version-1/2 block read as a single chunk.
-    chunk_len: u32,
     /// Start of the bytes after the directory (the timestamp section).
     data_start: usize,
     /// End of the chunk bytes: the block length minus the trailer.
     data_end: usize,
-    layout: Layout<'a>,
-}
-
-enum Layout<'a> {
-    /// Version 3: the raw directory entries, covered by the directory CRC.
-    Indexed(&'a [u8]),
-    /// Versions 1/2: one chunk; `deltas` is where the deltas after the
-    /// first value start.
-    Legacy { first: i128, deltas: usize },
+    /// The raw directory entries, covered by the directory CRC.
+    entries: &'a [u8],
 }
 
 impl<'a> Directory<'a> {
-    /// Parse and verify the front of a block of `block_len` bytes. A
-    /// version-3 `prefix` must hold the header and directory (see
-    /// [`span_prefix_len`]) and is checked against the directory CRC; a
-    /// version-1/2 `prefix` must be the whole block and is checked
-    /// against the trailing CRC.
+    /// Parse and verify the front of a block of `block_len` bytes:
+    /// `prefix` must hold the header and directory (see
+    /// [`span_prefix_len`]) and is checked against the directory CRC.
     fn verify(prefix: &'a [u8], block_len: usize) -> Result<Self, CodecError> {
         let summary = parse_header(prefix)?;
         check_quantum(summary.quantum)?;
@@ -594,70 +536,34 @@ impl<'a> Directory<'a> {
         let data_end = block_len
             .checked_sub(TRAILER_LEN)
             .ok_or(CodecError::Truncated)?;
-        if prefix[4] >= CHUNKED_VERSION {
-            let dir_end = HEADER_LEN + chunk_count(count) * DIR_ENTRY_LEN;
-            let mut pos = dir_end;
-            let stored = get_u32(prefix, &mut pos)?;
-            if crc32(&prefix[..dir_end]) != stored {
-                return Err(CodecError::ChecksumMismatch);
-            }
-            return Ok(Directory {
-                count,
-                quantum: summary.quantum,
-                chunk_len: CHUNK_SAMPLES,
-                data_start: pos,
-                data_end,
-                layout: Layout::Indexed(&prefix[HEADER_LEN..dir_end]),
-            });
-        }
-        if prefix.len() != block_len {
-            return Err(CodecError::Truncated);
-        }
-        let body = &prefix[..data_end];
-        let mut pos = data_end;
-        if crc32(body) != get_u32(prefix, &mut pos)? {
+        let dir_end = HEADER_LEN + chunk_count(count) * DIR_ENTRY_LEN;
+        let mut pos = dir_end;
+        let stored = get_u32(prefix, &mut pos)?;
+        if crc32(&prefix[..dir_end]) != stored {
             return Err(CodecError::ChecksumMismatch);
         }
-        // Skip the timestamp section: count - 1 varints, each ending at
-        // its first byte without the continuation bit.
-        let mut pos = HEADER_LEN;
-        skip_varints(body, &mut pos, count - 1)?;
-        let first = get_ivarint_fast(body, &mut pos)?;
         Ok(Directory {
             count,
             quantum: summary.quantum,
-            chunk_len: count,
-            data_start: HEADER_LEN,
+            data_start: pos,
             data_end,
-            layout: Layout::Legacy { first, deltas: pos },
+            entries: &prefix[HEADER_LEN..dir_end],
         })
     }
 
     /// Samples in chunk `c`.
     fn samples_in(&self, c: u32) -> u32 {
-        (self.count - c * self.chunk_len).min(self.chunk_len)
+        (self.count - c * CHUNK_SAMPLES).min(CHUNK_SAMPLES)
     }
 
     /// Chunk `c` (which must exist), with its byte range checked to lie
     /// after the directory and before the trailer.
     fn chunk(&self, c: u32) -> Result<Chunk, CodecError> {
-        let entries = match self.layout {
-            Layout::Indexed(entries) => entries,
-            Layout::Legacy { first, deltas } => {
-                return Ok(Chunk {
-                    first,
-                    sum: None,
-                    start: deltas,
-                    end: self.data_end,
-                    crc: None,
-                })
-            }
-        };
         let at = c as usize * DIR_ENTRY_LEN;
-        let entry = &entries[at..at + DIR_ENTRY_LEN];
+        let entry = &self.entries[at..at + DIR_ENTRY_LEN];
         let word = |i: usize| u32::from_le_bytes(entry[i..i + 4].try_into().expect("4 bytes"));
         let start = word(0) as usize;
-        let end = match entries.get(at + DIR_ENTRY_LEN..at + DIR_ENTRY_LEN + 4) {
+        let end = match self.entries.get(at + DIR_ENTRY_LEN..at + DIR_ENTRY_LEN + 4) {
             Some(next) => u32::from_le_bytes(next.try_into().expect("4 bytes")) as usize,
             None => self.data_end,
         };
@@ -668,17 +574,15 @@ impl<'a> Directory<'a> {
             first: i128::from(i64::from_le_bytes(
                 entry[8..16].try_into().expect("8 bytes"),
             )),
-            sum: Some(i128::from_le_bytes(
-                entry[16..32].try_into().expect("16 bytes"),
-            )),
+            sum: i128::from_le_bytes(entry[16..32].try_into().expect("16 bytes")),
             start,
             end,
-            crc: Some(word(4)),
+            crc: word(4),
         })
     }
 }
 
-/// Decode a block, verifying its CRC32 first. A version-3 block is also
+/// Decode a block, verifying its CRC32 first. The block is also
 /// checked for internal consistency: its directory CRC, and each
 /// chunk's stored first value, byte range and quanta sum against what
 /// its deltas decode to.
@@ -690,17 +594,10 @@ pub fn decode_block(bytes: &[u8]) -> Result<DecodedBlock, CodecError> {
     if crc32(body) != stored_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    // The trailing CRC covers a version-1/2 block whole; a version-3
-    // block also has its directory checked.
-    let dir = if bytes[4] >= CHUNKED_VERSION {
-        Some(Directory::verify(bytes, bytes.len())?)
-    } else {
-        check_quantum(summary.quantum)?;
-        None
-    };
+    let dir = Directory::verify(bytes, bytes.len())?;
 
     let count = summary.count as usize;
-    let mut pos = dir.as_ref().map_or(HEADER_LEN, |d| d.data_start);
+    let mut pos = dir.data_start;
 
     let mut timestamps_us = Vec::with_capacity(count);
     timestamps_us.push(summary.t_first_us);
@@ -715,37 +612,25 @@ pub fn decode_block(bytes: &[u8]) -> Result<DecodedBlock, CodecError> {
     }
 
     let mut watts = Vec::with_capacity(count);
-    match dir {
-        None => {
-            let mut q = get_ivarint_fast(body, &mut pos)?;
-            watts.push(dequantize(q, summary.quantum));
-            for _ in 1..count {
-                q += get_ivarint_fast(body, &mut pos)?;
-                watts.push(dequantize(q, summary.quantum));
-            }
+    for c in 0..chunk_count(summary.count) as u32 {
+        let chunk = dir.chunk(c)?;
+        if chunk.start != pos {
+            return Err(CodecError::Truncated);
         }
-        Some(dir) => {
-            for c in 0..chunk_count(summary.count) as u32 {
-                let chunk = dir.chunk(c)?;
-                if chunk.start != pos {
-                    return Err(CodecError::Truncated);
-                }
-                let deltas = &body[..chunk.end];
-                let mut q = chunk.first;
-                let mut sum = q;
-                watts.push(dequantize(q, summary.quantum));
-                for _ in 1..dir.samples_in(c) {
-                    q += get_ivarint_fast(deltas, &mut pos)?;
-                    sum += q;
-                    watts.push(dequantize(q, summary.quantum));
-                }
-                if pos != chunk.end {
-                    return Err(CodecError::Truncated);
-                }
-                if Some(sum) != chunk.sum {
-                    return Err(CodecError::ChecksumMismatch);
-                }
-            }
+        let deltas = &body[..chunk.end];
+        let mut q = chunk.first;
+        let mut sum = q;
+        watts.push(dequantize(q, summary.quantum));
+        for _ in 1..dir.samples_in(c) {
+            q += get_ivarint_fast(deltas, &mut pos)?;
+            sum += q;
+            watts.push(dequantize(q, summary.quantum));
+        }
+        if pos != chunk.end {
+            return Err(CodecError::Truncated);
+        }
+        if sum != chunk.sum {
+            return Err(CodecError::ChecksumMismatch);
         }
     }
     if pos != body.len() {
@@ -792,13 +677,13 @@ pub fn decode_watts_span(bytes: &[u8], start: u32, end: u32) -> Result<WattsSpan
 /// block's bytes `[offset, offset + len)` for any chunk the span needs
 /// beyond the prefix.
 ///
-/// The prefix is verified first (directory CRC, or the whole-block CRC
-/// of a version-1/2 block). Whole chunks inside the span contribute
-/// their stored integer quanta sums; values at chunk edges come from
-/// the directory; at most two chunks — the ones `start` and `end` fall
-/// inside — are fetched, checked against their CRC32 and decoded up to
-/// the last index needed. The sum is accumulated over integer quanta
-/// and dequantized once, so it is bit-identical across codec versions.
+/// The prefix is verified first, against the directory CRC. Whole
+/// chunks inside the span contribute their stored integer quanta sums;
+/// values at chunk edges come from the directory; at most two chunks —
+/// the ones `start` and `end` fall inside — are fetched, checked against
+/// their CRC32 and decoded up to the last index needed. The sum is
+/// accumulated over integer quanta and dequantized once, so it does not
+/// depend on where the chunk edges fall.
 ///
 /// Requires `start <= end <= count`.
 pub fn decode_watts_span_from<B: AsRef<[u8]>>(
@@ -825,13 +710,13 @@ pub fn decode_watts_span_from<B: AsRef<[u8]>>(
     let has_end_value = end < dir.count;
     // Last sample the span needs: the one at `end`, or the last summed.
     let last = if has_end_value { end } else { end - 1 };
-    let first_chunk = start / dir.chunk_len;
+    let first_chunk = start / CHUNK_SAMPLES;
     // Every sample is an integer multiple of the quantum, so the span
     // sum accumulates quanta exactly and rounds once at the end.
     let mut sum_quanta: i128 = 0;
-    for c in first_chunk..=last / dir.chunk_len {
+    for c in first_chunk..=last / CHUNK_SAMPLES {
         let chunk = dir.chunk(c)?;
-        let c0 = c * dir.chunk_len;
+        let c0 = c * CHUNK_SAMPLES;
         let len = dir.samples_in(c);
         // The span's local range within this chunk, and which edge
         // values the chunk holds.
@@ -839,13 +724,13 @@ pub fn decode_watts_span_from<B: AsRef<[u8]>>(
         let b = end.min(c0 + len) - c0;
         let holds_start = c == first_chunk;
         let holds_end = has_end_value && end < c0 + len;
-        let whole = a == 0 && b == len && chunk.sum.is_some();
+        let whole = a == 0 && b == len;
         let needs_deltas = (b > a && !whole) || (holds_start && a > 0) || (holds_end && b > 0);
         if !needs_deltas {
             // Whole chunk, or edges on the chunk's first sample: the
             // directory answers.
             if b > a {
-                sum_quanta += chunk.sum.unwrap_or_default();
+                sum_quanta += chunk.sum;
             }
             let first = Some(dequantize(chunk.first, quantum));
             if holds_start {
@@ -866,7 +751,7 @@ pub fn decode_watts_span_from<B: AsRef<[u8]>>(
         if deltas.len() != chunk.end - chunk.start {
             return Err(CodecError::Truncated);
         }
-        if chunk.crc.is_some_and(|crc| crc32(deltas) != crc) {
+        if crc32(deltas) != chunk.crc {
             return Err(CodecError::ChecksumMismatch);
         }
         // Roll up to `a` without touching the accumulator, sum the
@@ -980,22 +865,6 @@ mod tests {
         assert!(!peek.overlaps(i64::MIN, 0));
     }
 
-    /// Blocks written by the version-2 encoder: the series
-    /// `quantize(200 + ((i * 13) % 37) * 0.25)` at 1 Hz for 8,705
-    /// samples, cut into blocks of 8,192 (a `u32` length before each).
-    const V2_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v2_blocks.bin");
-
-    fn v2_fixture_blocks() -> Vec<&'static [u8]> {
-        let mut blocks = Vec::new();
-        let mut rest = V2_FIXTURE;
-        while !rest.is_empty() {
-            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            blocks.push(&rest[4..4 + len]);
-            rest = &rest[4 + len..];
-        }
-        blocks
-    }
-
     fn restamp_crc(bytes: &mut [u8]) {
         let body_len = bytes.len() - TRAILER_LEN;
         let crc = crc32(&bytes[..body_len]).to_le_bytes();
@@ -1003,49 +872,24 @@ mod tests {
     }
 
     #[test]
-    fn version_1_blocks_still_decode() {
-        // A v1 block differs from a v2 block only in the version byte
-        // (and, for real historical blocks, a naively accumulated sum).
-        // Rewriting the version byte and re-stamping the CRC must decode
-        // cleanly, and answer spans as the v3 encoding of the samples.
-        let v2 = v2_fixture_blocks()[1];
-        assert_eq!(v2[4], 2);
-        let out = decode_block(v2).unwrap();
-        let ts: Vec<i64> = (8192..8705).map(|i| i * 1_000_000).collect();
-        assert_eq!(out.timestamps_us, ts);
-        let v3 = encode_block(&ts, &out.watts, DEFAULT_QUANTUM).unwrap();
-        assert_eq!(decode_block(&v3).unwrap(), out);
-        let mut bytes = v2.to_vec();
-        bytes[4] = 1;
-        restamp_crc(&mut bytes);
-        assert_eq!(decode_block(&bytes).unwrap().watts, out.watts);
-        assert!(peek_summary(&bytes).is_ok());
-        for (s, e) in [
-            (0, 513),
-            (0, 0),
-            (3, 511),
-            (512, 512),
-            (511, 513),
-            (513, 513),
-        ] {
-            let want = decode_watts_span(&v3, s, e).unwrap();
-            assert_eq!(decode_watts_span(v2, s, e).unwrap(), want, "v2 [{s},{e})");
-            assert_eq!(
-                decode_watts_span(&bytes, s, e).unwrap(),
-                want,
-                "v1 [{s},{e})"
-            );
+    fn other_block_versions_are_refused() {
+        // Only version 3 is read: a block whose version byte says
+        // anything else is refused by every entry point, even with a
+        // trailing CRC that matches.
+        let ts: Vec<i64> = (0..600).map(|i| i * 1_000_000).collect();
+        let watts: Vec<f64> = (0..600).map(|i| 200.0 + f64::from(i % 37) * 0.25).collect();
+        let good = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
+        assert_eq!(good[4], VERSION);
+        for version in [0u8, 1, 2, 4, u8::MAX] {
+            let mut bytes = good.clone();
+            bytes[4] = version;
+            restamp_crc(&mut bytes);
+            let refused = CodecError::BadVersion(version);
+            assert_eq!(decode_block(&bytes).unwrap_err(), refused);
+            assert_eq!(peek_summary(&bytes).unwrap_err(), refused);
+            assert_eq!(span_prefix_len(&bytes).unwrap_err(), refused);
+            assert_eq!(decode_watts_span(&bytes, 0, 600).unwrap_err(), refused);
         }
-        // Versions outside [MIN_VERSION, VERSION] are rejected.
-        bytes[4] = VERSION + 1;
-        restamp_crc(&mut bytes);
-        assert_eq!(
-            decode_block(&bytes),
-            Err(CodecError::BadVersion(VERSION + 1))
-        );
-        bytes[4] = 0;
-        restamp_crc(&mut bytes);
-        assert_eq!(decode_block(&bytes), Err(CodecError::BadVersion(0)));
     }
 
     /// Reference span over a full decode, in exact integer quanta.
@@ -1100,7 +944,7 @@ mod tests {
         let ts: Vec<i64> = (0..i64::from(n)).map(|i| i * 1_000_000).collect();
         let watts: Vec<f64> = (0..n).map(|i| 350.0 + f64::from(i % 97) * 0.05).collect();
         let bytes = encode_block(&ts, &watts, DEFAULT_QUANTUM).unwrap();
-        let prefix_len = span_prefix_len(&bytes[..HEADER_LEN + TRAILER_LEN], bytes.len()).unwrap();
+        let prefix_len = span_prefix_len(&bytes[..HEADER_LEN + TRAILER_LEN]).unwrap();
         assert_eq!(prefix_len, HEADER_LEN + 16 * DIR_ENTRY_LEN + 4);
         let ts_end = prefix_len + (n as usize - 1);
         for (s, e, want_fetches) in [(2048, 6144, 0), (0, n, 0), (2047, 6145, 2), (700, 900, 1)] {
@@ -1128,7 +972,7 @@ mod tests {
         // [700, 1500) starts in chunk 1 and ends in chunk 2.
         let (s, e) = (700, 1500);
         let want = decode_watts_span(&good, s, e).unwrap();
-        let prefix_len = span_prefix_len(&good, good.len()).unwrap();
+        let prefix_len = span_prefix_len(&good).unwrap();
         let dir = Directory::verify(&good[..prefix_len], good.len()).unwrap();
         let (c1, c2) = (dir.chunk(1).unwrap(), dir.chunk(2).unwrap());
         for i in 0..good.len() {

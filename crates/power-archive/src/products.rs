@@ -338,7 +338,7 @@ fn index_blob(blob: &[u8]) -> Option<(u64, [SeriesIndex; 3])> {
             locs.push(BlockLoc {
                 off: pos as u64,
                 len: u32::try_from(len).ok()?,
-                prefix_len: u32::try_from(span_prefix_len(bytes, len).ok()?).ok()?,
+                prefix_len: u32::try_from(span_prefix_len(bytes).ok()?).ok()?,
             });
             first += u64::from(summary.count);
             pos = end;

@@ -33,30 +33,15 @@ fn series(mode: u8, len: usize, base: f64, step: f64, noise: &[f64]) -> Vec<f64>
         .collect()
 }
 
-/// Block length of the pinned version-2 fixture.
-const V2_BLOCK_LEN: usize = 8192;
+/// The archived block length: an 8,192-sample series block.
+const BLOCK_LEN: usize = 8192;
 
-/// The series the version-2 fixture holds: 8,705 samples at 1 Hz,
-/// two blocks of 8,192 and 513.
+/// The fixture series: 8,705 samples at 1 Hz, two blocks of 8,192 and
+/// 513.
 fn fixture_series() -> Vec<f64> {
     (0..8705)
         .map(|i| quantize(200.0 + ((i * 13) % 37) as f64 * 0.25, DEFAULT_QUANTUM))
         .collect()
-}
-
-/// The fixture's blocks, as written by the version-2 encoder (each
-/// preceded by its `u32` length in the file).
-fn v2_fixture_blocks() -> Vec<Vec<u8>> {
-    let mut rest: &[u8] = include_bytes!("fixtures/v2_blocks.bin");
-    let mut blocks = Vec::new();
-    while !rest.is_empty() {
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let block = &rest[4..4 + len];
-        assert_eq!(block[4], 2, "fixture blocks are version 2");
-        blocks.push(block.to_vec());
-        rest = &rest[4 + len..];
-    }
-    blocks
 }
 
 /// Encodes `watts` (1 Hz grid from t = 0) into blocks of `block_len`
@@ -95,6 +80,38 @@ fn pruned(blocks: &[Vec<u8>], lo: f64, hi: f64) -> PrunedWindow {
         decode_watts_span(&blocks[k], s, e)
     })
     .expect("blocks decode")
+}
+
+/// Pruned window answers over the fixture series in blocks of 8,192 are
+/// pinned bit for bit: edges on every 512-sample chunk boundary, just
+/// before and just after it, and widths from half a sample to the whole
+/// series. The digest was recorded when the codec still read the
+/// version-2 encoding of these blocks, and both encodings gave it, so it
+/// carries that equality forward without the version-2 decoder.
+#[test]
+fn pruned_window_answers_are_pinned() {
+    let watts = fixture_series();
+    let n = watts.len();
+    let trace = SystemTrace::new(0.0, 1.0, watts.clone()).unwrap();
+    let blocks = encode_blocks(&watts, BLOCK_LEN);
+    let (mut digest, mut windows) = (0xcbf2_9ce4_8422_2325u64, 0);
+    for k in 0..=17 {
+        for offset in [-0.75, 0.0, 0.25] {
+            for width in [0.5, 3.0, 700.0, 9000.0] {
+                let from = f64::from(k * CHUNK_SAMPLES) + offset;
+                let to = from + width;
+                if trace.window_average(from, to).is_err() {
+                    continue;
+                }
+                let (lo, hi) = window_span(0.0, 1.0, n, from, to).expect("average implies overlap");
+                let bits = pruned(&blocks, lo, hi).weighted_sum.to_bits();
+                digest = (digest ^ bits).wrapping_mul(0x0000_0100_0000_01B3);
+                windows += 1;
+            }
+        }
+    }
+    assert_eq!(windows, 215);
+    assert_eq!(digest, 14_091_021_743_003_185_511);
 }
 
 proptest! {
@@ -179,25 +196,19 @@ proptest! {
     /// exactly on, just before, and just after block and 512-sample
     /// chunk boundaries — for block sizes from single samples through
     /// lengths around one chunk (511, 512, 513, 1,031) to 8,192-sample
-    /// blocks. Over blocks of 8,192, the answer from version-3 blocks is
-    /// bit-identical to the one from the pinned version-2 blocks of the
-    /// same series; `version` picks which of the two is checked against
-    /// the reference.
+    /// blocks.
     #[test]
     fn pruned_window_agrees_across_any_block_alignment(
         small_len in 1usize..=96,
         pick in 0usize..12,
-        version in 2u8..=3,
         edge_on_chunk in prop::bool::ANY,
         edge_mult in 0usize..=17,
         from_off in -1.5f64..1.5,
         exact_edge in 0u8..2,
         width_log2 in -3.0f64..12.0,
     ) {
-        const AROUND_CHUNKS: [usize; 6] = [1, 511, 512, 513, 1031, 8192];
-        let block_len = if version == 2 {
-            V2_BLOCK_LEN
-        } else if pick < AROUND_CHUNKS.len() {
+        const AROUND_CHUNKS: [usize; 6] = [1, 511, 512, 513, 1031, BLOCK_LEN];
+        let block_len = if pick < AROUND_CHUNKS.len() {
             small_len
         } else {
             AROUND_CHUNKS[pick - AROUND_CHUNKS.len()]
@@ -205,9 +216,7 @@ proptest! {
         let watts = fixture_series();
         let n = watts.len();
         let trace = SystemTrace::new(0.0, 1.0, watts.clone()).unwrap();
-        let v3 = encode_blocks(&watts, block_len);
-        let v2 = v2_fixture_blocks();
-        let blocks = if version == 2 { &v2 } else { &v3 };
+        let blocks = encode_blocks(&watts, block_len);
 
         let unit = if edge_on_chunk { CHUNK_SAMPLES as usize } else { block_len };
         let edge = (edge_mult * unit).min(n) as f64;
@@ -215,20 +224,14 @@ proptest! {
         let to = from + width_log2.exp2();
         if let Ok(reference) = trace.window_average(from, to) {
             let (lo, hi) = window_span(0.0, 1.0, n, from, to).expect("average implies overlap");
-            let pw = pruned(blocks, lo, hi);
+            let pw = pruned(&blocks, lo, hi);
             let got = pw.weighted_sum / (hi - lo);
             prop_assert!(
                 (got - reference).abs() <= 1e-9 * (1.0 + reference.abs()),
-                "window [{}, {}) blocks of {} (v{}): pruned {} vs reference {}",
-                from, to, block_len, version, got, reference
+                "window [{}, {}) blocks of {}: pruned {} vs reference {}",
+                from, to, block_len, got, reference
             );
             prop_assert!(pw.blocks_decoded <= 2, "{:?}", pw);
-            if block_len == V2_BLOCK_LEN {
-                let (a, b) = (pruned(&v3, lo, hi), pruned(&v2, lo, hi));
-                prop_assert_eq!(a.weighted_sum.to_bits(), b.weighted_sum.to_bits(),
-                    "window [{}, {}): v3 {} vs v2 {}", from, to, a.weighted_sum, b.weighted_sum);
-                prop_assert_eq!(a, b);
-            }
         }
     }
 }

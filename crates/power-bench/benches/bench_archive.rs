@@ -79,7 +79,7 @@ fn node_index(archive: &Archive, node: usize, list: &[(u64, u64)]) -> NodeIndex 
             sum_watts: summary.sum_watts,
         });
         let len = len as usize;
-        let prefix_len = span_prefix_len(&header, len).expect("header parses");
+        let prefix_len = span_prefix_len(&header).expect("header parses");
         blocks.push((fingerprint, len, prefix_len));
         first += u64::from(summary.count);
     }

@@ -5,13 +5,14 @@
 //!
 //! This is the one implementation behind both the campaign probes
 //! ([`crate::probe`]) and `power-repro`'s drivers. Callers differ only
-//! in how they derive seeds and how many simulation workers they use,
-//! so every function takes an already-derived seed and, where it
-//! simulates, a worker count. Probes hash the cell identity into the
-//! campaign seed; the repro drivers XOR a fixed per-artifact stream
-//! into one base seed. The simulation worker count never changes
-//! results; the bootstrap's does (its RNG substreams are per worker),
-//! so [`coverage`] pins it to [`COVERAGE_THREADS`].
+//! in how they derive seeds, so every function takes an already-derived
+//! seed. Probes hash the cell identity into the campaign seed; the
+//! repro drivers XOR a fixed per-artifact stream into one base seed.
+//! Worker counts are fixed wherever they move results: the simulation's
+//! re-associates the system-trace sums, so [`system_trace`] simulates on
+//! one worker, and the bootstrap's picks its RNG substreams, so
+//! [`coverage`] pins it to [`COVERAGE_THREADS`]. Per-node averages do
+//! not depend on it, so [`node_averages`] takes the caller's count.
 
 use crate::scenario::Scale;
 use power_method::gaming::{optimal_interval, unrestricted_interval, IntervalScan};
@@ -70,19 +71,20 @@ pub struct TraceResult {
 }
 
 /// Simulates `preset` (already sized to the simulated node count)
-/// running its workload, and scales its wall trace up to `full_nodes`.
+/// running its workload on one worker, and scales its wall trace up to
+/// `full_nodes`. One worker keeps the trace's sums in one order, so the
+/// trace does not depend on the host's core count.
 pub fn system_trace(
     preset: &SystemPreset,
     full_nodes: usize,
     scale: &Scale,
     store: &TraceStore,
     seed: u64,
-    threads: usize,
 ) -> Result<TraceResult> {
     let cluster = Cluster::build(preset.cluster_spec.clone())?;
     let workload = preset.workload.workload();
     let phases = workload.phases();
-    let cfg = sim_config(scale, phases.core(), seed, threads);
+    let cfg = sim_config(scale, phases.core(), seed, 1);
     let sim = Simulator::new(&cluster, workload, preset.balance, cfg)?;
     let products = store.products(&sim, &ProductRequest::system_only())?;
     // `scaled` returns a fresh trace, so the cached products stay pristine.

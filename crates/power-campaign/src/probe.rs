@@ -182,7 +182,7 @@ fn system_trace(
 ) -> Result<TraceResult, ProbeError> {
     let (preset, full_nodes) = resolve_preset(cell, scale)?;
     let seed = mix(cell.sim_tag(), seed);
-    artifacts::system_trace(&preset, full_nodes, scale, store, seed, 1)
+    artifacts::system_trace(&preset, full_nodes, scale, store, seed)
         .map_err(|e| perr(cell, e.to_string()))
 }
 

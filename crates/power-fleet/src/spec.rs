@@ -183,10 +183,11 @@ impl FleetCampaignSpec {
     /// Serializes the spec to the journal wire format (version-tagged,
     /// little-endian, self-contained — no external codec).
     ///
-    /// Writes version 2: the version-1 layout plus one trailing
-    /// `power_capped` byte after the name. [`FleetCampaignSpec::decode`]
-    /// still accepts version-1 records (journals written before the
-    /// accelerator layer existed), defaulting `power_capped` to `false`.
+    /// Writes version 2, the only version [`FleetCampaignSpec::decode`]
+    /// accepts: the fixed fields, the name, then one `power_capped` byte.
+    /// A version-1 record (no `power_capped` byte) could never resume:
+    /// its journal's [`FleetCampaignSpec::fingerprint`] was hashed from a
+    /// `Debug` rendering without that field, so no decoded spec matches.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(93 + self.name.len());
         out.push(2u8); // version
@@ -228,12 +229,9 @@ impl FleetCampaignSpec {
         if bytes.len() < fixed {
             return Err(corrupt("record too short"));
         }
-        let version = bytes[0];
-        if !(version == 1 || version == 2) {
+        if bytes[0] != 2 {
             return Err(corrupt("unknown spec version"));
         }
-        // Version 2 appends one power_capped byte after the name.
-        let trailing = usize::from(version == 2);
         let quantile = match bytes[1] {
             0 => CiQuantile::Normal,
             1 => CiQuantile::StudentT,
@@ -266,20 +264,16 @@ impl FleetCampaignSpec {
         let lambda = f64_at(72);
         let gflops_per_node = f64_at(80);
         let name_len = u16::from_le_bytes(bytes[88..90].try_into().expect("2 bytes")) as usize;
-        if bytes.len() != fixed + name_len + trailing {
+        if bytes.len() != fixed + name_len + 1 {
             return Err(corrupt("name length disagrees with record length"));
         }
         let name = std::str::from_utf8(&bytes[90..90 + name_len])
             .map_err(|_| corrupt("name is not UTF-8"))?
             .to_string();
-        let power_capped = if trailing == 1 {
-            match bytes[90 + name_len] {
-                0 => false,
-                1 => true,
-                _ => return Err(corrupt("unknown power-capped tag")),
-            }
-        } else {
-            false
+        let power_capped = match bytes[90 + name_len] {
+            0 => false,
+            1 => true,
+            _ => return Err(corrupt("unknown power-capped tag")),
         };
         let spec = FleetCampaignSpec {
             name,
@@ -460,25 +454,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_accepts_version_one_records_without_the_cap_tag() {
-        // Journals written before the accelerator layer carry version 1:
-        // the same layout minus the trailing power_capped byte.
-        let spec = FleetCampaignSpec {
-            power_capped: true,
-            ..FleetCampaignSpec::default()
-        };
-        let mut v1 = spec.encode();
+    fn decode_refuses_version_one_records() {
+        // Version 1 was the same layout minus the trailing power_capped
+        // byte; such a record is refused, with or without that byte.
+        let mut v1 = FleetCampaignSpec::default().encode();
         v1[0] = 1;
+        assert!(FleetCampaignSpec::decode(&v1).is_err());
         v1.pop();
-        let decoded = FleetCampaignSpec::decode(&v1).unwrap();
-        assert!(!decoded.power_capped, "v1 records default to uncapped");
-        assert_eq!(
-            decoded,
-            FleetCampaignSpec {
-                power_capped: false,
-                ..spec
-            }
-        );
+        assert!(FleetCampaignSpec::decode(&v1).is_err());
         // A version-2 record with a garbage cap tag is refused.
         let mut bad = FleetCampaignSpec::default().encode();
         *bad.last_mut().unwrap() = 7;

@@ -196,6 +196,28 @@ impl SamplingMeter {
         from: f64,
         to: f64,
     ) -> Result<Reading> {
+        self.measure_through(rng, series, t0, dt, from, to, |_, w, _| Some(w))
+    }
+
+    /// The window loop behind [`SamplingMeter::measure`] and
+    /// `FaultyMeter::measure`: each metered sample passes through
+    /// `fault(rng, w, t_rel)` (`t_rel` is seconds into the window), which
+    /// returns the sample to average or `None` when it is lost. `fault`
+    /// draws from `rng` after the sample's noise, so a fault that draws
+    /// nothing leaves the plain meter's draw order unchanged.
+    ///
+    /// Returns [`MeterError::EmptyWindow`] if every sample was lost.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn measure_through<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        series: &[f64],
+        t0: f64,
+        dt: f64,
+        from: f64,
+        to: f64,
+        mut fault: impl FnMut(&mut R, f64, f64) -> Option<f64>,
+    ) -> Result<Reading> {
         if !(to > from) {
             return Err(MeterError::InvalidConfig {
                 field: "to",
@@ -205,15 +227,19 @@ impl SamplingMeter {
         let mut gauss = StandardNormal::new();
         let mut sum = 0.0;
         let mut count = 0usize;
-        let mut t = from.max(t0) + self.model.sample_interval_s / 2.0;
+        let window_start = from.max(t0);
+        let mut t = window_start + self.model.sample_interval_s / 2.0;
         let t_last = to.min(t0 + series.len() as f64 * dt);
         while t < t_last {
             let idx = ((t - t0) / dt) as usize;
             if idx >= series.len() {
                 break;
             }
-            sum += self.sample_one_with(&mut gauss, rng, series[idx]);
-            count += 1;
+            let w = self.sample_one_with(&mut gauss, rng, series[idx]);
+            if let Some(s) = fault(rng, w, t - window_start) {
+                sum += s;
+                count += 1;
+            }
             t += self.model.sample_interval_s;
         }
         if count == 0 {
@@ -221,10 +247,10 @@ impl SamplingMeter {
         }
         let average = sum / count as f64;
         Ok(Reading {
-            t_start: from.max(t0),
+            t_start: window_start,
             t_end: t_last,
             average_w: average,
-            energy_j: average * (t_last - from.max(t0)),
+            energy_j: average * (t_last - window_start),
             samples: count,
         })
     }

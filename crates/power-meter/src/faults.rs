@@ -11,7 +11,6 @@
 use crate::device::SamplingMeter;
 use crate::reading::Reading;
 use crate::{MeterError, Result};
-use power_stats::rng::StandardNormal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -147,48 +146,13 @@ impl FaultyMeter {
         from: f64,
         to: f64,
     ) -> Result<Reading> {
-        if !(to > from) {
-            return Err(MeterError::InvalidConfig {
-                field: "to",
-                reason: "window end must exceed window start",
-            });
-        }
-        let model = self.meter.model();
-        let mut gauss = StandardNormal::new();
-        let mut sum = 0.0;
-        let mut count = 0usize;
+        // Base instrument behaviour (gain + noise + quantization), then
+        // the fault layer — both shared with the streaming path.
         let mut last_good: Option<f64> = None;
-        let mut t = from.max(t0) + model.sample_interval_s / 2.0;
-        let window_start = from.max(t0);
-        let t_last = to.min(t0 + series.len() as f64 * dt);
-        while t < t_last {
-            let idx = ((t - t0) / dt) as usize;
-            if idx >= series.len() {
-                break;
-            }
-            // Base instrument behaviour (gain + noise + quantization),
-            // then the fault layer — both shared with the streaming path.
-            let w = self.meter.sample_one_with(&mut gauss, rng, series[idx]);
-            if let Some(s) = self
-                .fault
-                .apply_sample(rng, w, t - window_start, &mut last_good)
-            {
-                sum += s;
-                count += 1;
-            }
-            t += model.sample_interval_s;
-        }
-        if count == 0 {
-            return Err(MeterError::EmptyWindow);
-        }
-        let average = sum / count as f64;
-        Ok(Reading {
-            t_start: window_start,
-            t_end: t_last,
-            average_w: average,
-            energy_j: average * (t_last - window_start),
-            samples: count,
-        })
+        self.meter
+            .measure_through(rng, series, t0, dt, from, to, |rng, w, t_rel| {
+                self.fault.apply_sample(rng, w, t_rel, &mut last_good)
+            })
     }
 }
 

@@ -21,7 +21,8 @@
 //! is nonzero on any failure. With `--store-dir`, the smoke also checks
 //! the persistence tier: a cold directory must absorb archive writes,
 //! and a second smoke over the same directory must start warm and serve
-//! every sweep without recomputing.
+//! every sweep without recomputing. A directory written under another
+//! simulation-key epoch is retired when it is opened, so it starts cold.
 //!
 //! `--fleet-smoke` runs the fleet crash-restart exercise: spawn a real
 //! child server journalling its fleet to a store directory, create 120
@@ -187,15 +188,10 @@ fn main() -> ExitCode {
 /// The CI smoke: every endpoint answers, saturation rejects with `503`
 /// and `Retry-After`, both admission ledgers agree, shutdown drains.
 /// With a store directory, also asserts the persistence tier: cold
-/// directories absorb archive writes; pre-populated ones start warm and
-/// serve without recomputing.
+/// directories absorb archive writes; ones that open with entries start
+/// warm and serve without recomputing.
 fn smoke(store_dir: Option<PathBuf>) -> ExitCode {
     let timeout = Duration::from_secs(10);
-    // A directory that already holds a manifest was written by a
-    // previous smoke: this run must start warm.
-    let expect_warm = store_dir
-        .as_ref()
-        .is_some_and(|d| d.join("MANIFEST.log").exists());
     let state = match ServeState::try_new(ServeConfig {
         max_nodes: 64,
         store_dir: store_dir.clone(),
@@ -208,6 +204,17 @@ fn smoke(store_dir: Option<PathBuf>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // An archive that opens with entries was written by a previous smoke
+    // under the current key epoch: this run must start warm. A store of
+    // another epoch is retired at open and starts cold.
+    let opened = state.archive.as_ref().map(|a| a.stats());
+    if let Some(stats) = opened.filter(|s| s.retired_keys > 0) {
+        println!(
+            "smoke: retired {} keys of another key epoch at open",
+            stats.retired_keys
+        );
+    }
+    let expect_warm = opened.is_some_and(|s| s.entries > 0);
     // One worker and a one-slot queue make saturation deterministic.
     let server = match Server::start(
         ServerConfig {

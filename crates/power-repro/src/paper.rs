@@ -4,8 +4,8 @@
 //! Seed policy: one base seed XORed with a fixed stream per simulation
 //! — `seed ^ i` for the i-th trace system, `seed ^ (0x40 + i)` for the
 //! i-th variability system, `seed ^ 0xF163` for the Figure 3
-//! bootstrap. Simulations run on every core and share the process-wide
-//! [`TraceStore`], so Figure 3 reuses Table 4's LRZ sweep.
+//! bootstrap. Simulations share the process-wide [`TraceStore`], so
+//! Figure 3 reuses Table 4's LRZ sweep.
 
 use power_campaign::artifacts::{self, GamingRow, Result, Table2Row, Table4Row, TraceResult};
 use power_campaign::Scale;
@@ -13,7 +13,9 @@ use power_sim::store::TraceStore;
 use power_sim::systems::SystemPreset;
 use power_stats::bootstrap::CoveragePoint;
 
-/// Simulation workers: every core (the count never changes results).
+/// Simulation workers: every core. The count leaves per-node averages
+/// bit-identical but re-associates system-trace sums, so system traces
+/// ([`traces`]) simulate on one worker instead.
 pub fn sim_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |p| p.get())
 }
@@ -27,14 +29,7 @@ pub fn traces(scale: &Scale, seed: u64) -> Result<Vec<TraceResult>> {
             let full = preset.targets.population;
             let n = scale.clamp_nodes(preset.cluster_spec.total_nodes);
             let preset = preset.with_total_nodes(n);
-            artifacts::system_trace(
-                &preset,
-                full,
-                scale,
-                TraceStore::global(),
-                seed ^ i as u64,
-                sim_threads(),
-            )
+            artifacts::system_trace(&preset, full, scale, TraceStore::global(), seed ^ i as u64)
         })
         .collect()
 }
@@ -95,6 +90,8 @@ pub fn figure3(scale: &Scale, seed: u64) -> Result<Vec<CoveragePoint>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use power_sim::cluster::Cluster;
+    use power_sim::engine::{MeterScope, ProductRequest, Simulator};
     use power_stats::bootstrap::{coverage_study, CoverageConfig};
     use power_stats::empirical::Empirical;
 
@@ -185,6 +182,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(figure3(&scale, 7).unwrap(), direct);
+    }
+
+    /// System traces must not depend on the host's core count: each
+    /// equals the trace simulated on one worker, whatever
+    /// `available_parallelism` says.
+    #[test]
+    fn traces_are_host_independent() {
+        let scale = tiny_scale();
+        let got = traces(&scale, 7).unwrap();
+        for (i, preset) in SystemPreset::trace_presets().into_iter().enumerate() {
+            let full = preset.targets.population as f64;
+            let n = scale.clamp_nodes(preset.cluster_spec.total_nodes);
+            let preset = preset.with_total_nodes(n);
+            let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+            let workload = preset.workload.workload();
+            let cfg = artifacts::sim_config(&scale, workload.phases().core(), 7 ^ i as u64, 1);
+            let sim = Simulator::new(&cluster, workload, preset.balance, cfg).unwrap();
+            let products = sim.run_products(&ProductRequest::system_only()).unwrap();
+            let one_worker = products.system_trace(MeterScope::Wall).unwrap();
+            assert_eq!(
+                got[i].trace,
+                one_worker.scaled(full / cluster.len() as f64),
+                "{}",
+                got[i].name
+            );
+        }
     }
 
     #[test]

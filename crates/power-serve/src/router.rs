@@ -81,33 +81,22 @@ pub fn route(state: &ServeState, req: &Request) -> (Endpoint, Response) {
 /// wrong-method `405`s, unknown-path `404`s, and `/v1/trace/window`
 /// queries a store summary tier can aggregate — and returns `None` for
 /// anything that may simulate, lock the fleet, or sleep, which the
-/// caller must hand to the worker pool. For every request it does
-/// answer, the response is byte-identical to [`route`]'s.
+/// caller must hand to the worker pool. Everything it answers except
+/// the window query goes through [`route`], so the two agree byte for
+/// byte.
 pub fn route_fast(state: &ServeState, req: &Request) -> Option<(Endpoint, Response)> {
-    if req.path.starts_with("/v1/campaigns") {
-        return None;
-    }
-    if state.config.debug_routes && req.path.starts_with("/debug/") {
+    if req.path.starts_with("/v1/campaigns")
+        || (state.config.debug_routes && req.path.starts_with("/debug/"))
+    {
         return None;
     }
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Some((Endpoint::Healthz, healthz(state))),
-        ("GET", "/metrics") => Some((Endpoint::Metrics, metrics(state))),
-        ("GET", "/v1/systems") => Some((Endpoint::Systems, systems(state))),
         ("GET", "/v1/trace/window") => {
             trace_window_fast(state, req).map(|r| (Endpoint::TraceWindow, r))
         }
         // Handlers that may simulate or contend on the fleet.
         ("POST", "/v1/sample-size") | ("POST", "/v1/measure") | ("GET", "/v1/leaderboard") => None,
-        // Wrong-method rejections on known paths are pure and tiny.
-        (_, "/healthz") => Some((Endpoint::Healthz, method_not_allowed("GET"))),
-        (_, "/metrics") => Some((Endpoint::Metrics, method_not_allowed("GET"))),
-        (_, "/v1/systems") => Some((Endpoint::Systems, method_not_allowed("GET"))),
-        (_, "/v1/sample-size") => Some((Endpoint::SampleSize, method_not_allowed("POST"))),
-        (_, "/v1/measure") => Some((Endpoint::Measure, method_not_allowed("POST"))),
-        (_, "/v1/trace/window") => Some((Endpoint::TraceWindow, method_not_allowed("GET"))),
-        (_, "/v1/leaderboard") => Some((Endpoint::Leaderboard, method_not_allowed("GET"))),
-        _ => Some((Endpoint::Other, not_found())),
+        _ => Some(route(state, req)),
     }
 }
 

@@ -31,9 +31,10 @@
 //! caller holding only a preset can compute it without running
 //! [`crate::Cluster::build`] and answer warm window queries through
 //! [`TraceStore::window_aggregate_keyed`]. Archive tiers file entries
-//! under this key, so any change to what it hashes re-keys them: an
-//! entry under a key nothing asks for any more is re-simulated once on
-//! first use and written back under its new key.
+//! under this key and record [`SIMULATION_KEY_EPOCH`] beside them. Any
+//! change to what the key or [`request_fingerprint`] hashes bumps the
+//! epoch, and an archive written under another epoch is retired whole
+//! when it is opened: its entries sit under keys nothing computes.
 //!
 //! Within one key, a cached entry serves any request it subsumes: a
 //! system-only request is satisfied by any full-sweep entry, repeated
@@ -84,6 +85,13 @@ use power_workload::{LoadBalance, Workload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+/// Generation of the hashing scheme behind [`simulation_key`] and
+/// [`request_fingerprint`]; archive tiers retire stores written under
+/// any other epoch. Bump with any change to what the key or request
+/// fingerprint hashes. Epoch 1 hashed `Debug` renderings and a
+/// utilization probe grid; epoch 2 is the structural key.
+pub const SIMULATION_KEY_EPOCH: u32 = 2;
 
 /// Fingerprints a simulation identity from its parts — everything that
 /// can change a sweep's results (see the module docs for what is
