@@ -4,15 +4,14 @@
 //! study (Figure 4), Table 5, and the §4 worked examples.
 //!
 //! This is the one implementation behind both the campaign probes
-//! ([`crate::probe`]) and `power-repro`'s drivers. Callers differ only
-//! in how they derive seeds, so every function takes an already-derived
-//! seed. Probes hash the cell identity into the campaign seed; the
-//! repro drivers XOR a fixed per-artifact stream into one base seed.
-//! Worker counts are fixed wherever they move results: the simulation's
-//! re-associates the system-trace sums, so [`system_trace`] simulates on
-//! one worker, and the bootstrap's picks its RNG substreams, so
-//! [`coverage`] pins it to [`COVERAGE_THREADS`]. Per-node averages do
-//! not depend on it, so [`node_averages`] takes the caller's count.
+//! ([`crate::probe`]) and `power-repro`'s drivers. Every function takes
+//! an already-derived seed, and both sides derive it with one policy,
+//! [`stream_seed`]: probes pass a hash of the cell's identity as the
+//! stream tag, the repro drivers a fixed per-artifact stream. Worker
+//! counts are fixed only where they move results: the bootstrap's picks
+//! its RNG substreams, so [`coverage`] pins it to [`COVERAGE_THREADS`].
+//! Simulation products do not depend on the worker count, so
+//! [`system_trace`] and [`node_averages`] take the caller's.
 
 use crate::scenario::Scale;
 use power_method::gaming::{optimal_interval, unrestricted_interval, IntervalScan};
@@ -40,6 +39,16 @@ pub type Result<T> = std::result::Result<T, ArtifactError>;
 /// Bootstrap workers of every coverage study. Fixed, because the
 /// study's RNG substreams are per worker.
 pub const COVERAGE_THREADS: usize = 2;
+
+/// The seed policy of every artifact: the seed of stream `tag` under base
+/// seed `seed`, through the SplitMix64 finalizer, so streams depend only
+/// on the `(tag, seed)` identity and nearby tags or seeds decorrelate.
+pub fn stream_seed(tag: u64, seed: u64) -> u64 {
+    let mut z = tag ^ seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Simulation settings for a run whose core phase lasts `core_secs`:
 /// the scale's time step, the calibrated noise levels, and the caller's
@@ -71,20 +80,20 @@ pub struct TraceResult {
 }
 
 /// Simulates `preset` (already sized to the simulated node count)
-/// running its workload on one worker, and scales its wall trace up to
-/// `full_nodes`. One worker keeps the trace's sums in one order, so the
-/// trace does not depend on the host's core count.
+/// running its workload on `threads` workers, and scales its wall trace
+/// up to `full_nodes`.
 pub fn system_trace(
     preset: &SystemPreset,
     full_nodes: usize,
     scale: &Scale,
     store: &TraceStore,
     seed: u64,
+    threads: usize,
 ) -> Result<TraceResult> {
     let cluster = Cluster::build(preset.cluster_spec.clone())?;
     let workload = preset.workload.workload();
     let phases = workload.phases();
-    let cfg = sim_config(scale, phases.core(), seed, 1);
+    let cfg = sim_config(scale, phases.core(), seed, threads);
     let sim = Simulator::new(&cluster, workload, preset.balance, cfg)?;
     let products = store.products(&sim, &ProductRequest::system_only())?;
     // `scaled` returns a fresh trace, so the cached products stay pristine.

@@ -11,7 +11,7 @@ use crate::probe::{run_probe, Metrics, ProbeError};
 use crate::scenario::Scenario;
 use crate::summary::{fold, Band};
 use mini_json::Json;
-use power_sim::store::TraceStore;
+use power_sim::store::{TraceStore, SIMULATION_KEY_EPOCH};
 
 /// A cell's folded results: one metric map per seed plus cross-seed bands.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +109,7 @@ impl CampaignReport {
             ("campaign", Json::str(self.name.clone())),
             ("cells", Json::Array(cells)),
             ("gates", Json::Array(gates)),
+            ("model_rev", Json::num(f64::from(SIMULATION_KEY_EPOCH))),
             ("pass", Json::Bool(self.passed())),
             (
                 "seeds",
@@ -367,9 +368,13 @@ mod tests {
         let report = run_campaign(&s, 2, &out).unwrap();
         assert!(!report.passed());
         assert_eq!(report.violations().len(), 1);
-        // The summary records the failure.
+        // The summary records the failure, and the model revision.
         let json = report.summary_json().render();
         assert!(json.contains("\"fail\""), "{json}");
+        assert!(
+            json.contains(&format!("\"model_rev\":{SIMULATION_KEY_EPOCH}")),
+            "{json}"
+        );
         let _ = std::fs::remove_dir_all(&out);
     }
 

@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::artifacts::{self, LcscConfigurations, TraceResult};
+use crate::artifacts::{self, stream_seed, LcscConfigurations, TraceResult};
 use crate::grid::Cell;
 use crate::scenario::Scale;
 use power_accel::{AccelPreset, SweepResult};
@@ -87,16 +87,6 @@ pub fn known_probes() -> Vec<&'static str> {
         "eq5cap",
     ]);
     names
-}
-
-/// SplitMix64 finalizer — the seed/stream mixer used everywhere a probe
-/// derives an RNG or simulation seed, so streams depend only on the
-/// (cell, seed) identity.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn perr(cell: &Cell, reason: impl Into<String>) -> ProbeError {
@@ -181,8 +171,8 @@ fn system_trace(
     seed: u64,
 ) -> Result<TraceResult, ProbeError> {
     let (preset, full_nodes) = resolve_preset(cell, scale)?;
-    let seed = mix(cell.sim_tag(), seed);
-    artifacts::system_trace(&preset, full_nodes, scale, store, seed)
+    let seed = stream_seed(cell.sim_tag(), seed);
+    artifacts::system_trace(&preset, full_nodes, scale, store, seed, 1)
         .map_err(|e| perr(cell, e.to_string()))
 }
 
@@ -220,7 +210,7 @@ fn node_averages(
             .unwrap_or_else(|| preset.measured_nodes.max(200)),
     );
     let preset = preset.with_total_nodes(n);
-    let seed = mix(cell.sim_tag(), seed ^ 0x40);
+    let seed = stream_seed(cell.sim_tag(), seed ^ 0x40);
     let averages = artifacts::node_averages(&preset, scale, store, seed, 1)
         .map_err(|e| perr(cell, e.to_string()))?;
     Ok((preset, averages))
@@ -283,7 +273,7 @@ fn probe_coverage(
     seed: u64,
 ) -> Result<Metrics, ProbeError> {
     let (_, averages) = node_averages(cell, scale, store, seed)?;
-    let seed = mix(cell.stream_tag(), seed ^ 0xF163);
+    let seed = stream_seed(cell.stream_tag(), seed ^ 0xF163);
     let points = artifacts::coverage(&averages, &[5, 10, 20], &[0.95], scale, seed)
         .map_err(|e| perr(cell, e.to_string()))?;
     let mut m = Metrics::new();
@@ -365,7 +355,7 @@ fn accel_sweeps(
 ) -> Result<(AccelPreset, SweepResult, SweepResult), ProbeError> {
     let (preset, devices) = resolve_accel(cell, scale)?;
     let pop = preset
-        .population(Some(devices), mix(cell.sim_tag(), seed))
+        .population(Some(devices), stream_seed(cell.sim_tag(), seed))
         .map_err(|e| perr(cell, e.to_string()))?;
     let mut uncapped_cfg = preset.sweep_config(false);
     uncapped_cfg.work_gflop =
@@ -407,7 +397,7 @@ fn probe_accel(cell: &Cell, scale: &Scale, seed: u64) -> Result<Metrics, ProbeEr
 fn probe_occ(cell: &Cell, scale: &Scale, seed: u64) -> Result<Metrics, ProbeError> {
     let (preset, _) = resolve_accel(cell, scale)?;
     let model = OccModel::power9();
-    let mut rng = power_stats::rng::substream(mix(cell.stream_tag(), seed), 0x0CC);
+    let mut rng = power_stats::rng::substream(stream_seed(cell.stream_tag(), seed), 0x0CC);
     let occ = model
         .instantiate(&mut rng)
         .map_err(|e| perr(cell, e.to_string()))?;
@@ -449,7 +439,7 @@ fn probe_eq5cap(cell: &Cell, scale: &Scale, seed: u64) -> Result<Metrics, ProbeE
         confidence: 0.95,
         lambda: 0.01,
         reps: scale.bootstrap_reps.min(1 << 20) as u32,
-        seed: mix(cell.stream_tag(), seed ^ 0xE05),
+        seed: stream_seed(cell.stream_tag(), seed ^ 0xE05),
     };
     let study = capped_sizing_study(
         &uncapped.powers_w(),
@@ -534,7 +524,7 @@ fn probe_measure(
     let cfg = artifacts::sim_config(
         scale,
         workload.phases().core(),
-        mix(cell.sim_tag(), 0x51D),
+        stream_seed(cell.sim_tag(), 0x51D),
         1,
     );
     let plan = MeasurementPlan {
@@ -544,7 +534,7 @@ fn probe_measure(
         placement,
         overheads: power_method::subsystems::SubsystemOverheads::none(),
         overhead_estimate_error: 0.10,
-        seed: mix(cell.stream_tag(), seed ^ 0x3EA5),
+        seed: stream_seed(cell.stream_tag(), seed ^ 0x3EA5),
     };
     let m = measure_with_store(store, &cluster, workload, preset.balance, cfg, &plan)
         .map_err(|e| perr(cell, e.to_string()))?;

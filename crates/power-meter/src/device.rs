@@ -163,8 +163,8 @@ impl SamplingMeter {
     ///
     /// `gauss` must be the meter's *persistent* normal sampler: the polar
     /// method caches a spare variate, so a long-lived sampler consumes the
-    /// RNG in exactly the same order as a batch [`SamplingMeter::measure`]
-    /// over the same samples.
+    /// RNG in exactly the same order as the per-sample window loop
+    /// (`FaultyMeter::measure` with no fault) over the same samples.
     pub fn sample_one_with<R: Rng + ?Sized>(
         &self,
         gauss: &mut StandardNormal,
@@ -184,9 +184,21 @@ impl SamplingMeter {
     /// Measures a true power series (`series[i]` is the average over
     /// `[t0 + i*dt, t0 + (i+1)*dt)`) over the window `[from, to)`.
     ///
-    /// The meter samples at its own interval (taking the trace value
-    /// containing each sample instant), applies its gain, per-sample noise
-    /// and quantization, and reports the averaged reading.
+    /// The meter samples at its own interval, taking the trace value
+    /// containing each sample instant; each reading is
+    /// `gain·w_i·(1 + σZ_i)` rounded to the quantum `q`, and the window
+    /// reports their average.
+    ///
+    /// That average is drawn in closed form, with one normal draw per
+    /// window: `gain·Σw/n + sqrt((gain·σ)²·Σw²/n² + q²/(12n))·Z`. The
+    /// sum of independent normal readings is exactly normal, and the
+    /// rounding adds Sheppard's `q²/12` of variance per sample with a bias
+    /// of order `exp(-2π²(σ·gain·w/q)²)`. The form is used when `σ > 0`
+    /// and either `q = 0` or `q ≤ 2·σ·gain·min w` over the sampled values,
+    /// where that bias is below `e^-4.9` of a quantum. Any other window
+    /// (an ideal or noise-free meter, or coarse rounding of small values)
+    /// takes the per-sample loop. Either way the sample instants, `samples`,
+    /// `t_start` and `t_end` are the per-sample loop's exactly.
     pub fn measure<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -196,15 +208,68 @@ impl SamplingMeter {
         from: f64,
         to: f64,
     ) -> Result<Reading> {
+        let sigma = self.model.noise_sigma;
+        let q = self.model.quantization_w;
+        if sigma > 0.0 {
+            let walk = self.sample_walk(series.len(), t0, dt, from, to)?;
+            let (window_start, t_last) = (walk.window_start, walk.t_last);
+            let (mut n, mut sum, mut sum_sq, mut min_w) = (0usize, 0.0, 0.0, f64::INFINITY);
+            for (idx, _) in walk {
+                let w = series[idx];
+                n += 1;
+                sum += w;
+                sum_sq += w * w;
+                min_w = min_w.min(w);
+            }
+            if n == 0 {
+                return Err(MeterError::EmptyWindow);
+            }
+            if q == 0.0 || q <= 2.0 * sigma * self.gain * min_w {
+                let n = n as f64;
+                let noise = self.gain * sigma;
+                let sd = (noise * noise * sum_sq / (n * n) + q * q / (12.0 * n)).sqrt();
+                let average = self.gain * sum / n + sd * StandardNormal::new().sample(rng);
+                return Ok(Reading {
+                    t_start: window_start,
+                    t_end: t_last,
+                    average_w: average,
+                    energy_j: average * (t_last - window_start),
+                    samples: n as usize,
+                });
+            }
+        }
         self.measure_through(rng, series, t0, dt, from, to, |_, w, _| Some(w))
     }
 
-    /// The window loop behind [`SamplingMeter::measure`] and
-    /// `FaultyMeter::measure`: each metered sample passes through
-    /// `fault(rng, w, t_rel)` (`t_rel` is seconds into the window), which
-    /// returns the sample to average or `None` when it is lost. `fault`
-    /// draws from `rng` after the sample's noise, so a fault that draws
-    /// nothing leaves the plain meter's draw order unchanged.
+    /// The sample instants of a window over a series of `len` values:
+    /// `(index, instant)` for each sample, every `sample_interval_s` from
+    /// half an interval into the window.
+    fn sample_walk(&self, len: usize, t0: f64, dt: f64, from: f64, to: f64) -> Result<SampleWalk> {
+        if !(to > from) {
+            return Err(MeterError::InvalidConfig {
+                field: "to",
+                reason: "window end must exceed window start",
+            });
+        }
+        let window_start = from.max(t0);
+        Ok(SampleWalk {
+            window_start,
+            t_last: to.min(t0 + len as f64 * dt),
+            t: window_start + self.model.sample_interval_s / 2.0,
+            interval: self.model.sample_interval_s,
+            t0,
+            dt,
+            len,
+        })
+    }
+
+    /// The per-sample window loop: [`SamplingMeter::measure`]'s fallback,
+    /// the test oracle for its closed form, and `FaultyMeter::measure`.
+    /// Each metered sample passes through `fault(rng, w, t_rel)` (`t_rel`
+    /// is seconds into the window), which returns the sample to average or
+    /// `None` when it is lost. `fault` draws from `rng` after the sample's
+    /// noise, so a fault that draws nothing leaves the plain meter's draw
+    /// order unchanged.
     ///
     /// Returns [`MeterError::EmptyWindow`] if every sample was lost.
     #[allow(clippy::too_many_arguments)]
@@ -218,29 +283,17 @@ impl SamplingMeter {
         to: f64,
         mut fault: impl FnMut(&mut R, f64, f64) -> Option<f64>,
     ) -> Result<Reading> {
-        if !(to > from) {
-            return Err(MeterError::InvalidConfig {
-                field: "to",
-                reason: "window end must exceed window start",
-            });
-        }
+        let walk = self.sample_walk(series.len(), t0, dt, from, to)?;
+        let (window_start, t_last) = (walk.window_start, walk.t_last);
         let mut gauss = StandardNormal::new();
         let mut sum = 0.0;
         let mut count = 0usize;
-        let window_start = from.max(t0);
-        let mut t = window_start + self.model.sample_interval_s / 2.0;
-        let t_last = to.min(t0 + series.len() as f64 * dt);
-        while t < t_last {
-            let idx = ((t - t0) / dt) as usize;
-            if idx >= series.len() {
-                break;
-            }
+        for (idx, t) in walk {
             let w = self.sample_one_with(&mut gauss, rng, series[idx]);
             if let Some(s) = fault(rng, w, t - window_start) {
                 sum += s;
                 count += 1;
             }
-            t += self.model.sample_interval_s;
         }
         if count == 0 {
             return Err(MeterError::EmptyWindow);
@@ -253,6 +306,35 @@ impl SamplingMeter {
             energy_j: average * (t_last - window_start),
             samples: count,
         })
+    }
+}
+
+/// The sample instants of one window; see [`SamplingMeter::sample_walk`].
+struct SampleWalk {
+    window_start: f64,
+    t_last: f64,
+    /// The next sample instant.
+    t: f64,
+    interval: f64,
+    t0: f64,
+    dt: f64,
+    len: usize,
+}
+
+impl Iterator for SampleWalk {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        if !(self.t < self.t_last) {
+            return None;
+        }
+        let idx = ((self.t - self.t0) / self.dt) as usize;
+        if idx >= self.len {
+            return None;
+        }
+        let t = self.t;
+        self.t += self.interval;
+        Some((idx, t))
     }
 }
 
@@ -293,9 +375,15 @@ impl IntegratingMeter {
                 reason: "window end must exceed window start",
             });
         }
+        // Only indices whose interval can overlap [from, to) are walked,
+        // with a one-index margin either side against rounding in the
+        // bounds; every index outside adds exactly zero, so for finite
+        // series the sums equal a walk over the whole series bit for bit.
+        let lo = (((from - t0) / dt).floor() - 1.0).max(0.0) as usize;
+        let hi = ((((to - t0) / dt).ceil() + 1.0).max(0.0) as usize).min(series.len());
         let mut energy = 0.0;
         let mut covered = 0.0;
-        for (i, &w) in series.iter().enumerate() {
+        for (i, &w) in series.iter().enumerate().take(hi).skip(lo) {
             let a = t0 + i as f64 * dt;
             let b = a + dt;
             let overlap = (b.min(to) - a.max(from)).max(0.0);
@@ -444,20 +532,28 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// The per-sample window loop, which the closed form replaces.
+    fn per_sample<R: Rng + ?Sized>(
+        m: &SamplingMeter,
+        rng: &mut R,
+        series: &[f64],
+        (t0, dt, from, to): (f64, f64, f64, f64),
+    ) -> Result<Reading> {
+        m.measure_through(rng, series, t0, dt, from, to, |_, w, _| Some(w))
+    }
+
     #[test]
-    fn streaming_path_reproduces_batch_measure() {
+    fn streaming_path_reproduces_per_sample_loop() {
         // Feeding the same samples one at a time through sample_one_with
-        // (with a persistent gauss sampler) must be bit-identical to a
-        // batch measure over the same window.
+        // (with a persistent gauss sampler) must be bit-identical to the
+        // per-sample window loop over the same window.
         let mut rng = seeded(9);
         let m = MeterModel::pdu_grade().instantiate(&mut rng).unwrap();
         let series: Vec<f64> = (0..500)
             .map(|i| 380.0 + (i as f64 * 0.31).sin() * 25.0)
             .collect();
         let mut batch_rng = seeded(10);
-        let batch = m
-            .measure(&mut batch_rng, &series, 0.0, 1.0, 0.0, 500.0)
-            .unwrap();
+        let batch = per_sample(&m, &mut batch_rng, &series, (0.0, 1.0, 0.0, 500.0)).unwrap();
         let mut stream_rng = seeded(10);
         let mut gauss = StandardNormal::new();
         let mut sum = 0.0;
@@ -466,6 +562,168 @@ mod tests {
         }
         let avg = sum / series.len() as f64;
         assert_eq!(avg, batch.average_w, "{avg} vs {}", batch.average_w);
+    }
+
+    /// Mean and variance of `reps` window readings.
+    fn moments(mut read: impl FnMut() -> Reading, reps: usize) -> (f64, f64) {
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..reps {
+            let x = read().average_w;
+            sum += x;
+            sum_sq += x * x;
+        }
+        let mean = sum / reps as f64;
+        (
+            mean,
+            (sum_sq / reps as f64 - mean * mean) * reps as f64 / (reps - 1) as f64,
+        )
+    }
+
+    #[test]
+    fn closed_form_matches_per_sample_oracle() {
+        // 10,000 windows per class, each metered once by the closed form
+        // and once by the per-sample loop, over a series whose step
+        // (dt = 0.7 s) differs from the meter's interval. The edge class
+        // sits exactly on the threshold q = 2·σ·gain·min w.
+        let series: Vec<f64> = (0..400)
+            .map(|i| 380.0 + (i as f64 * 0.31).sin() * 25.0)
+            .collect();
+        let window = (2.0, 0.7, 13.3, 151.9);
+        let min_w = series.iter().copied().fold(f64::INFINITY, f64::min);
+        let pdu = MeterModel::pdu_grade();
+        let mut edge = MeterModel::revenue_grade();
+        edge.accuracy_class = 0.0;
+        edge.quantization_w = 2.0 * edge.noise_sigma * min_w;
+        for model in [
+            pdu,
+            MeterModel::revenue_grade(),
+            edge,
+            MeterModel::occ_grade(),
+        ] {
+            let m = model.instantiate(&mut seeded(21)).unwrap();
+            let reps = 10_000;
+            let mut a = seeded(1);
+            let mut b = seeded(2);
+            let (mean_c, var_c) = moments(
+                || {
+                    m.measure(&mut a, &series, window.0, window.1, window.2, window.3)
+                        .unwrap()
+                },
+                reps,
+            );
+            let (mean_o, var_o) =
+                moments(|| per_sample(&m, &mut b, &series, window).unwrap(), reps);
+            // Five standard errors of a difference of means, and of a
+            // ratio of variances (relative SE sqrt(2/(reps-1)) each).
+            let se_mean = ((var_c + var_o) / reps as f64).sqrt();
+            assert!(
+                (mean_c - mean_o).abs() < 5.0 * se_mean,
+                "{model:?}: mean {mean_c} vs {mean_o} (se {se_mean})"
+            );
+            let se_ratio = (4.0 / (reps - 1) as f64).sqrt();
+            assert!(
+                (var_c / var_o - 1.0).abs() < 5.0 * se_ratio,
+                "{model:?}: variance {var_c} vs {var_o}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_keeps_the_sample_walk() {
+        // samples, t_start and t_end equal the per-sample loop's for
+        // windows clipped at either end, off-grid and shorter than one
+        // interval.
+        let series: Vec<f64> = (0..300).map(|i| 400.0 + i as f64 * 0.1).collect();
+        let m = MeterModel::occ_grade().instantiate(&mut seeded(3)).unwrap();
+        let mut rng = seeded(4);
+        for (t0, dt, from, to) in [
+            (0.0, 1.0, 0.0, 300.0),
+            (5.0, 0.7, 0.0, 400.0),
+            (0.0, 1.3, 17.05, 17.2),
+            (2.5, 0.25, 3.1, 60.77),
+            (0.0, 2.0, 598.9, 700.0),
+        ] {
+            let closed = m.measure(&mut rng, &series, t0, dt, from, to).unwrap();
+            let oracle = per_sample(&m, &mut rng, &series, (t0, dt, from, to)).unwrap();
+            assert_eq!(closed.samples, oracle.samples, "{from}..{to}");
+            assert_eq!(closed.t_start.to_bits(), oracle.t_start.to_bits());
+            assert_eq!(closed.t_end.to_bits(), oracle.t_end.to_bits());
+        }
+        assert!(matches!(
+            m.measure(&mut rng, &series, 0.0, 1.0, 400.0, 500.0),
+            Err(MeterError::EmptyWindow)
+        ));
+    }
+
+    #[test]
+    fn coarse_rounding_takes_the_per_sample_loop() {
+        // Above the threshold (q > 2·σ·gain·min w) and for noise-free
+        // meters, measure is the per-sample loop bit for bit.
+        let series: Vec<f64> = (0..200).map(|i| 40.0 + (i % 7) as f64).collect();
+        let coarse = MeterModel {
+            quantization_w: 1.0,
+            ..MeterModel::pdu_grade()
+        };
+        let quiet = MeterModel {
+            noise_sigma: 0.0,
+            ..MeterModel::pdu_grade()
+        };
+        for model in [coarse, quiet] {
+            let m = model.instantiate(&mut seeded(5)).unwrap();
+            let got = m
+                .measure(&mut seeded(6), &series, 0.0, 0.9, 3.0, 170.0)
+                .unwrap();
+            let want = per_sample(&m, &mut seeded(6), &series, (0.0, 0.9, 3.0, 170.0)).unwrap();
+            assert_eq!(got, want, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn integrating_meter_walks_only_the_window_bit_for_bit() {
+        // The whole-series loop the windowed walk replaced.
+        fn whole_series(
+            gain: f64,
+            series: &[f64],
+            t0: f64,
+            dt: f64,
+            from: f64,
+            to: f64,
+        ) -> (f64, f64) {
+            let (mut energy, mut covered) = (0.0, 0.0);
+            for (i, &w) in series.iter().enumerate() {
+                let a = t0 + i as f64 * dt;
+                let b = a + dt;
+                let overlap = (b.min(to) - a.max(from)).max(0.0);
+                energy += w * overlap;
+                covered += overlap;
+            }
+            (energy * gain, covered)
+        }
+        let series: Vec<f64> = (0..1000)
+            .map(|i| 300.0 + (i as f64 * 0.17).sin() * 40.0 - (i % 13) as f64)
+            .collect();
+        let m = IntegratingMeter::new(&mut seeded(11), 0.01).unwrap();
+        let mut rng = seeded(12);
+        for _ in 0..2_000 {
+            let t0 = rng.random::<f64>() * 10.0 - 5.0;
+            let dt = 0.1 + rng.random::<f64>() * 2.0;
+            let span = series.len() as f64 * dt;
+            let from = t0 - 3.0 + rng.random::<f64>() * (span + 6.0);
+            let to = from + rng.random::<f64>() * span * 0.5 + 1e-3;
+            let (energy, covered) = whole_series(m.gain, &series, t0, dt, from, to);
+            match m.measure(&series, t0, dt, from, to) {
+                Ok(r) => {
+                    assert_eq!(
+                        r.energy_j.to_bits(),
+                        energy.to_bits(),
+                        "{t0} {dt} {from} {to}"
+                    );
+                    assert_eq!(r.t_end.to_bits(), (from + covered).to_bits());
+                    assert_eq!(r.average_w.to_bits(), (energy / covered).to_bits());
+                }
+                Err(_) => assert!(covered <= 0.0, "{t0} {dt} {from} {to}"),
+            }
+        }
     }
 
     #[test]

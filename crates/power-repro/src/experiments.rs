@@ -3,10 +3,10 @@
 //! precondition, the exascale projection and the §1 rank-stability
 //! sweep. The paper's tables and figures live in
 //! [`power_campaign::artifacts`]. Every function is deterministic given
-//! its seed.
+//! its seed, derived per stream with [`artifacts::stream_seed`].
 
 use crate::paper::sim_threads;
-use power_campaign::artifacts::{self, Result};
+use power_campaign::artifacts::{self, stream_seed, Result};
 use power_campaign::Scale;
 use power_green500::list::{november_2014_top, RankedList};
 use power_green500::perturb::{rank_stability, PerturbConfig, RankStability};
@@ -154,7 +154,7 @@ pub fn imbalance_study(scale: &Scale, seed: u64) -> Result<ImbalanceStudy> {
             preset,
             scale,
             TraceStore::global(),
-            seed ^ stream,
+            stream_seed(stream, seed),
             sim_threads(),
         )
     };
@@ -176,7 +176,7 @@ pub fn imbalance_study(scale: &Scale, seed: u64) -> Result<ImbalanceStudy> {
         let mut hits = 0usize;
         let mut errs: Vec<f64> = Vec::with_capacity(reps);
         for rep in 0..reps {
-            let mut rng = substream(seed ^ stream, rep as u64);
+            let mut rng = substream(stream_seed(stream, seed), rep as u64);
             let idx =
                 sample_without_replacement(&mut rng, xs.len(), planned_n).expect("valid sample");
             let sample = gather(xs, &idx);
@@ -274,7 +274,7 @@ pub fn rank_stability_sweep(scale: &Scale, seed: u64) -> Vec<(f64, RankStability
                 &PerturbConfig {
                     measured_spread: spread,
                     replications: scale.bootstrap_reps,
-                    seed: seed ^ 0x9A6E,
+                    seed: stream_seed(0x9A6E, seed),
                 },
             )
             .expect("valid config");

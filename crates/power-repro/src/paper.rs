@@ -1,21 +1,23 @@
 //! The paper's simulated artifacts over the paper's systems, computed by
 //! the shared [`power_campaign::artifacts`] functions.
 //!
-//! Seed policy: one base seed XORed with a fixed stream per simulation
-//! — `seed ^ i` for the i-th trace system, `seed ^ (0x40 + i)` for the
-//! i-th variability system, `seed ^ 0xF163` for the Figure 3
-//! bootstrap. Simulations share the process-wide [`TraceStore`], so
-//! Figure 3 reuses Table 4's LRZ sweep.
+//! Seed policy: the one the campaign probes use,
+//! [`artifacts::stream_seed`]`(stream, seed)`, with a fixed stream per
+//! simulation — `i` for the i-th trace system, `0x40 + i` for the i-th
+//! variability system, `0xF163` for the Figure 3 bootstrap.
+//! Simulations share the process-wide [`TraceStore`], so Figure 3 reuses
+//! Table 4's LRZ sweep.
 
-use power_campaign::artifacts::{self, GamingRow, Result, Table2Row, Table4Row, TraceResult};
+use power_campaign::artifacts::{
+    self, stream_seed, GamingRow, Result, Table2Row, Table4Row, TraceResult,
+};
 use power_campaign::Scale;
 use power_sim::store::TraceStore;
 use power_sim::systems::SystemPreset;
 use power_stats::bootstrap::CoveragePoint;
 
-/// Simulation workers: every core. The count leaves per-node averages
-/// bit-identical but re-associates system-trace sums, so system traces
-/// ([`traces`]) simulate on one worker instead.
+/// Simulation workers: every core. No simulation product depends on the
+/// count.
 pub fn sim_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |p| p.get())
 }
@@ -29,7 +31,14 @@ pub fn traces(scale: &Scale, seed: u64) -> Result<Vec<TraceResult>> {
             let full = preset.targets.population;
             let n = scale.clamp_nodes(preset.cluster_spec.total_nodes);
             let preset = preset.with_total_nodes(n);
-            artifacts::system_trace(&preset, full, scale, TraceStore::global(), seed ^ i as u64)
+            artifacts::system_trace(
+                &preset,
+                full,
+                scale,
+                TraceStore::global(),
+                stream_seed(i as u64, seed),
+                sim_threads(),
+            )
         })
         .collect()
 }
@@ -64,7 +73,7 @@ fn variability_row(i: usize, preset: SystemPreset, scale: &Scale, seed: u64) -> 
         &preset,
         scale,
         TraceStore::global(),
-        seed ^ (0x40 + i as u64),
+        stream_seed(0x40 + i as u64, seed),
         sim_threads(),
     )?;
     artifacts::table4_row(&preset, averages)
@@ -83,7 +92,7 @@ pub fn figure3(scale: &Scale, seed: u64) -> Result<Vec<CoveragePoint>> {
         &[3, 5, 10, 15, 20, 30, 50],
         &[0.80, 0.95, 0.99],
         scale,
-        seed ^ 0xF163,
+        stream_seed(0xF163, seed),
     )
 }
 
@@ -177,7 +186,7 @@ mod tests {
                 confidences: vec![0.80, 0.95, 0.99],
                 replications: scale.bootstrap_reps,
                 threads: 2,
-                seed: 7 ^ 0xF163,
+                seed: stream_seed(0xF163, 7),
             },
         )
         .unwrap();
@@ -197,7 +206,12 @@ mod tests {
             let preset = preset.with_total_nodes(n);
             let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
             let workload = preset.workload.workload();
-            let cfg = artifacts::sim_config(&scale, workload.phases().core(), 7 ^ i as u64, 1);
+            let cfg = artifacts::sim_config(
+                &scale,
+                workload.phases().core(),
+                stream_seed(i as u64, 7),
+                1,
+            );
             let sim = Simulator::new(&cluster, workload, preset.balance, cfg).unwrap();
             let products = sim.run_products(&ProductRequest::system_only()).unwrap();
             let one_worker = products.system_trace(MeterScope::Wall).unwrap();

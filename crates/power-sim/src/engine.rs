@@ -10,21 +10,22 @@
 //!
 //! Every sample of every node comes out of one kernel, `NodeBlock`. It
 //! holds per-lane state for a block of nodes as a struct of arrays — RNG
-//! substream, normal sampler, die temperature, ambient-shifted inlet
-//! temperature, ASIC samples, residual multiplier and load-balance factor
-//! — and advances the whole block one sample at a time. Work that does not
-//! depend on the node is done once per step for the block (the sample
-//! time, the common-mode multiplier, the averaging-window overlap and the
-//! node-independent part of the utilization, via
-//! [`Workload::utilizations`]) or once per sweep (the thermal step
-//! factor). [`Simulator::run_products`] walks each worker's range
-//! [`BLOCK_WIDTH`] nodes at a time. No node-step allocates.
+//! substream, die temperature, ambient-shifted inlet temperature, ASIC
+//! samples, residual multiplier and load-balance factor — and advances the
+//! whole block one sample at a time. Work that does not depend on the node
+//! is done once per step for the block (the sample time, the common-mode
+//! multiplier, the averaging-window overlap and the node-independent part
+//! of the utilization, via [`Workload::utilizations`]) or once per sweep
+//! (the thermal step factor). [`Simulator::run_products`] hands
+//! [`BLOCK_WIDTH`]-node blocks to its workers round-robin. No node-step
+//! allocates.
 //!
 //! The kernel is bit-identical to the scalar reference loop —
 //! [`Cluster::node_power`] then [`ThermalState::step`], one node at a
 //! time — because every floating-point expression keeps its operand order,
 //! hoisted subexpressions are evaluated exactly as before, and each node
-//! draws from its own RNG substream keyed by `(seed, node)`.
+//! draws its noise with the [`ziggurat`] sampler from its own RNG
+//! substream keyed by `(seed, node)`.
 //!
 //! # One sweep, every product
 //!
@@ -49,15 +50,15 @@
 //!
 //! # What the thread count can change
 //!
-//! Per-node values depend only on `(seed, node)`, never on which worker
-//! or block a node landed in. So per-node window averages and subset
-//! traces are bit-identical for every product mix, every
-//! scope queried and every worker thread count. Whole-machine totals are
-//! not quite: each worker sums its own nodes in node order, and the
-//! workers' partial sums are then added together, so a different thread
-//! count re-associates the sum. System traces therefore agree across
-//! thread counts only up to floating-point re-association (differences in
-//! the last bits); for a fixed thread count they are exactly reproducible.
+//! Nothing. Per-node values depend only on `(seed, node)`, never on which
+//! worker or block a node landed in. Whole-machine totals are summed in
+//! a fixed order: each [`BLOCK_WIDTH`]-node block (block `b` holds nodes
+//! `64b..64b + 64`) sums its lanes in node order into a block partial, and
+//! the partials are added to the totals in block order. Workers take
+//! blocks round-robin, and a worker whose block is ready before the one
+//! ahead of it waits its turn. So per-node window averages, subset traces and
+//! system traces are bit-identical for every product mix, every scope
+//! queried and every worker thread count.
 
 use crate::cluster::Cluster;
 use crate::node::NodeSpec;
@@ -65,11 +66,12 @@ use crate::thermal::{ThermalSpec, ThermalState};
 use crate::trace::{NodeTrace, SystemTrace};
 use crate::variability::AsicSample;
 use crate::{Result, SimError};
-use power_stats::rng::{substream, StandardNormal};
+use power_stats::rng::{substream, ziggurat};
 use power_workload::{LoadBalance, Workload};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::{Condvar, Mutex};
 
 /// Nodes a [`Simulator::run_products`] worker advances together. Any width
 /// gives the same bits; this one keeps a block's lane state in L1 while
@@ -120,11 +122,9 @@ pub struct SimulationConfig {
     pub common_noise_sigma: f64,
     /// RNG seed for the noise streams.
     pub seed: u64,
-    /// Worker threads (clamped to at least 1). Per-node averages and
-    /// subset traces are bit-identical for any value; system traces
-    /// add the workers' partial sums, so they agree across thread counts
-    /// only up to floating-point re-association (see the module docs).
-    /// Excluded from cache keys for that reason.
+    /// Worker threads (clamped to at least 1). Every product is
+    /// bit-identical for any value (see the module docs), so cache keys
+    /// exclude it.
     pub threads: usize,
 }
 
@@ -468,11 +468,85 @@ pub struct ProductParts {
 }
 
 /// Per-worker accumulator for the sweep.
+#[derive(Default)]
 struct WorkerOut {
-    system: [Vec<f64>; 3],
     averages: Vec<(usize, [f64; 3])>,
     /// `(subset slot, lane in the current block, per-scope series)`.
     subset: Vec<(usize, usize, [Vec<f64>; 3])>,
+}
+
+/// Whole-machine totals of a sweep, added one block partial at a time in
+/// block order (see the module docs). Workers take blocks round-robin and
+/// each waits for its turn to add, so a sweep allocates the same buffers
+/// whatever the scheduling.
+struct BlockSums {
+    state: Mutex<SumState>,
+    turn: Condvar,
+}
+
+struct SumState {
+    /// The block whose partial is due next.
+    next: usize,
+    /// Set when a worker panicked: its blocks never arrive.
+    abandoned: bool,
+    /// `[wall, dc, processors]` totals per step.
+    totals: [Vec<f64>; 3],
+}
+
+impl BlockSums {
+    fn new(steps: usize) -> Self {
+        BlockSums {
+            state: Mutex::new(SumState {
+                next: 0,
+                abandoned: false,
+                totals: [vec![0.0; steps], vec![0.0; steps], vec![0.0; steps]],
+            }),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Waits until every block before `block` is added, then adds
+    /// `partial`. Returns `false` if a worker panicked, so the sweep is
+    /// being abandoned.
+    fn add(&self, block: usize, partial: &[Vec<f64>; 3]) -> bool {
+        let Ok(mut st) = self.state.lock() else {
+            return false;
+        };
+        while st.next != block && !st.abandoned {
+            st = match self.turn.wait(st) {
+                Ok(st) => st,
+                Err(_) => return false,
+            };
+        }
+        if st.abandoned {
+            return false;
+        }
+        for (total, part) in st.totals.iter_mut().zip(partial) {
+            for (t, p) in total.iter_mut().zip(part) {
+                *t += p;
+            }
+        }
+        st.next += 1;
+        drop(st);
+        self.turn.notify_all();
+        true
+    }
+}
+
+/// Held by each sweep worker: if the worker panics, marks the sums
+/// abandoned and wakes every waiter, so no worker waits forever for a
+/// block that will not arrive.
+struct AbandonOnPanic<'s>(&'s BlockSums);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut st) = self.0.state.lock() {
+                st.abandoned = true;
+            }
+            self.0.turn.notify_all();
+        }
+    }
 }
 
 /// The block kernel: per-lane simulation state for a block of nodes,
@@ -488,7 +562,6 @@ struct NodeBlock<'s, 'a> {
     alpha: f64,
     nodes: Vec<usize>,
     rng: Vec<StdRng>,
-    gauss: Vec<StandardNormal>,
     temp_c: Vec<f64>,
     /// Inlet temperature: nominal ambient plus the node's position in the
     /// room's thermal gradient.
@@ -512,7 +585,6 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
             alpha: sim.cluster.spec().node.thermal.step_alpha(sim.config.dt),
             nodes: Vec::with_capacity(width),
             rng: Vec::with_capacity(width),
-            gauss: Vec::with_capacity(width),
             temp_c: Vec::with_capacity(width),
             t_ambient_c: Vec::with_capacity(width),
             asics: Vec::with_capacity(width),
@@ -533,7 +605,6 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
         let t_ambient_c = cluster.spec().node.thermal.t_ambient_c;
         self.nodes.clear();
         self.rng.clear();
-        self.gauss.clear();
         self.temp_c.clear();
         self.t_ambient_c.clear();
         self.asics.clear();
@@ -543,7 +614,6 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
             let inlet = t_ambient_c + cluster.ambient_offset(node);
             self.nodes.push(node);
             self.rng.push(substream(sim.config.seed, node as u64));
-            self.gauss.push(StandardNormal::new());
             self.temp_c.push(inlet);
             self.t_ambient_c.push(inlet);
             self.asics
@@ -570,16 +640,16 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
         let thermal = sim.cluster.spec().node.thermal;
         sim.workload.utilizations(t, &self.nodes, &mut self.util);
         let lanes = self.nodes.len();
-        let (rng, gauss) = (&mut self.rng[..lanes], &mut self.gauss[..lanes]);
+        let rng = &mut self.rng[..lanes];
         let (temp_c, t_ambient_c) = (&mut self.temp_c[..lanes], &self.t_ambient_c[..lanes]);
         let (asics, multiplier) = (&self.asics[..lanes], &self.multiplier[..lanes]);
         let (factor, util) = (&self.factor[..lanes], &self.util[..lanes]);
         let (noise, watts) = (&mut self.noise[..lanes], &mut self.watts[..lanes]);
-        // The draws get a loop of their own: it keeps the lanes' independent
-        // `ln`/`sqrt` chains in flight together.
+        // The draws get a loop of their own: it keeps the lanes'
+        // independent generator chains in flight together.
         if sigma > 0.0 {
             for k in 0..lanes {
-                noise[k] = 1.0 + sigma * gauss[k].sample(&mut rng[k]);
+                noise[k] = 1.0 + sigma * ziggurat(&mut rng[k]);
             }
         }
         for k in 0..lanes {
@@ -672,9 +742,8 @@ impl<'a> Simulator<'a> {
         }
         // A dedicated substream far away from the per-node streams.
         let mut rng = substream(self.config.seed ^ 0xC0FF_EE00_D00D_F00Du64, u64::MAX);
-        let mut gauss = StandardNormal::new();
         (0..steps)
-            .map(|_| 1.0 + self.config.common_noise_sigma * gauss.sample(&mut rng))
+            .map(|_| 1.0 + self.config.common_noise_sigma * ziggurat(&mut rng))
             .collect()
     }
 
@@ -747,40 +816,33 @@ impl<'a> Simulator<'a> {
         } else {
             subset.to_vec()
         };
-        let threads = self.config.threads.max(1).min(work.len().max(1));
-        let chunk = work.len().div_ceil(threads).max(1);
+        let blocks = work.len().div_ceil(BLOCK_WIDTH);
+        let threads = self.config.threads.max(1).min(blocks.max(1));
         let common = self.common_noise(steps);
 
         let system_len = if request.system { steps } else { 0 };
-        let mut outs: Vec<WorkerOut> = (0..threads)
-            .map(|_| WorkerOut {
-                system: [
-                    vec![0.0; system_len],
-                    vec![0.0; system_len],
-                    vec![0.0; system_len],
-                ],
-                averages: Vec::new(),
-                subset: Vec::new(),
-            })
-            .collect();
+        let sums = BlockSums::new(system_len);
+        let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::default()).collect();
 
         std::thread::scope(|scope_| {
             for (w, out) in outs.iter_mut().enumerate() {
-                let lo = (w * chunk).min(work.len());
-                let hi = ((w + 1) * chunk).min(work.len());
                 let sim = self;
-                let common = &common;
-                let slot_of = &slot_of;
-                let work = &work;
+                let (common, slot_of, work, sums) = (&common, &slot_of, &work, &sums);
                 scope_.spawn(move || {
+                    let _abandon = AbandonOnPanic(sums);
                     let WorkerOut {
-                        system,
                         averages,
                         subset: subset_out,
                     } = out;
                     let mut block = NodeBlock::new(sim, BLOCK_WIDTH);
                     let mut weighted = [[0.0f64; 3]; BLOCK_WIDTH];
-                    for nodes in work[lo..hi].chunks(BLOCK_WIDTH) {
+                    let mut partial = [
+                        vec![0.0; system_len],
+                        vec![0.0; system_len],
+                        vec![0.0; system_len],
+                    ];
+                    for b in (w..blocks).step_by(threads) {
+                        let nodes = &work[b * BLOCK_WIDTH..((b + 1) * BLOCK_WIDTH).min(work.len())];
                         block.load(nodes);
                         let retained = subset_out.len();
                         for (lane, node) in nodes.iter().enumerate() {
@@ -796,7 +858,7 @@ impl<'a> Simulator<'a> {
                             let watts = block.step(step, common_mult);
                             if request.system {
                                 for vals in watts {
-                                    for (acc, v) in system.iter_mut().zip(vals) {
+                                    for (acc, v) in partial.iter_mut().zip(vals) {
                                         acc[step] += v;
                                     }
                                 }
@@ -824,25 +886,21 @@ impl<'a> Simulator<'a> {
                                 averages.push((node, accs.map(|x| x / weight)));
                             }
                         }
+                        if request.system {
+                            if !sums.add(b, &partial) {
+                                return;
+                            }
+                            partial.iter_mut().for_each(|p| p.fill(0.0));
+                        }
                     }
                 });
             }
         });
 
         let system = if request.system {
-            let mut totals = [
-                vec![0.0f64; steps],
-                vec![0.0f64; steps],
-                vec![0.0f64; steps],
-            ];
-            for out in &outs {
-                for (total, partial) in totals.iter_mut().zip(&out.system) {
-                    for (t, p) in total.iter_mut().zip(partial) {
-                        *t += p;
-                    }
-                }
-            }
-            let [w, d, p] = totals;
+            let st = sums.state.into_inner().expect("a sweep worker panicked");
+            debug_assert_eq!(st.next, blocks);
+            let [w, d, p] = st.totals;
             Some([
                 SystemTrace::new(0.0, dt, w)?,
                 SystemTrace::new(0.0, dt, d)?,
@@ -1030,7 +1088,7 @@ mod tests {
 
     #[test]
     fn results_independent_of_thread_count() {
-        let cluster = Cluster::build(spec(16)).unwrap();
+        let cluster = Cluster::build(spec(2 * BLOCK_WIDTH + 5)).unwrap();
         let phases = RunPhases::core_only(300.0).unwrap();
         let wl = Firestarter::new(phases);
         let mut c1 = config();
@@ -1045,14 +1103,11 @@ mod tests {
             .unwrap()
             .system_trace(MeterScope::Wall)
             .unwrap();
-        // System totals add the workers' partial sums, so a different
-        // thread count re-associates them: equal up to rounding only.
-        for (a, b) in t1.watts.iter().zip(&t8.watts) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // Per-node products never cross a worker boundary, so they are
-        // bit-identical across thread counts.
-        let request = ProductRequest::with_averages(20.0, 250.0).and_subset(&[15, 2, 9]);
+        // System totals add block partials in block order, so three
+        // blocks over one or eight workers give the same bits.
+        assert_eq!(t1.watts, t8.watts);
+        // Per-node products never cross a block boundary.
+        let request = ProductRequest::with_averages(20.0, 250.0).and_subset(&[15, 2, 9, 130]);
         let p1 = Simulator::new(&cluster, &wl, LoadBalance::Balanced, c1)
             .unwrap()
             .run_products(&request)
@@ -1062,6 +1117,7 @@ mod tests {
             .run_products(&request)
             .unwrap();
         for scope in MeterScope::ALL {
+            assert_eq!(p1.system_trace(scope), p8.system_trace(scope));
             assert_eq!(p1.node_averages(scope), p8.node_averages(scope));
             assert_eq!(p1.subset_trace(scope), p8.subset_trace(scope));
         }

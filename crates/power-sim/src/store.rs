@@ -22,10 +22,9 @@
 //!   parameter its utilization and flop count read, so two HPL runs that
 //!   differ only in one envelope parameter key apart);
 //! * the load-balance policy;
-//! * the engine configuration *except* `threads`, which leaves per-node
-//!   averages and subset traces bit-identical and changes system
-//!   traces only by floating-point re-association of the workers' partial
-//!   sums (see [`crate::engine`]).
+//! * the engine configuration *except* `threads`, which leaves every
+//!   product bit-identical (system traces add per-block partials in block
+//!   order, see [`crate::engine`]).
 //!
 //! The key is a function of the spec, not of the built machine, so a
 //! caller holding only a preset can compute it without running
@@ -86,12 +85,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Generation of the hashing scheme behind [`simulation_key`] and
-/// [`request_fingerprint`]; archive tiers retire stores written under
-/// any other epoch. Bump with any change to what the key or request
-/// fingerprint hashes. Epoch 1 hashed `Debug` renderings and a
-/// utilization probe grid; epoch 2 is the structural key.
-pub const SIMULATION_KEY_EPOCH: u32 = 2;
+/// Generation of the simulation model and of the hashing scheme behind
+/// [`simulation_key`] and [`request_fingerprint`] — the *model revision*
+/// that `summary.json` reports as `model_rev`. Archive tiers retire
+/// stores written under any other epoch, and live-campaign journals
+/// refuse to resume across it. Bump with any change to what the key or
+/// request fingerprint hashes, or to what a sweep or meter outputs for a
+/// given key. Epoch 1 hashed `Debug` renderings and a utilization probe
+/// grid; epoch 2 is the structural key; epoch 3 draws the engine's noise
+/// with the ziggurat sampler, dephases the HPL ripple by table angle
+/// addition, sums system traces in block order, and meters sampling
+/// windows in closed form.
+pub const SIMULATION_KEY_EPOCH: u32 = 3;
 
 /// Fingerprints a simulation identity from its parts — everything that
 /// can change a sweep's results (see the module docs for what is
@@ -113,8 +118,7 @@ pub fn simulation_key(
         noise_sigma,
         common_noise_sigma,
         seed,
-        // Deliberately excluded: it changes system totals only by
-        // re-association, and per-node products not at all.
+        // Deliberately excluded: no product depends on it.
         threads: _,
     } = *config;
     h.write_f64(dt);
@@ -559,6 +563,14 @@ impl TraceStore {
                 fingerprint,
                 flight: lead.expect("leader holds its flight"),
             };
+            // A previous leader may have cached the entry and retired its
+            // flight between our lookup and taking the flight table: serve
+            // that entry rather than deriving a second copy of it.
+            if let Some(products) = self.lookup(key, request) {
+                sim.validate_request(request)?;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(products);
+            }
             return self.products_uncoalesced(sim, key, request);
         }
     }
@@ -1295,7 +1307,15 @@ mod tests {
 
     #[test]
     fn thread_count_invariance_holds_through_the_cache() {
-        let (cluster, wl, cfg) = fixture();
+        // Three blocks, so eight workers split the machine differently
+        // from one.
+        let (_, wl, cfg) = fixture();
+        let preset = SystemPreset::trace_presets()
+            .into_iter()
+            .find(|p| p.name == "L-CSC")
+            .expect("L-CSC trace preset exists")
+            .with_total_nodes(2 * crate::engine::BLOCK_WIDTH + 22);
+        let cluster = crate::Cluster::build(preset.cluster_spec).unwrap();
         let mut c1 = cfg;
         c1.threads = 1;
         let mut c8 = cfg;
@@ -1313,19 +1333,12 @@ mod tests {
             let t1 = p1.system_trace(scope).unwrap();
             let t8 = p8.system_trace(scope).unwrap();
             for (a, b) in t1.watts.iter().zip(&t8.watts) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{scope:?}: {a} vs {b}");
             }
-            for (a, b) in p1
-                .node_averages(scope)
-                .unwrap()
-                .iter()
-                .zip(p8.node_averages(scope).unwrap())
-            {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            }
+            assert_eq!(p1.node_averages(scope), p8.node_averages(scope));
         }
-        // And because the key ignores `threads`, either simulator's
-        // products would have served the other's request.
+        // So the key can ignore `threads`: either simulator's products
+        // serve the other's request with the same bits.
         assert_eq!(sim_key(&sim1), sim_key(&sim8));
     }
 }

@@ -4,7 +4,8 @@
 //! time: `Cluster::node_power`, then `ThermalState::step`. `run_products`
 //! (every product, every scope) must reproduce it bit for bit, whatever
 //! the block boundaries, the node count, the subset order or the worker
-//! count.
+//! count. Noise draws come from the ziggurat sampler, one stream per node
+//! and one for the machine-wide multiplier.
 
 use proptest::prelude::*;
 
@@ -13,7 +14,7 @@ use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator,
 use power_sim::node::NodeSpec;
 use power_sim::systems::SystemPreset;
 use power_sim::thermal::ThermalState;
-use power_stats::rng::{substream, StandardNormal};
+use power_stats::rng::{substream, ziggurat};
 use power_workload::{
     Graph500, Hpl, HplVariant, IoPhase, LoadBalance, MPrime, RodiniaCfd, Workload, WorkloadSpec,
 };
@@ -33,9 +34,8 @@ fn reference(
     let mut common = vec![1.0; steps];
     if cfg.common_noise_sigma != 0.0 {
         let mut rng = substream(cfg.seed ^ 0xC0FF_EE00_D00D_F00Du64, u64::MAX);
-        let mut gauss = StandardNormal::new();
         for c in &mut common {
-            *c = 1.0 + cfg.common_noise_sigma * gauss.sample(&mut rng);
+            *c = 1.0 + cfg.common_noise_sigma * ziggurat(&mut rng);
         }
     }
     nodes
@@ -45,14 +45,13 @@ fn reference(
             spec.t_ambient_c += cluster.ambient_offset(node);
             let mut thermal = ThermalState::at_ambient(&spec);
             let mut rng = substream(cfg.seed, node as u64);
-            let mut gauss = StandardNormal::new();
             let factor = balance.factor(node, cluster.len());
             (0..steps)
                 .map(|step| {
                     let t = step as f64 * cfg.dt;
                     let mut u = workload.utilization(node, t) * factor * common[step];
                     if cfg.noise_sigma > 0.0 {
-                        u *= 1.0 + cfg.noise_sigma * gauss.sample(&mut rng);
+                        u *= 1.0 + cfg.noise_sigma * ziggurat(&mut rng);
                     }
                     let u = u.clamp(0.0, 1.0);
                     let p = cluster.node_power(node, t, u, thermal.temp_c).unwrap();
@@ -64,17 +63,15 @@ fn reference(
         .collect()
 }
 
-/// Whole-machine totals as the engine defines them: each worker adds its
-/// contiguous node range in node order, then the partials are added in
-/// worker order.
-fn reference_totals(all: &Series, threads: usize, scope: usize) -> Vec<f64> {
+/// Whole-machine totals as the engine defines them, for any worker count:
+/// each `BLOCK_WIDTH`-node block adds its nodes in node order, then the
+/// block partials are added in block order.
+fn reference_totals(all: &Series, scope: usize) -> Vec<f64> {
     let steps = all[0].len();
-    let threads = threads.max(1).min(all.len());
-    let chunk = all.len().div_ceil(threads);
     let mut totals = vec![0.0; steps];
-    for worker in all.chunks(chunk) {
+    for block in all.chunks(BLOCK_WIDTH) {
         let mut partial = vec![0.0; steps];
-        for node in worker {
+        for node in block {
             for (acc, w) in partial.iter_mut().zip(node) {
                 *acc += w[scope];
             }
@@ -202,7 +199,7 @@ proptest! {
             let k = scope.index();
             let system = got.system_trace(scope).unwrap();
             prop_assert!(
-                same_bits(&system.watts, &reference_totals(&want, threads, k)),
+                same_bits(&system.watts, &reference_totals(&want, k)),
                 "system {scope:?} differs"
             );
             let averages = got.node_averages(scope).unwrap();
@@ -222,31 +219,44 @@ proptest! {
 }
 
 #[test]
-fn single_thread_system_total_is_the_node_ordered_sum() {
-    // threads = 1 needs no model of the worker split: each step's total is
-    // 0.0 plus every node in node order.
-    let preset = power_sim::systems::piz_daint().with_total_nodes(BLOCK_WIDTH + 3);
+fn system_total_is_the_block_ordered_sum_at_any_worker_count() {
+    // Written out without the proptest's helper: each step's total is
+    // 0.0 plus every block's partial in block order, and each partial is
+    // 0.0 plus the block's nodes in node order — at 1, 2 and 8 workers.
+    let preset = power_sim::systems::piz_daint().with_total_nodes(3 * BLOCK_WIDTH + 3);
     let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
     let workload = preset.workload.workload();
-    let cfg = SimulationConfig {
+    let base = SimulationConfig {
         dt: workload.phases().total() / 150.0,
         noise_sigma: 0.01,
         common_noise_sigma: 0.003,
         seed: 11,
         threads: 1,
     };
-    let sim = Simulator::new(&cluster, workload, preset.balance, cfg).unwrap();
     let all: Vec<usize> = (0..cluster.len()).collect();
-    let want = reference(&cluster, workload, preset.balance, &cfg, &all);
-    let got = sim.run_products(&ProductRequest::system_only()).unwrap();
-    for scope in MeterScope::ALL {
-        let mut totals = vec![0.0; want[0].len()];
-        for node in &want {
-            for (t, w) in totals.iter_mut().zip(node) {
-                *t += w[scope.index()];
+    let want = reference(&cluster, workload, preset.balance, &base, &all);
+    let steps = want[0].len();
+    for threads in [1, 2, 8] {
+        let cfg = SimulationConfig { threads, ..base };
+        let sim = Simulator::new(&cluster, workload, preset.balance, cfg).unwrap();
+        let got = sim.run_products(&ProductRequest::system_only()).unwrap();
+        for scope in MeterScope::ALL {
+            let mut totals = vec![0.0; steps];
+            for block in want.chunks(BLOCK_WIDTH) {
+                let mut partial = vec![0.0; steps];
+                for node in block {
+                    for (p, w) in partial.iter_mut().zip(node) {
+                        *p += w[scope.index()];
+                    }
+                }
+                for (t, p) in totals.iter_mut().zip(&partial) {
+                    *t += p;
+                }
             }
+            assert!(
+                same_bits(&got.system_trace(scope).unwrap().watts, &totals),
+                "{threads} workers, {scope:?}"
+            );
         }
-        let totals: Vec<f64> = totals.into_iter().map(|t| 0.0 + t).collect();
-        assert!(same_bits(&got.system_trace(scope).unwrap().watts, &totals));
     }
 }

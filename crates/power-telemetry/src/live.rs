@@ -41,6 +41,7 @@ use crate::{Result, TelemetryError};
 use power_meter::faults::MeterFault;
 use power_meter::MeterModel;
 use power_sim::engine::MeterScope;
+use power_sim::store::SIMULATION_KEY_EPOCH;
 use power_sim::Simulator;
 use power_stats::ci::ConfidenceInterval;
 use power_stats::hash::Fnv1a;
@@ -145,12 +146,15 @@ impl LiveCampaignConfig {
 /// Fingerprints a campaign identity: everything that determines the
 /// node selection order and the per-node averages — the full config
 /// (via its `Debug` rendering, the workspace's standard trick for
-/// structural hashing) and the machine size. A journal written under
-/// one fingerprint refuses to replay into a campaign with another.
+/// structural hashing), the machine size and the model revision
+/// ([`SIMULATION_KEY_EPOCH`]). A journal written under one fingerprint
+/// refuses to replay into a campaign with another, so averages metered
+/// under an older model are never mixed with new ones.
 pub fn campaign_fingerprint(cfg: &LiveCampaignConfig, population: usize) -> u64 {
     let mut h = Fnv1a::default();
     h.write(format!("{cfg:?}").as_bytes());
     h.write_u64(population as u64);
+    h.write(&SIMULATION_KEY_EPOCH.to_le_bytes());
     h.finish()
 }
 
@@ -766,6 +770,15 @@ mod tests {
         let other = campaign(CvAssumption::Planned(0.10));
         let mut foreign = live_journal(campaign_fingerprint(&other, 60), 60, &[]);
         let err = run_live_campaign_journaled(&sim, &cfg, &mut foreign).unwrap_err();
+        assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
+
+        // A journal written under the previous model revision: the same
+        // config and population, fingerprinted without the epoch.
+        let mut h = Fnv1a::default();
+        h.write(format!("{cfg:?}").as_bytes());
+        h.write_u64(60);
+        let mut old_model = live_journal(h.finish(), 60, &[]);
+        let err = run_live_campaign_journaled(&sim, &cfg, &mut old_model).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
 
         // A journal written for a different population.

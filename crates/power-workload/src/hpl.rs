@@ -35,6 +35,7 @@ use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which HPL regime to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -261,17 +262,65 @@ impl Hpl {
     }
 }
 
+/// Phase step of the panel ripple from one node to the next: the golden
+/// angle, so that the machine-level sum stays jagged but bounded.
+const RIPPLE_DEPHASE: f64 = 2.399_963;
+
+/// Nodes per row of the dephasing tables: node `n` is `hi·256 + lo`.
+const DEPHASE_LO: usize = 256;
+/// Rows of the high-part table; nodes beyond `DEPHASE_HI · 256` compute
+/// their high part with the same expression the table holds.
+const DEPHASE_HI: usize = 1024;
+
+/// `(sin, cos)` of `k · RIPPLE_DEPHASE` for `k = lo`, and of
+/// `k · 256 · RIPPLE_DEPHASE` for `k = hi`.
+struct DephaseTables {
+    lo: [(f64, f64); DEPHASE_LO],
+    hi: [(f64, f64); DEPHASE_HI],
+}
+
+fn dephase_tables() -> &'static DephaseTables {
+    static TABLES: OnceLock<DephaseTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = DephaseTables {
+            lo: [(0.0, 0.0); DEPHASE_LO],
+            hi: [(0.0, 0.0); DEPHASE_HI],
+        };
+        for (k, e) in t.lo.iter_mut().enumerate() {
+            *e = (k as f64 * RIPPLE_DEPHASE).sin_cos();
+        }
+        for (k, e) in t.hi.iter_mut().enumerate() {
+            *e = dephase_hi(k);
+        }
+        t
+    })
+}
+
+fn dephase_hi(hi: usize) -> (f64, f64) {
+    ((hi * DEPHASE_LO) as f64 * RIPPLE_DEPHASE).sin_cos()
+}
+
+/// `(sin, cos)` of node `node`'s ripple dephasing, by angle addition over
+/// the tables: no trigonometric call per node.
+fn node_dephase(node: usize) -> (f64, f64) {
+    let t = dephase_tables();
+    let (sl, cl) = t.lo[node % DEPHASE_LO];
+    let hi = node / DEPHASE_LO;
+    let (sh, ch) = t.hi.get(hi).copied().unwrap_or_else(|| dephase_hi(hi));
+    (sh * cl + ch * sl, ch * cl - sh * sl)
+}
+
 /// The node-independent part of [`Hpl`]'s utilization at one instant.
 #[derive(Debug, Clone, Copy)]
 enum HplAt {
     /// Outside the core phase: every node sits at this level.
     Flat(f64),
     /// Inside the core phase: the smooth envelope plus, when the shape has
-    /// ripple, the node-independent part of the ripple phase.
+    /// ripple, `(sin, cos)` of the node-independent ripple phase.
     Core {
         envelope: f64,
         ripple: f64,
-        ripple_phase: f64,
+        ripple_sin_cos: (f64, f64),
     },
 }
 
@@ -282,14 +331,14 @@ impl HplAt {
             HplAt::Core {
                 envelope,
                 ripple,
-                ripple_phase,
+                ripple_sin_cos: (sa, ca),
             } => {
                 let mut u = envelope;
-                // Deterministic panel/update ripple, dephased per node so
-                // that the machine-level sum stays jagged but bounded.
+                // Deterministic panel/update ripple, dephased per node:
+                // sin(phase + node·RIPPLE_DEPHASE) by angle addition.
                 if ripple > 0.0 {
-                    let phase = ripple_phase + (node as f64) * 2.399_963; // golden-angle dephasing
-                    u += ripple * phase.sin();
+                    let (sb, cb) = node_dephase(node);
+                    u += ripple * (sa * cb + ca * sb);
                 }
                 u.clamp(0.0, 1.0)
             }
@@ -299,7 +348,7 @@ impl HplAt {
 
 impl Hpl {
     /// Everything about the utilization at `t` that does not depend on the
-    /// node — the `powf` envelope above all.
+    /// node — the `powf` envelope and the ripple phase's one `sin_cos`.
     fn at(&self, t: f64) -> HplAt {
         if !self.phases.in_run(t) {
             return HplAt::Flat(0.0);
@@ -311,7 +360,7 @@ impl Hpl {
         HplAt::Core {
             envelope: self.envelope(tau),
             ripple: self.shape.ripple,
-            ripple_phase: tau * self.shape.panel_steps * std::f64::consts::TAU,
+            ripple_sin_cos: (tau * self.shape.panel_steps * std::f64::consts::TAU).sin_cos(),
         }
     }
 }
@@ -501,6 +550,22 @@ mod tests {
         assert!((u0 - u1).abs() > 1e-6, "nodes should be dephased");
         // But the envelope dominates: both within ripple of each other.
         assert!((u0 - u1).abs() <= 2.0 * hpl.shape().ripple + 1e-12);
+    }
+
+    #[test]
+    fn table_dephasing_matches_direct_sin_cos() {
+        // Angle addition over the two tables agrees with a direct
+        // sin_cos of n·RIPPLE_DEPHASE to rounding, below, across and
+        // beyond the high table.
+        for node in (0..300).chain([255, 256, 257, 65_535, 98_303, 262_143, 262_144, 1_000_003]) {
+            let (s, c) = node_dephase(node);
+            let (ws, wc) = (node as f64 * RIPPLE_DEPHASE).sin_cos();
+            let tol = 1e-15 * (node as f64 * RIPPLE_DEPHASE).max(1.0);
+            assert!(
+                (s - ws).abs() <= tol && (c - wc).abs() <= tol,
+                "node {node}"
+            );
+        }
     }
 
     #[test]
