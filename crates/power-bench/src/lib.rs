@@ -29,13 +29,18 @@
 pub mod report;
 
 /// Drop-in replacement for `criterion_main!` that also drains the
-/// [`report`] sink to `BENCH_<name>.json` after the groups run, so
-/// every bench binary leaves machine-readable evidence behind.
+/// [`report`] sink to `BENCH_<name>.json` after the groups run, with
+/// every Criterion measurement recorded as `<group>/<id>.{min,median,
+/// mean}_ns` beside the bench's own metrics, so every bench binary
+/// leaves machine-readable evidence behind.
 #[macro_export]
 macro_rules! bench_main {
     ($name:literal, $($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
+            for m in ::criterion::take_measurements() {
+                $crate::report::timing(&m.id, m.min_s, m.median_s, m.mean_s);
+            }
             $crate::report::write($name);
         }
     };

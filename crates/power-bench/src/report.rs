@@ -6,11 +6,11 @@
 //! target answering two questions — *what did the headline metrics
 //! measure* and *did every enforced budget pass*. Bench functions
 //! record into a process-global sink as they run ([`metric`],
-//! [`budget`]); the bench's `main` drains it to disk with [`write`]
-//! after Criterion's summary. A budget violation still panics exactly
-//! where it is measured, so `cargo bench` fails loudly and the JSON
-//! (written on the success path only) never claims a failed run
-//! passed.
+//! [`budget`]); the bench's `main` adds every Criterion measurement
+//! ([`timing`]) and drains the sink to disk with [`write`]. A budget
+//! violation still panics exactly where it is measured, so `cargo
+//! bench` fails loudly and the JSON (written on the success path only)
+//! never claims a failed run passed.
 //!
 //! Output directory: `$BENCH_RESULTS_DIR` when set, else
 //! `results/bench` at the workspace root. The JSON is hand-serialized
@@ -85,6 +85,14 @@ pub fn metric(name: &str, value: f64) {
     with_sink(|s| {
         s.metrics.insert(name.to_string(), value);
     });
+}
+
+/// Records one benchmark's per-iteration times (given in seconds) as
+/// `<id>.min_ns`, `<id>.median_ns` and `<id>.mean_ns`.
+pub fn timing(id: &str, min_s: f64, median_s: f64, mean_s: f64) {
+    for (stat, seconds) in [("min", min_s), ("median", median_s), ("mean", mean_s)] {
+        metric(&format!("{id}.{stat}_ns"), seconds * 1e9);
+    }
 }
 
 /// Records a metric *and* enforces a budget on it: the measurement is
@@ -227,12 +235,15 @@ mod tests {
         std::env::set_var("BENCH_RESULTS_DIR", &dir);
         metric("rate", 123.0);
         budget("rate_floor", 123.0, Direction::AtLeast, 100.0);
+        timing("group/id", 0.25, 0.5, 1.0);
         write("selftest");
         std::env::remove_var("BENCH_RESULTS_DIR");
         let body = std::fs::read_to_string(dir.join("BENCH_selftest.json")).unwrap();
         assert!(body.contains("\"bench\": \"selftest\""));
         assert!(body.contains("\"rate\": 123"));
         assert!(body.contains("\"passed\": true"));
+        assert!(body.contains("\"group/id.median_ns\": 500000000"), "{body}");
+        assert!(body.contains("\"group/id.min_ns\": 250000000"), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

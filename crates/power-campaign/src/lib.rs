@@ -51,7 +51,7 @@ pub mod scenario;
 pub mod summary;
 
 pub use engine::{
-    run_campaign, run_campaign_with_store, CampaignError, CampaignReport, CellResult,
+    run_campaign, run_campaign_with_store, CampaignError, CampaignReport, CellResult, MODEL_REV,
 };
 pub use gate::{GateOutcome, GateResult};
 pub use grid::Cell;

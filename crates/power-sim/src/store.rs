@@ -86,12 +86,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Generation of the simulation model and of the hashing scheme behind
-/// [`simulation_key`] and [`request_fingerprint`] — the *model revision*
-/// that `summary.json` reports as `model_rev`. Archive tiers retire
+/// [`simulation_key`] and [`request_fingerprint`]. Archive tiers retire
 /// stores written under any other epoch, and live-campaign journals
 /// refuse to resume across it. Bump with any change to what the key or
 /// request fingerprint hashes, or to what a sweep or meter outputs for a
-/// given key. Epoch 1 hashed `Debug` renderings and a utilization probe
+/// given key; every bump also bumps `power_campaign::MODEL_REV`, the
+/// revision of the published numbers that `summary.json` reports as
+/// `model_rev`. Epoch 1 hashed `Debug` renderings and a utilization probe
 /// grid; epoch 2 is the structural key; epoch 3 draws the engine's noise
 /// with the ziggurat sampler, dephases the HPL ripple by table angle
 /// addition, sums system traces in block order, and meters sampling

@@ -9,13 +9,15 @@
 //! machine's true mean. Figure 3 plots the resulting coverage, showing good
 //! calibration down to `n = 5`.
 //!
-//! [`coverage_study`] reproduces that procedure exactly, parallelized over
-//! replications with `std::thread::scope` and deterministic per-worker
-//! RNG substreams so results are independent of thread count.
+//! [`coverage_study`] reproduces that procedure with common random
+//! numbers: each replication simulates one machine and scores every
+//! sample size on it, parallelized over replications with
+//! `std::thread::scope` and deterministic per-worker RNG substreams.
 
-use crate::ci::mean_ci_t;
+use crate::ci::mean_ci_with_critical;
 use crate::empirical::Empirical;
 use crate::rng::substream;
+use crate::student_t::t_critical;
 use crate::summary::Summary;
 use crate::{Result, StatsError};
 use rand::Rng;
@@ -64,12 +66,22 @@ impl CoveragePoint {
 
 /// Runs the paper's Figure 3 coverage simulation against a pilot dataset.
 ///
-/// Exploits the fact that a without-replacement subsample of an
-/// iid-resampled population is itself iid from the pilot distribution: each
-/// replication draws the `n` sample values directly, then draws the
-/// remaining `N - n` values only to accumulate the simulated machine's true
-/// mean. This keeps memory at `O(n)` per worker while remaining faithful to
-/// the published procedure.
+/// Every replication simulates one machine of `N` iid draws from the
+/// pilot, and its first `n_max = max(sample_sizes)` draws are the sample:
+/// the first `n` draws of an iid machine are a without-replacement sample
+/// of it, so each size `n` is scored on the prefix `sample[..n]` against
+/// the same true mean. That is steps (1)–(4) above for every size at once
+/// (common random numbers), at `N` draws per replication instead of
+/// `N` per size, and it keeps memory at `O(n_max)` per worker. The points
+/// of different sizes are correlated within a replication; each point on
+/// its own is the published estimator.
+///
+/// Worker `w` draws from `substream(seed, w)`, so the results depend on
+/// `threads` but not on the order of `sample_sizes`: permuting the sizes
+/// permutes the points. Each `t_{n-1}` critical value is computed once,
+/// before any worker starts. Points come out size-major, in the order of
+/// `sample_sizes` and then `confidences`; with either list empty the
+/// result is empty and nothing is drawn.
 pub fn coverage_study(pilot: &Empirical, cfg: &CoverageConfig) -> Result<Vec<CoveragePoint>> {
     if cfg.replications == 0 {
         return Err(StatsError::InvalidParameter {
@@ -93,62 +105,72 @@ pub fn coverage_study(pilot: &Empirical, cfg: &CoverageConfig) -> Result<Vec<Cov
             });
         }
     }
+    let Some(&n_max) = cfg.sample_sizes.iter().max() else {
+        return Ok(Vec::new());
+    };
+    if cfg.confidences.is_empty() {
+        return Ok(Vec::new());
+    }
 
+    // The (n, confidence) cells, size-major; `critical` and each worker's
+    // `hits` row are indexed alike.
+    let cells = || {
+        cfg.sample_sizes
+            .iter()
+            .flat_map(|&n| cfg.confidences.iter().map(move |&conf| (n, conf)))
+    };
+    let critical = cells()
+        .map(|(n, conf)| t_critical(conf, n as f64 - 1.0))
+        .collect::<Result<Vec<f64>>>()?;
     let threads = cfg.threads.max(1);
-    let mut results = Vec::with_capacity(cfg.sample_sizes.len() * cfg.confidences.len());
+    let reps_per = split_evenly(cfg.replications, threads);
+    let mut hits = vec![vec![0u64; critical.len()]; threads];
 
-    for (ni, &n) in cfg.sample_sizes.iter().enumerate() {
-        // hits[worker][confidence index]
-        let mut hits = vec![vec![0u64; cfg.confidences.len()]; threads];
-        let reps_per: Vec<usize> = split_evenly(cfg.replications, threads);
-
-        std::thread::scope(|scope| {
-            for (w, hit_row) in hits.iter_mut().enumerate() {
-                let reps = reps_per[w];
-                let confidences = &cfg.confidences;
-                let population_size = cfg.population_size;
-                let seed = cfg.seed;
-                scope.spawn(move || {
-                    let mut rng = substream(seed, (ni as u64) << 32 | w as u64);
-                    let mut sample = vec![0.0f64; n];
-                    for _ in 0..reps {
-                        // (1)+(2) combined: the n-node sample is iid from
-                        // the pilot; the rest of the machine contributes
-                        // only to the true mean.
-                        let mut total = 0.0;
-                        for s in sample.iter_mut() {
-                            *s = pilot.draw(&mut rng);
-                            total += *s;
-                        }
-                        for _ in n..population_size {
-                            total += pilot.draw(&mut rng);
-                        }
-                        let true_mean = total / population_size as f64;
-                        // (3)+(4): t-intervals and containment checks.
-                        let summary = Summary::from_slice(&sample);
-                        for (ci_idx, &conf) in confidences.iter().enumerate() {
-                            let ci = mean_ci_t(&summary, conf)
+    std::thread::scope(|scope| {
+        for (w, hit_row) in hits.iter_mut().enumerate() {
+            let reps = reps_per[w];
+            let critical = &critical;
+            scope.spawn(move || {
+                let mut rng = substream(cfg.seed, w as u64);
+                let mut sample = vec![0.0f64; n_max];
+                for _ in 0..reps {
+                    // (1)+(2): the sample is the machine's first draws;
+                    // the rest contributes only to the true mean.
+                    let mut total = 0.0;
+                    for s in sample.iter_mut() {
+                        *s = pilot.draw(&mut rng);
+                        total += *s;
+                    }
+                    for _ in n_max..cfg.population_size {
+                        total += pilot.draw(&mut rng);
+                    }
+                    let true_mean = total / cfg.population_size as f64;
+                    // (3)+(4), for every size on its prefix of the sample.
+                    let mut cell = 0;
+                    for &n in &cfg.sample_sizes {
+                        let summary = Summary::from_slice(&sample[..n]);
+                        for &conf in &cfg.confidences {
+                            let ci = mean_ci_with_critical(&summary, critical[cell], conf)
                                 .expect("n >= 2 guarantees a valid interval");
-                            if ci.contains(true_mean) {
-                                hit_row[ci_idx] += 1;
-                            }
+                            hit_row[cell] += u64::from(ci.contains(true_mean));
+                            cell += 1;
                         }
                     }
-                });
-            }
-        });
-
-        for (ci_idx, &conf) in cfg.confidences.iter().enumerate() {
-            let total_hits: u64 = hits.iter().map(|row| row[ci_idx]).sum();
-            results.push(CoveragePoint {
-                n,
-                confidence: conf,
-                coverage: total_hits as f64 / cfg.replications as f64,
-                replications: cfg.replications,
+                }
             });
         }
-    }
-    Ok(results)
+    });
+
+    Ok(cells()
+        .enumerate()
+        .map(|(cell, (n, confidence))| CoveragePoint {
+            n,
+            confidence,
+            coverage: hits.iter().map(|row| row[cell]).sum::<u64>() as f64
+                / cfg.replications as f64,
+            replications: cfg.replications,
+        })
+        .collect())
 }
 
 fn split_evenly(total: usize, parts: usize) -> Vec<usize> {
@@ -257,6 +279,88 @@ mod tests {
         let a = coverage_study(&pilot, &cfg).unwrap();
         let b = coverage_study(&pilot, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    fn pinned_config(sample_sizes: Vec<usize>) -> CoverageConfig {
+        CoverageConfig {
+            population_size: 500,
+            sample_sizes,
+            confidences: vec![0.80, 0.95, 0.99],
+            replications: 600,
+            threads: 3,
+            seed: 7,
+        }
+    }
+
+    fn hits(points: &[CoveragePoint]) -> Vec<(usize, u64)> {
+        points
+            .iter()
+            .map(|p| (p.n, (p.coverage * p.replications as f64).round() as u64))
+            .collect()
+    }
+
+    /// The first-listed size reads the same draws as it did when every
+    /// size simulated its own machine: these hit counts (of 600) are the
+    /// ones that engine gave with each size listed first.
+    #[test]
+    fn first_listed_size_keeps_its_pinned_points() {
+        let pilot = lrz_like_pilot(100, 43);
+        for (sizes, first) in [
+            (vec![5, 10, 20], [485, 565, 593]),
+            (vec![20, 5, 10], [490, 583, 598]),
+            (vec![10], [480, 570, 592]),
+        ] {
+            let pts = coverage_study(&pilot, &pinned_config(sizes.clone())).unwrap();
+            assert_eq!(pts.len(), 3 * sizes.len());
+            for ((p, conf), h) in pts.iter().zip([0.80, 0.95, 0.99]).zip(first) {
+                let want = CoveragePoint {
+                    n: sizes[0],
+                    confidence: conf,
+                    coverage: h as f64 / 600.0,
+                    replications: 600,
+                };
+                assert_eq!(*p, want);
+            }
+        }
+    }
+
+    /// Every size is scored on one machine per replication, so the order
+    /// of `sample_sizes` only orders the points.
+    #[test]
+    fn permuting_sample_sizes_permutes_the_points() {
+        let pilot = lrz_like_pilot(100, 43);
+        let base = coverage_study(&pilot, &pinned_config(vec![5, 10, 20])).unwrap();
+        let permuted = coverage_study(&pilot, &pinned_config(vec![20, 5, 10])).unwrap();
+        for n in [5, 10, 20] {
+            let of = |pts: &[CoveragePoint]| -> Vec<CoveragePoint> {
+                pts.iter().copied().filter(|p| p.n == n).collect()
+            };
+            assert_eq!(of(&base), of(&permuted), "n = {n}");
+        }
+        assert_eq!(
+            hits(&base),
+            [
+                (5, 485),
+                (5, 565),
+                (5, 593),
+                (10, 480),
+                (10, 570),
+                (10, 592),
+                (20, 490),
+                (20, 583),
+                (20, 598)
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_sizes_or_confidences_give_no_points() {
+        let pilot = lrz_like_pilot(50, 44);
+        let mut cfg = pinned_config(vec![]);
+        assert_eq!(coverage_study(&pilot, &cfg).unwrap(), vec![]);
+        cfg.sample_sizes = vec![5];
+        cfg.confidences = vec![];
+        assert_eq!(coverage_study(&pilot, &cfg).unwrap(), vec![]);
     }
 
     #[test]

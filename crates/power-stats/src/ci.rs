@@ -64,6 +64,7 @@ impl std::fmt::Display for ConfidenceInterval {
 
 /// Paper Equation 1: t-based confidence interval
 /// `mu-hat +/- t_{n-1, 1-alpha/2} * sigma-hat / sqrt(n)`.
+#[inline]
 pub fn mean_ci_t(summary: &Summary, confidence: f64) -> Result<ConfidenceInterval> {
     let n = summary.count();
     if n < 2 {
@@ -73,9 +74,23 @@ pub fn mean_ci_t(summary: &Summary, confidence: f64) -> Result<ConfidenceInterva
         });
     }
     let t = t_critical(confidence, n as f64 - 1.0)?;
+    mean_ci_with_critical(summary, t, confidence)
+}
+
+/// The interval `mu-hat +/- critical * sigma-hat / sqrt(n)` for a
+/// critical value the caller already holds — the one formula behind
+/// [`mean_ci_t`] and [`mean_ci_z`], for loops that score many samples
+/// of one size at one confidence (the coverage study computes each
+/// `t_{n-1}` once, not once per replication).
+#[inline]
+pub fn mean_ci_with_critical(
+    summary: &Summary,
+    critical: f64,
+    confidence: f64,
+) -> Result<ConfidenceInterval> {
     Ok(ConfidenceInterval {
         estimate: summary.mean(),
-        half_width: t * summary.std_error()?,
+        half_width: critical * summary.std_error()?,
         confidence,
     })
 }
@@ -85,6 +100,7 @@ pub fn mean_ci_t(summary: &Summary, confidence: f64) -> Result<ConfidenceInterva
 ///
 /// For small `n` this interval is too narrow; see
 /// [`crate::student_t::z_undercoverage_ratio`].
+#[inline]
 pub fn mean_ci_z(summary: &Summary, confidence: f64) -> Result<ConfidenceInterval> {
     let n = summary.count();
     if n < 2 {
@@ -94,11 +110,7 @@ pub fn mean_ci_z(summary: &Summary, confidence: f64) -> Result<ConfidenceInterva
         });
     }
     let z = z_critical(confidence)?;
-    Ok(ConfidenceInterval {
-        estimate: summary.mean(),
-        half_width: z * summary.std_error()?,
-        confidence,
-    })
+    mean_ci_with_critical(summary, z, confidence)
 }
 
 /// Finite-population correction factor `sqrt((N - n) / (N - 1))`.
@@ -325,6 +337,26 @@ mod tests {
         let mut tiny = Summary::new();
         tiny.push(1.0);
         assert!(sequential_relative_accuracy(&tiny, 0.95, 100, true).is_err());
+    }
+
+    /// The coverage study scores intervals from critical values it
+    /// computed once; they must equal `mean_ci_t`'s bit for bit.
+    #[test]
+    fn hoisted_critical_value_gives_the_same_interval_bits() {
+        let data: Vec<f64> = (0..64)
+            .map(|i| 200.0 + 7.0 * ((i as f64) * 1.37).sin())
+            .collect();
+        for n in 2..=data.len() {
+            let s = Summary::from_slice(&data[..n]);
+            for conf in [0.80, 0.90, 0.95, 0.99] {
+                let direct = mean_ci_t(&s, conf).unwrap();
+                let t = t_critical(conf, n as f64 - 1.0).unwrap();
+                let hoisted = mean_ci_with_critical(&s, t, conf).unwrap();
+                assert_eq!(direct.estimate.to_bits(), hoisted.estimate.to_bits());
+                assert_eq!(direct.half_width.to_bits(), hoisted.half_width.to_bits());
+                assert_eq!(direct.confidence.to_bits(), hoisted.confidence.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl LiveCampaignConfig {
 /// Fingerprints a campaign identity: everything that determines the
 /// node selection order and the per-node averages — the full config
 /// (via its `Debug` rendering, the workspace's standard trick for
-/// structural hashing), the machine size and the model revision
-/// ([`SIMULATION_KEY_EPOCH`]). A journal written under one fingerprint
+/// structural hashing), the machine size and the simulation model's
+/// epoch ([`SIMULATION_KEY_EPOCH`]). A journal written under one fingerprint
 /// refuses to replay into a campaign with another, so averages metered
 /// under an older model are never mixed with new ones.
 pub fn campaign_fingerprint(cfg: &LiveCampaignConfig, population: usize) -> u64 {
