@@ -2,14 +2,12 @@
 //! (Eq. 4/5), quantile functions, and confidence intervals.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use power_bench::report::{self, Direction};
 use power_stats::ci::{mean_ci_t, mean_ci_z};
 use power_stats::normal::{standard_quantile, z_critical};
 use power_stats::sample_size::{chernoff_hoeffding_nodes, paper_table5, SampleSizePlan};
 use power_stats::student_t::t_critical;
 use power_stats::summary::Summary;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench_table5_grid(c: &mut Criterion) {
     c.bench_function("table5_full_grid", |b| {
@@ -43,47 +41,6 @@ fn bench_quantiles(c: &mut Criterion) {
     group.finish();
 }
 
-/// Calls per [`t_critical_cycle`]: ν = 1..=64 at three confidences.
-const CYCLE_CALLS: usize = 64 * 3;
-
-/// One pass over 192 `(confidence, ν)` pairs, switching the confidence
-/// on every call, as a coverage study or a set of Student-t stopping
-/// rules asks for them.
-fn t_critical_cycle() -> f64 {
-    let mut sum = 0.0;
-    for nu in 1..=64 {
-        for confidence in [0.80, 0.95, 0.99] {
-            sum += t_critical(black_box(confidence), black_box(f64::from(nu))).unwrap();
-        }
-    }
-    sum
-}
-
-/// Budget: every key of the cycle stays in the critical-value table, so
-/// a call costs a lookup, not a quantile evaluation (about 12 µs).
-fn bench_t_critical_cycle(c: &mut Criterion) {
-    black_box(t_critical_cycle());
-    let mut per_call_ns: Vec<f64> = (0..51)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..20 {
-                black_box(t_critical_cycle());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / (20 * CYCLE_CALLS) as f64
-        })
-        .collect();
-    per_call_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = per_call_ns[per_call_ns.len() / 2];
-    report::budget("t_critical_cycle_ns", median, Direction::AtMost, 25.0);
-    println!("t_critical over 192 alternating keys: median {median:.1} ns/call (ceiling 25 ns)");
-
-    let mut group = c.benchmark_group("quantiles");
-    group.bench_function("t_critical_cycle_192", |b| {
-        b.iter(|| black_box(t_critical_cycle()));
-    });
-    group.finish();
-}
-
 fn bench_confidence_intervals(c: &mut Criterion) {
     let data: Vec<f64> = (0..512)
         .map(|i| 400.0 + 8.0 * ((i as f64) * 0.71).sin())
@@ -107,7 +64,6 @@ criterion_group!(
     bench_table5_grid,
     bench_sample_size_kernels,
     bench_quantiles,
-    bench_t_critical_cycle,
     bench_confidence_intervals
 );
 power_bench::bench_main!("table5", benches);

@@ -90,13 +90,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// stores written under any other epoch, and live-campaign journals
 /// refuse to resume across it. Bump with any change to what the key or
 /// request fingerprint hashes, or to what a sweep or meter outputs for a
-/// given key; every bump also bumps `power_campaign::MODEL_REV`, the
-/// revision of the published numbers that `summary.json` reports as
-/// `model_rev`. Epoch 1 hashed `Debug` renderings and a utilization probe
-/// grid; epoch 2 is the structural key; epoch 3 draws the engine's noise
-/// with the ziggurat sampler, dephases the HPL ripple by table angle
-/// addition, sums system traces in block order, and meters sampling
-/// windows in closed form.
+/// given key. `power_campaign::MODEL_REV`, the revision of the published
+/// numbers that `summary.json` reports as `model_rev`, is this epoch
+/// plus an offset, so every bump moves it too. Epoch 1 hashed `Debug`
+/// renderings and a utilization probe grid; epoch 2 is the structural
+/// key; epoch 3 draws the engine's noise with the ziggurat sampler,
+/// dephases the HPL ripple by table angle addition, sums system traces
+/// in block order, and meters sampling windows in closed form.
 pub const SIMULATION_KEY_EPOCH: u32 = 3;
 
 /// Fingerprints a simulation identity from its parts — everything that

@@ -45,7 +45,6 @@
 pub mod anderson_darling;
 pub mod bootstrap;
 pub mod ci;
-mod critical;
 pub mod empirical;
 pub mod hash;
 pub mod histogram;

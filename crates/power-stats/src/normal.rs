@@ -106,7 +106,6 @@ pub fn standard_quantile(p: f64) -> Result<f64> {
 /// use power_stats::normal::z_critical;
 /// assert!((z_critical(0.95).unwrap() - 1.96).abs() < 1e-3);
 /// ```
-#[inline]
 pub fn z_critical(confidence: f64) -> Result<f64> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(StatsError::InvalidParameter {
@@ -114,7 +113,24 @@ pub fn z_critical(confidence: f64) -> Result<f64> {
             reason: "confidence level must lie strictly in (0, 1)",
         });
     }
-    crate::critical::z_cached(confidence, || standard_quantile(0.5 + confidence / 2.0))
+    // Hot paths (sequential estimators, leaderboard CIs) re-evaluate
+    // the same confidence level thousands of times; the quantile's
+    // Halley refinement costs an `erfc`, so memoize the last level
+    // per thread. The function is deterministic, making the cache
+    // exact.
+    use std::cell::Cell;
+    thread_local! {
+        static LAST: Cell<(f64, f64)> = const { Cell::new((f64::NAN, 0.0)) };
+    }
+    LAST.with(|last| {
+        let (c, z) = last.get();
+        if c == confidence {
+            return Ok(z);
+        }
+        let z = standard_quantile(0.5 + confidence / 2.0)?;
+        last.set((confidence, z));
+        Ok(z)
+    })
 }
 
 /// Standard normal CDF `Phi(x)`.

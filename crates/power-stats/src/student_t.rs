@@ -138,7 +138,6 @@ impl StudentT {
 /// let t = t_critical(0.95, 3.0).unwrap();
 /// assert!((t - 3.182_446_305_284).abs() < 1e-6);
 /// ```
-#[inline]
 pub fn t_critical(confidence: f64, nu: f64) -> Result<f64> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(StatsError::InvalidParameter {
@@ -146,8 +145,23 @@ pub fn t_critical(confidence: f64, nu: f64) -> Result<f64> {
             reason: "confidence level must lie strictly in (0, 1)",
         });
     }
-    crate::critical::t_cached(confidence, nu, || {
-        StudentT::new(nu)?.quantile(0.5 + confidence / 2.0)
+    // The quantile's Newton iteration costs several incomplete-beta
+    // evaluations, and hot paths (sequential estimators re-checking a
+    // stopped rule, leaderboard CIs) ask for the same `(confidence,
+    // nu)` repeatedly — memoize the last pair per thread. The function
+    // is deterministic, making the cache exact.
+    use std::cell::Cell;
+    thread_local! {
+        static LAST: Cell<(f64, f64, f64)> = const { Cell::new((f64::NAN, f64::NAN, 0.0)) };
+    }
+    LAST.with(|last| {
+        let (c, n, t) = last.get();
+        if c == confidence && n == nu {
+            return Ok(t);
+        }
+        let t = StudentT::new(nu)?.quantile(0.5 + confidence / 2.0)?;
+        last.set((confidence, nu, t));
+        Ok(t)
     })
 }
 
@@ -227,12 +241,11 @@ mod tests {
         }
     }
 
-    /// The critical-value table answers alternating arguments with the
-    /// bits of a fresh quantile. ν and ν + 64 share a slot at one
-    /// confidence, as do 2 and 2.5, and 0.975 shares its z slot with
-    /// 0.99, so calls below keep evicting entries earlier ones wrote.
+    /// The one-entry memos of `t_critical` and `z_critical` answer with
+    /// the bits of a fresh quantile whether a call evicts the previous
+    /// key (alternating arguments) or repeats it (a hit).
     #[test]
-    fn critical_table_is_exact_under_collisions_and_eviction() {
+    fn critical_memos_are_exact_under_alternating_arguments() {
         use crate::normal::{standard_quantile, z_critical};
         for _round in 0..3 {
             for conf in [0.80, 0.90, 0.95, 0.99, 0.975] {
@@ -241,8 +254,10 @@ mod tests {
                         .unwrap()
                         .quantile(0.5 + conf / 2.0)
                         .unwrap();
-                    let t = t_critical(conf, nu).unwrap();
-                    assert_eq!(t.to_bits(), fresh.to_bits(), "conf {conf}, nu {nu}");
+                    for _repeat in 0..2 {
+                        let t = t_critical(conf, nu).unwrap();
+                        assert_eq!(t.to_bits(), fresh.to_bits(), "conf {conf}, nu {nu}");
+                    }
                     let fresh = standard_quantile(0.5 + conf / 2.0).unwrap();
                     assert_eq!(z_critical(conf).unwrap().to_bits(), fresh.to_bits());
                 }
