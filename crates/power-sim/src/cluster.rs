@@ -157,10 +157,8 @@ impl Cluster {
     }
 
     /// Instantaneous power of one node at time `t` with workload
-    /// utilization `utilization` and die temperature `temp_c`.
-    ///
-    /// The engine evaluates exactly this function once per node per time
-    /// step (through `power_of`, with the lookups hoisted).
+    /// utilization `utilization` and die temperature `temp_c`: the scalar
+    /// model the engine's block kernel reproduces bit for bit.
     pub fn node_power(
         &self,
         node: usize,
@@ -168,30 +166,15 @@ impl Cluster {
         utilization: f64,
         temp_c: f64,
     ) -> Result<NodePower> {
-        let asics = self.asics(node)?;
-        Ok(self.power_of(asics, self.multipliers[node], t, utilization, temp_c))
-    }
-
-    /// [`Cluster::node_power`] for a node whose ASIC samples and
-    /// multiplier the caller already looked up — the engine's block
-    /// kernel resolves them once per sweep instead of once per step.
-    pub(crate) fn power_of(
-        &self,
-        asics: &[AsicSample],
-        multiplier: f64,
-        t: f64,
-        utilization: f64,
-        temp_c: f64,
-    ) -> NodePower {
         let pstate = self.spec.governor.pstate(t, utilization);
-        self.spec.node.power(
-            asics,
-            multiplier,
+        Ok(self.spec.node.power(
+            self.asics(node)?,
+            self.multipliers[node],
             utilization,
             &pstate,
             &self.spec.fan_policy,
             temp_c,
-        )
+        ))
     }
 
     /// Replaces the governor (e.g. to compare default vs tuned DVFS on the

@@ -11,21 +11,54 @@
 //! Every sample of every node comes out of one kernel, `NodeBlock`. It
 //! holds per-lane state for a block of nodes as a struct of arrays — RNG
 //! substream, die temperature, ambient-shifted inlet temperature, ASIC
-//! samples, residual multiplier and load-balance factor — and advances the
-//! whole block one sample at a time. Work that does not depend on the node
-//! is done once per step for the block (the sample time, the common-mode
-//! multiplier, the averaging-window overlap and the node-independent part
-//! of the utilization, via [`Workload::utilizations`]) or once per sweep
-//! (the thermal step factor). [`Simulator::run_products`] hands
+//! samples, residual multiplier, load-balance factor and node plan — and
+//! advances the whole block one sample at a time. Work that does not
+//! depend on the node is done once per step for the block (the sample
+//! time, the common-mode multiplier, the averaging-window overlap, the
+//! governor's P-state and the node-independent part of the utilization,
+//! via [`Workload::utilizations`]) or once per sweep (the thermal step
+//! factor and the fan policy). [`Simulator::run_products`] hands
 //! [`BLOCK_WIDTH`]-node blocks to its workers round-robin. No node-step
 //! allocates.
 //!
+//! ## The node plan
+//!
+//! The processor power model, `dynamic_w·activity·f_ratio·v_ratio²` plus
+//! `leakage_w·leakage_factor·v_ratio²·(1 + k·ΔT)`, holds per-lane
+//! constants for as long as the P-state holds. A lane's *node plan* keeps
+//! them, processor-major: `f_ratio` per processor, and `v_ratio²` and
+//! `leakage_w·leakage_factor·v_ratio²` per processor and lane (the lane's
+//! VID bin picks its voltage; a missing ASIC sample reads as nominal).
+//! Plans are built when a block is loaded and rebuilt only when the
+//! governor's P-state changes:
+//!
+//! * `Static`: one plan per block;
+//! * `Schedule`: the P-state is resolved once per step, and the plan is
+//!   rebuilt at each switch time;
+//! * `OnDemand`: the high and low plans are both built at load, and each
+//!   lane selects one on its clamped utilization.
+//!
+//! A pinned fan's power and thermal resistance are computed once per
+//! sweep; an automatic fan's speed is computed per lane from its die
+//! temperature, with the policy's constants hoisted.
+//!
+//! A step then runs lane-major loops with no `match` and no lookup inside,
+//! which LLVM can vectorize: the noise draws; the clamped utilization;
+//! one loop per processor that adds `dynamic + leakage.max(0)` into an
+//! accumulator that starts at `-0.0` (the neutral element
+//! `Iterator::<f64>::sum` starts from, so the total is the scalar model's
+//! processor sum); and one loop for memory, DC and wall power and the
+//! thermal step.
+//!
 //! The kernel is bit-identical to the scalar reference loop —
-//! [`Cluster::node_power`] then [`ThermalState::step`], one node at a
-//! time — because every floating-point expression keeps its operand order,
-//! hoisted subexpressions are evaluated exactly as before, and each node
-//! draws its noise with the [`ziggurat`] sampler from its own RNG
-//! substream keyed by `(seed, node)`.
+//! [`Cluster::node_power`] then
+//! [`ThermalState::step`](crate::thermal::ThermalState::step), one node at
+//! a time — because every hoisted constant is the left-to-right prefix of
+//! a product the scalar model forms in the same order, every other
+//! floating-point expression keeps its operand order, Rust never
+//! contracts to FMA (so a vector lane rounds as the scalar code does), and
+//! each node draws its noise with the [`ziggurat`] sampler from its own
+//! RNG substream keyed by `(seed, node)`.
 //!
 //! # One sweep, every product
 //!
@@ -61,8 +94,10 @@
 //! queried and every worker thread count.
 
 use crate::cluster::Cluster;
+use crate::components::ProcessorSpec;
+use crate::dvfs::{Governor, PState};
+use crate::fan::FanPolicy;
 use crate::node::NodeSpec;
-use crate::thermal::{ThermalSpec, ThermalState};
 use crate::trace::{NodeTrace, SystemTrace};
 use crate::variability::AsicSample;
 use crate::{Result, SimError};
@@ -549,6 +584,134 @@ impl Drop for AbandonOnPanic<'_> {
     }
 }
 
+/// A node plan: the P-state constants of the processor power model,
+/// resolved once for every lane of a block (see the module docs).
+///
+/// Each entry is computed exactly as [`ProcessorSpec::power`] computes it,
+/// so a lane that reads the plan gets the scalar model's bits. Rows are
+/// processor-major: processor `i`'s lanes sit at `i * lanes..(i + 1) * lanes`.
+struct NodePlan {
+    /// Per processor: `(f / f_nom).max(0)`.
+    f_ratio: Vec<f64>,
+    /// Per processor and lane: `(v / v_nom).max(0)²`, with `v` the lane's
+    /// voltage under the P-state.
+    v_ratio2: Vec<f64>,
+    /// Per processor and lane: `leakage_w * leakage_factor * v_ratio²`.
+    leakage: Vec<f64>,
+}
+
+impl NodePlan {
+    fn with_capacity(procs: usize, width: usize) -> Self {
+        NodePlan {
+            f_ratio: Vec::with_capacity(procs),
+            v_ratio2: Vec::with_capacity(procs * width),
+            leakage: Vec::with_capacity(procs * width),
+        }
+    }
+
+    /// Resolves `pstate` for lanes with the given ASIC samples. A lane with
+    /// fewer samples than processors reads [`AsicSample::nominal`] for the
+    /// rest, as [`NodeSpec::power`] does. Allocates nothing within the
+    /// capacity the plan was created with.
+    fn build(&mut self, processors: &[ProcessorSpec], pstate: &PState, asics: &[&[AsicSample]]) {
+        let nominal = AsicSample::nominal();
+        self.f_ratio.clear();
+        self.v_ratio2.clear();
+        self.leakage.clear();
+        for (i, proc) in processors.iter().enumerate() {
+            self.f_ratio.push((pstate.f_mhz / proc.f_nom_mhz).max(0.0));
+            for lane in asics {
+                let asic = lane.get(i).unwrap_or(&nominal);
+                let v = pstate.voltage.voltage(asic.vid_bin);
+                let v_ratio2 = (v / proc.v_nom).max(0.0).powi(2);
+                self.v_ratio2.push(v_ratio2);
+                self.leakage
+                    .push(proc.leakage_w * asic.leakage_factor * v_ratio2);
+            }
+        }
+    }
+
+    /// Processor `i`'s `(f_ratio, v_ratio², leakage)` over `lanes` lanes.
+    fn row(&self, i: usize, lanes: usize) -> (f64, &[f64], &[f64]) {
+        let lanes_i = i * lanes..(i + 1) * lanes;
+        (
+            self.f_ratio[i],
+            &self.v_ratio2[lanes_i.clone()],
+            &self.leakage[lanes_i],
+        )
+    }
+}
+
+/// One processor's power on one lane, from its plan entries: the split
+/// form of [`ProcessorSpec::power`], with the same operand order. `busy`
+/// is `1 - idle_fraction`; `u` is already clamped to `[0, 1]`.
+#[inline(always)]
+fn processor_w(
+    proc: &ProcessorSpec,
+    busy: f64,
+    u: f64,
+    temp_c: f64,
+    (f_ratio, v_ratio2, leakage): (f64, f64, f64),
+) -> f64 {
+    let activity = proc.idle_fraction + busy * u;
+    let dynamic = proc.dynamic_w * activity * f_ratio * v_ratio2;
+    let leakage = leakage * (1.0 + proc.leakage_temp_coeff * (temp_c - proc.t_ref_c));
+    dynamic + leakage.max(0.0)
+}
+
+/// The fan policy resolved for a sweep: what the last lane loop needs to
+/// turn a die temperature into fan power and thermal resistance.
+#[derive(Clone, Copy)]
+enum FanPlan {
+    /// A pinned speed: fan power and thermal resistance are constants.
+    Pinned { fan_w: f64, r_th: f64 },
+    /// Automatic regulation, with [`FanPolicy::speed`],
+    /// [`FanSpec::power`](crate::fan::FanSpec::power) and
+    /// [`ThermalSpec::r_th`](crate::thermal::ThermalSpec::r_th) split into
+    /// their per-sweep and per-lane parts.
+    Auto {
+        t_low_c: f64,
+        /// `t_high_c - t_low_c`.
+        t_span: f64,
+        min_speed: f64,
+        /// `1 - min_speed`.
+        speed_span: f64,
+        max_power_w: f64,
+        /// `1 / r_th_max`.
+        g_min: f64,
+        /// `1 / r_th_min - 1 / r_th_max`.
+        g_span: f64,
+    },
+}
+
+impl FanPlan {
+    fn new(node: &NodeSpec, policy: &FanPolicy) -> Self {
+        let thermal = node.thermal;
+        match *policy {
+            FanPolicy::Pinned { .. } => {
+                let speed = policy.speed(thermal.t_ambient_c, &node.fan);
+                FanPlan::Pinned {
+                    fan_w: node.fan.power(speed),
+                    r_th: thermal.r_th(speed),
+                }
+            }
+            FanPolicy::Auto { t_low_c, t_high_c } => {
+                let g_min = 1.0 / thermal.r_th_max;
+                let g_max = 1.0 / thermal.r_th_min;
+                FanPlan::Auto {
+                    t_low_c,
+                    t_span: t_high_c - t_low_c,
+                    min_speed: node.fan.min_speed,
+                    speed_span: 1.0 - node.fan.min_speed,
+                    max_power_w: node.fan.max_power_w,
+                    g_min,
+                    g_span: g_max - g_min,
+                }
+            }
+        }
+    }
+}
+
 /// The block kernel: per-lane simulation state for a block of nodes,
 /// stored as a struct of arrays and advanced one sample per
 /// [`NodeBlock::step`] for the whole block.
@@ -560,6 +723,7 @@ struct NodeBlock<'s, 'a> {
     sim: &'s Simulator<'a>,
     /// Thermal step factor `1 - exp(-dt / tau)`, fixed for the sweep.
     alpha: f64,
+    fan: FanPlan,
     nodes: Vec<usize>,
     rng: Vec<StdRng>,
     temp_c: Vec<f64>,
@@ -569,10 +733,18 @@ struct NodeBlock<'s, 'a> {
     asics: Vec<&'a [AsicSample]>,
     multiplier: Vec<f64>,
     factor: Vec<f64>,
-    /// Scratch: the workload's utilization per lane for the current step.
+    /// The lanes' node plans: the governor's one P-state, or `OnDemand`'s
+    /// `[high, low]`.
+    plans: [NodePlan; 2],
+    /// The `Schedule` P-state `plans[0]` was built for.
+    scheduled: Option<PState>,
+    /// Scratch: the workload's utilization per lane for the current step,
+    /// then the lane's clamped utilization.
     util: Vec<f64>,
     /// Scratch: the per-lane noise multiplier `1 + sigma * z`.
     noise: Vec<f64>,
+    /// Scratch: the per-lane processor power of the current step.
+    processors_w: Vec<f64>,
     /// The current step's `[wall, dc, processors]` watts per lane.
     watts: Vec<[f64; 3]>,
 }
@@ -580,9 +752,12 @@ struct NodeBlock<'s, 'a> {
 impl<'s, 'a> NodeBlock<'s, 'a> {
     /// An empty block with room for `width` lanes.
     fn new(sim: &'s Simulator<'a>, width: usize) -> Self {
+        let spec = sim.cluster.spec();
+        let procs = spec.node.processors.len();
         NodeBlock {
             sim,
-            alpha: sim.cluster.spec().node.thermal.step_alpha(sim.config.dt),
+            alpha: spec.node.thermal.step_alpha(sim.config.dt),
+            fan: FanPlan::new(&spec.node, &spec.fan_policy),
             nodes: Vec::with_capacity(width),
             rng: Vec::with_capacity(width),
             temp_c: Vec::with_capacity(width),
@@ -590,19 +765,27 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
             asics: Vec::with_capacity(width),
             multiplier: Vec::with_capacity(width),
             factor: Vec::with_capacity(width),
+            plans: [
+                NodePlan::with_capacity(procs, width),
+                NodePlan::with_capacity(procs, width),
+            ],
+            scheduled: None,
             util: Vec::with_capacity(width),
             noise: Vec::with_capacity(width),
+            processors_w: Vec::with_capacity(width),
             watts: Vec::with_capacity(width),
         }
     }
 
     /// Resets the lanes to `nodes` (validated indices), each at sample 0
-    /// and at its inlet temperature. Allocates nothing when `nodes` fits
-    /// the width the block was created with.
+    /// and at its inlet temperature, and builds their node plans.
+    /// Allocates nothing when `nodes` fits the width the block was created
+    /// with.
     fn load(&mut self, nodes: &[usize]) {
         let sim = self.sim;
         let cluster = sim.cluster;
-        let t_ambient_c = cluster.spec().node.thermal.t_ambient_c;
+        let spec = cluster.spec();
+        let t_ambient_c = spec.node.thermal.t_ambient_c;
         self.nodes.clear();
         self.rng.clear();
         self.temp_c.clear();
@@ -627,7 +810,22 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
         }
         self.util.resize(nodes.len(), 0.0);
         self.noise.resize(nodes.len(), 0.0);
+        self.processors_w.resize(nodes.len(), 0.0);
         self.watts.resize(nodes.len(), [0.0; 3]);
+        let processors = &spec.node.processors;
+        let [high, low] = &mut self.plans;
+        self.scheduled = None;
+        match &spec.governor {
+            Governor::Static(pstate) => high.build(processors, pstate, &self.asics),
+            Governor::OnDemand {
+                high: h, low: l, ..
+            } => {
+                high.build(processors, h, &self.asics);
+                low.build(processors, l, &self.asics);
+            }
+            // Built by the first step, and rebuilt at each switch.
+            Governor::Schedule(_) => {}
+        }
     }
 
     /// Advances every lane by sample `step` (the sample starting at
@@ -635,42 +833,121 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
     /// returns each lane's `[wall, dc, processors]` watts in lane order.
     fn step(&mut self, step: usize, common_mult: f64) -> &[[f64; 3]] {
         let sim = self.sim;
+        let spec = sim.cluster.spec();
+        let node = &spec.node;
         let t = step as f64 * sim.config.dt;
         let sigma = sim.config.noise_sigma;
-        let thermal = sim.cluster.spec().node.thermal;
         sim.workload.utilizations(t, &self.nodes, &mut self.util);
+        // The one P-state of the step, or OnDemand's per-lane threshold.
+        let threshold = match &spec.governor {
+            Governor::Static(_) => None,
+            Governor::OnDemand { threshold, .. } => Some(*threshold),
+            governor @ Governor::Schedule(_) => {
+                let pstate = governor.pstate(t, 0.0);
+                if self.scheduled != Some(pstate) {
+                    self.plans[0].build(&node.processors, &pstate, &self.asics);
+                    self.scheduled = Some(pstate);
+                }
+                None
+            }
+        };
         let lanes = self.nodes.len();
-        let rng = &mut self.rng[..lanes];
-        let (temp_c, t_ambient_c) = (&mut self.temp_c[..lanes], &self.t_ambient_c[..lanes]);
-        let (asics, multiplier) = (&self.asics[..lanes], &self.multiplier[..lanes]);
-        let (factor, util) = (&self.factor[..lanes], &self.util[..lanes]);
-        let (noise, watts) = (&mut self.noise[..lanes], &mut self.watts[..lanes]);
+        let (rng, factor) = (&mut self.rng[..lanes], &self.factor[..lanes]);
+        let (u, noise) = (&mut self.util[..lanes], &mut self.noise[..lanes]);
+        let (temp, processors_w) = (&self.temp_c[..lanes], &mut self.processors_w[..lanes]);
         // The draws get a loop of their own: it keeps the lanes'
         // independent generator chains in flight together.
         if sigma > 0.0 {
-            for k in 0..lanes {
-                noise[k] = 1.0 + sigma * ziggurat(&mut rng[k]);
+            for (n, rng) in noise.iter_mut().zip(rng.iter_mut()) {
+                *n = 1.0 + sigma * ziggurat(rng);
+            }
+            for ((u, f), n) in u.iter_mut().zip(factor).zip(noise.iter()) {
+                *u = (*u * f * common_mult * n).clamp(0.0, 1.0);
+            }
+        } else {
+            for (u, f) in u.iter_mut().zip(factor) {
+                *u = (*u * f * common_mult).clamp(0.0, 1.0);
             }
         }
-        for k in 0..lanes {
-            let mut u = util[k] * factor[k] * common_mult;
-            if sigma > 0.0 {
-                u *= noise[k];
+        let u = &*u;
+        // `-0.0`, the neutral element `Iterator::<f64>::sum` starts from.
+        processors_w.fill(-0.0);
+        for (i, proc) in node.processors.iter().enumerate() {
+            let busy = 1.0 - proc.idle_fraction;
+            let (f_high, v_high, leak_high) = self.plans[0].row(i, lanes);
+            let lane_iter = processors_w.iter_mut().zip(u).zip(temp);
+            match threshold {
+                None => {
+                    for (((p, &u), &temp), (&v, &leak)) in
+                        lane_iter.zip(v_high.iter().zip(leak_high))
+                    {
+                        *p += processor_w(proc, busy, u, temp, (f_high, v, leak));
+                    }
+                }
+                Some(threshold) => {
+                    let (f_low, v_low, leak_low) = self.plans[1].row(i, lanes);
+                    let high = v_high.iter().zip(leak_high);
+                    let low = v_low.iter().zip(leak_low);
+                    for (((p, &u), &temp), ((&vh, &lh), (&vl, &ll))) in lane_iter.zip(high.zip(low))
+                    {
+                        let plan = if u >= threshold {
+                            (f_high, vh, lh)
+                        } else {
+                            (f_low, vl, ll)
+                        };
+                        *p += processor_w(proc, busy, u, temp, plan);
+                    }
+                }
             }
-            let u = u.clamp(0.0, 1.0);
-            let power = sim
-                .cluster
-                .power_of(asics[k], multiplier[k], t, u, temp_c[k]);
-            let spec = ThermalSpec {
-                t_ambient_c: t_ambient_c[k],
-                ..thermal
-            };
-            let mut state = ThermalState { temp_c: temp_c[k] };
-            state.step_with_alpha(&spec, NodeSpec::heat_w(&power), power.fan_speed, self.alpha);
-            temp_c[k] = state.temp_c;
-            watts[k] = [power.wall_w, power.dc_w, power.processors_w];
         }
-        watts
+        match self.fan {
+            FanPlan::Pinned { fan_w, r_th } => self.finish(lanes, |_| (fan_w, r_th)),
+            FanPlan::Auto {
+                t_low_c,
+                t_span,
+                min_speed,
+                speed_span,
+                max_power_w,
+                g_min,
+                g_span,
+            } => self.finish(lanes, |temp| {
+                let x = ((temp - t_low_c) / t_span).clamp(0.0, 1.0);
+                let speed = (min_speed + speed_span * x).clamp(0.0, 1.0);
+                let fan_w = max_power_w * speed * speed * speed;
+                (fan_w, 1.0 / (g_min + g_span * speed))
+            }),
+        }
+        &self.watts[..lanes]
+    }
+
+    /// The last lane loop of [`NodeBlock::step`]: memory, DC and wall
+    /// power and the thermal step. `fan` maps a die temperature to
+    /// `(fan_w, r_th)`; taking it as a closure gives each fan kind its
+    /// own loop.
+    #[inline(always)]
+    fn finish(&mut self, lanes: usize, fan: impl Fn(f64) -> (f64, f64)) {
+        let node = &self.sim.cluster.spec().node;
+        let (memory, static_w) = (node.memory, node.static_power.power());
+        let lane_out = self.temp_c[..lanes]
+            .iter_mut()
+            .zip(&mut self.watts[..lanes])
+            .zip(&self.util[..lanes])
+            .zip(&self.processors_w[..lanes]);
+        let inputs = self.multiplier[..lanes]
+            .iter()
+            .zip(&self.t_ambient_c[..lanes]);
+        for ((((temp, out), &u), &processors_w), (&multiplier, &t_ambient_c)) in
+            lane_out.zip(inputs)
+        {
+            let memory_w = memory.idle_w + memory.active_w * u;
+            let (fan_w, r_th) = fan(*temp);
+            let compute_w = (processors_w + memory_w + static_w) * multiplier;
+            let dc_w = compute_w + fan_w;
+            let heat_w = dc_w - fan_w;
+            let target = t_ambient_c + r_th * heat_w.max(0.0);
+            *temp += (target - *temp) * self.alpha;
+            *out = [dc_w / node.psu_efficiency, dc_w, processors_w];
+        }
     }
 }
 
@@ -1002,7 +1279,7 @@ mod tests {
     use crate::fan::{FanPolicy, FanSpec};
     use crate::thermal::ThermalSpec;
     use crate::variability::VariabilityModel;
-    use crate::vid::VoltagePolicy;
+    use crate::vid::{VidTable, VoltagePolicy};
     use power_stats::summary::Summary;
     use power_workload::{Firestarter, Hpl, HplVariant, RunPhases};
 
@@ -1335,6 +1612,56 @@ mod tests {
         assert!(sim
             .validate_request(&ProductRequest::subset_only(&[3, 4]))
             .is_ok());
+    }
+
+    #[test]
+    fn node_plan_reads_nominal_asics_where_samples_are_missing() {
+        // `Cluster::build` samples one ASIC per processor, so only a plan
+        // built by hand sees a short slice. It must fall back to nominal
+        // samples exactly as the scalar model does, bit for bit.
+        let mut node = spec(1).node;
+        node.processors.push(ProcessorSpec {
+            f_nom_mhz: 2000.0,
+            v_nom: 0.9,
+            leakage_w: 30.0,
+            ..node.processors[0]
+        });
+        let leaky = AsicSample {
+            leakage_factor: 1.3,
+            vid_bin: 4,
+        };
+        let lanes: [&[AsicSample]; 4] = [&[], &[leaky], &[leaky, leaky], &[leaky; 3]];
+        let fan = FanPolicy::Pinned { speed: 0.5 };
+        for voltage in [
+            VoltagePolicy::Fixed(0.95),
+            VoltagePolicy::UseVid(VidTable::firepro_s9150()),
+        ] {
+            let pstate = PState {
+                f_mhz: 2400.0,
+                voltage,
+            };
+            let mut plan = NodePlan::with_capacity(node.processors.len(), lanes.len());
+            plan.build(&node.processors, &pstate, &lanes);
+            for (k, asics) in lanes.iter().enumerate() {
+                for (u, temp_c) in [(0.0, 30.0), (0.55, 61.0), (1.0, 90.0)] {
+                    let mut got = -0.0;
+                    for (i, proc) in node.processors.iter().enumerate() {
+                        let (f_ratio, v_ratio2, leakage) = plan.row(i, lanes.len());
+                        let busy = 1.0 - proc.idle_fraction;
+                        got +=
+                            processor_w(proc, busy, u, temp_c, (f_ratio, v_ratio2[k], leakage[k]));
+                    }
+                    let want = node
+                        .power(asics, 1.0, u, &pstate, &fan, temp_c)
+                        .processors_w;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "lane {k}, u {u}, {voltage:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! No node-step allocates: the number of heap allocations a sweep makes
 //! must not grow with the run length. Doubling the steps may grow the
-//! output buffers, but not their count.
+//! output buffers, but not their count. That holds for a governor whose
+//! P-state changes during the run too, which rebuilds the block's node
+//! plans at every switch.
 //!
 //! The counting allocator is process-wide, so this file holds a single
 //! test: no other test thread allocates while it counts.
@@ -9,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use power_sim::cluster::Cluster;
+use power_sim::dvfs::{Governor, PState};
 use power_sim::engine::{ProductRequest, SimulationConfig, Simulator, BLOCK_WIDTH};
 use power_sim::systems;
 use power_workload::{Hpl, HplVariant, RunPhases};
@@ -45,7 +48,24 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 #[test]
 fn sweep_allocations_do_not_grow_with_steps() {
     let preset = systems::piz_daint().with_total_nodes(2 * BLOCK_WIDTH + 5);
-    let cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+    let nominal = Cluster::build(preset.cluster_spec.clone()).unwrap();
+    // A `Schedule` governor that switches every 40 s through the longer
+    // run: the long sweep rebuilds its node plans twice as often as the
+    // short one, so a rebuild that allocated would show up below.
+    let Governor::Static(high) = nominal.spec().governor.clone() else {
+        panic!("the preset runs one static P-state");
+    };
+    let low = PState {
+        f_mhz: high.f_mhz * 0.7,
+        ..high
+    };
+    let switches = (0..60)
+        .map(|k| (40.0 * k as f64, if k % 2 == 0 { high } else { low }))
+        .collect();
+    let scheduled = nominal
+        .clone()
+        .with_governor(Governor::Schedule(switches))
+        .unwrap();
     let subset = [3usize, 0, BLOCK_WIDTH + 1, 2 * BLOCK_WIDTH + 4];
     let requests = [
         ProductRequest::system_only(),
@@ -53,7 +73,7 @@ fn sweep_allocations_do_not_grow_with_steps() {
         ProductRequest::subset_only(&subset),
     ];
     // Same run, same dt: the longer core phase doubles the step count.
-    let count = |core: f64, threads: usize| -> Vec<usize> {
+    let count = |cluster: &Cluster, core: f64, threads: usize| -> Vec<usize> {
         let phases = RunPhases::new(60.0, core, 60.0).unwrap();
         let workload = Hpl::new(HplVariant::GpuInCore, phases, 1.0e15).unwrap();
         let cfg = SimulationConfig {
@@ -63,7 +83,7 @@ fn sweep_allocations_do_not_grow_with_steps() {
             seed: 5,
             threads,
         };
-        let sim = Simulator::new(&cluster, &workload, preset.balance, cfg).unwrap();
+        let sim = Simulator::new(cluster, &workload, preset.balance, cfg).unwrap();
         requests
             .iter()
             .map(|request| {
@@ -73,15 +93,17 @@ fn sweep_allocations_do_not_grow_with_steps() {
             })
             .collect::<Vec<usize>>()
     };
-    for threads in [1, 3] {
-        // Warm up once so lazily initialised runtime state is not counted.
-        count(1_000.0, threads);
-        let short = count(1_000.0, threads);
-        let long = count(2_120.0, threads);
-        assert_eq!(
-            short, long,
-            "allocations per sweep grew with the run length ({threads} threads): \
-             {short:?} at 560 steps vs {long:?} at 1,120 steps"
-        );
+    for (name, cluster) in [("static", &nominal), ("schedule", &scheduled)] {
+        for threads in [1, 3] {
+            // Warm up once so lazily initialised runtime state is not counted.
+            count(cluster, 1_000.0, threads);
+            let short = count(cluster, 1_000.0, threads);
+            let long = count(cluster, 2_120.0, threads);
+            assert_eq!(
+                short, long,
+                "allocations per sweep grew with the run length ({name} governor, \
+                 {threads} threads): {short:?} at 560 steps vs {long:?} at 1,120 steps"
+            );
+        }
     }
 }

@@ -6,14 +6,26 @@
 //! the block boundaries, the node count, the subset order or the worker
 //! count. Noise draws come from the ziggurat sampler, one stream per node
 //! and one for the machine-wide multiplier.
+//!
+//! The first property draws the paper presets as they are (one `Static`
+//! P-state at a fixed voltage, pinned fans). The second swaps in every
+//! other governor and fan kind the kernel plans for: `Static` at VID
+//! voltages, `OnDemand` with a threshold inside the lanes' utilizations,
+//! a `Schedule` that switches inside the run, and automatic fans, on one
+//! processor or on two different ones.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 use power_sim::cluster::Cluster;
+use power_sim::components::ProcessorSpec;
+use power_sim::dvfs::{Governor, PState};
 use power_sim::engine::{MeterScope, ProductRequest, SimulationConfig, Simulator, BLOCK_WIDTH};
+use power_sim::fan::FanPolicy;
 use power_sim::node::NodeSpec;
 use power_sim::systems::SystemPreset;
 use power_sim::thermal::ThermalState;
+use power_sim::vid::{VidTable, VoltagePolicy};
 use power_stats::rng::{substream, ziggurat};
 use power_workload::{
     Graph500, Hpl, HplVariant, IoPhase, LoadBalance, MPrime, RodiniaCfd, Workload, WorkloadSpec,
@@ -22,14 +34,16 @@ use power_workload::{
 /// Per-node, per-step `[wall, dc, processors]` watts.
 type Series = Vec<Vec<[f64; 3]>>;
 
-/// The scalar model: every node on its own, sample by sample.
-fn reference(
+/// The clamped utilization of every node at every step, as the scalar
+/// model sees it: the workload's value times the balance factor, the
+/// machine-wide multiplier and the node's own noise draw.
+fn utilizations(
     cluster: &Cluster,
     workload: &dyn Workload,
     balance: LoadBalance,
     cfg: &SimulationConfig,
     nodes: &[usize],
-) -> Series {
+) -> Vec<Vec<f64>> {
     let steps = (workload.phases().total() / cfg.dt).ceil() as usize;
     let mut common = vec![1.0; steps];
     if cfg.common_noise_sigma != 0.0 {
@@ -41,9 +55,6 @@ fn reference(
     nodes
         .iter()
         .map(|&node| {
-            let mut spec = cluster.spec().node.thermal;
-            spec.t_ambient_c += cluster.ambient_offset(node);
-            let mut thermal = ThermalState::at_ambient(&spec);
             let mut rng = substream(cfg.seed, node as u64);
             let factor = balance.factor(node, cluster.len());
             (0..steps)
@@ -53,7 +64,34 @@ fn reference(
                     if cfg.noise_sigma > 0.0 {
                         u *= 1.0 + cfg.noise_sigma * ziggurat(&mut rng);
                     }
-                    let u = u.clamp(0.0, 1.0);
+                    u.clamp(0.0, 1.0)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The scalar model: every node on its own, sample by sample.
+fn reference(
+    cluster: &Cluster,
+    workload: &dyn Workload,
+    balance: LoadBalance,
+    cfg: &SimulationConfig,
+    nodes: &[usize],
+) -> Series {
+    let utilization = utilizations(cluster, workload, balance, cfg, nodes);
+    nodes
+        .iter()
+        .zip(&utilization)
+        .map(|(&node, utilization)| {
+            let mut spec = cluster.spec().node.thermal;
+            spec.t_ambient_c += cluster.ambient_offset(node);
+            let mut thermal = ThermalState::at_ambient(&spec);
+            utilization
+                .iter()
+                .enumerate()
+                .map(|(step, &u)| {
+                    let t = step as f64 * cfg.dt;
                     let p = cluster.node_power(node, t, u, thermal.temp_c).unwrap();
                     thermal.step(&spec, NodeSpec::heat_w(&p), p.fan_speed, cfg.dt);
                     [p.wall_w, p.dc_w, p.processors_w]
@@ -179,43 +217,189 @@ proptest! {
             seed,
             threads,
         };
-        let sim = Simulator::new(&cluster, workload, balance, cfg).unwrap();
         let from = window.0 * total;
         let to = from + window.1 * (total - from);
-        // Distinct ids in arbitrary order.
-        let mut subset: Vec<usize> = Vec::new();
-        for id in subset_raw.into_iter().map(|id| id % n) {
-            if !subset.contains(&id) {
-                subset.push(id);
-            }
-        }
+        check_against_reference(&cluster, workload, balance, &cfg, (from, to), subset_raw)?;
+    }
+}
 
-        let all: Vec<usize> = (0..n).collect();
-        let want = reference(&cluster, workload, balance, &cfg, &all);
-        let request = ProductRequest::with_averages(from, to).and_subset(&subset);
-        let got = sim.run_products(&request).unwrap();
-        let subset_only = sim.run_products(&ProductRequest::subset_only(&subset)).unwrap();
-        for scope in MeterScope::ALL {
-            let k = scope.index();
-            let system = got.system_trace(scope).unwrap();
-            prop_assert!(
-                same_bits(&system.watts, &reference_totals(&want, k)),
-                "system {scope:?} differs"
-            );
-            let averages = got.node_averages(scope).unwrap();
-            for (node, avg) in averages.iter().enumerate() {
-                let expect = reference_average(&want[node], cfg.dt, (from, to), k);
-                prop_assert_eq!(avg.to_bits(), expect.to_bits(), "average {:?} node {}", scope, node);
-            }
-            for trace in [got.subset_trace(scope).unwrap(), subset_only.subset_trace(scope).unwrap()] {
-                prop_assert_eq!(&trace.node_ids, &subset);
-                for (row, &node) in trace.samples.iter().zip(&subset) {
-                    let expect: Vec<f64> = want[node].iter().map(|w| w[k]).collect();
-                    prop_assert!(same_bits(row, &expect), "subset {scope:?} node {node} differs");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn run_products_match_scalar_reference_for_every_governor_and_fan(
+        preset_pick in 0usize..10,
+        workload_pick in 0usize..9,
+        count_pick in 0usize..9,
+        governor_pick in 0usize..4,
+        balance_pick in 0usize..3,
+        auto_fans in prop::bool::ANY,
+        second_socket in prop::bool::ANY,
+        threads in 1usize..4,
+        steps_target in 20usize..90,
+        seed in 0u64..1_000_000,
+        shape in (0.02..0.98f64, 0.05..0.45f64, 0.5..0.9f64),
+        subset_raw in prop::collection::vec(0usize..4 * BLOCK_WIDTH, 1..40),
+    ) {
+        let presets: Vec<SystemPreset> = SystemPreset::trace_presets()
+            .into_iter()
+            .chain(SystemPreset::variability_presets())
+            .collect();
+        let n = node_counts()[count_pick];
+        let mut preset = presets[preset_pick].clone().with_total_nodes(n);
+        preset.cluster_spec.ambient_gradient_c = 4.0;
+        let node = &mut preset.cluster_spec.node;
+        let first = node.processors[0];
+        if second_socket {
+            // A different part beside the preset's: its own nominal point,
+            // leakage and idle floor, so each processor row of the plan
+            // differs.
+            node.processors.push(ProcessorSpec {
+                dynamic_w: first.dynamic_w * 0.6,
+                leakage_w: first.leakage_w * 1.4,
+                idle_fraction: 0.2,
+                f_nom_mhz: first.f_nom_mhz * 0.75,
+                v_nom: first.v_nom * 0.95,
+                leakage_temp_coeff: 0.011,
+                t_ref_c: 55.0,
+            });
+        }
+        if auto_fans {
+            // Presets pin one thermal resistance; spread it so the fan
+            // speed moves the die temperature.
+            node.thermal.r_th_min = node.thermal.r_th_max * 0.5;
+        }
+        let t_ambient_c = node.thermal.t_ambient_c;
+        let mut cluster = Cluster::build(preset.cluster_spec.clone()).unwrap();
+        if auto_fans {
+            cluster = cluster
+                .with_fan_policy(FanPolicy::Auto {
+                    t_low_c: t_ambient_c + 5.0,
+                    t_high_c: t_ambient_c + 45.0,
+                })
+                .unwrap();
+        }
+        let spec = workload_for(&preset, workload_pick);
+        let workload = spec.workload();
+        let balance = balance_for(balance_pick);
+        let total = workload.phases().total();
+        let cfg = SimulationConfig {
+            dt: total / steps_target as f64 * 1.0371,
+            noise_sigma: 0.01,
+            common_noise_sigma: 0.004,
+            seed,
+            threads,
+        };
+        let nominal = pstate(&first, 1.0, false);
+        let governor = match governor_pick {
+            0 => Governor::Static(pstate(&first, 1.0, true)),
+            1 => {
+                // A threshold at a quantile of the clamped utilizations
+                // the lanes will see, so both P-states are taken.
+                let all: Vec<usize> = (0..n).collect();
+                let mut u: Vec<f64> = utilizations(&cluster, workload, balance, &cfg, &all)
+                    .concat();
+                u.sort_by(f64::total_cmp);
+                let threshold = u[((u.len() - 1) as f64 * shape.0) as usize];
+                Governor::OnDemand {
+                    high: nominal,
+                    low: pstate(&first, 0.6, true),
+                    threshold,
                 }
+            }
+            2 => Governor::Schedule(vec![
+                // Before the first switch the first entry applies; three
+                // more switches fall inside the run, the last back to the
+                // first P-state.
+                (shape.0 * 0.05 * total, nominal),
+                (shape.1 * total, pstate(&first, 0.7, true)),
+                (shape.2 * total, pstate(&first, 0.8, false)),
+                ((shape.2 + 0.05) * total, nominal),
+            ]),
+            _ => cluster.spec().governor.clone(),
+        };
+        let cluster = cluster.with_governor(governor).unwrap();
+        let from = shape.1 * total;
+        let to = from + shape.2 * (total - from);
+        check_against_reference(&cluster, workload, balance, &cfg, (from, to), subset_raw)?;
+    }
+}
+
+/// A P-state at `f_scale` of `proc`'s nominal frequency: at a fixed
+/// voltage just under nominal, or at each part's VID voltage.
+fn pstate(proc: &ProcessorSpec, f_scale: f64, vid: bool) -> PState {
+    let voltage = if vid {
+        VoltagePolicy::UseVid(VidTable::new(proc.v_nom * 0.97, 0.0125, 6).unwrap())
+    } else {
+        VoltagePolicy::Fixed(proc.v_nom * 0.98)
+    };
+    PState {
+        f_mhz: proc.f_nom_mhz * f_scale,
+        voltage,
+    }
+}
+
+/// Runs `run_products` (every product) and a subset-only sweep, and checks
+/// every scope against the scalar reference bit for bit. `subset_raw` is
+/// reduced to distinct node ids in order of first appearance.
+fn check_against_reference(
+    cluster: &Cluster,
+    workload: &dyn Workload,
+    balance: LoadBalance,
+    cfg: &SimulationConfig,
+    (from, to): (f64, f64),
+    subset_raw: Vec<usize>,
+) -> Result<(), TestCaseError> {
+    let n = cluster.len();
+    let sim = Simulator::new(cluster, workload, balance, *cfg).unwrap();
+    // Distinct ids in arbitrary order.
+    let mut subset: Vec<usize> = Vec::new();
+    for id in subset_raw.into_iter().map(|id| id % n) {
+        if !subset.contains(&id) {
+            subset.push(id);
+        }
+    }
+
+    let all: Vec<usize> = (0..n).collect();
+    let want = reference(cluster, workload, balance, cfg, &all);
+    let request = ProductRequest::with_averages(from, to).and_subset(&subset);
+    let got = sim.run_products(&request).unwrap();
+    let subset_only = sim
+        .run_products(&ProductRequest::subset_only(&subset))
+        .unwrap();
+    for scope in MeterScope::ALL {
+        let k = scope.index();
+        let system = got.system_trace(scope).unwrap();
+        prop_assert!(
+            same_bits(&system.watts, &reference_totals(&want, k)),
+            "system {scope:?} differs"
+        );
+        let averages = got.node_averages(scope).unwrap();
+        for (node, avg) in averages.iter().enumerate() {
+            let expect = reference_average(&want[node], cfg.dt, (from, to), k);
+            prop_assert_eq!(
+                avg.to_bits(),
+                expect.to_bits(),
+                "average {:?} node {}",
+                scope,
+                node
+            );
+        }
+        for trace in [
+            got.subset_trace(scope).unwrap(),
+            subset_only.subset_trace(scope).unwrap(),
+        ] {
+            prop_assert_eq!(&trace.node_ids, &subset);
+            for (row, &node) in trace.samples.iter().zip(&subset) {
+                let expect: Vec<f64> = want[node].iter().map(|w| w[k]).collect();
+                prop_assert!(
+                    same_bits(row, &expect),
+                    "subset {scope:?} node {node} differs"
+                );
             }
         }
     }
+    Ok(())
 }
 
 #[test]

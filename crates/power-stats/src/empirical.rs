@@ -12,6 +12,39 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Empirical {
     sorted: Vec<f64>,
+    /// Draws indices into `sorted`.
+    index: UniformIndex,
+}
+
+/// A uniform index in `[0, span)` by Lemire-style threshold rejection:
+/// the sampler behind `Rng::random_range(0..span)`, with its rejection
+/// zone computed once instead of on every draw. It takes the same words
+/// from the generator and returns the same indices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct UniformIndex {
+    span: u64,
+    /// The largest accepted word: `u64::MAX - 2^64 mod span`.
+    zone: u64,
+}
+
+impl UniformIndex {
+    /// A sampler over `[0, span)`; `span` must be at least 1.
+    fn new(span: u64) -> Self {
+        debug_assert!(span >= 1);
+        UniformIndex {
+            span,
+            zone: u64::MAX - (u64::MAX - span + 1) % span,
+        }
+    }
+
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return v % self.span;
+            }
+        }
+    }
 }
 
 impl Empirical {
@@ -30,7 +63,8 @@ impl Empirical {
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Ok(Empirical { sorted })
+        let index = UniformIndex::new(sorted.len() as u64);
+        Ok(Empirical { sorted, index })
     }
 
     /// Number of observations.
@@ -94,9 +128,10 @@ impl Empirical {
         *self.sorted.last().expect("non-empty")
     }
 
-    /// Draws one observation uniformly (resampling with replacement).
+    /// Draws one observation uniformly (resampling with replacement):
+    /// the observation `rng.random_range(0..len)` would pick.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sorted[rng.random_range(0..self.sorted.len())]
+        self.sorted[self.index.sample(rng) as usize]
     }
 
     /// Draws `n` observations with replacement — the bootstrap primitive.
@@ -163,6 +198,42 @@ mod tests {
         assert!(Empirical::new(&[]).is_err());
         assert!(Empirical::new(&[1.0, f64::NAN]).is_err());
         assert!(Empirical::new(&[f64::INFINITY]).is_err());
+    }
+
+    #[test]
+    fn uniform_index_takes_the_words_random_range_takes() {
+        // Same generator state in, same index and same state out — also
+        // where the rejection zone is widest (spans just above a power of
+        // two) and for spans too large to back with observations.
+        let mut spans = vec![1u64, 2, 3, 1_024];
+        for k in [2u32, 5, 10, 31, 32, 62, 63] {
+            spans.extend([(1u64 << k) - 1, (1u64 << k) + 1]);
+        }
+        spans.push(u64::MAX);
+        for span in spans {
+            let sampler = UniformIndex::new(span);
+            let mut ours = seeded(span ^ 0x5EED);
+            let mut theirs = ours.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    sampler.sample(&mut ours),
+                    theirs.random_range(0..span),
+                    "span {span}"
+                );
+            }
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "span {span}");
+        }
+        // And `draw` indexes the sorted observations with it.
+        let values: Vec<f64> = (0..37).map(f64::from).collect();
+        let e = Empirical::new(&values).unwrap();
+        let mut ours = seeded(3);
+        let mut theirs = ours.clone();
+        for _ in 0..2_000 {
+            assert_eq!(
+                e.draw(&mut ours),
+                values[theirs.random_range(0..values.len())]
+            );
+        }
     }
 
     #[test]
