@@ -7,7 +7,9 @@
 //! * **determinism under parallelism** — the parallel run's
 //!   `summary.json` must be byte-identical to the sequential run's,
 //!   always enforced: a scheduler leak into the output is a correctness
-//!   bug, not a perf miss.
+//!   bug, not a perf miss;
+//! * **preset lookup** — `SystemPreset::by_name`, which every simulating
+//!   campaign task calls, must take ≤ 20 µs on its Criterion median.
 //!
 //! Every measured figure lands in `BENCH_campaign.json` via
 //! [`power_bench::report`].
@@ -16,6 +18,7 @@ use criterion::{criterion_group, Criterion};
 use power_bench::report::{self, Direction};
 use power_campaign::{run_campaign_with_store, Scenario};
 use power_sim::store::TraceStore;
+use power_sim::systems::SystemPreset;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -114,5 +117,21 @@ fn bench_campaign_pool(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_campaign_pool);
+/// Budget: a preset lookup, as every simulating campaign task makes one,
+/// reads the process-wide catalog and clones one preset instead of
+/// building (and calibrating) all of them.
+fn bench_preset_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("campaign");
+    group.bench_function("preset_by_name", |b| {
+        b.iter(|| black_box(SystemPreset::by_name(black_box("colosse")).unwrap()));
+    });
+    group.finish();
+    let median_us = criterion::measurement("campaign/preset_by_name")
+        .expect("the preset lookup was measured")
+        .median_s
+        * 1e6;
+    report::budget("preset_by_name_us", median_us, Direction::AtMost, 20.0);
+}
+
+criterion_group!(benches, bench_campaign_pool, bench_preset_lookup);
 power_bench::bench_main!("campaign", benches);

@@ -1,12 +1,16 @@
 //! Measurement-methodology execution: full `measure()` pipelines under
-//! every level, plus submission validation throughput.
+//! every level, submission validation throughput, and the sampling
+//! meter's 1 Hz walk over a full core phase (with an enforced budget).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use power_bench::report::{self, Direction};
 use power_bench::{bench_sim_config, fixture};
+use power_meter::device::MeterModel;
 use power_method::level::Methodology;
 use power_method::measure::{measure, MeasurementPlan};
 use power_method::report::Submission;
 use power_method::validate::validate;
+use power_stats::rng::seeded;
 use std::hint::black_box;
 
 fn bench_measure_levels(c: &mut Criterion) {
@@ -56,5 +60,46 @@ fn bench_validate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_measure_levels, bench_validate);
+/// Budget: a PDU-grade meter (1 Hz, closed form) over a 25,200 s window
+/// of a trace with Colosse's 50.4 s step, the shape of the Level 2 and
+/// revised rules' full-core-phase windows. The walk reads each of its
+/// 25,200 instants without a division, so its cost per instant is a few
+/// additions.
+fn bench_meter_walk(c: &mut Criterion) {
+    const DT: f64 = 50.4;
+    const CORE_S: f64 = 25_200.0;
+    let series: Vec<f64> = (0..560)
+        .map(|i| 300.0 + 20.0 * (i as f64 * 0.07).sin())
+        .collect();
+    let (from, to) = (1_000.0, 1_000.0 + CORE_S);
+    let meter = MeterModel::pdu_grade().instantiate(&mut seeded(5)).unwrap();
+    let instants = meter
+        .measure(&mut seeded(6), &series, 0.0, DT, from, to)
+        .unwrap()
+        .samples;
+    assert_eq!(instants, CORE_S as usize);
+    let mut group = c.benchmark_group("meter_walk");
+    group.bench_function("pdu_1hz_25200s", |b| {
+        let mut rng = seeded(7);
+        b.iter(|| black_box(meter.measure(&mut rng, &series, 0.0, DT, from, to).unwrap()));
+    });
+    group.finish();
+    let median_ns = criterion::measurement("meter_walk/pdu_1hz_25200s")
+        .expect("the meter walk was measured")
+        .median_s
+        * 1e9;
+    report::budget(
+        "meter_walk_ns_per_instant",
+        median_ns / instants as f64,
+        Direction::AtMost,
+        2.5,
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_measure_levels,
+    bench_validate,
+    bench_meter_walk
+);
 power_bench::bench_main!("method", benches);

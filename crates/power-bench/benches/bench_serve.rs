@@ -360,5 +360,10 @@ fn main() {
     }
     benches();
     bench_idle_capacity();
+    // What `bench_main!` does, which this main cannot use because of
+    // the idle-client mode above.
+    for m in criterion::take_measurements() {
+        power_bench::report::timing(&m.id, m.min_s, m.median_s, m.mean_s);
+    }
     power_bench::report::write("serve");
 }

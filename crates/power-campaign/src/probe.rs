@@ -111,11 +111,7 @@ fn resolve_preset(cell: &Cell, scale: &Scale) -> Result<(SystemPreset, usize), P
             format!(
                 "unknown system preset `{}` (known: {})",
                 cell.system.preset,
-                SystemPreset::all_presets()
-                    .iter()
-                    .map(|p| p.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                SystemPreset::names().join(", ")
             ),
         )
     })?;

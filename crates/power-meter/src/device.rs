@@ -213,14 +213,12 @@ impl SamplingMeter {
         if sigma > 0.0 {
             let walk = self.sample_walk(series.len(), t0, dt, from, to)?;
             let (window_start, t_last) = (walk.window_start, walk.t_last);
-            let (mut n, mut sum, mut sum_sq, mut min_w) = (0usize, 0.0, 0.0, f64::INFINITY);
-            for (idx, _) in walk {
-                let w = series[idx];
-                n += 1;
-                sum += w;
-                sum_sq += w * w;
-                min_w = min_w.min(w);
-            }
+            let WindowMoments {
+                n,
+                sum,
+                sum_sq,
+                min_w,
+            } = walk.moments(series);
             if n == 0 {
                 return Err(MeterError::EmptyWindow);
             }
@@ -243,8 +241,16 @@ impl SamplingMeter {
 
     /// The sample instants of a window over a series of `len` values:
     /// `(index, instant)` for each sample, every `sample_interval_s` from
-    /// half an interval into the window.
-    fn sample_walk(&self, len: usize, t0: f64, dt: f64, from: f64, to: f64) -> Result<SampleWalk> {
+    /// half an interval into the window. [`SamplingMeter::measure`] and
+    /// the per-sample loop walk a window through this one iterator.
+    pub fn sample_walk(
+        &self,
+        len: usize,
+        t0: f64,
+        dt: f64,
+        from: f64,
+        to: f64,
+    ) -> Result<SampleWalk> {
         if !(to > from) {
             return Err(MeterError::InvalidConfig {
                 field: "to",
@@ -260,6 +266,8 @@ impl SamplingMeter {
             t0,
             dt,
             len,
+            idx: 0,
+            limit: f64::NEG_INFINITY,
         })
     }
 
@@ -310,7 +318,36 @@ impl SamplingMeter {
 }
 
 /// The sample instants of one window; see [`SamplingMeter::sample_walk`].
-struct SampleWalk {
+///
+/// Instant `t` reads the series at `index(t) = ((t − t0)/dt) as usize`,
+/// and the instants are produced by repeated `t += interval`. The walk
+/// evaluates that formula bit for bit, but not at every instant:
+///
+/// * **Monotonicity.** Every instant lies at or after `t0`, so `t − t0`
+///   is non-negative; rounded subtraction and division by `dt > 0` keep
+///   order, and the saturating cast maps the negative quotients of
+///   `dt < 0` and any NaN to 0 (and `dt = 0` gives NaN, then +∞). So over
+///   `t ≥ t0` the index never decreases as `t` grows, and `t` only grows.
+///   Once an instant reads `idx`, every later instant below the first
+///   float `b` with `index(b) > idx` reads `idx` too, and needs no
+///   division.
+/// * **The search for `b`.** Starting from `t0 + (idx + 1)·dt`, the walk
+///   steps with `next_down` while the float below is still past `idx`, or
+///   with `next_up` until it is; each candidate is tested with the same
+///   `index` formula, so the `b` it settles on is exact. Rounding puts the
+///   start within a few floats of `b`, and the search takes at most
+///   [`SampleWalk::MAX_SEARCH_STEPS`] steps. Where it does not settle
+///   (say, `dt < 0` or a start that overflowed), the walk divides again
+///   at the next instant.
+///
+/// So a walk divides once per series value it visits (plus once at each
+/// unsettled search), not once per instant, and yields exactly the
+/// `(index, instant)` pairs of a division per instant. The closed form
+/// reads a walk through [`SampleWalk::moments`], which steps a run's
+/// instants without yielding them and then adds the run's value once per
+/// instant, so its sums are the per-instant sums bit for bit.
+#[derive(Debug, Clone)]
+pub struct SampleWalk {
     window_start: f64,
     t_last: f64,
     /// The next sample instant.
@@ -319,23 +356,113 @@ struct SampleWalk {
     t0: f64,
     dt: f64,
     len: usize,
+    /// The series index of the current run of instants.
+    idx: usize,
+    /// The instants below `limit` read `idx` and lie before `t_last`; it
+    /// is the smaller of the two bounds.
+    limit: f64,
+}
+
+impl SampleWalk {
+    /// The most `next_up`/`next_down` steps one search for a run's end
+    /// takes before the walk falls back to dividing at the next instant.
+    const MAX_SEARCH_STEPS: usize = 16;
+
+    /// Σw, Σw² and min w over the rest of the walk, reading `series`
+    /// (the closed form's sufficient statistics), each sample added in
+    /// instant order.
+    pub fn moments(mut self, series: &[f64]) -> WindowMoments {
+        let mut m = WindowMoments {
+            n: 0,
+            sum: 0.0,
+            sum_sq: 0.0,
+            min_w: f64::INFINITY,
+        };
+        while let Some((idx, _)) = self.next() {
+            // The rest of this run reads the same value.
+            let mut k = 1;
+            while self.t < self.limit {
+                self.t += self.interval;
+                k += 1;
+            }
+            let w = series[idx];
+            let w_sq = w * w;
+            m.n += k;
+            for _ in 0..k {
+                m.sum += w;
+                m.sum_sq += w_sq;
+            }
+            m.min_w = m.min_w.min(w);
+        }
+        m
+    }
+
+    /// The series index instant `t` reads.
+    fn index(&self, t: f64) -> usize {
+        ((t - self.t0) / self.dt) as usize
+    }
+
+    /// A bound below which every instant from `t` on reads `idx`, where
+    /// `index(t) == idx`: the first float past `idx` when the search
+    /// settles, else the float just above `t`.
+    fn run_end(&self, idx: usize, t: f64) -> f64 {
+        let past = |x: f64| self.index(x) > idx;
+        let mut b = self.t0 + (idx + 1) as f64 * self.dt;
+        if past(b) {
+            for _ in 0..Self::MAX_SEARCH_STEPS {
+                let below = b.next_down();
+                if !past(below) {
+                    return b;
+                }
+                b = below;
+            }
+        } else {
+            for _ in 0..Self::MAX_SEARCH_STEPS {
+                b = b.next_up();
+                if past(b) {
+                    return b;
+                }
+            }
+        }
+        t.next_up()
+    }
 }
 
 impl Iterator for SampleWalk {
     type Item = (usize, f64);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, f64)> {
-        if !(self.t < self.t_last) {
-            return None;
-        }
-        let idx = ((self.t - self.t0) / self.dt) as usize;
-        if idx >= self.len {
-            return None;
-        }
         let t = self.t;
+        if !(t < self.limit) {
+            if !(t < self.t_last) {
+                return None;
+            }
+            let idx = self.index(t);
+            if idx >= self.len {
+                return None;
+            }
+            let end = self.run_end(idx, t);
+            self.idx = idx;
+            self.limit = if end < self.t_last { end } else { self.t_last };
+        }
         self.t += self.interval;
-        Some((idx, t))
+        Some((self.idx, t))
     }
+}
+
+/// The sample statistics of one window's walk; see
+/// [`SampleWalk::moments`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowMoments {
+    /// Number of sample instants.
+    pub n: usize,
+    /// Σw over the sampled true values.
+    pub sum: f64,
+    /// Σw² over the sampled true values.
+    pub sum_sq: f64,
+    /// The smallest sampled value (+∞ for an empty walk).
+    pub min_w: f64,
 }
 
 /// A continuously integrating energy meter — the Level 3 instrument.
@@ -653,6 +780,44 @@ mod tests {
             m.measure(&mut rng, &series, 0.0, 1.0, 400.0, 500.0),
             Err(MeterError::EmptyWindow)
         ));
+    }
+
+    #[test]
+    fn run_end_is_the_first_float_past_the_run() {
+        // For finite steps the search settles on the exact first float
+        // whose index exceeds the run's, from either side of the start.
+        let mut rng = seeded(13);
+        let (mut from_above, mut from_below) = (0, 0);
+        for _ in 0..20_000 {
+            let t0 = [
+                0.0,
+                rng.random::<f64>() * 10.0,
+                1e6 + rng.random::<f64>() * 1e3,
+            ][rng.random_range(0..3usize)];
+            let dt = 10f64.powf(rng.random::<f64>() * 6.0 - 3.0);
+            let walk = MeterModel::ideal()
+                .instantiate(&mut rng)
+                .unwrap()
+                .sample_walk(1 << 20, t0, dt, t0, f64::INFINITY)
+                .unwrap();
+            let idx = rng.random_range(0..100_000usize);
+            let t = t0 + (idx as f64 + 0.5) * dt;
+            if walk.index(t) != idx {
+                continue;
+            }
+            if walk.index(t0 + (idx + 1) as f64 * dt) > idx {
+                from_above += 1;
+            } else {
+                from_below += 1;
+            }
+            let end = walk.run_end(idx, t);
+            assert!(walk.index(end) > idx, "{t0} {dt} {idx}");
+            assert_eq!(walk.index(end.next_down()), idx, "{t0} {dt} {idx}");
+        }
+        assert!(
+            from_above > 1_000 && from_below > 1_000,
+            "{from_above} {from_below}"
+        );
     }
 
     #[test]

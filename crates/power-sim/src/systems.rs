@@ -34,6 +34,7 @@ use power_workload::{
     Firestarter, Hpl, HplShape, HplVariant, LoadBalance, MPrime, RodiniaCfd, RunPhases,
     WorkloadSpec,
 };
+use std::sync::OnceLock;
 
 /// Published numbers a preset is calibrated against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +56,7 @@ pub struct PaperTargets {
 }
 
 /// A fully specified, calibrated test system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemPreset {
     /// System name as used in the paper.
     pub name: &'static str,
@@ -118,12 +119,35 @@ impl SystemPreset {
     /// Looks a preset up by name, ignoring case, whitespace and
     /// punctuation, so scenario files can say `"piz_daint"`, `"l-csc"` or
     /// `"CEA (Fat)"` interchangeably.
+    ///
+    /// The presets are built once per process, on the first lookup, into
+    /// a catalog that [`SystemPreset::all_presets`] fills; each lookup
+    /// clones the match. Building them is not free (the HPL presets
+    /// integrate their workload's mean core utilization to calibrate), so
+    /// a lookup per campaign task must not rebuild all of them. A
+    /// constructor is a pure function of no arguments, so the clone equals
+    /// a fresh build field for field, and the caller owns it: changing one
+    /// lookup's result (say, [`SystemPreset::with_total_nodes`]) leaves
+    /// the catalog and every later lookup as built.
     pub fn by_name(name: &str) -> Option<SystemPreset> {
         let want = normalize_name(name);
-        SystemPreset::all_presets()
-            .into_iter()
+        catalog()
+            .iter()
             .find(|p| normalize_name(p.name) == want)
+            .cloned()
     }
+
+    /// The names [`SystemPreset::by_name`] resolves, in
+    /// [`SystemPreset::all_presets`] order, read from the same catalog.
+    pub fn names() -> Vec<&'static str> {
+        catalog().iter().map(|p| p.name).collect()
+    }
+}
+
+/// Every preset, built once per process for [`SystemPreset::by_name`].
+fn catalog() -> &'static [SystemPreset] {
+    static CATALOG: OnceLock<Vec<SystemPreset>> = OnceLock::new();
+    CATALOG.get_or_init(SystemPreset::all_presets)
 }
 
 /// Case-fold a system name to lowercase ASCII alphanumerics (`é` → `e`)
@@ -981,6 +1005,47 @@ mod tests {
         assert!(SystemPreset::by_name("no such machine").is_none());
         // Ten paper systems plus the accelerator-era Summit preset.
         assert_eq!(SystemPreset::all_presets().len(), 11);
+    }
+
+    #[test]
+    fn by_name_equals_a_fresh_build() {
+        // Every catalog lookup, under its exact name and the spelling
+        // variants above, equals its constructor's output field for field.
+        let built = [
+            ("colosse", colosse()),
+            ("sequoia-25", sequoia25()),
+            ("piz_daint", piz_daint()),
+            ("lcsc", lcsc()),
+            ("calcul_quebec", calcul_quebec()),
+            ("cea_fat", cea_fat()),
+            ("cea (thin)", cea_thin()),
+            ("LRZ", lrz()),
+            ("titan", titan()),
+            ("tu dresden", tu_dresden()),
+            ("summit", summit()),
+        ];
+        assert_eq!(
+            SystemPreset::names(),
+            built.iter().map(|(_, p)| p.name).collect::<Vec<_>>()
+        );
+        for (variant, want) in built {
+            assert_eq!(SystemPreset::by_name(want.name), Some(want.clone()));
+            assert_eq!(SystemPreset::by_name(variant), Some(want), "{variant}");
+        }
+    }
+
+    #[test]
+    fn lookups_are_independent() {
+        // A lookup is the caller's own value: scaling one leaves the next
+        // lookup as built.
+        let full = colosse().cluster_spec.total_nodes;
+        let scaled = SystemPreset::by_name("colosse")
+            .unwrap()
+            .with_total_nodes(8);
+        assert_eq!(scaled.cluster_spec.total_nodes, 8);
+        let next = SystemPreset::by_name("colosse").unwrap();
+        assert_eq!(next.cluster_spec.total_nodes, full);
+        assert_eq!(next, colosse());
     }
 
     #[test]
