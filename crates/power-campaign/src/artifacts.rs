@@ -195,10 +195,11 @@ pub fn node_averages(
     cfg.dt *= 1.0371;
     let sim = Simulator::new(&cluster, workload, preset.balance, cfg)?;
     // One sweep fills all three meter scopes, so later requests for
-    // another scope are cache hits.
+    // another scope are cache hits. It asks for the averages alone, so
+    // the sweep stops at the window's end and sums no machine trace.
     let products = store.products(
         &sim,
-        &ProductRequest::with_averages(
+        &ProductRequest::averages_only(
             phases.core_start() + 0.1 * phases.core(),
             phases.core_end(),
         ),

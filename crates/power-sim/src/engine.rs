@@ -11,15 +11,15 @@
 //! Every sample of every node comes out of one kernel, `NodeBlock`. It
 //! holds per-lane state for a block of nodes as a struct of arrays — RNG
 //! substream, die temperature, ambient-shifted inlet temperature, ASIC
-//! samples, residual multiplier, load-balance factor and node plan — and
-//! advances the whole block one sample at a time. Work that does not
-//! depend on the node is done once per step for the block (the sample
-//! time, the common-mode multiplier, the averaging-window overlap, the
-//! governor's P-state and the node-independent part of the utilization,
-//! via [`Workload::utilizations`]) or once per sweep (the thermal step
-//! factor and the fan policy). [`Simulator::run_products`] hands
-//! [`BLOCK_WIDTH`]-node blocks to its workers round-robin. No node-step
-//! allocates.
+//! samples, residual multiplier, load-balance factor, workload lane term
+//! and node plan — and advances the whole block one sample at a time.
+//! Work that does not depend on the node is done once per step for the
+//! block (the sample time, the common-mode multiplier, the averaging-window
+//! overlap, the governor's P-state and the node-independent part of the
+//! utilization, via [`Workload::utilizations`]) or once per sweep (the
+//! thermal step factor and the fan policy). [`Simulator::run_products`]
+//! hands [`BLOCK_WIDTH`]-node blocks to its workers round-robin. No
+//! node-step allocates.
 //!
 //! ## The node plan
 //!
@@ -41,6 +41,12 @@
 //! A pinned fan's power and thermal resistance are computed once per
 //! sweep; an automatic fan's speed is computed per lane from its die
 //! temperature, with the policy's constants hoisted.
+//!
+//! The workload has a per-lane part too: [`Workload::lane_term`], the
+//! time-independent part of a node's utilization (HPL's ripple
+//! dephasing, a `(sin, cos)` pair), is computed once per lane when a
+//! block is loaded and handed back to [`Workload::utilizations`] at every
+//! step, so a step neither looks it up nor recomputes it.
 //!
 //! A step then runs lane-major loops with no `match` and no lookup inside,
 //! which LLVM can vectorize: the noise draws; the clamped utilization;
@@ -73,6 +79,14 @@
 //!   sample-size studies);
 //! * full per-sample traces for a metered node subset (the measurement
 //!   campaigns in `power-meter`).
+//!
+//! A sweep runs every step of the run, except for a request for per-node
+//! averages alone ([`ProductRequest::averages_only`]): with no trace to
+//! fill, it stops before the first step `k` whose start
+//! `k as f64 * dt` reaches the window's end. That step overlaps the
+//! window by at most zero, and so does every later one, so the averages
+//! keep their bits; the thermal state before the window still steps from
+//! sample 0. [`RunProducts::steps`] still reports the run's step count.
 //!
 //! The legacy single-product methods ([`Simulator::system_trace`],
 //! [`Simulator::node_averages`], [`Simulator::subset_trace`]) are thin
@@ -225,6 +239,15 @@ impl ProductRequest {
         }
     }
 
+    /// Per-node averages over `[from, to)` alone. With no trace to fill,
+    /// the sweep stops at the window's end (see the module docs).
+    pub fn averages_only(from: f64, to: f64) -> Self {
+        ProductRequest {
+            averages_window: Some((from, to)),
+            ..ProductRequest::default()
+        }
+    }
+
     /// Whole-machine traces plus per-node averages over `[from, to)`.
     pub fn with_averages(from: f64, to: f64) -> Self {
         ProductRequest {
@@ -251,6 +274,34 @@ impl ProductRequest {
     /// Whether this request requires sweeping every node of the machine.
     pub fn needs_full_sweep(&self) -> bool {
         self.system || self.averages_window.is_some()
+    }
+
+    /// The steps a sweep of `steps` samples of `dt` seconds must run to
+    /// answer this request: all of them, unless per-node averages are all
+    /// it asks for. Then the sweep stops before the first step `k` with
+    /// `k as f64 * dt >= to` — the expression the sweep computes a step's
+    /// start with — because that step and every later one (the start is
+    /// monotone in `k`) overlaps the window by at most zero.
+    fn horizon(&self, steps: usize, dt: f64) -> usize {
+        let to = match self {
+            ProductRequest {
+                system: false,
+                averages_window: Some((_, to)),
+                subset: None,
+            } => *to,
+            _ => return steps,
+        };
+        // The ceiling lands on `k` or next to it; rounding in either
+        // quotient can put it one off, so walk to the first `k` that
+        // meets the sweep's own test.
+        let mut k = ((to / dt).ceil() as usize).min(steps);
+        while k > 0 && (k - 1) as f64 * dt >= to {
+            k -= 1;
+        }
+        while k < steps && (k as f64 * dt) < to {
+            k += 1;
+        }
+        k
     }
 }
 
@@ -733,6 +784,8 @@ struct NodeBlock<'s, 'a> {
     asics: Vec<&'a [AsicSample]>,
     multiplier: Vec<f64>,
     factor: Vec<f64>,
+    /// The workload's [`Workload::lane_term`] per lane.
+    terms: Vec<[f64; 2]>,
     /// The lanes' node plans: the governor's one P-state, or `OnDemand`'s
     /// `[high, low]`.
     plans: [NodePlan; 2],
@@ -765,6 +818,7 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
             asics: Vec::with_capacity(width),
             multiplier: Vec::with_capacity(width),
             factor: Vec::with_capacity(width),
+            terms: Vec::with_capacity(width),
             plans: [
                 NodePlan::with_capacity(procs, width),
                 NodePlan::with_capacity(procs, width),
@@ -793,6 +847,7 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
         self.asics.clear();
         self.multiplier.clear();
         self.factor.clear();
+        self.terms.clear();
         for &node in nodes {
             let inlet = t_ambient_c + cluster.ambient_offset(node);
             self.nodes.push(node);
@@ -807,6 +862,7 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
                     .expect("node index validated by caller"),
             );
             self.factor.push(sim.balance.factor(node, cluster.len()));
+            self.terms.push(sim.workload.lane_term(node));
         }
         self.util.resize(nodes.len(), 0.0);
         self.noise.resize(nodes.len(), 0.0);
@@ -837,7 +893,8 @@ impl<'s, 'a> NodeBlock<'s, 'a> {
         let node = &spec.node;
         let t = step as f64 * sim.config.dt;
         let sigma = sim.config.noise_sigma;
-        sim.workload.utilizations(t, &self.nodes, &mut self.util);
+        sim.workload
+            .utilizations(t, &self.nodes, &self.terms, &mut self.util);
         // The one P-state of the step, or OnDemand's per-lane threshold.
         let threshold = match &spec.governor {
             Governor::Static(_) => None,
@@ -1079,6 +1136,7 @@ impl<'a> Simulator<'a> {
         let steps = self.run_steps();
         let n = self.cluster.len();
         let dt = self.config.dt;
+        let horizon = request.horizon(steps, dt);
 
         let subset: &[usize] = request.subset.as_deref().unwrap_or(&[]);
         let slot_of: HashMap<usize, usize> = subset
@@ -1095,7 +1153,9 @@ impl<'a> Simulator<'a> {
         };
         let blocks = work.len().div_ceil(BLOCK_WIDTH);
         let threads = self.config.threads.max(1).min(blocks.max(1));
-        let common = self.common_noise(steps);
+        // The draws are sequential, so the horizon's prefix is the same
+        // for any length.
+        let common = self.common_noise(horizon);
 
         let system_len = if request.system { steps } else { 0 };
         let sums = BlockSums::new(system_len);
@@ -1250,9 +1310,10 @@ impl<'a> Simulator<'a> {
 
     /// Per-node time-averaged power over the window `[from, to)`, for all
     /// nodes of the machine. The window is validated against the run span
-    /// before any node is simulated.
+    /// before any node is simulated; the sweep asks for the averages alone
+    /// ([`ProductRequest::averages_only`]), so it stops at the window end.
     pub fn node_averages(&self, from: f64, to: f64, scope: MeterScope) -> Result<Vec<f64>> {
-        let products = self.run_products(&ProductRequest::with_averages(from, to))?;
+        let products = self.run_products(&ProductRequest::averages_only(from, to))?;
         Ok(products
             .node_averages(scope)
             .expect("averages were requested")
@@ -1612,6 +1673,61 @@ mod tests {
         assert!(sim
             .validate_request(&ProductRequest::subset_only(&[3, 4]))
             .is_ok());
+    }
+
+    #[test]
+    fn averages_only_sweep_stops_at_the_window_end_bit_for_bit() {
+        // Two blocks, a setup phase, and one step exactly representable
+        // and one not: the averages-only sweep must stop at the first step
+        // starting at or past the window end and match the sweep that
+        // fills the system traces too, bit for bit.
+        let cluster = Cluster::build(spec(70)).unwrap();
+        let phases = RunPhases::new(60.0, 900.0, 60.0).unwrap();
+        let wl = Hpl::new(HplVariant::GpuInCore, phases, 1e15).unwrap();
+        for dt in [5.0, 5.0 * 1.0371] {
+            let mut cfg = config();
+            cfg.dt = dt;
+            cfg.threads = 2;
+            let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, cfg).unwrap();
+            let steps = sim.run_steps();
+            let on_step = 97.0 * dt;
+            let windows = [
+                (100.0, on_step),
+                (100.0, on_step.next_down()),
+                (100.0, on_step.next_up()),
+                (100.0, 98.5 * dt),
+                (100.0, sim.run_end() + 1000.0),
+                (10.0, 40.0),
+            ];
+            for (from, to) in windows {
+                let request = ProductRequest::averages_only(from, to);
+                let first_past = (0..steps).find(|&k| k as f64 * dt >= to).unwrap_or(steps);
+                assert_eq!(request.horizon(steps, dt), first_past, "dt {dt}, to {to}");
+                let alone = sim.run_products(&request).unwrap();
+                let full = sim
+                    .run_products(&ProductRequest::with_averages(from, to))
+                    .unwrap();
+                assert_eq!(alone.steps(), steps);
+                assert!(alone.system_trace(MeterScope::Wall).is_none());
+                for scope in MeterScope::ALL {
+                    let bits = |p: &RunProducts| -> Vec<u64> {
+                        let avgs = p.node_averages(scope).unwrap();
+                        avgs.iter().map(|a| a.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&alone), bits(&full), "dt {dt}, window {from}..{to}");
+                }
+            }
+            // The window that ends on a step boundary stops there, well
+            // short of the run; any other product sweeps the whole run.
+            let on = ProductRequest::averages_only(100.0, on_step);
+            assert_eq!(on.horizon(steps, dt), 97);
+            for other in [
+                ProductRequest::with_averages(100.0, on_step),
+                ProductRequest::averages_only(100.0, on_step).and_subset(&[3]),
+            ] {
+                assert_eq!(other.horizon(steps, dt), steps);
+            }
+        }
     }
 
     #[test]

@@ -130,19 +130,42 @@ fn zig_tables() -> &'static ZigTables {
 /// One 64-bit word picks the layer (low 8 bits) and a uniform
 /// `u ∈ [-1, 1)` (high 53 bits); `u · x[i]` is accepted outright when it
 /// falls inside the next layer's rectangle, which is about 99% of draws.
-/// The rest go through the wedge test (two `exp`) or, from the base
-/// layer, Marsaglia's tail method beyond `R` (two `ln`). Stateless, so a
-/// stream of draws depends only on the RNG.
+/// That path is all this function holds, so it inlines into the caller's
+/// loop. The rest go on in [`ziggurat_rejected`]: the wedge test (two
+/// `exp`) or, from the base layer, Marsaglia's tail method beyond `R` (two
+/// `ln`). Stateless, so a stream of draws depends only on the RNG.
+#[inline(always)]
 pub fn ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let t = zig_tables();
+    let (i, u, x) = zig_candidate(t, rng.next_u64());
+    if u.abs() < t.ratio[i] {
+        return x;
+    }
+    ziggurat_rejected(rng, t, i, u, x)
+}
+
+/// Layer `i`, uniform `u` and candidate `x = u · x[i]` of one 64-bit word.
+#[inline(always)]
+fn zig_candidate(t: &ZigTables, bits: u64) -> (usize, f64, f64) {
+    let i = (bits & 0xFF) as usize;
+    let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+    (i, u, u * t.x[i])
+}
+
+/// The rest of a [`ziggurat`] draw whose first word `(i, u, x)` fell
+/// outside the next layer's rectangle: the tail or wedge test, then fresh
+/// words until one is accepted, consuming the stream as one loop over
+/// both paths would.
+#[cold]
+#[inline(never)]
+fn ziggurat_rejected<R: Rng + ?Sized>(
+    rng: &mut R,
+    t: &ZigTables,
+    mut i: usize,
+    mut u: f64,
+    mut x: f64,
+) -> f64 {
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xFF) as usize;
-        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
-        let x = u * t.x[i];
-        if u.abs() < t.ratio[i] {
-            return x;
-        }
         if i == 0 {
             // The tail beyond R: x = -ln(U1)/R, accepted when
             // -2 ln(U2) > x² (U in (0, 1], so ln is finite).
@@ -160,6 +183,10 @@ pub fn ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         let f0 = (-0.5 * (xi * xi - x * x)).exp();
         let f1 = (-0.5 * (xn * xn - x * x)).exp();
         if f1 + rng.random::<f64>() * (f0 - f1) < 1.0 {
+            return x;
+        }
+        (i, u, x) = zig_candidate(t, rng.next_u64());
+        if u.abs() < t.ratio[i] {
             return x;
         }
     }
@@ -290,6 +317,37 @@ mod tests {
             (gotr - pr).abs() < 5.0 * (pr / n as f64).sqrt(),
             "P(|z|>R) {gotr} vs {pr}"
         );
+    }
+
+    #[test]
+    fn ziggurat_stream_is_pinned() {
+        // 200,000 draws per seed folded bit for bit, then the generator's
+        // next word: both the values and the words each draw consumed are
+        // pinned. Some draws must come from the tail, so the tail branch's
+        // draws are pinned too.
+        use crate::hash::Fnv1a;
+        let pinned: [(u64, u64); 3] = [
+            (1, 0x87bc7f33467a4677),
+            (0x5EED, 0x50b0bb6a12f9d03f),
+            (u64::MAX, 0xa2df03717cc54325),
+        ];
+        let (mut tail, mut wrong) = (0usize, Vec::new());
+        for (seed, digest) in pinned {
+            let mut rng = seeded(seed);
+            let mut h = Fnv1a::default();
+            for _ in 0..200_000 {
+                let z = ziggurat(&mut rng);
+                tail += usize::from(z.abs() > ZIG_R);
+                h.write_u64(z.to_bits());
+            }
+            h.write_u64(rng.random::<u64>());
+            let got = h.finish();
+            if got != digest {
+                wrong.push(format!("({seed:#x}, {got:#018x})"));
+            }
+        }
+        assert!(wrong.is_empty(), "digests moved: {}", wrong.join(", "));
+        assert!(tail > 0, "no draw reached the tail");
     }
 
     #[test]

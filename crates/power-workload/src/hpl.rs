@@ -381,11 +381,29 @@ impl Workload for Hpl {
         self.at(t).node(node)
     }
 
-    fn utilizations(&self, t: f64, nodes: &[usize], out: &mut [f64]) {
+    /// `(sin, cos)` of the node's ripple dephasing.
+    fn lane_term(&self, node: usize) -> [f64; 2] {
+        let (sb, cb) = node_dephase(node);
+        [sb, cb]
+    }
+
+    fn utilizations(&self, t: f64, nodes: &[usize], terms: &[[f64; 2]], out: &mut [f64]) {
         debug_assert_eq!(nodes.len(), out.len());
-        let at = self.at(t);
-        for (u, &node) in out.iter_mut().zip(nodes) {
-            *u = at.node(node);
+        debug_assert_eq!(terms.len(), out.len());
+        match self.at(t) {
+            HplAt::Flat(u) => out.fill(u),
+            // `HplAt::node` with the dephasing read from the lane's term.
+            // Without ripple the term is multiplied by zero, which adds
+            // `±0` to a non-negative envelope and leaves its bits alone.
+            HplAt::Core {
+                envelope,
+                ripple,
+                ripple_sin_cos: (sa, ca),
+            } => {
+                for (u, &[sb, cb]) in out.iter_mut().zip(terms) {
+                    *u = (envelope + ripple * (sa * cb + ca * sb)).clamp(0.0, 1.0);
+                }
+            }
         }
     }
 

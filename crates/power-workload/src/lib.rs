@@ -59,16 +59,28 @@ pub trait Workload: Send + Sync {
     /// `[0, 1]`; outside the run it should return the idle level.
     fn utilization(&self, node: usize, t: f64) -> f64;
 
+    /// The time-independent, per-node part of [`Workload::utilization`]:
+    /// whatever about a node's value does not change over the run, for
+    /// [`Workload::utilizations`] to read back. It is a pure function of
+    /// the node; the simulator computes it once per node per sweep. The
+    /// default, `[0.0; 2]`, is for workloads that need none.
+    fn lane_term(&self, _node: usize) -> [f64; 2] {
+        [0.0; 2]
+    }
+
     /// Utilization of every node in `nodes` at time `t`, written to `out`
-    /// in the same order (`out.len()` must equal `nodes.len()`).
+    /// in the same order. `terms[k]` is `lane_term(nodes[k])`; `terms` and
+    /// `out` have `nodes.len()` entries.
     ///
     /// Each value must be bit-identical to `utilization(node, t)`; the
     /// default loops over it. Workloads whose per-node value shares an
     /// expensive node-independent part override this to compute that part
-    /// once per call — the simulator calls it once per time step for a
-    /// whole block of nodes.
-    fn utilizations(&self, t: f64, nodes: &[usize], out: &mut [f64]) {
+    /// once per call, and read each node's time-independent part from its
+    /// term — the simulator calls it once per time step for a whole block
+    /// of nodes.
+    fn utilizations(&self, t: f64, nodes: &[usize], terms: &[[f64; 2]], out: &mut [f64]) {
         debug_assert_eq!(nodes.len(), out.len());
+        debug_assert_eq!(terms.len(), out.len());
         for (u, &node) in out.iter_mut().zip(nodes) {
             *u = self.utilization(node, t);
         }

@@ -1,6 +1,7 @@
-//! `Workload::utilizations` must equal per-node `Workload::utilization`
-//! bit for bit, for every workload, at every point of a run: before the
-//! run, in setup, inside the core phase, in teardown and after the run.
+//! `Workload::utilizations`, reading each node's `Workload::lane_term`,
+//! must equal per-node `Workload::utilization` bit for bit, for every
+//! workload, at every point of a run: before the run, in setup, inside the
+//! core phase, in teardown and after the run.
 
 use power_workload::{
     Firestarter, Graph500, Hpl, HplShape, HplVariant, IoPhase, MPrime, RodiniaCfd, RunPhases,
@@ -9,6 +10,11 @@ use power_workload::{
 
 fn phases() -> RunPhases {
     RunPhases::new(120.0, 3600.0, 90.0).unwrap()
+}
+
+/// Every node's lane term, as the simulator computes them once per block.
+fn terms(wl: &dyn Workload, nodes: &[usize]) -> Vec<[f64; 2]> {
+    nodes.iter().map(|&node| wl.lane_term(node)).collect()
 }
 
 fn workloads() -> Vec<Box<dyn Workload>> {
@@ -41,15 +47,19 @@ fn times() -> Vec<f64> {
 
 #[test]
 fn batch_matches_per_node_bit_for_bit() {
-    // Contiguous, shuffled, repeated and far-away node ids.
+    // Contiguous, shuffled, repeated and far-away node ids, including
+    // nodes past HPL's dephasing tables (256 · 1024 nodes), whose high
+    // part is computed rather than looked up.
     let nodes: Vec<usize> = (0..70)
         .chain([999, 3, 3, 123_456, 0, 65_535])
+        .chain([262_143, 262_144, 262_145, 1_000_003, usize::MAX >> 12])
         .chain((0..40).map(|i| (i * 7919) % 997))
         .collect();
     let mut out = vec![f64::NAN; nodes.len()];
     for wl in workloads() {
+        let terms = terms(wl.as_ref(), &nodes);
         for t in times() {
-            wl.utilizations(t, &nodes, &mut out);
+            wl.utilizations(t, &nodes, &terms, &mut out);
             for (&node, &batch) in nodes.iter().zip(&out) {
                 let scalar = wl.utilization(node, t);
                 assert_eq!(
@@ -66,10 +76,11 @@ fn batch_matches_per_node_bit_for_bit() {
 #[test]
 fn batch_handles_empty_and_single_node_blocks() {
     for wl in workloads() {
-        wl.utilizations(phases().core_start() + 10.0, &[], &mut []);
+        wl.utilizations(phases().core_start() + 10.0, &[], &[], &mut []);
         let mut one = [f64::NAN];
+        let term = [wl.lane_term(41)];
         for t in times() {
-            wl.utilizations(t, &[41], &mut one);
+            wl.utilizations(t, &[41], &term, &mut one);
             assert_eq!(one[0].to_bits(), wl.utilization(41, t).to_bits());
         }
     }
@@ -104,7 +115,7 @@ fn hpl_values_are_pinned() {
             "{variant:?} {node} {t}"
         );
         let mut out = [0.0];
-        hpl.utilizations(t, &[node], &mut out);
+        hpl.utilizations(t, &[node], &[hpl.lane_term(node)], &mut out);
         assert_eq!(out[0].to_bits(), bits, "{variant:?} {node} {t}");
     }
 }
