@@ -18,10 +18,9 @@
 
 use crate::{AccelError, Result};
 use power_sim::variability::VariabilityModel;
-use serde::{Deserialize, Serialize};
 
 /// One accelerator SKU: ladder, voltage curve and nominal power split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// SKU name (e.g. `"K20X"`).
     pub name: &'static str,
@@ -130,7 +129,7 @@ impl GpuSpec {
 
 /// Chip-binning parameters of a device population: the shared
 /// manufacturing model plus how much extra voltage each worse bin needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinnedPopulationSpec {
     /// Manufacturing-spread model shared with the node simulator
     /// (leakage log-sigma, residual sigma, bin count, bin/leakage
@@ -175,7 +174,7 @@ impl BinnedPopulationSpec {
 }
 
 /// One manufactured device: the binning outcome applied to a [`GpuSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuDevice {
     /// Position in the population (also its RNG substream).
     pub index: u64,

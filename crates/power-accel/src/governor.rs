@@ -10,10 +10,8 @@
 //! (except when even the ladder floor is over the cap — an infeasible
 //! cap the governor cannot fix, only report).
 
-use serde::{Deserialize, Serialize};
-
 /// A one-step-per-tick power-cap control loop over a frequency ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCapGovernor {
     /// Enforced board power cap in watts.
     pub cap_w: f64,

@@ -14,10 +14,9 @@ use crate::device::{BinnedPopulationSpec, GpuDevice, GpuSpec};
 use crate::governor::PowerCapGovernor;
 use crate::{AccelError, Result};
 use power_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// A seeded population of binned devices of one SKU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuPopulation {
     spec: GpuSpec,
     binning: BinnedPopulationSpec,
@@ -159,7 +158,7 @@ impl GpuPopulation {
 }
 
 /// Parameters of one fixed-work sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepConfig {
     /// Per-device board cap in watts; `None` runs uncapped.
     pub cap_w: Option<f64>,
@@ -206,7 +205,7 @@ impl SweepConfig {
 }
 
 /// One device's accounting over a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceRun {
     /// Device index in the population.
     pub index: u64,
@@ -229,7 +228,7 @@ pub struct DeviceRun {
 }
 
 /// The population-level outcome of one sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// The cap in force, if any.
     pub cap_w: Option<f64>,

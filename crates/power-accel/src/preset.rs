@@ -13,10 +13,9 @@ use crate::device::{BinnedPopulationSpec, GpuSpec};
 use crate::population::{GpuPopulation, SweepConfig};
 use crate::Result;
 use power_sim::variability::VariabilityModel;
-use serde::{Deserialize, Serialize};
 
 /// A named accelerator fleet configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelPreset {
     /// Preset name as used in scenario files.
     pub name: &'static str,

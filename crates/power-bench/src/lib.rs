@@ -2,7 +2,7 @@
 //!
 //! Each bench target regenerates one of the paper's tables/figures (or an
 //! ablation of a design choice) at a bench-friendly scale; the full-scale
-//! reproduction lives in `power-repro`'s binaries. Bench names map to
+//! reproduction lives in `power-repro`'s `all` driver. Bench names map to
 //! paper artifacts as follows:
 //!
 //! | bench target      | paper artifact |
@@ -23,8 +23,8 @@
 //!
 //! Every bench binary ends by draining the [`report`] sink to a
 //! machine-readable `BENCH_<name>.json` (see [`bench_main!`]), and the
-//! targets with hard budgets enforce them through [`report::budget`] so
-//! a regression fails `cargo bench` at the site that measured it.
+//! targets with hard budgets record them through [`report::budget`]: a
+//! regression fails `cargo bench` once that report is written.
 
 pub mod report;
 

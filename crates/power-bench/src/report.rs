@@ -7,14 +7,15 @@
 //! measure* and *did every enforced budget pass*. Bench functions
 //! record into a process-global sink as they run ([`metric`],
 //! [`budget`]); the bench's `main` adds every Criterion measurement
-//! ([`timing`]) and drains the sink to disk with [`write`]. A budget
-//! violation still panics exactly where it is measured, so `cargo
-//! bench` fails loudly and the JSON (written on the success path only)
-//! never claims a failed run passed.
+//! ([`timing`]) and drains the sink to disk with [`write()`]. A violated
+//! budget is only recorded where it is measured, so the bench runs to
+//! the end and a slow host still leaves its numbers behind: [`write()`]
+//! writes the file with `"passed": false` and then panics, naming every
+//! failed budget, so `cargo bench` fails loudly.
 //!
 //! Output directory: `$BENCH_RESULTS_DIR` when set, else
 //! `results/bench` at the workspace root. The JSON is hand-serialized
-//! (the workspace takes no serde dependency) and deliberately flat:
+//! and deliberately flat:
 //!
 //! ```json
 //! {
@@ -95,10 +96,8 @@ pub fn timing(id: &str, min_s: f64, median_s: f64, mean_s: f64) {
     }
 }
 
-/// Records a metric *and* enforces a budget on it: the measurement is
-/// always written to the sink, then the bench panics if the budget
-/// does not hold, so the violation fails `cargo bench` at the site
-/// that measured it.
+/// Records a metric *and* a budget on it. A violation does not stop the
+/// bench; [`write()`] fails it after the report is on disk.
 pub fn budget(name: &str, measured: f64, direction: Direction, limit: f64) {
     let pass = direction.holds(measured, limit);
     with_sink(|s| {
@@ -111,11 +110,6 @@ pub fn budget(name: &str, measured: f64, direction: Direction, limit: f64) {
             pass,
         });
     });
-    assert!(
-        pass,
-        "budget violated: {name} = {measured} must be {} {limit}",
-        direction.label()
-    );
 }
 
 fn json_num(v: f64) -> String {
@@ -138,9 +132,10 @@ fn results_dir() -> PathBuf {
         .join("results/bench")
 }
 
-/// Drains the sink to `BENCH_<name>.json`. Call once, at the end of the
-/// bench binary's `main`; a bench with no recorded metrics still writes
-/// a file, so CI can assert every target produced evidence of a run.
+/// Drains the sink to `BENCH_<name>.json`, then panics if any budget
+/// failed, naming each. Call once, at the end of the bench binary's
+/// `main`; a bench with no recorded metrics still writes a file, so CI
+/// can assert every target produced evidence of a run.
 pub fn write(name: &str) {
     let sink = SINK
         .lock()
@@ -194,16 +189,44 @@ pub fn write(name: &str) {
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, out).expect("write bench report");
     println!("bench report: {}", path.display());
+    let failed: Vec<String> = sink
+        .budgets
+        .iter()
+        .filter(|b| !b.pass)
+        .map(|b| {
+            format!(
+                "{} = {} must be {} {}",
+                b.metric,
+                b.measured,
+                b.direction.label(),
+                b.limit
+            )
+        })
+        .collect();
+    assert!(failed.is_empty(), "budget violated: {}", failed.join("; "));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One sequential test: the sink is process-global, so the record /
-    /// enforce / write phases must not interleave with each other.
+    /// The sink and `BENCH_RESULTS_DIR` are process-global, so the tests
+    /// that record and write take turns.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn temp_results_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench-report-{tag}-{}", std::process::id()));
+        std::env::set_var("BENCH_RESULTS_DIR", &dir);
+        dir
+    }
+
     #[test]
     fn sink_records_enforces_and_writes() {
+        let _turn = serial();
         // Record and enforce.
         metric("alpha", 2.5);
         budget("beta", 10.0, Direction::AtLeast, 5.0);
@@ -215,24 +238,8 @@ mod tests {
             assert!(s.budgets.iter().all(|b| b.pass));
         });
 
-        // A violated budget panics *after* recording the measurement.
-        let err = std::panic::catch_unwind(|| {
-            budget("slow", 1.0, Direction::AtLeast, 100.0);
-        })
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("budget violated"), "{msg}");
-        with_sink(|s| {
-            let line = s.budgets.last().unwrap();
-            assert_eq!(line.metric, "slow");
-            assert!(!line.pass);
-        });
-        // Reset: the failed line above would fail the whole report.
-        SINK.lock().unwrap_or_else(|e| e.into_inner()).take();
-
         // Write drains the sink to well-formed JSON.
-        let dir = std::env::temp_dir().join(format!("bench-report-{}", std::process::id()));
-        std::env::set_var("BENCH_RESULTS_DIR", &dir);
+        let dir = temp_results_dir("pass");
         metric("rate", 123.0);
         budget("rate_floor", 123.0, Direction::AtLeast, 100.0);
         timing("group/id", 0.25, 0.5, 1.0);
@@ -240,10 +247,34 @@ mod tests {
         std::env::remove_var("BENCH_RESULTS_DIR");
         let body = std::fs::read_to_string(dir.join("BENCH_selftest.json")).unwrap();
         assert!(body.contains("\"bench\": \"selftest\""));
+        assert!(body.contains("\"alpha\": 2.5"));
         assert!(body.contains("\"rate\": 123"));
         assert!(body.contains("\"passed\": true"));
         assert!(body.contains("\"group/id.median_ns\": 500000000"), "{body}");
         assert!(body.contains("\"group/id.min_ns\": 250000000"), "{body}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A violated budget only records; `write` puts the report on disk
+    /// with `"passed": false` and then panics, naming every failed budget.
+    #[test]
+    fn failing_budgets_are_written_before_the_panic() {
+        let _turn = serial();
+        let dir = temp_results_dir("fail");
+        budget("slow", 1.0, Direction::AtLeast, 100.0);
+        budget("fine", 1.0, Direction::AtMost, 2.0);
+        budget("late", 9.0, Direction::AtMost, 3.0);
+        let err = std::panic::catch_unwind(|| write("failing")).unwrap_err();
+        std::env::remove_var("BENCH_RESULTS_DIR");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("budget violated"), "{msg}");
+        assert!(msg.contains("slow = 1 must be at_least 100"), "{msg}");
+        assert!(msg.contains("late = 9 must be at_most 3"), "{msg}");
+        assert!(!msg.contains("fine"), "{msg}");
+        let body = std::fs::read_to_string(dir.join("BENCH_failing.json")).unwrap();
+        assert!(body.contains("\"passed\": false"), "{body}");
+        assert!(body.contains("\"metric\": \"slow\", \"kind\": \"at_least\", \"limit\": 100, \"measured\": 1, \"pass\": false"), "{body}");
+        assert!(body.contains("\"fine\": 1"), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,10 +7,12 @@
 //! selection. Byte identity must hold across repeated runs *and* across
 //! thread counts — the work-stealing schedule must leak into nothing.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use power_campaign::{run_campaign, Scenario};
+
+mod common;
+use common::tree;
 
 fn scenario() -> Scenario {
     Scenario::parse(
@@ -37,27 +39,6 @@ fn out_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("power-campaign-det-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Every regular file under `root`, keyed by its relative path.
-fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path.strip_prefix(root).unwrap();
-                out.insert(
-                    rel.to_string_lossy().into_owned(),
-                    std::fs::read(&path).unwrap(),
-                );
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(root, root, &mut out);
-    out
 }
 
 #[test]

@@ -2,12 +2,11 @@
 
 use crate::{ListError, Result};
 use power_method::level::Methodology;
-use serde::{Deserialize, Serialize};
 
 /// How a list entry's power number was obtained — the paper notes that of
 /// 267 submissions on the November 2014 Green500, 233 were *derived* from
 /// vendor specifications, 28 were Level 1, and only 6 used a higher level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerSource {
     /// Derived from vendor specifications / extrapolation without
     /// measurement.
@@ -17,7 +16,7 @@ pub enum PowerSource {
 }
 
 /// One system on the list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ListEntry {
     /// System name.
     pub system: String,
@@ -46,7 +45,7 @@ impl ListEntry {
 }
 
 /// A list ranked by energy efficiency (descending FLOPS/W).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedList {
     entries: Vec<ListEntry>,
 }

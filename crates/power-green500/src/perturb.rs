@@ -11,10 +11,9 @@ use crate::list::{ListEntry, PowerSource, RankedList};
 use crate::{ListError, Result};
 use power_stats::rng::substream;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a rank-stability study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbConfig {
     /// Relative half-spread of measured power numbers (uniform in
     /// `[-s, +s]`). Derived entries are held fixed.
@@ -26,7 +25,7 @@ pub struct PerturbConfig {
 }
 
 /// Result of a rank-stability study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankStability {
     /// Probability that the published #1 stays #1.
     pub top1_retention: f64,

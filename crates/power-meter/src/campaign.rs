@@ -14,10 +14,9 @@ use crate::reading::Reading;
 use crate::{MeterError, Result};
 use power_sim::trace::NodeTrace;
 use power_stats::rng::substream;
-use serde::{Deserialize, Serialize};
 
 /// A fleet of meters attached to specific nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     node_ids: Vec<usize>,
     meters: Vec<SamplingMeter>,
@@ -90,7 +89,7 @@ impl Campaign {
 }
 
 /// The outcome of one campaign window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Metered node ids.
     pub node_ids: Vec<usize>,

@@ -11,10 +11,9 @@ use crate::reading::Reading;
 use crate::{MeterError, Result};
 use power_stats::rng::StandardNormal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An accuracy class of sampling power meters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeterModel {
     /// Bound on the systematic gain error (e.g. `0.01` = ±1%); each
     /// instrument draws its error uniformly within the bound.
@@ -139,7 +138,7 @@ impl MeterModel {
 }
 
 /// One physical sampling meter with a fixed systematic gain error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingMeter {
     model: MeterModel,
     gain: f64,
@@ -469,7 +468,7 @@ pub struct WindowMoments {
 ///
 /// Integrates the true series exactly (up to its gain error); reports
 /// energy and derives average power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegratingMeter {
     gain: f64,
 }

@@ -12,10 +12,9 @@ use crate::device::SamplingMeter;
 use crate::reading::Reading;
 use crate::{MeterError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fault model for one instrument.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeterFault {
     /// No fault (pass-through).
     None,
@@ -116,7 +115,7 @@ impl MeterFault {
 }
 
 /// A sampling meter wrapped with a fault model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultyMeter {
     meter: SamplingMeter,
     fault: MeterFault,

@@ -20,10 +20,9 @@
 use crate::reading::Reading;
 use crate::{MeterError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an OCC-style on-chip metering pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccModel {
     /// Internal accumulation cadence in seconds: the sensor register is
     /// refreshed with the average of each completed cadence window.
@@ -102,7 +101,7 @@ impl OccModel {
 }
 
 /// One instantiated OCC with fixed calibration gain/offset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccMeter {
     model: OccModel,
     gain: f64,

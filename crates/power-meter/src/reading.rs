@@ -1,9 +1,7 @@
 //! Meter readings.
 
-use serde::{Deserialize, Serialize};
-
 /// What one instrument reports for one measurement window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reading {
     /// Start of the window (seconds).
     pub t_start: f64,

@@ -9,13 +9,12 @@
 //! quiet inaccuracy the level distinctions exist to bound.
 
 use power_sim::hierarchy::{MeasurementPoint, PowerHierarchy};
-use serde::{Deserialize, Serialize};
 
 use crate::{MethodError, Result};
 
 /// How conversion losses between the meter and the reference point are
 /// accounted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossAccounting {
     /// Use the machine's true stage efficiencies (Level 3's simultaneous
     /// measurement, idealized).

@@ -9,12 +9,11 @@
 
 use power_stats::ci::{mean_ci_t_finite, ConfidenceInterval};
 use power_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 use crate::{MethodError, Result};
 
 /// A full-system power estimate derived from a node sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtrapolationReport {
     /// Machine size.
     pub total_nodes: usize,

@@ -11,12 +11,10 @@
 //!   extrapolation reaches ~1% accuracy at 95% confidence even at one
 //!   level more variability (sigma/mu up to ~5%) than observed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MethodError, Result};
 
 /// A machine-fraction rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FractionRule {
     /// A minimum fraction of nodes plus a minimum aggregate power floor.
     FractionWithPowerFloor {

@@ -20,10 +20,9 @@ use power_sim::cluster::Cluster;
 use power_sim::dvfs::{Governor, PState};
 use power_sim::trace::SystemTrace;
 use power_workload::RunPhases;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of an optimal-interval scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalScan {
     /// Average power over the full core phase (the honest number), watts.
     pub honest_w: f64,
@@ -160,7 +159,7 @@ pub fn unrestricted_interval(
 }
 
 /// The bias from metering only low-VID nodes instead of a fair sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VidBias {
     /// Mean steady-state power of the `n` lowest-VID nodes, watts.
     pub cherry_picked_w: f64,

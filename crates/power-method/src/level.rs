@@ -3,10 +3,9 @@
 use crate::fraction::FractionRule;
 use crate::window::TimingRule;
 use power_sim::hierarchy::MeasurementPoint;
-use serde::{Deserialize, Serialize};
 
 /// Granularity requirement (Aspect 1a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Granularity {
     /// At least one averaged power sample per second.
     OneSamplePerSecond,
@@ -15,7 +14,7 @@ pub enum Granularity {
 }
 
 /// Subsystem coverage requirement (Aspect 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubsystemRule {
     /// Compute nodes only.
     ComputeNodesOnly,
@@ -26,7 +25,7 @@ pub enum SubsystemRule {
 }
 
 /// Point-of-measurement requirement (Aspect 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConversionRule {
     /// Upstream of power conversion, or downstream with
     /// manufacturer-supplied loss data.
@@ -38,7 +37,7 @@ pub enum ConversionRule {
 }
 
 /// A named methodology variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Methodology {
     /// EE HPC WG Level 1 (the most common real-world submission class).
     Level1,
@@ -155,7 +154,7 @@ impl std::fmt::Display for Methodology {
 
 /// The complete requirement set of a methodology variant — one row of the
 /// paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodologySpec {
     /// Which variant this is.
     pub methodology: Methodology,

@@ -21,10 +21,9 @@ use power_sim::store::TraceStore;
 use power_stats::rng::substream;
 use power_stats::sampling::sample_without_replacement;
 use power_workload::{LoadBalance, Workload};
-use serde::{Deserialize, Serialize};
 
 /// How the metered node subset is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeSelection {
     /// Uniformly at random without replacement — the honest choice the
     /// paper's statistics assume.
@@ -45,7 +44,7 @@ pub enum NodeSelection {
 }
 
 /// Where a Level 1 short window is placed inside its legal range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WindowPlacement {
     /// Earliest legal position.
     Earliest,
@@ -70,7 +69,7 @@ impl WindowPlacement {
 }
 
 /// A complete measurement plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementPlan {
     /// Which methodology variant to follow.
     pub methodology: Methodology,
@@ -113,7 +112,7 @@ impl MeasurementPlan {
 }
 
 /// The outcome of executing a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Methodology followed.
     pub methodology: Methodology,

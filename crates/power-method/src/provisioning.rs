@@ -17,12 +17,11 @@
 
 use power_stats::normal::z_critical;
 use power_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 use crate::{MethodError, Result};
 
 /// A provisioning analysis derived from a per-node power sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisioningReport {
     /// Sampled mean per-node power (watts).
     pub node_mean_w: f64,

@@ -2,10 +2,9 @@
 
 use crate::level::Methodology;
 use crate::measure::Measurement;
-use serde::{Deserialize, Serialize};
 
 /// A list submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Submission {
     /// System name.
     pub system: String,

@@ -12,13 +12,12 @@
 
 use power_stats::rng::substream;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::level::SubsystemRule;
 use crate::{MethodError, Result};
 
 /// Non-compute power participating in a benchmark run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubsystemOverheads {
     /// Interconnect power attributable to each compute node (its share of
     /// the switches and links), in watts.

@@ -9,10 +9,9 @@ use crate::level::MethodologySpec;
 use crate::report::Submission;
 use crate::window::TimingRule;
 use power_workload::RunPhases;
-use serde::{Deserialize, Serialize};
 
 /// A specific way a submission violates its claimed methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Violation {
     /// The measurement window is shorter than the timing rule requires.
     WindowTooShort {

@@ -14,12 +14,11 @@
 //!   measurements before and after as well".
 
 use power_workload::RunPhases;
-use serde::{Deserialize, Serialize};
 
 use crate::{MethodError, Result};
 
 /// A timing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimingRule {
     /// Level 1: a single window of length `max(min_seconds, frac *
     /// middle-80% core phase)` placed anywhere within the middle 80%.

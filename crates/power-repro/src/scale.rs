@@ -66,11 +66,10 @@ impl Args {
         Ok(out)
     }
 
-    /// Parses the process arguments, exiting through [`usage`] on an
-    /// error.
-    pub fn from_env(csv: bool) -> Args {
-        let extra = if csv { " [--csv <dir>]" } else { "" };
-        Args::parse(std::env::args().skip(1), csv).unwrap_or_else(|e| usage(&e, extra))
+    /// Parses the process arguments, `--csv <dir>` included, exiting
+    /// through [`usage`] on an error.
+    pub fn from_env() -> Args {
+        Args::parse(std::env::args().skip(1), true).unwrap_or_else(|e| usage(&e, " [--csv <dir>]"))
     }
 }
 

@@ -66,17 +66,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (no quoting of commas — experiment data is numeric).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a relative deviation as a signed percentage.
@@ -115,13 +104,6 @@ mod tests {
         assert!(!t.is_empty());
         let s = t.render();
         assert!(s.contains('1'));
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut t = TextTable::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! bounded dispatch queue:
 //!
 //! * [`json`] — the wire format: a re-export of the workspace's shared
-//!   `mini-json` codec (the vendored `serde` is a marker-trait shim; the
-//!   parser originally lived here and moved to `crates/vendor/mini-json`
-//!   so other crates can share it);
+//!   `mini-json` codec (the parser originally lived here and moved to
+//!   `crates/vendor/mini-json` so other crates can share it);
 //! * [`http`] — the request parser and response writer, with hard byte
 //!   caps, total error enumeration (`400`/`408`/`413`/`431`), a
 //!   per-connection [`http::RequestBuffer`] that preserves pipelined

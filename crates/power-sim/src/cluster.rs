@@ -12,10 +12,9 @@ use crate::variability::{AsicSample, VariabilityModel};
 use crate::{Result, SimError};
 use power_stats::hash::Fnv1a;
 use power_stats::rng::substream;
-use serde::{Deserialize, Serialize};
 
 /// Full description of a machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Machine name (for reports).
     pub name: String,

@@ -7,10 +7,9 @@
 //! voltage squared and rises with temperature.
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// A processor (CPU socket or GPU board) power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorSpec {
     /// Dynamic power at full utilization, nominal frequency and voltage.
     pub dynamic_w: f64,
@@ -85,7 +84,7 @@ impl ProcessorSpec {
 }
 
 /// Memory subsystem power model (all DIMMs of a node together).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySpec {
     /// Power at idle (refresh, standby).
     pub idle_w: f64,
@@ -108,7 +107,7 @@ impl MemorySpec {
 }
 
 /// Static board power: baseboard, VRM overhead floor, NIC, drives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticSpec {
     /// Constant power in watts.
     pub watts: f64,

@@ -9,12 +9,11 @@
 
 use crate::vid::VoltagePolicy;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// An operating point: frequency and the voltage policy that accompanies it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PState {
     /// Core frequency in MHz.
     pub f_mhz: f64,
@@ -43,7 +42,7 @@ impl PState {
 }
 
 /// A frequency/voltage governor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Governor {
     /// One fixed operating point for the whole run (e.g. L-CSC's tuned
     /// 774 MHz / 1.018 V).

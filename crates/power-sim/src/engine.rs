@@ -118,7 +118,6 @@ use crate::{Result, SimError};
 use power_stats::rng::{substream, ziggurat};
 use power_workload::{LoadBalance, Workload};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 
@@ -131,7 +130,7 @@ pub const BLOCK_WIDTH: usize = 64;
 ///
 /// The methodology's Aspect 3 ("which subsystems must be included") and the
 /// paper's Titan dataset (GPUs only) both need sub-node scopes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeterScope {
     /// AC power at the node wall plug (the canonical scope).
     Wall,
@@ -156,7 +155,7 @@ impl MeterScope {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Time step / sample interval in seconds.
     pub dt: f64,

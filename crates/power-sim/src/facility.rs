@@ -11,10 +11,9 @@
 
 use crate::trace::SystemTrace;
 use crate::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 /// A co-tenant load in the facility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoTenant {
     /// A constant draw (storage arrays, tape libraries, infrastructure
     /// racks).
@@ -60,7 +59,7 @@ impl CoTenant {
 
 /// A facility: the machine under test plus everything else behind the
 /// same utility meter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Facility {
     /// Co-tenant loads.
     pub tenants: Vec<CoTenant>,

@@ -8,12 +8,11 @@
 //! mitigation the paper recommends for measurement runs).
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// Physical fan-bank parameters of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanSpec {
     /// Electrical power at full speed (all node fans together).
     pub max_power_w: f64,
@@ -57,7 +56,7 @@ impl FanSpec {
 }
 
 /// How fan speed is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FanPolicy {
     /// Automatic regulation: speed rises linearly with inlet/die
     /// temperature above `t_low_c`, reaching full speed at `t_high_c`.

@@ -15,10 +15,9 @@
 //! quantify the error of using nameplate instead of measured efficiencies.
 
 use crate::{Result, SimError};
-use serde::{Deserialize, Serialize};
 
 /// Points at which a meter can be attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MeasurementPoint {
     /// Node-internal DC rails (downstream of the node PSU).
     NodeDc,
@@ -34,7 +33,7 @@ pub enum MeasurementPoint {
 }
 
 /// Per-stage efficiencies of the distribution chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerHierarchy {
     /// Node PSU efficiency (DC out / AC in).
     pub psu_efficiency: f64,

@@ -14,10 +14,9 @@ use crate::thermal::ThermalSpec;
 use crate::variability::AsicSample;
 use crate::{Result, SimError};
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// Hardware description of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Processor sockets / accelerator boards (one entry each).
     pub processors: Vec<ProcessorSpec>,
@@ -135,7 +134,7 @@ impl NodeSpec {
 }
 
 /// Instantaneous power breakdown of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodePower {
     /// Summed processor power in watts (processors added in
     /// `NodeSpec::processors` order) — the scope of the Titan GPU dataset.

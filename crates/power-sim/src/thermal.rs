@@ -10,12 +10,11 @@
 //! motivated the middle-80% rule.
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// Thermal parameters of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalSpec {
     /// Ambient (inlet) temperature in deg C.
     pub t_ambient_c: f64,
@@ -89,7 +88,7 @@ impl ThermalSpec {
 }
 
 /// Mutable thermal state of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     /// Current die temperature in deg C.
     pub temp_c: f64,

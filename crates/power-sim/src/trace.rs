@@ -30,7 +30,6 @@
 //! [`NodeTrace::invalidate_cache`].
 
 use crate::{Result, SimError};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Neumaier-compensated running sum.
@@ -136,7 +135,7 @@ pub fn err_outside_window() -> SimError {
 }
 
 /// Whole-machine power versus time, regularly sampled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemTrace {
     /// Time of the first sample (seconds).
     pub t0: f64,
@@ -301,7 +300,7 @@ impl SystemTrace {
 }
 
 /// Per-node power samples for a metered subset of nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeTrace {
     /// Global indices of the metered nodes.
     pub node_ids: Vec<usize>,

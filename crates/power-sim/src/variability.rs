@@ -18,12 +18,11 @@
 use power_stats::hash::Fnv1a;
 use power_stats::rng::StandardNormal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// Parameters of the manufacturing-spread distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariabilityModel {
     /// Log-scale sigma of the leakage factor (log-normal around 1).
     pub leakage_sigma: f64,
@@ -140,7 +139,7 @@ impl VariabilityModel {
 }
 
 /// The sampled manufacturing outcome of one ASIC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsicSample {
     /// Multiplier on nominal leakage power (log-normal around 1).
     pub leakage_factor: f64,

@@ -9,12 +9,11 @@
 //! for their Green500 submission.
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
 /// A VID-to-voltage mapping: `voltage(bin) = base_v + step_v * bin`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VidTable {
     /// Voltage of bin 0 (the best silicon).
     pub base_v: f64,
@@ -88,7 +87,7 @@ impl VidTable {
 }
 
 /// How the operating voltage is chosen for a part.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VoltagePolicy {
     /// Honour the per-ASIC VID (vendor default).
     UseVid(VidTable),

@@ -17,10 +17,9 @@
 
 use crate::ring::RingBuffer;
 use crate::{Result, TelemetryError};
-use serde::{Deserialize, Serialize};
 
 /// What kind of anomaly fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnomalyKind {
     /// Windowed mean slope exceeded the drift threshold.
     Drift {
@@ -40,7 +39,7 @@ pub enum AnomalyKind {
 }
 
 /// One detector firing, locatable in node, sequence and time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyEvent {
     /// Node slot the event belongs to.
     pub node: usize,
@@ -53,7 +52,7 @@ pub struct AnomalyEvent {
 }
 
 /// Detector thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Samples per half-window of the drift slope estimator.
     pub drift_window: usize,

@@ -83,8 +83,6 @@ pub enum TelemetryError {
     Sim(power_sim::SimError),
     /// An underlying metering call failed.
     Meter(power_meter::MeterError),
-    /// An underlying methodology call failed.
-    Method(power_method::MethodError),
     /// A campaign journal failed or disagrees with the campaign it is
     /// being replayed into (wrong identity or campaign id, out-of-order
     /// nodes, nodes past the budget or the stopping decision, I/O).
@@ -105,7 +103,6 @@ impl std::fmt::Display for TelemetryError {
             TelemetryError::Stats(e) => write!(f, "stats error: {e}"),
             TelemetryError::Sim(e) => write!(f, "simulation error: {e}"),
             TelemetryError::Meter(e) => write!(f, "meter error: {e}"),
-            TelemetryError::Method(e) => write!(f, "methodology error: {e}"),
             TelemetryError::Journal(what) => write!(f, "campaign journal error: {what}"),
         }
     }
@@ -117,7 +114,6 @@ impl std::error::Error for TelemetryError {
             TelemetryError::Stats(e) => Some(e),
             TelemetryError::Sim(e) => Some(e),
             TelemetryError::Meter(e) => Some(e),
-            TelemetryError::Method(e) => Some(e),
             _ => None,
         }
     }
@@ -138,12 +134,6 @@ impl From<power_sim::SimError> for TelemetryError {
 impl From<power_meter::MeterError> for TelemetryError {
     fn from(e: power_meter::MeterError) -> Self {
         TelemetryError::Meter(e)
-    }
-}
-
-impl From<power_method::MethodError> for TelemetryError {
-    fn from(e: power_method::MethodError) -> Self {
-        TelemetryError::Method(e)
     }
 }
 

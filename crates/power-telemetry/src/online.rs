@@ -18,10 +18,9 @@ use power_stats::ci::{
 use power_stats::normal::z_critical;
 use power_stats::student_t::t_critical;
 use power_stats::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Which critical value the stopping rule uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CiQuantile {
     /// Eq. 1: Student-t with `n - 1` degrees of freedom. Honest at small
     /// `n`, needs at least two nodes before it can evaluate.
@@ -32,7 +31,7 @@ pub enum CiQuantile {
 }
 
 /// Where the coefficient of variation in the half-width comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CvAssumption {
     /// Use a planned σ/μ (the paper's Table 5 columns). The rule is then
     /// deterministic in `n` and reproduces `required_nodes` exactly.
@@ -42,7 +41,7 @@ pub enum CvAssumption {
 }
 
 /// A sequential stopping rule for a live measurement campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingRule {
     /// Two-sided confidence level, e.g. `0.95`.
     pub confidence: f64,

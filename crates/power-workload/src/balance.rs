@@ -9,10 +9,9 @@
 //! factor applied to workload utilization.
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// Per-node load distribution policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadBalance {
     /// All nodes carry identical load (HPL-style).
     Balanced,

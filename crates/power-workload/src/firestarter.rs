@@ -8,10 +8,9 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// A FIRESTARTER stress run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Firestarter {
     phases: RunPhases,
     level: f64,

@@ -18,10 +18,9 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// A Graph500 BFS run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Graph500 {
     phases: RunPhases,
     /// Number of BFS iterations across the core phase (the benchmark runs

@@ -34,11 +34,10 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Which HPL regime to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HplVariant {
     /// Matrix fills main memory; long, flat run (traditional CPU systems).
     CpuMainMemory,
@@ -47,7 +46,7 @@ pub enum HplVariant {
 }
 
 /// Tunable parameters of the HPL utilization envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HplShape {
     /// Peak utilization reached after warm-up.
     pub peak: f64,
@@ -128,7 +127,7 @@ impl HplShape {
 }
 
 /// An HPL run: variant, phase timing, and total flop count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hpl {
     variant: HplVariant,
     phases: RunPhases,

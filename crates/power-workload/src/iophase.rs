@@ -20,10 +20,9 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// An I/O-coupled run alternating compute and heavy-tailed I/O stalls.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoPhase {
     phases: RunPhases,
     /// Utilization during compute bursts.

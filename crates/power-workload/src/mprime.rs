@@ -7,10 +7,9 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// An MPrime torture-test run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MPrime {
     phases: RunPhases,
     level: f64,

@@ -7,13 +7,12 @@
 //! notion of where the phases lie in time, which this type provides.
 
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// Durations (seconds) of the three phases of one benchmark run.
 ///
 /// Time zero is the start of the setup phase; the core phase spans
 /// `[core_start, core_end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunPhases {
     setup: f64,
     core: f64,

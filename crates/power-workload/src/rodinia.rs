@@ -9,10 +9,9 @@
 use crate::phase::RunPhases;
 use crate::Workload;
 use power_stats::hash::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// A Rodinia CFD run on a GPU-accelerated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RodiniaCfd {
     phases: RunPhases,
     level: f64,
