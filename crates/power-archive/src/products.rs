@@ -5,7 +5,7 @@
 //! A product blob is self-describing: the originating request, sweep
 //! geometry (`dt`, `steps`, `cluster_len`), and whichever of the three
 //! products the sweep retained. Traces are stored as compressed
-//! [`codec`](crate::codec) blocks (so they inherit the quantization
+//! [`codec`] blocks (so they inherit the quantization
 //! contract: decoded watts are within one quantum of the simulated
 //! ones); per-node window averages are stored as raw `f64` bits, since
 //! they are one value per node and feed variability statistics

@@ -62,9 +62,8 @@ fn bench_validate(c: &mut Criterion) {
 
 /// Budget: a PDU-grade meter (1 Hz, closed form) over a 25,200 s window
 /// of a trace with Colosse's 50.4 s step, the shape of the Level 2 and
-/// revised rules' full-core-phase windows. The walk reads each of its
-/// 25,200 instants without a division, so its cost per instant is a few
-/// additions.
+/// revised rules' full-core-phase windows. The walk works per run: about
+/// 500 runs of 50 instants, each a few divisions and one `k·w` sum.
 fn bench_meter_walk(c: &mut Criterion) {
     const DT: f64 = 50.4;
     const CORE_S: f64 = 25_200.0;

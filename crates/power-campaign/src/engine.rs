@@ -14,16 +14,10 @@ use mini_json::Json;
 use power_sim::store::TraceStore;
 
 /// The revision of the published numbers, reported as `model_rev` in
-/// every `summary.json`: bump on any change to a published number — a
-/// campaign metric, a repro artifact or a file under `results/full/`.
-/// It is derived from [`power_sim::store::SIMULATION_KEY_EPOCH`], so
-/// every bump of the epoch also bumps this. A change that moves output
-/// without changing what a sweep computes for its key bumps only the
-/// offset, so archives and live-campaign journals stay valid.
-/// Revisions 1–3 were epochs 1–3 (offset 0); revision 4 (offset 1)
-/// scores every Figure 3 sample size on one simulated machine per
-/// bootstrap replication.
-pub const MODEL_REV: u32 = power_sim::store::SIMULATION_KEY_EPOCH + 1;
+/// every `summary.json`: [`power_sim::store::SIMULATION_KEY_EPOCH`], which
+/// moves with any change to a published number — a campaign metric, a
+/// repro artifact or a file under `results/full/`.
+pub const MODEL_REV: u32 = power_sim::store::SIMULATION_KEY_EPOCH;
 
 /// A cell's folded results: one metric map per seed plus cross-seed bands.
 #[derive(Debug, Clone, PartialEq)]

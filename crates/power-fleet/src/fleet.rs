@@ -1,7 +1,7 @@
 //! The fleet scheduler: many stopping rules, one ingest plane.
 //!
 //! A [`Fleet`] owns a partitioned
-//! [`IngestPlane`](power_telemetry::IngestPlane) and a campaign table
+//! [`IngestPlane`] and a campaign table
 //! partitioned the same way (`id mod shards`), so the unit of
 //! concurrency is the shard: threads advancing different shards share
 //! nothing but the plane's disjoint shard locks. One **pass** over a

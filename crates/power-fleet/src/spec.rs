@@ -19,7 +19,7 @@
 use crate::{FleetError, Result};
 use power_method::Methodology;
 use power_stats::hash::fnv1a;
-use power_stats::rng::{substream, StandardNormal};
+use power_stats::rng::{substream, ziggurat};
 use power_telemetry::online::{CiQuantile, CvAssumption, StoppingRule};
 use power_telemetry::Sample;
 use rand::Rng;
@@ -302,7 +302,7 @@ impl FleetCampaignSpec {
     /// tail cannot produce a nonphysical draw.
     pub fn node_truth_w(&self, node: u64) -> f64 {
         let mut rng = substream(self.seed ^ STREAM_TRUTH, node);
-        let g = StandardNormal::new().sample(&mut rng);
+        let g = ziggurat(&mut rng);
         (self.mean_node_w * (1.0 + self.cv * g)).max(self.mean_node_w * 0.05)
     }
 
@@ -319,9 +319,8 @@ impl FleetCampaignSpec {
         out.reserve(n);
         let truth = self.node_truth_w(node);
         let mut rng = substream(self.seed ^ STREAM_NOISE, node);
-        let mut normal = StandardNormal::new();
         for seq in 0..n as u64 {
-            let watts = truth * (1.0 + self.noise_sigma * normal.sample(&mut rng));
+            let watts = truth * (1.0 + self.noise_sigma * ziggurat(&mut rng));
             out.push(Sample {
                 node: slot,
                 seq,

@@ -12,7 +12,7 @@
 use crate::list::{ListEntry, PowerSource, RankedList};
 use crate::Result;
 use power_method::level::Methodology;
-use power_stats::rng::{substream, StandardNormal};
+use power_stats::rng::{substream, ziggurat};
 use rand::Rng;
 
 /// Composition of a synthesized list.
@@ -51,14 +51,13 @@ impl ListComposition {
 pub fn synthesize(composition: ListComposition, seed: u64) -> Result<RankedList> {
     let n = composition.total();
     let mut entries = Vec::with_capacity(n);
-    let mut gauss = StandardNormal::new();
     for i in 0..n {
         let mut rng = substream(seed, i as u64);
         // Rank-profile efficiency: ~5.3 at the top decaying to ~0.3 at
         // the tail, with multiplicative scatter.
         let frac = i as f64 / (n - 1).max(1) as f64;
         let base_gflops_w = 5.3 * (-2.8 * frac).exp() + 0.25;
-        let scatter = (0.08 * gauss.sample(&mut rng)).exp();
+        let scatter = (0.08 * ziggurat(&mut rng)).exp();
         let gflops_w = base_gflops_w * scatter;
         // Rmax spans hundreds of TF to tens of PF, log-uniformly.
         let rmax_tf = 10.0f64.powf(2.0 + 2.3 * rng.random::<f64>());

@@ -9,7 +9,7 @@
 
 use crate::reading::Reading;
 use crate::{MeterError, Result};
-use power_stats::rng::StandardNormal;
+use power_stats::rng::ziggurat;
 use rand::Rng;
 
 /// An accuracy class of sampling power meters.
@@ -158,21 +158,12 @@ impl SamplingMeter {
     /// Applies the instrument transfer function (gain, per-sample noise,
     /// quantization) to one true power value — the streaming path used by
     /// live telemetry, where samples arrive one at a time instead of as a
-    /// recorded series.
-    ///
-    /// `gauss` must be the meter's *persistent* normal sampler: the polar
-    /// method caches a spare variate, so a long-lived sampler consumes the
-    /// RNG in exactly the same order as the per-sample window loop
-    /// (`FaultyMeter::measure` with no fault) over the same samples.
-    pub fn sample_one_with<R: Rng + ?Sized>(
-        &self,
-        gauss: &mut StandardNormal,
-        rng: &mut R,
-        true_w: f64,
-    ) -> f64 {
+    /// recorded series. Stateless (one [`ziggurat`] draw when the class has
+    /// noise), so it consumes the RNG exactly as the per-sample window loop.
+    pub fn sample_one<R: Rng + ?Sized>(&self, rng: &mut R, true_w: f64) -> f64 {
         let mut w = true_w * self.gain;
         if self.model.noise_sigma > 0.0 {
-            w *= 1.0 + self.model.noise_sigma * gauss.sample(rng);
+            w *= 1.0 + self.model.noise_sigma * ziggurat(rng);
         }
         if self.model.quantization_w > 0.0 {
             w = (w / self.model.quantization_w).round() * self.model.quantization_w;
@@ -211,37 +202,22 @@ impl SamplingMeter {
         let q = self.model.quantization_w;
         if sigma > 0.0 {
             let walk = self.sample_walk(series.len(), t0, dt, from, to)?;
-            let (window_start, t_last) = (walk.window_start, walk.t_last);
-            let WindowMoments {
-                n,
-                sum,
-                sum_sq,
-                min_w,
-            } = walk.moments(series);
-            if n == 0 {
+            let m = walk.moments(series);
+            if m.n == 0 {
                 return Err(MeterError::EmptyWindow);
             }
-            if q == 0.0 || q <= 2.0 * sigma * self.gain * min_w {
-                let n = n as f64;
+            if q == 0.0 || q <= 2.0 * sigma * self.gain * m.min_w {
+                let n = m.n as f64;
                 let noise = self.gain * sigma;
-                let sd = (noise * noise * sum_sq / (n * n) + q * q / (12.0 * n)).sqrt();
-                let average = self.gain * sum / n + sd * StandardNormal::new().sample(rng);
-                return Ok(Reading {
-                    t_start: window_start,
-                    t_end: t_last,
-                    average_w: average,
-                    energy_j: average * (t_last - window_start),
-                    samples: n as usize,
-                });
+                let sd = (noise * noise * m.sum_sq / (n * n) + q * q / (12.0 * n)).sqrt();
+                return Ok(walk.reading(self.gain * m.sum / n + sd * ziggurat(rng), m.n));
             }
         }
         self.measure_through(rng, series, t0, dt, from, to, |_, w, _| Some(w))
     }
 
-    /// The sample instants of a window over a series of `len` values:
-    /// `(index, instant)` for each sample, every `sample_interval_s` from
-    /// half an interval into the window. [`SamplingMeter::measure`] and
-    /// the per-sample loop walk a window through this one iterator.
+    /// The sample instants of a window over a series of `len` values, in
+    /// runs; [`SamplingMeter::measure`] and the per-sample loop both walk it.
     pub fn sample_walk(
         &self,
         len: usize,
@@ -256,17 +232,15 @@ impl SamplingMeter {
                 reason: "window end must exceed window start",
             });
         }
-        let window_start = from.max(t0);
         Ok(SampleWalk {
-            window_start,
+            window_start: from.max(t0),
             t_last: to.min(t0 + len as f64 * dt),
-            t: window_start + self.model.sample_interval_s / 2.0,
             interval: self.model.sample_interval_s,
             t0,
             dt,
             len,
-            idx: 0,
-            limit: f64::NEG_INFINITY,
+            next: 0,
+            index: 0,
         })
     }
 
@@ -290,163 +264,118 @@ impl SamplingMeter {
         to: f64,
         mut fault: impl FnMut(&mut R, f64, f64) -> Option<f64>,
     ) -> Result<Reading> {
-        let walk = self.sample_walk(series.len(), t0, dt, from, to)?;
-        let (window_start, t_last) = (walk.window_start, walk.t_last);
-        let mut gauss = StandardNormal::new();
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (idx, t) in walk {
-            let w = self.sample_one_with(&mut gauss, rng, series[idx]);
-            if let Some(s) = fault(rng, w, t - window_start) {
-                sum += s;
-                count += 1;
+        let mut walk = self.sample_walk(series.len(), t0, dt, from, to)?;
+        let (mut sum, mut count) = (0.0, 0usize);
+        while let Some((index, first, k)) = walk.next() {
+            for j in first..first + k {
+                let w = self.sample_one(rng, series[index]);
+                if let Some(s) = fault(rng, w, walk.instant(j) - walk.window_start) {
+                    sum += s;
+                    count += 1;
+                }
             }
         }
         if count == 0 {
             return Err(MeterError::EmptyWindow);
         }
-        let average = sum / count as f64;
-        Ok(Reading {
-            t_start: window_start,
-            t_end: t_last,
-            average_w: average,
-            energy_j: average * (t_last - window_start),
-            samples: count,
-        })
+        Ok(walk.reading(sum / count as f64, count))
     }
 }
 
-/// The sample instants of one window; see [`SamplingMeter::sample_walk`].
+/// The sample instants of one window, yielded as runs `(index, first,
+/// count)`: `count` instants from number `first` that read `series[index]`.
 ///
-/// Instant `t` reads the series at `index(t) = ((t − t0)/dt) as usize`,
-/// and the instants are produced by repeated `t += interval`. The walk
-/// evaluates that formula bit for bit, but not at every instant:
-///
-/// * **Monotonicity.** Every instant lies at or after `t0`, so `t − t0`
-///   is non-negative; rounded subtraction and division by `dt > 0` keep
-///   order, and the saturating cast maps the negative quotients of
-///   `dt < 0` and any NaN to 0 (and `dt = 0` gives NaN, then +∞). So over
-///   `t ≥ t0` the index never decreases as `t` grows, and `t` only grows.
-///   Once an instant reads `idx`, every later instant below the first
-///   float `b` with `index(b) > idx` reads `idx` too, and needs no
-///   division.
-/// * **The search for `b`.** Starting from `t0 + (idx + 1)·dt`, the walk
-///   steps with `next_down` while the float below is still past `idx`, or
-///   with `next_up` until it is; each candidate is tested with the same
-///   `index` formula, so the `b` it settles on is exact. Rounding puts the
-///   start within a few floats of `b`, and the search takes at most
-///   [`SampleWalk::MAX_SEARCH_STEPS`] steps. Where it does not settle
-///   (say, `dt < 0` or a start that overflowed), the walk divides again
-///   at the next instant.
-///
-/// So a walk divides once per series value it visits (plus once at each
-/// unsettled search), not once per instant, and yields exactly the
-/// `(index, instant)` pairs of a division per instant. The closed form
-/// reads a walk through [`SampleWalk::moments`], which steps a run's
-/// instants without yielding them and then adds the run's value once per
-/// instant, so its sums are the per-instant sums bit for bit.
+/// Instant `j` lies at `t_j = window_start + (j + ½)·interval`, reads index
+/// `((t_j − t0)/dt) as usize`, and the window ends at the first instant
+/// reaching `t_last` or the series' end. `t_j ≥ t0` grows with `j`, and the
+/// rounded subtraction, division and saturating cast keep order, so the
+/// index never decreases and one index's instants form a run. Its end comes
+/// from the formula, then single steps of `j` tested with the same division
+/// inside the window's instant count (so NaN, infinite, zero and subnormal
+/// steps end too): exactly a division per instant's runs, a few divisions
+/// per run, and each run's index known before its end is sought.
 #[derive(Debug, Clone)]
 pub struct SampleWalk {
     window_start: f64,
     t_last: f64,
-    /// The next sample instant.
-    t: f64,
     interval: f64,
     t0: f64,
     dt: f64,
     len: usize,
-    /// The series index of the current run of instants.
-    idx: usize,
-    /// The instants below `limit` read `idx` and lie before `t_last`; it
-    /// is the smaller of the two bounds.
-    limit: f64,
+    /// The first instant not yet walked; it reads `index` or later.
+    next: usize,
+    index: usize,
 }
 
 impl SampleWalk {
-    /// The most `next_up`/`next_down` steps one search for a run's end
-    /// takes before the walk falls back to dividing at the next instant.
-    const MAX_SEARCH_STEPS: usize = 16;
+    /// The time of instant `j`: `window_start + (j + ½)·interval`.
+    pub fn instant(&self, j: usize) -> f64 {
+        self.window_start + (j as f64 + 0.5) * self.interval
+    }
+
+    /// The series index instant `j` reads, or `None` past the window.
+    fn read(&self, j: usize) -> Option<usize> {
+        let t = self.instant(j);
+        let index = ((t - self.t0) / self.dt) as usize;
+        (t < self.t_last && index < self.len).then_some(index)
+    }
+
+    /// The window's reading: `samples` samples averaging `average_w`.
+    fn reading(&self, average_w: f64, samples: usize) -> Reading {
+        Reading {
+            t_start: self.window_start,
+            t_end: self.t_last,
+            average_w,
+            energy_j: average_w * (self.t_last - self.window_start),
+            samples,
+        }
+    }
 
     /// Σw, Σw² and min w over the rest of the walk, reading `series`
-    /// (the closed form's sufficient statistics), each sample added in
-    /// instant order.
-    pub fn moments(mut self, series: &[f64]) -> WindowMoments {
+    /// (the closed form's sufficient statistics): each run adds `k·w` and
+    /// `k·w²` once, for its `k` instants of value `w`, in run order.
+    pub fn moments(&self, series: &[f64]) -> WindowMoments {
         let mut m = WindowMoments {
             n: 0,
             sum: 0.0,
             sum_sq: 0.0,
             min_w: f64::INFINITY,
         };
-        while let Some((idx, _)) = self.next() {
-            // The rest of this run reads the same value.
-            let mut k = 1;
-            while self.t < self.limit {
-                self.t += self.interval;
-                k += 1;
-            }
-            let w = series[idx];
-            let w_sq = w * w;
-            m.n += k;
-            for _ in 0..k {
-                m.sum += w;
-                m.sum_sq += w_sq;
-            }
+        for (index, _, count) in self.clone() {
+            let (w, k) = (series[index], count as f64);
+            m.n += count;
+            m.sum += k * w;
+            m.sum_sq += k * (w * w);
             m.min_w = m.min_w.min(w);
         }
         m
     }
-
-    /// The series index instant `t` reads.
-    fn index(&self, t: f64) -> usize {
-        ((t - self.t0) / self.dt) as usize
-    }
-
-    /// A bound below which every instant from `t` on reads `idx`, where
-    /// `index(t) == idx`: the first float past `idx` when the search
-    /// settles, else the float just above `t`.
-    fn run_end(&self, idx: usize, t: f64) -> f64 {
-        let past = |x: f64| self.index(x) > idx;
-        let mut b = self.t0 + (idx + 1) as f64 * self.dt;
-        if past(b) {
-            for _ in 0..Self::MAX_SEARCH_STEPS {
-                let below = b.next_down();
-                if !past(below) {
-                    return b;
-                }
-                b = below;
-            }
-        } else {
-            for _ in 0..Self::MAX_SEARCH_STEPS {
-                b = b.next_up();
-                if past(b) {
-                    return b;
-                }
-            }
-        }
-        t.next_up()
-    }
 }
 
 impl Iterator for SampleWalk {
-    type Item = (usize, f64);
+    type Item = (usize, usize, usize);
 
     #[inline]
-    fn next(&mut self) -> Option<(usize, f64)> {
-        let t = self.t;
-        if !(t < self.limit) {
-            if !(t < self.t_last) {
-                return None;
+    fn next(&mut self) -> Option<(usize, usize, usize)> {
+        loop {
+            let (first, index) = (self.next, self.index);
+            let bound = (self.t0 + (index + 1) as f64 * self.dt).min(self.t_last);
+            // The first instant at or past `bound`: ⌈x⌉, without a libm call.
+            let x = (bound - self.window_start) / self.interval - 0.5;
+            let mut end = (x as usize + usize::from((x as usize as f64) < x)).max(first);
+            while end > first && self.read(end - 1).is_none_or(|k| k > index) {
+                end -= 1;
             }
-            let idx = self.index(t);
-            if idx >= self.len {
-                return None;
+            while self.read(end).is_some_and(|k| k <= index) {
+                end += 1;
             }
-            let end = self.run_end(idx, t);
-            self.idx = idx;
-            self.limit = if end < self.t_last { end } else { self.t_last };
+            (self.next, self.index) = (end, index + 1);
+            if end > first {
+                return Some((index, first, end - first));
+            }
+            // No instant reads `index`: go on with the one `first` reads.
+            self.index = self.read(first)?;
         }
-        self.t += self.interval;
-        Some((self.idx, t))
     }
 }
 
@@ -670,9 +599,9 @@ mod tests {
 
     #[test]
     fn streaming_path_reproduces_per_sample_loop() {
-        // Feeding the same samples one at a time through sample_one_with
-        // (with a persistent gauss sampler) must be bit-identical to the
-        // per-sample window loop over the same window.
+        // Feeding the same samples one at a time through sample_one must
+        // be bit-identical to the per-sample window loop over the same
+        // window.
         let mut rng = seeded(9);
         let m = MeterModel::pdu_grade().instantiate(&mut rng).unwrap();
         let series: Vec<f64> = (0..500)
@@ -681,10 +610,9 @@ mod tests {
         let mut batch_rng = seeded(10);
         let batch = per_sample(&m, &mut batch_rng, &series, (0.0, 1.0, 0.0, 500.0)).unwrap();
         let mut stream_rng = seeded(10);
-        let mut gauss = StandardNormal::new();
         let mut sum = 0.0;
         for &w in &series {
-            sum += m.sample_one_with(&mut gauss, &mut stream_rng, w);
+            sum += m.sample_one(&mut stream_rng, w);
         }
         let avg = sum / series.len() as f64;
         assert_eq!(avg, batch.average_w, "{avg} vs {}", batch.average_w);
@@ -779,44 +707,6 @@ mod tests {
             m.measure(&mut rng, &series, 0.0, 1.0, 400.0, 500.0),
             Err(MeterError::EmptyWindow)
         ));
-    }
-
-    #[test]
-    fn run_end_is_the_first_float_past_the_run() {
-        // For finite steps the search settles on the exact first float
-        // whose index exceeds the run's, from either side of the start.
-        let mut rng = seeded(13);
-        let (mut from_above, mut from_below) = (0, 0);
-        for _ in 0..20_000 {
-            let t0 = [
-                0.0,
-                rng.random::<f64>() * 10.0,
-                1e6 + rng.random::<f64>() * 1e3,
-            ][rng.random_range(0..3usize)];
-            let dt = 10f64.powf(rng.random::<f64>() * 6.0 - 3.0);
-            let walk = MeterModel::ideal()
-                .instantiate(&mut rng)
-                .unwrap()
-                .sample_walk(1 << 20, t0, dt, t0, f64::INFINITY)
-                .unwrap();
-            let idx = rng.random_range(0..100_000usize);
-            let t = t0 + (idx as f64 + 0.5) * dt;
-            if walk.index(t) != idx {
-                continue;
-            }
-            if walk.index(t0 + (idx + 1) as f64 * dt) > idx {
-                from_above += 1;
-            } else {
-                from_below += 1;
-            }
-            let end = walk.run_end(idx, t);
-            assert!(walk.index(end) > idx, "{t0} {dt} {idx}");
-            assert_eq!(walk.index(end.next_down()), idx, "{t0} {dt} {idx}");
-        }
-        assert!(
-            from_above > 1_000 && from_below > 1_000,
-            "{from_above} {from_below}"
-        );
     }
 
     #[test]

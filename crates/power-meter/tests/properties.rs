@@ -20,8 +20,9 @@ fn arb_model() -> impl Strategy<Value = MeterModel> {
     )
 }
 
-/// The walk as a division per instant: every `interval` from half an
-/// interval into the window, each instant reading index `(t − t0)/dt`.
+/// The walk as a division per instant: instant `j` at
+/// `max(from, t0) + (j + ½)·interval`, reading index `(t − t0)/dt`, until
+/// an instant reaches the window's end or the series'.
 fn reference_walk(
     len: usize,
     t0: f64,
@@ -31,15 +32,16 @@ fn reference_walk(
     interval: f64,
 ) -> Vec<(usize, f64)> {
     let t_last = to.min(t0 + len as f64 * dt);
-    let mut t = from.max(t0) + interval / 2.0;
+    let window_start = from.max(t0);
     let mut out = vec![];
-    while t < t_last {
+    for j in 0.. {
+        let t = window_start + (j as f64 + 0.5) * interval;
         let idx = ((t - t0) / dt) as usize;
-        if idx >= len {
+        if t < t_last && idx < len {
+            out.push((idx, t));
+        } else {
             break;
         }
-        out.push((idx, t));
-        t += interval;
     }
     out
 }
@@ -60,20 +62,33 @@ fn meter_at(interval: f64) -> SamplingMeter {
     model.instantiate(&mut seeded(1)).unwrap()
 }
 
-/// Asserts the meter's walk and moments equal the reference walk's, bit
-/// for bit.
+/// Asserts the meter's walk expands to the reference walk's instants bit
+/// for bit, in runs of one index each, and that its moments equal the
+/// reference's: `n` and `min w` exactly, and `sum` and `sum_sq` bit for
+/// bit against `k·w` and `k·w²` added once per run, in run order.
 fn assert_walk_matches(
     series: &[f64],
     (t0, dt, from, to): (f64, f64, f64, f64),
     interval: f64,
 ) -> Result<(), TestCaseError> {
     let want = reference_walk(series.len(), t0, dt, from, to, interval);
-    let walk = meter_at(interval)
+    let mut walk = meter_at(interval)
         .sample_walk(series.len(), t0, dt, from, to)
         .unwrap();
-    // One past the reference's length, so a runaway walk fails instead
-    // of filling memory.
-    let got: Vec<(usize, f64)> = walk.clone().take(want.len() + 1).collect();
+    let moments = walk.clone().moments(series);
+    let (mut got, mut runs) = (vec![], vec![]);
+    // Stop one past the reference's length, so a runaway walk fails
+    // instead of filling memory.
+    while let Some((index, first, count)) = walk.next() {
+        prop_assert!(count > 0);
+        prop_assert_eq!(first, got.len());
+        runs.push((index, count));
+        let take = count.min(want.len() + 1 - got.len());
+        got.extend((first..first + take).map(|j| (index, walk.instant(j))));
+        if got.len() > want.len() {
+            break;
+        }
+    }
     let bits = |v: &[(usize, f64)]| v.iter().map(|&(i, t)| (i, t.to_bits())).collect::<Vec<_>>();
     prop_assert_eq!(
         bits(&got),
@@ -85,32 +100,39 @@ fn assert_walk_matches(
         to,
         interval
     );
+    // The reference's instants grouped by index: the runs, maximal.
+    let mut groups: Vec<(usize, usize)> = vec![];
+    for &(idx, _) in &want {
+        match groups.last_mut() {
+            Some((last, k)) if *last == idx => *k += 1,
+            _ => groups.push((idx, 1)),
+        }
+    }
+    prop_assert_eq!(runs, groups.clone());
     let mut oracle = WindowMoments {
-        n: 0,
+        n: want.len(),
         sum: 0.0,
         sum_sq: 0.0,
         min_w: f64::INFINITY,
     };
-    for &(idx, _) in &want {
-        let w = series[idx];
-        oracle.n += 1;
-        oracle.sum += w;
-        oracle.sum_sq += w * w;
+    for (idx, k) in groups {
+        let (w, k) = (series[idx], k as f64);
+        oracle.sum += k * w;
+        oracle.sum_sq += k * (w * w);
         oracle.min_w = oracle.min_w.min(w);
     }
-    let m = walk.moments(series);
-    prop_assert_eq!(m.n, oracle.n);
-    prop_assert_eq!(m.sum.to_bits(), oracle.sum.to_bits());
-    prop_assert_eq!(m.sum_sq.to_bits(), oracle.sum_sq.to_bits());
-    prop_assert_eq!(m.min_w.to_bits(), oracle.min_w.to_bits());
+    prop_assert_eq!(moments.n, oracle.n);
+    prop_assert_eq!(moments.sum.to_bits(), oracle.sum.to_bits());
+    prop_assert_eq!(moments.sum_sq.to_bits(), oracle.sum_sq.to_bits());
+    prop_assert_eq!(moments.min_w.to_bits(), oracle.min_w.to_bits());
     Ok(())
 }
 
 #[test]
 fn sample_walk_matches_division_per_instant_on_degenerate_steps() {
-    // Steps no trace has still walk the reference's instants: NaN and
-    // infinite steps leave the run-end search unsettled, so the walk
-    // divides at every instant, and the others end or settle at once.
+    // Steps no trace has still walk the reference's instants and end:
+    // NaN, infinite and huge steps read index 0 for the whole window, and
+    // zero, subnormal and negative steps leave it empty.
     let series: Vec<f64> = (0..50).map(|i| 200.0 + i as f64).collect();
     for dt in [f64::NAN, f64::INFINITY, 0.0, 1e-300, 5e-324, 1e300, -1.0] {
         for (t0, from, to) in [
@@ -119,6 +141,26 @@ fn sample_walk_matches_division_per_instant_on_degenerate_steps() {
             (1e6, 1e6 + 2.0, 1e6 + 30.0),
         ] {
             assert_walk_matches(&series, (t0, dt, from, to), 0.7).unwrap();
+        }
+    }
+}
+
+#[test]
+fn sample_walk_matches_division_per_instant_on_decimal_steps() {
+    // Decimal intervals and steps whose instants fall on run boundaries
+    // in exact arithmetic: rounding puts them a float either side, where
+    // a run's end from the formula is one instant off until the walk
+    // corrects it with the division.
+    let series: Vec<f64> = (0..400).map(|i| 150.0 + (i % 17) as f64).collect();
+    for interval in [0.1, 0.2, 0.3, 0.7] {
+        for dt in [0.1, 0.2, 0.3, 0.6, 0.7, 1.1] {
+            for t0 in [0.0, 0.1, 3.3, 1e6 + 0.1] {
+                for half_steps in 0..4 {
+                    let from = t0 + 0.5 * interval * f64::from(half_steps);
+                    let window = (t0, dt, from, from + 40.0);
+                    assert_walk_matches(&series, window, interval).unwrap();
+                }
+            }
         }
     }
 }

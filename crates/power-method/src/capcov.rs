@@ -200,7 +200,7 @@ pub fn capped_sizing_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use power_stats::rng::{seeded, StandardNormal};
+    use power_stats::rng::{normal_draw, seeded};
 
     fn cfg() -> CapCoverageConfig {
         CapCoverageConfig {
@@ -214,9 +214,8 @@ mod tests {
     /// A synthetic fleet of `n` devices with the given relative spread.
     fn population(n: usize, mean: f64, cv: f64, seed: u64) -> Vec<f64> {
         let mut rng = seeded(seed);
-        let mut gauss = StandardNormal::new();
         (0..n)
-            .map(|_| gauss.sample_with(&mut rng, mean, mean * cv))
+            .map(|_| normal_draw(&mut rng, mean, mean * cv))
             .collect()
     }
 

@@ -499,46 +499,51 @@ mod tests {
         // Under a cold-to-hot aisle gradient, stratified rack coverage
         // represents every thermal zone; FirstN reads only the cold end
         // and understates power.
-        let mut spec = power_sim::systems::tu_dresden().cluster_spec;
-        spec.ambient_gradient_c = 12.0;
-        spec.node.thermal.tau_s = 60.0;
-        let cluster = Cluster::build(spec).unwrap();
         let preset = power_sim::systems::tu_dresden();
         let wl = preset.workload.workload();
-        let run = |selection| {
+        let machine = |gradient_c| {
+            let mut spec = preset.cluster_spec.clone();
+            spec.ambient_gradient_c = gradient_c;
+            spec.node.thermal.tau_s = 60.0;
+            Cluster::build(spec).unwrap()
+        };
+        let run = |cluster: &Cluster, methodology, selection| {
             measure(
-                &cluster,
+                cluster,
                 wl,
                 preset.balance,
                 sim_config(),
                 &MeasurementPlan {
                     selection,
-                    ..MeasurementPlan::honest(Methodology::Revised, 17)
+                    ..MeasurementPlan::honest(methodology, 17)
                 },
             )
             .unwrap()
+            .reported_power_w
         };
-        // Level 3 census as ground truth.
-        let truth = measure(
-            &cluster,
-            wl,
-            preset.balance,
-            sim_config(),
-            &MeasurementPlan::honest(Methodology::Level3, 17),
-        )
-        .unwrap()
-        .reported_power_w;
-        let strat = run(NodeSelection::StratifiedByRack { racks: 7 });
-        let first = run(NodeSelection::FirstN);
-        let err = |m: &Measurement| (m.reported_power_w - truth).abs() / truth;
+        // Relative error of a Revised measurement against the Level 3
+        // census, the ground truth.
+        let err = |cluster: &Cluster, selection| {
+            run(cluster, Methodology::Revised, selection)
+                / run(cluster, Methodology::Level3, NodeSelection::Random)
+                - 1.0
+        };
+        let hot = machine(12.0);
+        let strat = err(&hot, NodeSelection::StratifiedByRack { racks: 7 });
+        let first = err(&hot, NodeSelection::FirstN);
         assert!(
-            err(&strat) < err(&first) + 0.005,
-            "stratified {:.4} vs FirstN {:.4}",
-            err(&strat),
-            err(&first)
+            strat.abs() < first.abs() + 0.005,
+            "stratified {strat:.4} vs FirstN {first:.4}"
         );
-        // FirstN is biased low (cold end).
-        assert!(first.reported_power_w < truth);
+        // FirstN is biased low (cold end): the gradient lowers its error
+        // against the same machine without one. The first 17 nodes' own
+        // draws move either way by more than the gradient does, so the
+        // machine without a gradient is the reference.
+        let flat = err(&machine(0.0), NodeSelection::FirstN);
+        assert!(
+            first < flat,
+            "FirstN {first:.4} with gradient, {flat:.4} without"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Golden digests of every published output.
 //!
 //! The quick `all` report and its CSV artifacts, and the `campaign --out`
-//! trees of four scenarios at 1 and 2 threads, are each folded into an
+//! trees of five scenarios at 1 and 2 threads, are each folded into an
 //! FNV-1a digest and compared with `results/golden/digests.json`. That
 //! file also records `power_campaign::MODEL_REV`, the revision of the
 //! published numbers, and a checksum over its own contents:
@@ -29,7 +29,7 @@ mod common;
 use common::tree;
 
 /// The scenarios whose `--out` trees are pinned.
-const SCENARIOS: [&str; 4] = ["paper_smoke", "accel_smoke", "gaming", "accel"];
+const SCENARIOS: [&str; 5] = ["paper_smoke", "accel_smoke", "gaming", "accel", "paper"];
 
 /// The worker counts each scenario runs at.
 const THREADS: [usize; 2] = [1, 2];

@@ -88,16 +88,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// Generation of the simulation model and of the hashing scheme behind
 /// [`simulation_key`] and [`request_fingerprint`]. Archive tiers retire
 /// stores written under any other epoch, and live-campaign journals
-/// refuse to resume across it. Bump with any change to what the key or
-/// request fingerprint hashes, or to what a sweep or meter outputs for a
-/// given key. `power_campaign::MODEL_REV`, the revision of the published
-/// numbers that `summary.json` reports as `model_rev`, is this epoch
-/// plus an offset, so every bump moves it too. Epoch 1 hashed `Debug`
-/// renderings and a utilization probe grid; epoch 2 is the structural
-/// key; epoch 3 draws the engine's noise with the ziggurat sampler,
-/// dephases the HPL ripple by table angle addition, sums system traces
-/// in block order, and meters sampling windows in closed form.
-pub const SIMULATION_KEY_EPOCH: u32 = 3;
+/// refuse to resume across it. It is also `power_campaign::MODEL_REV`,
+/// the revision of the published numbers (`model_rev` in `summary.json`),
+/// so bump it with any change to a published number or to what the key
+/// or request fingerprint hashes. Epochs: 1 hashed `Debug` renderings; 2
+/// is the structural key; 3 has ziggurat engine noise, table-dephased HPL
+/// ripple, block-ordered system sums and closed-form meter windows; 4 (a
+/// coverage-statistic revision) is unused; 5 draws every normal variate
+/// with the ziggurat, walks meter instants by index in runs, and solves
+/// the variability presets' spread on their realized draws.
+pub const SIMULATION_KEY_EPOCH: u32 = 5;
 
 /// Fingerprints a simulation identity from its parts — everything that
 /// can change a sweep's results (see the module docs for what is

@@ -21,7 +21,7 @@
 //! *published* values plus a handful of shape constants, not hand-tweaked
 //! component wattages.
 
-use crate::cluster::ClusterSpec;
+use crate::cluster::{Cluster, ClusterSpec};
 use crate::components::{MemorySpec, ProcessorSpec, StaticSpec};
 use crate::dvfs::{Governor, PState};
 use crate::engine::MeterScope;
@@ -85,46 +85,35 @@ impl SystemPreset {
 
     /// The four Figure 1 / Table 2 trace systems.
     pub fn trace_presets() -> Vec<SystemPreset> {
-        vec![colosse(), sequoia25(), piz_daint(), lcsc()]
+        catalog()[..TRACE.len()].to_vec()
     }
 
     /// The six Table 3 / Table 4 node-variability systems.
     pub fn variability_presets() -> Vec<SystemPreset> {
-        vec![
-            calcul_quebec(),
-            cea_fat(),
-            cea_thin(),
-            lrz(),
-            titan(),
-            tu_dresden(),
-        ]
+        catalog()[TRACE.len()..][..VARIABILITY.len()].to_vec()
     }
 
     /// Post-paper accelerator-era systems (not part of the Table 2/4
     /// calibration set): Summit, the POWER9+GPU machine whose on-chip OCC
     /// meters motivate the `power-accel` extension.
     pub fn accel_presets() -> Vec<SystemPreset> {
-        vec![summit()]
+        catalog()[TRACE.len() + VARIABILITY.len()..].to_vec()
     }
 
     /// All registered systems: the four trace presets, the six
     /// variability presets, then the accelerator-era presets.
     pub fn all_presets() -> Vec<SystemPreset> {
-        let mut all = SystemPreset::trace_presets();
-        all.extend(SystemPreset::variability_presets());
-        all.extend(SystemPreset::accel_presets());
-        all
+        catalog().to_vec()
     }
 
     /// Looks a preset up by name, ignoring case, whitespace and
     /// punctuation, so scenario files can say `"piz_daint"`, `"l-csc"` or
     /// `"CEA (Fat)"` interchangeably.
     ///
-    /// The presets are built once per process, on the first lookup, into
-    /// a catalog that [`SystemPreset::all_presets`] fills; each lookup
-    /// clones the match. Building them is not free (the HPL presets
-    /// integrate their workload's mean core utilization to calibrate), so
-    /// a lookup per campaign task must not rebuild all of them. A
+    /// The presets are built once per process into a catalog, which each
+    /// lookup (and each list above) clones from. Building them is not free
+    /// (HPL presets integrate utilization, variability presets draw their
+    /// nodes), so a lookup per campaign task must not rebuild them all. A
     /// constructor is a pure function of no arguments, so the clone equals
     /// a fresh build field for field, and the caller owns it: changing one
     /// lookup's result (say, [`SystemPreset::with_total_nodes`]) leaves
@@ -144,10 +133,21 @@ impl SystemPreset {
     }
 }
 
-/// Every preset, built once per process for [`SystemPreset::by_name`].
+const TRACE: [fn() -> SystemPreset; 4] = [colosse, sequoia25, piz_daint, lcsc];
+const VARIABILITY: [fn() -> SystemPreset; 6] =
+    [calcul_quebec, cea_fat, cea_thin, lrz, titan, tu_dresden];
+
+/// Every preset, built once per process.
 fn catalog() -> &'static [SystemPreset] {
     static CATALOG: OnceLock<Vec<SystemPreset>> = OnceLock::new();
-    CATALOG.get_or_init(SystemPreset::all_presets)
+    CATALOG.get_or_init(|| {
+        TRACE
+            .iter()
+            .chain(&VARIABILITY)
+            .map(|f| f())
+            .chain([summit()])
+            .collect()
+    })
 }
 
 /// Case-fold a system name to lowercase ASCII alphanumerics (`é` → `e`)
@@ -311,11 +311,8 @@ impl NodeBudget {
     /// takes up the remainder.
     pub fn variability_for_cv(&self, target_cv: f64) -> VariabilityModel {
         const LEAK_SIGMA: f64 = 0.06;
-        let c0 = self.c0();
-        let compute = c0 + self.c1() * self.mean_util - self.fan_w();
-        let needed = target_cv * self.dc_w() / compute;
-        let leak_per_socket = self.leak_frac * c0 / self.sockets as f64;
-        let from_leak = (self.sockets as f64).sqrt() * leak_per_socket * LEAK_SIGMA / compute;
+        let (needed, leak) = self.spread_terms(target_cv);
+        let from_leak = (self.sockets as f64).sqrt() * leak * LEAK_SIGMA;
         let node_sigma = (needed * needed - from_leak * from_leak).max(1e-8).sqrt();
         VariabilityModel {
             leakage_sigma: LEAK_SIGMA,
@@ -323,6 +320,47 @@ impl NodeBudget {
             vid_bins: 6,
             vid_leakage_corr: 0.0,
         }
+    }
+
+    /// The compute path's relative spread `target_cv` needs, and a socket's leakage relative to it.
+    fn spread_terms(&self, target_cv: f64) -> (f64, f64) {
+        let compute = self.c0() + self.c1() * self.mean_util - self.fan_w();
+        let leak_per_socket = self.leak_frac * self.c0() / self.sockets as f64;
+        (target_cv * self.dc_w() / compute, leak_per_socket / compute)
+    }
+
+    /// The node-multiplier spread giving the first `nodes` nodes `spec`
+    /// builds exactly `target_cv` on their realized draws. Node `n`'s compute
+    /// power is `A_n·m_n` (leakage factors, multiplier); scaling the spread
+    /// by `k` gives `A + k·B`, `B = A·(m − 1)`, and `Var(A + k·B) = needed²`.
+    fn realized_node_sigma(&self, target_cv: f64, spec: &ClusterSpec, nodes: usize) -> f64 {
+        let (needed, leak) = self.spread_terms(target_cv);
+        let prefix = ClusterSpec {
+            total_nodes: nodes,
+            ..spec.clone()
+        };
+        let cluster = Cluster::build(prefix).expect("preset specs are valid");
+        // Σ of A, B, A², A·B and B² over the nodes.
+        let mut sums = [0.0; 5];
+        for n in 0..nodes {
+            let asics = cluster.asics(n).expect("node in range");
+            let a = 1.0 + leak * asics.iter().map(|x| x.leakage_factor - 1.0).sum::<f64>();
+            let b = a * (cluster.multiplier(n).expect("node in range") - 1.0);
+            for (sum, x) in sums.iter_mut().zip([a, b, a * a, a * b, b * b]) {
+                *sum += x;
+            }
+        }
+        let n = nodes as f64;
+        let cov = |xy: f64, x: f64, y: f64| (xy - x * y / n) / (n - 1.0);
+        let [a, b, aa, ab, bb] = sums;
+        let (var_a, cov_ab, var_b) = (cov(aa, a, a), cov(ab, a, b), cov(bb, b, b));
+        let disc = cov_ab * cov_ab - var_b * (var_a - needed * needed);
+        let k = if var_b > 0.0 && disc >= 0.0 {
+            (disc.sqrt() - cov_ab) / var_b
+        } else {
+            1.0
+        };
+        spec.variability.node_sigma * k
     }
 }
 
@@ -534,18 +572,21 @@ fn variability_preset(
     mean_w: f64,
     sigma_w: f64,
 ) -> SystemPreset {
+    let mut cluster_spec = ClusterSpec {
+        name: name.into(),
+        total_nodes: population,
+        node: budget.build(),
+        variability: budget.variability_for_cv(target_cv),
+        governor: budget.nominal_governor(),
+        fan_policy: pinned_fans(),
+        ambient_gradient_c: 0.0,
+        seed: 0x7AB1_E400 ^ population as u64,
+    };
+    cluster_spec.variability.node_sigma =
+        budget.realized_node_sigma(target_cv, &cluster_spec, measured);
     SystemPreset {
         name,
-        cluster_spec: ClusterSpec {
-            name: name.into(),
-            total_nodes: population,
-            node: budget.build(),
-            variability: budget.variability_for_cv(target_cv),
-            governor: budget.nominal_governor(),
-            fan_policy: pinned_fans(),
-            ambient_gradient_c: 0.0,
-            seed: 0x7AB1_E400 ^ population as u64,
-        },
+        cluster_spec,
         workload,
         balance: LoadBalance::Balanced,
         measured_nodes: measured,

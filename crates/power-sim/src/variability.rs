@@ -16,7 +16,7 @@
 //!   spread, assembly differences), applied to total node power.
 
 use power_stats::hash::Fnv1a;
-use power_stats::rng::StandardNormal;
+use power_stats::rng::ziggurat;
 use rand::Rng;
 
 use crate::{Result, SimError};
@@ -92,11 +92,10 @@ impl VariabilityModel {
 
     /// Samples the manufacturing outcome for one ASIC.
     pub fn sample_asic<R: Rng + ?Sized>(&self, rng: &mut R) -> AsicSample {
-        let mut gauss = StandardNormal::new();
         // Quality axis 1 drives leakage; axis 2 (partially correlated)
         // drives the VID assignment.
-        let q1 = gauss.sample(rng).clamp(-4.0, 4.0);
-        let q_ind = gauss.sample(rng).clamp(-4.0, 4.0);
+        let q1 = ziggurat(rng).clamp(-4.0, 4.0);
+        let q_ind = ziggurat(rng).clamp(-4.0, 4.0);
         let rho = self.vid_leakage_corr;
         let q2 = rho * q1 + (1.0 - rho * rho).sqrt() * q_ind;
         let leakage_factor = (self.leakage_sigma * q1).exp();
@@ -111,7 +110,7 @@ impl VariabilityModel {
 
     /// Samples the residual node-level multiplier.
     pub fn sample_node_multiplier<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let z = StandardNormal::new().sample(rng).clamp(-4.0, 4.0);
+        let z = ziggurat(rng).clamp(-4.0, 4.0);
         (1.0 + self.node_sigma * z).max(0.1)
     }
 

@@ -86,12 +86,12 @@ fn catalog_simulation_keys_are_pinned() {
         ("Sequoia-25", 0x62de_c881_0bff_05f3),
         ("Piz Daint", 0xb38b_d8fe_c6a2_1151),
         ("L-CSC", 0xfbbc_12e6_9926_004d),
-        ("Calcul Québec", 0x6137_2a84_e110_ba67),
-        ("CEA (Fat)", 0x7a5e_8d74_e8b3_cc63),
-        ("CEA (Thin)", 0xf977_3f7a_1048_c645),
-        ("LRZ", 0xc520_499c_a734_a823),
+        ("Calcul Québec", 0xc57b_50e9_f45d_1e3f),
+        ("CEA (Fat)", 0xaaa3_44c6_c8f0_47db),
+        ("CEA (Thin)", 0x0631_ad6e_b3e4_5e5b),
+        ("LRZ", 0x8cce_5673_abf2_8c08),
         ("Titan", 0xef6a_f75d_1727_a420),
-        ("TU Dresden", 0x8f95_c412_3519_7d32),
+        ("TU Dresden", 0x339d_5b5a_30e5_2c35),
         ("Summit", 0xde47_6c3a_86ef_3781),
     ];
     let presets = SystemPreset::all_presets();

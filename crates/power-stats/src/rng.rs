@@ -7,13 +7,12 @@
 //! * [`derive_seed`] — SplitMix64-style seed derivation, so parallel workers
 //!   and per-node generators get decorrelated, *stable* streams regardless
 //!   of thread scheduling;
-//! * [`StandardNormal`] — a from-scratch Marsaglia polar sampler for unit
-//!   normals (this workspace deliberately avoids external distribution
-//!   crates);
-//! * [`ziggurat`] — a Marsaglia & Tsang (2000) ziggurat sampler for unit
-//!   normals, for the simulator's per-lane hot loop: about 99% of its
+//! * [`ziggurat`] — a from-scratch Marsaglia & Tsang (2000) ziggurat
+//!   sampler for unit normals, the workspace's one normal sampler (it
+//!   deliberately avoids external distribution crates): about 99% of its
 //!   draws cost one 64-bit word, one table lookup and one multiply, with
-//!   no `ln` or `sqrt`.
+//!   no `ln` or `sqrt`, and it keeps no state between draws;
+//! * [`normal_draw`] — one `N(mean, sd)` variate from the ziggurat.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,47 +40,9 @@ pub fn substream(root: u64, stream: u64) -> StdRng {
     seeded(derive_seed(root, stream))
 }
 
-/// Standard-normal sampler using the Marsaglia polar method.
-///
-/// Caches the second variate of each polar pair, so amortized cost is one
-/// `ln`/`sqrt` pair per sample.
-#[derive(Debug, Clone, Default)]
-pub struct StandardNormal {
-    spare: Option<f64>,
-}
-
-impl StandardNormal {
-    /// Creates a sampler with an empty cache.
-    pub fn new() -> Self {
-        StandardNormal { spare: None }
-    }
-
-    /// Draws one standard-normal variate.
-    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        if let Some(s) = self.spare.take() {
-            return s;
-        }
-        loop {
-            let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
-            let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * factor);
-                return u * factor;
-            }
-        }
-    }
-
-    /// Draws a normal variate with the given mean and standard deviation.
-    pub fn sample_with<R: Rng + ?Sized>(&mut self, rng: &mut R, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.sample(rng)
-    }
-}
-
-/// Convenience: draw one `N(mean, sd)` variate without keeping a sampler.
+/// Draws one `N(mean, sd)` variate: `mean + sd·`[`ziggurat`].
 pub fn normal_draw<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
-    StandardNormal::new().sample_with(rng, mean, sd)
+    mean + sd * ziggurat(rng)
 }
 
 /// Layers of the [`ziggurat`].
@@ -131,7 +92,7 @@ fn zig_tables() -> &'static ZigTables {
 /// `u ∈ [-1, 1)` (high 53 bits); `u · x[i]` is accepted outright when it
 /// falls inside the next layer's rectangle, which is about 99% of draws.
 /// That path is all this function holds, so it inlines into the caller's
-/// loop. The rest go on in [`ziggurat_rejected`]: the wedge test (two
+/// loop. The rest go on in a cold function: the wedge test (two
 /// `exp`) or, from the base layer, Marsaglia's tail method beyond `R` (two
 /// `ln`). Stateless, so a stream of draws depends only on the RNG.
 #[inline(always)]
@@ -215,33 +176,6 @@ mod tests {
         assert!((s0 ^ s1).count_ones() > 16, "seeds too similar");
         // And be stable.
         assert_eq!(derive_seed(7, 1), s1);
-    }
-
-    #[test]
-    fn polar_normal_moments() {
-        let mut rng = seeded(1234);
-        let mut sampler = StandardNormal::new();
-        let s: Summary = (0..200_000).map(|_| sampler.sample(&mut rng)).collect();
-        assert!(s.mean().abs() < 0.01, "mean = {}", s.mean());
-        assert!(
-            (s.sample_variance().unwrap() - 1.0).abs() < 0.02,
-            "var = {}",
-            s.sample_variance().unwrap()
-        );
-        assert!(s.skewness().unwrap().abs() < 0.03);
-        assert!(s.excess_kurtosis().unwrap().abs() < 0.08);
-    }
-
-    #[test]
-    fn polar_normal_tail_fractions() {
-        let mut rng = seeded(99);
-        let mut sampler = StandardNormal::new();
-        let n = 100_000;
-        let beyond_2sd = (0..n)
-            .filter(|_| sampler.sample(&mut rng).abs() > 1.959_964)
-            .count();
-        let frac = beyond_2sd as f64 / n as f64;
-        assert!((frac - 0.05).abs() < 0.005, "frac = {frac}");
     }
 
     #[test]

@@ -311,7 +311,7 @@ impl AnomalyMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use power_stats::rng::{seeded, StandardNormal};
+    use power_stats::rng::{seeded, ziggurat};
 
     // Drift half-window of 600 samples: at 1% sample noise the slope
     // estimator's noise floor is ~0.0035/hr, leaving the 0.02/hr
@@ -360,9 +360,8 @@ mod tests {
     fn clean_noisy_stream_fires_nothing() {
         let mut m = AnomalyMonitor::new(1, 0.0, 1.0, cfg()).unwrap();
         let mut rng = seeded(11);
-        let mut gauss = StandardNormal::new();
         for _ in 0..2000 {
-            m.observe(0, 400.0 * (1.0 + 0.01 * gauss.sample(&mut rng)))
+            m.observe(0, 400.0 * (1.0 + 0.01 * ziggurat(&mut rng)))
                 .unwrap();
         }
         assert_eq!(m.events(), &[], "false positives: {:?}", m.events());
@@ -372,9 +371,8 @@ mod tests {
     fn stuck_register_fires_once_per_run() {
         let mut m = AnomalyMonitor::new(1, 0.0, 1.0, cfg()).unwrap();
         let mut rng = seeded(12);
-        let mut gauss = StandardNormal::new();
         for _ in 0..50 {
-            m.observe(0, 400.0 + gauss.sample(&mut rng)).unwrap();
+            m.observe(0, 400.0 + ziggurat(&mut rng)).unwrap();
         }
         for _ in 0..40 {
             m.observe(0, 412.5).unwrap();
@@ -398,15 +396,14 @@ mod tests {
     fn watermark_gaps_fire_once_per_hole() {
         let mut m = AnomalyMonitor::new(2, 0.0, 1.0, cfg()).unwrap();
         let mut rng = seeded(13);
-        let mut gauss = StandardNormal::new();
         for _ in 0..20 {
-            m.observe(1, 400.0 + gauss.sample(&mut rng)).unwrap();
+            m.observe(1, 400.0 + ziggurat(&mut rng)).unwrap();
         }
         for _ in 0..8 {
             m.observe_missing(1).unwrap();
         }
         for _ in 0..20 {
-            m.observe(1, 400.0 + gauss.sample(&mut rng)).unwrap();
+            m.observe(1, 400.0 + ziggurat(&mut rng)).unwrap();
         }
         let (drift, stuck, gap) = m.counts();
         assert_eq!((drift, stuck, gap), (0, 0, 1), "{:?}", m.events());
@@ -426,16 +423,15 @@ mod tests {
     fn drift_fires_on_ramp_with_hysteresis() {
         let mut m = AnomalyMonitor::new(1, 0.0, 1.0, cfg()).unwrap();
         let mut rng = seeded(14);
-        let mut gauss = StandardNormal::new();
         // Flat lead-in, then a 10%/hour ramp: unambiguous for the
         // detector's 2x600 s slope window.
         for _ in 0..600 {
-            m.observe(0, 400.0 * (1.0 + 0.002 * gauss.sample(&mut rng)))
+            m.observe(0, 400.0 * (1.0 + 0.002 * ziggurat(&mut rng)))
                 .unwrap();
         }
         for k in 0..2400 {
             let drifted = 400.0 * (1.0 + 0.10 * (k as f64 / 3600.0));
-            m.observe(0, drifted * (1.0 + 0.002 * gauss.sample(&mut rng)))
+            m.observe(0, drifted * (1.0 + 0.002 * ziggurat(&mut rng)))
                 .unwrap();
         }
         let (drift, stuck, gap) = m.counts();

@@ -45,7 +45,7 @@ use power_sim::store::SIMULATION_KEY_EPOCH;
 use power_sim::Simulator;
 use power_stats::ci::ConfidenceInterval;
 use power_stats::hash::Fnv1a;
-use power_stats::rng::{substream, StandardNormal};
+use power_stats::rng::substream;
 use power_stats::sampling::sample_without_replacement;
 use power_stats::SampleSizePlan;
 use rand::Rng;
@@ -331,11 +331,10 @@ fn run_campaign(
             .find(|(n, _)| *n == node)
             .map(|(_, f)| *f)
             .unwrap_or(MeterFault::None);
-        let mut gauss = StandardNormal::new();
         let mut last_good = None;
         let mut samples = Vec::with_capacity(steps);
         for (step, &watts) in trace.samples[0].iter().enumerate() {
-            let w = meter.sample_one_with(&mut gauss, &mut rng, watts);
+            let w = meter.sample_one(&mut rng, watts);
             // Fault layer, same draw order as `FaultyMeter::measure`;
             // t_rel is measured from the window start, before which the
             // stuck fault has nothing to freeze onto.

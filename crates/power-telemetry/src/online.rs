@@ -256,7 +256,7 @@ pub fn replay_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use power_stats::rng::{seeded, StandardNormal};
+    use power_stats::rng::{seeded, ziggurat};
     use power_stats::SampleSizePlan;
     use rand::Rng;
 
@@ -337,10 +337,9 @@ mod tests {
         })
         .unwrap();
         let mut rng = seeded(42);
-        let mut gauss = StandardNormal::new();
         let mut stopped = None;
         for _ in 0..10_000u64 {
-            let w = 400.0 * (1.0 + 0.03 * gauss.sample(&mut rng));
+            let w = 400.0 * (1.0 + 0.03 * ziggurat(&mut rng));
             let d = est.push(w);
             if d.stop {
                 stopped = Some(d.n);
