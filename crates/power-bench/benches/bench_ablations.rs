@@ -61,15 +61,11 @@ fn bench_dt_tradeoff(c: &mut Criterion) {
 /// without storing it.
 fn replication_streaming(pilot: &Empirical, seed: u64, n: usize, pop: usize) -> bool {
     let mut rng = substream(seed, 1);
-    let mut sample = Vec::with_capacity(n);
-    let mut total = 0.0;
-    for _ in 0..n {
-        let v = pilot.draw(&mut rng);
-        sample.push(v);
+    let mut draws = pilot.draws(&mut rng);
+    let sample: Vec<f64> = draws.by_ref().take(n).collect();
+    let mut total: f64 = sample.iter().sum();
+    for v in draws.take(pop - n) {
         total += v;
-    }
-    for _ in n..pop {
-        total += pilot.draw(&mut rng);
     }
     let ci = mean_ci_t(&Summary::from_slice(&sample), 0.95).unwrap();
     ci.contains(total / pop as f64)

@@ -22,7 +22,8 @@ fn lrz_pilot(n: usize) -> Empirical {
 /// Budget: the median of 2 000 replications of a 1 024-node machine,
 /// scored at two sample sizes and three confidences. One machine per
 /// replication and critical values computed once keep the study near the
-/// cost of its 2 M pilot draws.
+/// cost of its 2 000 × 1 024 = 2.048 M pilot draws, which take two
+/// divisionless indices from each generator word.
 fn bench_coverage_study(c: &mut Criterion) {
     let pilot = lrz_pilot(516);
     let mut group = c.benchmark_group("figure3_coverage");

@@ -14,6 +14,12 @@
 //!   second. It counts every step of the run, as the first budget does,
 //!   so the steps such a sweep skips past the window's end count as
 //!   answered.
+//! * **LRZ's relative cost** — in the `table4_node_averages` group, each
+//!   variability preset's Criterion median per run node-step is recorded
+//!   as `table4_ns_per_run_node_step/<preset>`, and LRZ's (MPrime) must be
+//!   at most [`LRZ_COST_RATIO_CEILING`] times the median of the other
+//!   five. Both sides are timed in one process, so this budget holds on
+//!   any host.
 //!
 //! Every measured figure lands in `BENCH_table4.json` via
 //! [`power_bench::report`].
@@ -48,6 +54,12 @@ const NODE_STEPS_PER_S_FLOOR: f64 = 45.0e6;
 /// stops at the window end. That host ran the first budget's sweep at
 /// 29–53 M/s, mostly below its floor, which was set on a faster host.
 const AVG_NODE_STEPS_PER_S_FLOOR: f64 = 38.0e6;
+/// Budget: LRZ's cost per run node-step over the median of the other five
+/// variability presets'. On a 2-vCPU Xeon host, MPrime with one `sin` per
+/// node-step measured 1.56× (25.8 ns against 17.8 ns; fails); with its
+/// modulation by angle addition, one `sin_cos` per step and one per node,
+/// 0.76× (13.9 ns against 18.3 ns).
+const LRZ_COST_RATIO_CEILING: f64 = 1.2;
 
 /// The Table 4 window: the core phase minus its first 10%.
 fn table4_window(phases: &RunPhases) -> (f64, f64) {
@@ -144,21 +156,26 @@ fn bench_avg_node_steps(_c: &mut Criterion) {
 fn bench_node_averages(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4_node_averages");
     group.sample_size(10);
+    // (preset, run node-steps of one iteration)
+    let mut run_node_steps = Vec::new();
     for preset in SystemPreset::variability_presets() {
         let name = preset.name;
         let scope = preset.scope;
         let f = fixture(preset, 96);
+        let build = || {
+            Simulator::new(
+                &f.cluster,
+                f.preset.workload.workload(),
+                f.preset.balance,
+                bench_sim_config(f.dt * 1.0371),
+            )
+            .unwrap()
+        };
+        run_node_steps.push((name, build().run_steps() * f.cluster.len()));
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                let workload = f.preset.workload.workload();
-                let sim = Simulator::new(
-                    &f.cluster,
-                    workload,
-                    f.preset.balance,
-                    bench_sim_config(f.dt * 1.0371),
-                )
-                .unwrap();
-                let phases = workload.phases();
+                let sim = build();
+                let phases = f.preset.workload.workload().phases();
                 let avgs = sim
                     .node_averages(
                         phases.core_start() + 0.1 * phases.core(),
@@ -172,6 +189,33 @@ fn bench_node_averages(c: &mut Criterion) {
         });
     }
     group.finish();
+    let mut lrz = None;
+    let mut others = Vec::new();
+    for (name, steps) in run_node_steps {
+        let median_s = criterion::measurement(&format!("table4_node_averages/{name}"))
+            .expect("every variability preset was measured")
+            .median_s;
+        let ns = median_s * 1e9 / steps as f64;
+        report::metric(&format!("table4_ns_per_run_node_step/{name}"), ns);
+        if name == "LRZ" {
+            lrz = Some(ns);
+        } else {
+            others.push(ns);
+        }
+    }
+    others.sort_by(f64::total_cmp);
+    let ratio = lrz.expect("LRZ is a variability preset") / others[others.len() / 2];
+    report::budget(
+        "lrz_over_median_other_ns_per_run_node_step",
+        ratio,
+        Direction::AtMost,
+        LRZ_COST_RATIO_CEILING,
+    );
+    println!(
+        "LRZ: {ratio:.2}x the median of the other {} presets' ns per run node-step \
+         (ceiling {LRZ_COST_RATIO_CEILING}x)",
+        others.len()
+    );
 }
 
 fn bench_figure2_histograms(c: &mut Criterion) {

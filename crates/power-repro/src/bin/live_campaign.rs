@@ -11,7 +11,9 @@
 //! average is synced to `DIR/live_campaign.wal` (a `FleetWal` holding
 //! the campaign as a fleet of one) before the campaign moves on, and a
 //! rerun over the same directory resumes at the watermark instead of
-//! re-metering recorded nodes.
+//! re-metering recorded nodes. A log it cannot resume, such as one
+//! written under another model revision, ends the run with a one-line
+//! message naming the file and exit status 1.
 
 use power_archive::FleetWal;
 use power_campaign::artifacts::sim_config;
@@ -118,9 +120,17 @@ fn main() {
     ];
     let report = match &store_dir {
         Some(dir) => {
-            std::fs::create_dir_all(dir).expect("create store dir");
-            let mut wal = FleetWal::open(dir.join("live_campaign.wal")).expect("campaign wal");
-            let report = run_live_campaign_journaled(&sim, &cfg, &mut wal).expect("campaign");
+            // A store this build cannot resume (another model revision,
+            // another campaign, an unreadable log) is refused in one line.
+            let path = dir.join("live_campaign.wal");
+            let refuse = |e: &dyn std::fmt::Display| -> ! {
+                eprintln!("live_campaign: {}: {e}", path.display());
+                std::process::exit(1)
+            };
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| refuse(&e));
+            let mut wal = FleetWal::open(&path).unwrap_or_else(|e| refuse(&e));
+            let report =
+                run_live_campaign_journaled(&sim, &cfg, &mut wal).unwrap_or_else(|e| refuse(&e));
             println!(
                 "  durable: {} of {} nodes resumed from {}",
                 report.resumed_nodes,

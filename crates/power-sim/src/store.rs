@@ -96,8 +96,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// ripple, block-ordered system sums and closed-form meter windows; 4 (a
 /// coverage-statistic revision) is unused; 5 draws every normal variate
 /// with the ziggurat, walks meter instants by index in runs, and solves
-/// the variability presets' spread on their realized draws.
-pub const SIMULATION_KEY_EPOCH: u32 = 5;
+/// the variability presets' spread on their realized draws; 6 computes
+/// MPrime's modulation by angle addition and draws bootstrap indices two
+/// per generator word.
+pub const SIMULATION_KEY_EPOCH: u32 = 6;
 
 /// Fingerprints a simulation identity from its parts — everything that
 /// can change a sweep's results (see the module docs for what is

@@ -23,7 +23,7 @@ const NODES: usize = 70;
 const PINNED: [(&str, u64, u64); 5] = [
     ("Calcul Québec", 0x709fd6cd4694619d, 0xb4dd4be79a1c03b2),
     ("Piz Daint", 0x3c5719328ee4b394, 0x936ef6ab1395117d),
-    ("LRZ", 0x7bbef0d16d80807e, 0x38e9fa2b2a1f62f4),
+    ("LRZ", 0x6018af22a06cfa52, 0x47ef706e5fb98eb0),
     ("Titan", 0x875f5c0c77b71009, 0xd2f9f3c434c04bc3),
     ("TU Dresden", 0x4a63a0377220b105, 0xe5ee2843e99874f3),
 ];

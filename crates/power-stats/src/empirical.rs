@@ -16,45 +16,89 @@ pub struct Empirical {
     index: UniformIndex,
 }
 
-/// A uniform index in `[0, span)` by Lemire-style threshold rejection:
-/// the sampler behind `Rng::random_range(0..span)`, with its rejection
-/// zone computed once instead of on every draw. It takes the same words
-/// from the generator and returns the same indices.
+/// Uniform indices in `[0, span)` by Lemire's 32-bit multiply-shift
+/// rejection ("Fast random integer generation in an interval", ACM TOMACS
+/// 2019): a half-word `x` maps to `(x·span) >> 32`, and is rejected when
+/// the low half of `x·span` falls below `2³² mod span`, so every index
+/// keeps exactly `⌊2³²/span⌋` of the `2³²` half-words. The threshold is
+/// computed once; a draw costs one multiply and one compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct UniformIndex {
-    span: u64,
-    /// The largest accepted word: `u64::MAX - 2^64 mod span`.
-    zone: u64,
+    span: u32,
+    /// `(2³² − span) mod span`, which is `2³² mod span`.
+    threshold: u32,
 }
 
 impl UniformIndex {
-    /// A sampler over `[0, span)`; `span` must be at least 1.
-    fn new(span: u64) -> Self {
-        debug_assert!(span >= 1);
-        UniformIndex {
+    /// A sampler over `[0, span)`: `span` must lie in `1..=u32::MAX`.
+    fn new(span: usize) -> Result<Self> {
+        let Ok(span) = u32::try_from(span) else {
+            return Err(StatsError::TooManyObservations {
+                max: u32::MAX as usize,
+                got: span,
+            });
+        };
+        if span == 0 {
+            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
+        }
+        Ok(UniformIndex {
             span,
-            zone: u64::MAX - (u64::MAX - span + 1) % span,
+            threshold: span.wrapping_neg() % span,
+        })
+    }
+
+    /// The endless stream of indices read from `rng`, two candidates per
+    /// word: its low half, then its high half.
+    fn indices<R: Rng + ?Sized>(self, rng: &mut R) -> Indices<'_, R> {
+        Indices {
+            sampler: self,
+            rng,
+            spare: None,
+        }
+    }
+}
+
+/// The iterator behind [`UniformIndex::indices`]; it never ends.
+struct Indices<'a, R: ?Sized> {
+    sampler: UniformIndex,
+    rng: &'a mut R,
+    /// The high half of the last word, when it has not been read yet.
+    spare: Option<u32>,
+}
+
+impl<R: Rng + ?Sized> Iterator for Indices<'_, R> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            let x = match self.spare.take() {
+                Some(hi) => hi,
+                None => {
+                    let word = self.rng.next_u64();
+                    self.spare = Some((word >> 32) as u32);
+                    word as u32
+                }
+            };
+            let m = u64::from(x) * u64::from(self.sampler.span);
+            if m as u32 >= self.sampler.threshold {
+                return Some((m >> 32) as usize);
+            }
         }
     }
 
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        loop {
-            let v = rng.next_u64();
-            if v <= self.zone {
-                return v % self.span;
-            }
-        }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 
 impl Empirical {
     /// Builds an empirical distribution from observations.
     ///
-    /// Fails on an empty slice or non-finite values.
+    /// Fails on an empty slice, on more than `u32::MAX` observations
+    /// ([`StatsError::TooManyObservations`]) or on non-finite values.
     pub fn new(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
+        let index = UniformIndex::new(values.len())?;
         if values.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::InvalidParameter {
                 name: "values",
@@ -63,7 +107,6 @@ impl Empirical {
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        let index = UniformIndex::new(sorted.len() as u64);
         Ok(Empirical { sorted, index })
     }
 
@@ -128,15 +171,19 @@ impl Empirical {
         *self.sorted.last().expect("non-empty")
     }
 
-    /// Draws one observation uniformly (resampling with replacement):
-    /// the observation `rng.random_range(0..len)` would pick.
-    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sorted[self.index.sample(rng) as usize]
+    /// The endless stream of observations drawn uniformly with
+    /// replacement, the bootstrap primitive: each word of `rng` gives up
+    /// to two draws, from its low half and then its high half. Keep one
+    /// stream for many draws; a stream dropped after an odd number of
+    /// half-words leaves its last high half unread.
+    pub fn draws<'a, R: Rng + ?Sized>(&'a self, rng: &'a mut R) -> impl Iterator<Item = f64> + 'a {
+        self.index.indices(rng).map(|i| self.sorted[i])
     }
 
-    /// Draws `n` observations with replacement — the bootstrap primitive.
+    /// Draws `n` observations with replacement, from one [`Empirical::draws`]
+    /// stream.
     pub fn resample<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.draw(rng)).collect()
+        self.draws(rng).take(n).collect()
     }
 
     /// Counts observations further than `k` IQRs outside the quartiles
@@ -200,40 +247,135 @@ mod tests {
         assert!(Empirical::new(&[f64::INFINITY]).is_err());
     }
 
-    #[test]
-    fn uniform_index_takes_the_words_random_range_takes() {
-        // Same generator state in, same index and same state out — also
-        // where the rejection zone is widest (spans just above a power of
-        // two) and for spans too large to back with observations.
-        let mut spans = vec![1u64, 2, 3, 1_024];
-        for k in [2u32, 5, 10, 31, 32, 62, 63] {
-            spans.extend([(1u64 << k) - 1, (1u64 << k) + 1]);
+    /// A generator that counts the words taken from it.
+    struct Counted<R> {
+        rng: R,
+        words: usize,
+    }
+
+    impl<R: Rng> Rng for Counted<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.rng.next_u64()
         }
-        spans.push(u64::MAX);
-        for span in spans {
-            let sampler = UniformIndex::new(span);
-            let mut ours = seeded(span ^ 0x5EED);
-            let mut theirs = ours.clone();
-            for _ in 0..2_000 {
-                assert_eq!(
-                    sampler.sample(&mut ours),
-                    theirs.random_range(0..span),
-                    "span {span}"
-                );
+    }
+
+    fn counted(seed: u64) -> Counted<rand::rngs::StdRng> {
+        Counted {
+            rng: seeded(seed),
+            words: 0,
+        }
+    }
+
+    /// Words to indices written out plainly: each word's low half and
+    /// then its high half, `x`, becomes `⌊x·span / 2³²⌋`, except that `x`
+    /// is skipped when `x·span mod 2³²` is below `2³² mod span`.
+    fn reference_indices(words: &[u64], span: u64) -> Vec<usize> {
+        let two32 = 1u128 << 32;
+        let threshold = two32 % u128::from(span);
+        let mut out = Vec::new();
+        for &w in words {
+            for x in [w & 0xFFFF_FFFF, w >> 32] {
+                let m = u128::from(x) * u128::from(span);
+                if m % two32 >= threshold {
+                    out.push((m / two32) as usize);
+                }
             }
-            assert_eq!(ours.next_u64(), theirs.next_u64(), "span {span}");
         }
-        // And `draw` indexes the sorted observations with it.
-        let values: Vec<f64> = (0..37).map(f64::from).collect();
-        let e = Empirical::new(&values).unwrap();
-        let mut ours = seeded(3);
-        let mut theirs = ours.clone();
-        for _ in 0..2_000 {
-            assert_eq!(
-                e.draw(&mut ours),
-                values[theirs.random_range(0..values.len())]
+        out
+    }
+
+    const SPANS: [u64; 7] = [1, 2, 3, 7, 1_000, (1 << 31) + 1, u32::MAX as u64];
+
+    #[test]
+    fn indices_match_the_plain_reference() {
+        // 2^31 + 1 has the widest rejection zone: almost half the
+        // half-words are skipped.
+        for span in SPANS {
+            let sampler = UniformIndex::new(span as usize).unwrap();
+            let mut rng = counted(span ^ 0x5EED);
+            let ours: Vec<usize> = sampler.indices(&mut rng).take(5_000).collect();
+            let used = rng.words;
+            let mut theirs = seeded(span ^ 0x5EED);
+            let words: Vec<u64> = (0..used).map(|_| theirs.next_u64()).collect();
+            // The stream read exactly the words its indices needed: the
+            // last one (whose high half may be left over) and no more.
+            let reference = reference_indices(&words, span);
+            assert_eq!(reference[..ours.len()], ours[..], "span {span}");
+            assert!(reference.len() <= ours.len() + 1, "span {span}");
+            assert!(
+                reference_indices(&words[..used - 1], span).len() < ours.len(),
+                "span {span}"
             );
+            assert!(ours.iter().all(|&i| (i as u64) < span), "span {span}");
         }
+    }
+
+    #[test]
+    fn draws_index_the_sorted_observations() {
+        let values: Vec<f64> = (0..37).rev().map(f64::from).collect();
+        let e = Empirical::new(&values).unwrap();
+        let mut rng = seeded(3);
+        let draws: Vec<f64> = e.draws(&mut rng).take(2_000).collect();
+        let mut rng = seeded(3);
+        let indices = UniformIndex::new(37).unwrap().indices(&mut rng);
+        let want: Vec<f64> = indices.take(2_000).map(|i| e.values()[i]).collect();
+        assert_eq!(draws, want);
+        assert_eq!(e.resample(&mut seeded(3), 2_000), want);
+    }
+
+    #[test]
+    fn index_frequencies_are_uniform() {
+        // Pearson's chi-square over the indices of small spans; the 99.99th
+        // percentiles for 6 and 999 degrees of freedom are 27.9 and 1 185.
+        for (span, bound) in [(7usize, 27.9), (1_000, 1_185.0)] {
+            let draws = 1_000 * span;
+            let mut counts = vec![0u64; span];
+            let sampler = UniformIndex::new(span).unwrap();
+            for i in sampler.indices(&mut seeded(span as u64)).take(draws) {
+                counts[i] += 1;
+            }
+            let expected = (draws / span) as f64;
+            let chi2: f64 = counts
+                .iter()
+                .map(|&c| (c as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(chi2 < bound, "span {span}: chi-square {chi2}");
+        }
+        // At 2^31 + 1, 2^31 - 1 of the 2^32 half-words are rejected: a
+        // rejection rate of one half, less 2^-32. The accepted indices
+        // still split evenly at the middle of the span.
+        let span = (1usize << 31) + 1;
+        let mut rng = counted(17);
+        let n = 200_000;
+        let low = UniformIndex::new(span)
+            .unwrap()
+            .indices(&mut rng)
+            .take(n)
+            .filter(|&i| i < span / 2)
+            .count();
+        let rejected = 1.0 - n as f64 / (2 * rng.words) as f64;
+        assert!((rejected - 0.5).abs() < 0.005, "rejection rate {rejected}");
+        let low = low as f64 / n as f64;
+        assert!((low - 0.5).abs() < 0.005, "lower half {low}");
+    }
+
+    #[test]
+    fn sampler_takes_one_to_u32_max_observations() {
+        assert!(UniformIndex::new(1).is_ok());
+        assert!(UniformIndex::new(u32::MAX as usize).is_ok());
+        assert_eq!(
+            UniformIndex::new(0),
+            Err(StatsError::InsufficientData { needed: 1, got: 0 })
+        );
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            UniformIndex::new(u32::MAX as usize + 1),
+            Err(StatsError::TooManyObservations {
+                max: u32::MAX as usize,
+                got: u32::MAX as usize + 1,
+            })
+        );
     }
 
     #[test]

@@ -81,6 +81,13 @@ pub enum StatsError {
         /// Number of observations available.
         got: usize,
     },
+    /// More observations than a distribution can index.
+    TooManyObservations {
+        /// The largest number of observations accepted.
+        max: usize,
+        /// Number of observations given.
+        got: usize,
+    },
     /// An iterative numerical routine failed to converge.
     NoConvergence {
         /// Name of the routine.
@@ -96,6 +103,9 @@ impl std::fmt::Display for StatsError {
             }
             StatsError::InsufficientData { needed, got } => {
                 write!(f, "insufficient data: needed {needed}, got {got}")
+            }
+            StatsError::TooManyObservations { max, got } => {
+                write!(f, "too many observations: at most {max}, got {got}")
             }
             StatsError::NoConvergence { routine } => {
                 write!(f, "numerical routine `{routine}` failed to converge")

@@ -87,6 +87,15 @@ pub enum TelemetryError {
     /// being replayed into (wrong identity or campaign id, out-of-order
     /// nodes, nodes past the budget or the stopping decision, I/O).
     Journal(String),
+    /// A campaign journal was written under another model revision
+    /// (`power_sim::store::SIMULATION_KEY_EPOCH`), whose averages must not
+    /// mix with this build's.
+    ModelRevision {
+        /// The revision the journal was written under.
+        journal: u32,
+        /// This build's revision.
+        current: u32,
+    },
 }
 
 impl std::fmt::Display for TelemetryError {
@@ -104,6 +113,11 @@ impl std::fmt::Display for TelemetryError {
             TelemetryError::Sim(e) => write!(f, "simulation error: {e}"),
             TelemetryError::Meter(e) => write!(f, "meter error: {e}"),
             TelemetryError::Journal(what) => write!(f, "campaign journal error: {what}"),
+            TelemetryError::ModelRevision { journal, current } => write!(
+                f,
+                "campaign journal was written under model revision {journal}, \
+                 and this build is model revision {current}"
+            ),
         }
     }
 }

@@ -23,15 +23,20 @@
 //! [`run_live_campaign_journaled`] journals the campaign as a fleet of
 //! one, campaign [`LIVE_CAMPAIGN_ID`], through the fleet's
 //! [`FleetJournal`] (e.g. `FleetWal` in `power-archive`): `Created` with
-//! [`campaign_fingerprint`] and the population `N` as 8 little-endian
-//! bytes, one synced `Node` record per finalized average, and `Finished`
+//! [`campaign_fingerprint`], the population `N` as 8 little-endian bytes
+//! and the model revision ([`SIMULATION_KEY_EPOCH`]) as 4, one synced
+//! `Node` record per finalized average, and `Finished`
 //! when the rule fires or the budget runs out. On startup the durable
 //! prefix is checked by [`replay_nodes`] against the selection order and
 //! replayed into the estimator, so the campaign continues at its
 //! watermark and reports what an uninterrupted run reports (ingestion
 //! accounting and anomaly events cover only the resumed portion). A
-//! journal holding another campaign id (a fleet's log), fingerprint or
-//! population is refused before anything is written to it.
+//! journal holding another campaign id (a fleet's log), model revision,
+//! fingerprint or population is refused before anything is written to
+//! it; one written under another revision is refused with
+//! [`TelemetryError::ModelRevision`], which names both. Journals from
+//! before the revision was recorded (8 creation bytes) name theirs only
+//! through the fingerprint.
 
 use crate::anomaly::{AnomalyEvent, AnomalyMonitor, DetectorConfig};
 use crate::ingest::{Collector, IngestConfig, IngestStats, Sample};
@@ -151,11 +156,46 @@ impl LiveCampaignConfig {
 /// refuses to replay into a campaign with another, so averages metered
 /// under an older model are never mixed with new ones.
 pub fn campaign_fingerprint(cfg: &LiveCampaignConfig, population: usize) -> u64 {
+    fingerprint_under(cfg, population, SIMULATION_KEY_EPOCH)
+}
+
+fn fingerprint_under(cfg: &LiveCampaignConfig, population: usize, epoch: u32) -> u64 {
     let mut h = Fnv1a::default();
     h.write(format!("{cfg:?}").as_bytes());
     h.write_u64(population as u64);
-    h.write(&SIMULATION_KEY_EPOCH.to_le_bytes());
+    h.write(&epoch.to_le_bytes());
     h.finish()
+}
+
+/// The first model revision whose live journals record it in their
+/// creation bytes.
+const FIRST_RECORDED_REVISION: u32 = 6;
+
+/// A live journal's creation bytes: the population, then the model
+/// revision, both little-endian.
+fn creation_bytes(population: usize) -> [u8; 12] {
+    let mut bytes = [0; 12];
+    bytes[..8].copy_from_slice(&(population as u64).to_le_bytes());
+    bytes[8..].copy_from_slice(&SIMULATION_KEY_EPOCH.to_le_bytes());
+    bytes
+}
+
+/// The model revision a live journal was written under, when it can be
+/// told: read from its creation bytes or, for a journal from before they
+/// recorded it, the earlier revision whose fingerprint of this campaign
+/// it carries.
+fn journal_revision(
+    cfg: &LiveCampaignConfig,
+    population: usize,
+    fingerprint: u64,
+    spec: &[u8],
+) -> Option<u32> {
+    match spec.len() {
+        12 => Some(u32::from_le_bytes(spec[8..].try_into().expect("4 bytes"))),
+        8 if spec == (population as u64).to_le_bytes() => (1..FIRST_RECORDED_REVISION)
+            .find(|&epoch| fingerprint_under(cfg, population, epoch) == fingerprint),
+        _ => None,
+    }
 }
 
 /// What a finished live campaign reports.
@@ -287,7 +327,7 @@ fn run_campaign(
     let mut finished = false;
     if let Some(journal) = journal.as_deref_mut() {
         let fingerprint = campaign_fingerprint(cfg, population);
-        let population_bytes = (population as u64).to_le_bytes();
+        let created = creation_bytes(population);
         let mut replays = journal.replay()?;
         let live = replays.remove(&LIVE_CAMPAIGN_ID);
         if let Some(other) = replays.keys().next() {
@@ -296,9 +336,16 @@ fn run_campaign(
             )));
         }
         match live {
-            None => journal.record_created(LIVE_CAMPAIGN_ID, fingerprint, &population_bytes)?,
+            None => journal.record_created(LIVE_CAMPAIGN_ID, fingerprint, &created)?,
             Some(rep) => {
-                if rep.fingerprint != fingerprint || rep.spec != population_bytes {
+                let revision = journal_revision(cfg, population, rep.fingerprint, &rep.spec);
+                if let Some(journal) = revision.filter(|&r| r != SIMULATION_KEY_EPOCH) {
+                    return Err(TelemetryError::ModelRevision {
+                        journal,
+                        current: SIMULATION_KEY_EPOCH,
+                    });
+                }
+                if rep.fingerprint != fingerprint || rep.spec != created {
                     return Err(TelemetryError::Journal(format!(
                         "journal belongs to campaign {:#018x} ({} creation bytes), \
                          not {fingerprint:#018x}/{population} nodes",
@@ -666,11 +713,10 @@ mod tests {
     }
 
     /// A live journal holding `nodes` under the given identity.
-    fn live_journal(fingerprint: u64, population: u64, nodes: &[(u64, f64)]) -> MemJournal {
+    fn live_journal(fingerprint: u64, population: usize, nodes: &[(u64, f64)]) -> MemJournal {
         let mut journal = MemJournal::default();
-        let created = population.to_le_bytes();
         journal
-            .record_created(LIVE_CAMPAIGN_ID, fingerprint, &created)
+            .record_created(LIVE_CAMPAIGN_ID, fingerprint, &creation_bytes(population))
             .unwrap();
         for &(node, avg) in nodes {
             journal.record_node(LIVE_CAMPAIGN_ID, node, avg).unwrap();
@@ -692,7 +738,8 @@ mod tests {
         assert_eq!(journaled.relative_accuracy, plain.relative_accuracy);
         let rep = live(&mut journal);
         assert_eq!(rep.nodes.len() as u64, plain.metered_nodes);
-        assert_eq!(rep.spec, 60u64.to_le_bytes());
+        assert_eq!(rep.spec, creation_bytes(60));
+        assert_eq!(rep.spec[8..], SIMULATION_KEY_EPOCH.to_le_bytes());
         assert_eq!(rep.fingerprint, campaign_fingerprint(&cfg, 60));
         // Finished marks the end of the campaign, rule or budget.
         assert!(plain.stopped_at.is_some());
@@ -771,13 +818,56 @@ mod tests {
         let err = run_live_campaign_journaled(&sim, &cfg, &mut foreign).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
 
-        // A journal written under the previous model revision: the same
-        // config and population, fingerprinted without the epoch.
-        let mut h = Fnv1a::default();
-        h.write(format!("{cfg:?}").as_bytes());
-        h.write_u64(60);
-        let mut old_model = live_journal(h.finish(), 60, &[]);
+        // A journal written under another model revision names it in its
+        // creation bytes.
+        let mut other_model = MemJournal::default();
+        let mut created = creation_bytes(60);
+        created[8..].copy_from_slice(&(SIMULATION_KEY_EPOCH + 1).to_le_bytes());
+        other_model
+            .record_created(LIVE_CAMPAIGN_ID, 0, &created)
+            .unwrap();
+        let err = run_live_campaign_journaled(&sim, &cfg, &mut other_model).unwrap_err();
+        assert_eq!(
+            err,
+            TelemetryError::ModelRevision {
+                journal: SIMULATION_KEY_EPOCH + 1,
+                current: SIMULATION_KEY_EPOCH,
+            }
+        );
+
+        // One written before journals recorded their revision (8 creation
+        // bytes) names it through its fingerprint of the same campaign.
+        let mut old_model = MemJournal::default();
+        old_model
+            .record_created(
+                LIVE_CAMPAIGN_ID,
+                fingerprint_under(&cfg, 60, 5),
+                &created[..8],
+            )
+            .unwrap();
         let err = run_live_campaign_journaled(&sim, &cfg, &mut old_model).unwrap_err();
+        assert_eq!(
+            err,
+            TelemetryError::ModelRevision {
+                journal: 5,
+                current: SIMULATION_KEY_EPOCH,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "campaign journal was written under model revision 5, \
+                 and this build is model revision {SIMULATION_KEY_EPOCH}"
+            )
+        );
+
+        // The same 8 bytes under a fingerprint of no earlier revision: a
+        // foreign journal, not an old one.
+        let mut foreign_old = MemJournal::default();
+        foreign_old
+            .record_created(LIVE_CAMPAIGN_ID, 1, &created[..8])
+            .unwrap();
+        let err = run_live_campaign_journaled(&sim, &cfg, &mut foreign_old).unwrap_err();
         assert!(matches!(err, TelemetryError::Journal(_)), "{err}");
 
         // A journal written for a different population.

@@ -41,6 +41,42 @@ impl MPrime {
     }
 }
 
+/// `(sin, cos)` of node `node`'s modulation dephasing: each node works
+/// through its own exponent queue.
+fn node_dephase(node: usize) -> (f64, f64) {
+    (node as f64 * 1.618).sin_cos()
+}
+
+/// The node-independent part of [`MPrime`]'s utilization at one instant.
+#[derive(Debug, Clone, Copy)]
+enum MPrimeAt {
+    /// Outside the core phase: every node sits at this level.
+    Flat(f64),
+    /// Inside the core phase: `(sin, cos)` of the modulation's phase.
+    Core((f64, f64)),
+}
+
+impl MPrime {
+    /// Everything about the utilization at `t` that does not depend on the
+    /// node: the phase checks and the modulation's one `sin_cos`.
+    fn at(&self, t: f64) -> MPrimeAt {
+        if !self.phases.in_run(t) {
+            return MPrimeAt::Flat(0.0);
+        }
+        if !self.phases.in_core(t) {
+            return MPrimeAt::Flat(0.05);
+        }
+        let dt = t - self.phases.core_start();
+        MPrimeAt::Core((dt / self.period_secs * std::f64::consts::TAU).sin_cos())
+    }
+
+    /// `level + swing·sin(a + b)` by angle addition, clamped, from the
+    /// step's `(sin a, cos a)` and the node's `(sin b, cos b)`.
+    fn node(&self, (sa, ca): (f64, f64), (sb, cb): (f64, f64)) -> f64 {
+        (self.level + self.swing * (sa * cb + ca * sb)).clamp(0.0, 1.0)
+    }
+}
+
 impl Workload for MPrime {
     fn name(&self) -> &str {
         "MPrime"
@@ -51,17 +87,29 @@ impl Workload for MPrime {
     }
 
     fn utilization(&self, node: usize, t: f64) -> f64 {
-        if !self.phases.in_run(t) {
-            return 0.0;
+        match self.at(t) {
+            MPrimeAt::Flat(u) => u,
+            MPrimeAt::Core(sin_cos) => self.node(sin_cos, node_dephase(node)),
         }
-        if !self.phases.in_core(t) {
-            return 0.05;
+    }
+
+    /// `(sin, cos)` of the node's modulation dephasing.
+    fn lane_term(&self, node: usize) -> [f64; 2] {
+        let (sb, cb) = node_dephase(node);
+        [sb, cb]
+    }
+
+    fn utilizations(&self, t: f64, nodes: &[usize], terms: &[[f64; 2]], out: &mut [f64]) {
+        debug_assert_eq!(nodes.len(), out.len());
+        debug_assert_eq!(terms.len(), out.len());
+        match self.at(t) {
+            MPrimeAt::Flat(u) => out.fill(u),
+            MPrimeAt::Core(sin_cos) => {
+                for (u, &[sb, cb]) in out.iter_mut().zip(terms) {
+                    *u = self.node(sin_cos, (sb, cb));
+                }
+            }
         }
-        let dt = t - self.phases.core_start();
-        // Each node works through its own exponent queue: dephase the
-        // modulation per node.
-        let phase = dt / self.period_secs * std::f64::consts::TAU + node as f64 * 1.618;
-        (self.level + self.swing * phase.sin()).clamp(0.0, 1.0)
     }
 
     fn fingerprint(&self, h: &mut Fnv1a) {
@@ -110,6 +158,25 @@ mod tests {
         for i in 0..360 {
             let u = m.utilization(3, i as f64 * 10.0);
             assert!((u - 0.96).abs() <= 0.015 + 1e-12, "u = {u}");
+        }
+    }
+
+    #[test]
+    fn angle_addition_matches_the_direct_sine() {
+        let m = MPrime::new(RunPhases::core_only(3600.0).unwrap());
+        for node in [0, 1, 7, 515, 99_999] {
+            for i in 0..360 {
+                let t = i as f64 * 10.0;
+                let phase = t / 600.0 * std::f64::consts::TAU + node as f64 * 1.618;
+                let direct = (0.96 + 0.015 * phase.sin()).clamp(0.0, 1.0);
+                let u = m.utilization(node, t);
+                // The direct sum rounds the phase at its own magnitude.
+                let tol = 1e-15 + 0.015 * 2.0 * phase * f64::EPSILON;
+                assert!(
+                    (u - direct).abs() < tol,
+                    "node {node} t {t}: {u} vs {direct}"
+                );
+            }
         }
     }
 
