@@ -13,7 +13,12 @@
 //!   stays interactive while the fleet churns;
 //! * **top-10 poll latency** — the `limit=10` query the live endpoint
 //!   is polled with must take at most 150 µs at the median over 2 000
-//!   finished campaigns.
+//!   finished campaigns;
+//! * **settled poll** — once a worker has answered that poll, the
+//!   reactor's inline answer (`route_fast`, replaying the response
+//!   stamped with the unchanged fleet version) must cost at most a
+//!   quarter of the worker's `route` at the median, measured in the same
+//!   process so the budget holds on any host.
 //!
 //! Every measured figure lands in `BENCH_fleet.json` via
 //! [`power_bench::report`].
@@ -21,6 +26,8 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use power_bench::report::{self, Direction};
 use power_fleet::{Fleet, FleetCampaignSpec, FleetConfig};
+use power_serve::http::{read_request, HttpLimits};
+use power_serve::{route, route_fast, ServeConfig, ServeState};
 use power_telemetry::ingest::{IngestConfig, Sample};
 use power_telemetry::plane::{IngestPlane, PlaneConfig};
 use std::hint::black_box;
@@ -192,17 +199,17 @@ fn bench_plane_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Times `queries` leaderboard queries at `limit`; returns the sorted
-/// per-query latencies in µs.
-fn leaderboard_times_us(fleet: &Fleet, limit: usize, queries: usize) -> Vec<f64> {
+/// Times `queries` calls of `query`; returns the sorted per-call
+/// latencies in µs.
+fn times_us<T>(queries: usize, mut query: impl FnMut() -> T) -> Vec<f64> {
     let mut times_us: Vec<f64> = (0..queries)
         .map(|_| {
             let start = Instant::now();
-            black_box(fleet.leaderboard(limit));
+            black_box(query());
             start.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    times_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times_us.sort_by(f64::total_cmp);
     times_us
 }
 
@@ -214,7 +221,7 @@ fn bench_leaderboard(c: &mut Criterion) {
     assert!(warm[0].gflops_per_w >= warm[99].gflops_per_w);
 
     let queries = 201;
-    let times_us = leaderboard_times_us(&fleet, 100, queries);
+    let times_us = times_us(queries, || fleet.leaderboard(100));
     let median = times_us[queries / 2];
     report::budget("leaderboard_median_us", median, Direction::AtMost, 1_000.0);
     report::metric("leaderboard_p99_us", times_us[queries * 99 / 100]);
@@ -232,13 +239,13 @@ fn bench_leaderboard(c: &mut Criterion) {
     group.finish();
 }
 
-/// Budget 4: the `GET /v1/leaderboard?limit=10` poll over 2 000
-/// finished campaigns of the load generator's shape. The top-k
-/// selection builds rows only for candidates; building, cloning and
-/// sorting every row costs about three times the ceiling.
-fn bench_leaderboard_top10(c: &mut Criterion) {
-    const POLL_CAMPAIGNS: u64 = 2_000;
-    let fleet = Fleet::new(FleetConfig::default()).expect("fleet config");
+/// Campaigns behind the poll budgets (4 and 5), the load generator's
+/// roster size.
+const POLL_CAMPAIGNS: u64 = 2_000;
+
+/// Fills `fleet` with [`POLL_CAMPAIGNS`] campaigns of the load
+/// generator's shape and drives every one to its stopping rule.
+fn finish_poll_roster(fleet: &Fleet) {
     for i in 0..POLL_CAMPAIGNS {
         let spec = FleetCampaignSpec {
             name: format!("loadgen-{}-{}", i / 50, i % 50),
@@ -250,6 +257,15 @@ fn bench_leaderboard_top10(c: &mut Criterion) {
         fleet.create(spec).expect("create campaign");
     }
     fleet.drive_until_idle();
+}
+
+/// Budget 4: the `GET /v1/leaderboard?limit=10` poll over 2 000
+/// finished campaigns of the load generator's shape. The top-k
+/// selection builds rows only for candidates; building, cloning and
+/// sorting every row costs about three times the ceiling.
+fn bench_leaderboard_top10(c: &mut Criterion) {
+    let fleet = Fleet::new(FleetConfig::default()).expect("fleet config");
+    finish_poll_roster(&fleet);
     let full = fleet.leaderboard(0);
     assert_eq!(full.len(), POLL_CAMPAIGNS as usize);
     assert_eq!(
@@ -259,7 +275,7 @@ fn bench_leaderboard_top10(c: &mut Criterion) {
     );
 
     let queries = 401;
-    let times_us = leaderboard_times_us(&fleet, 10, queries);
+    let times_us = times_us(queries, || fleet.leaderboard(10));
     let median = times_us[queries / 2];
     report::budget(
         "leaderboard_top10_of_2000_median_us",
@@ -285,11 +301,61 @@ fn bench_leaderboard_top10(c: &mut Criterion) {
     group.finish();
 }
 
+/// Budget 5: the same poll once the fleet has settled. A worker's
+/// `route` ranks the roster and stamps its response with the fleet
+/// version; the reactor's `route_fast` replays it while the version
+/// holds. The hit must cost at most a quarter of the worker path it
+/// replaces, both timed here, so the limit moves with the host.
+fn bench_leaderboard_poll_settled(c: &mut Criterion) {
+    let state = ServeState::new(ServeConfig::default());
+    finish_poll_roster(&state.fleet);
+    let raw = b"GET /v1/leaderboard?limit=10 HTTP/1.1\r\n\r\n";
+    let poll = read_request(&mut &raw[..], &HttpLimits::default())
+        .expect("poll parses")
+        .expect("one request");
+    let ranked = route(&state, &poll);
+    assert_eq!(ranked.1.status, 200);
+    assert_eq!(
+        route_fast(&state, &poll).as_ref(),
+        Some(&ranked),
+        "a settled poll must answer inline, identical to the worker's"
+    );
+
+    let queries = 401;
+    let route_us = times_us(queries, || route(&state, &poll))[queries / 2];
+    let settled_us =
+        times_us(queries, || route_fast(&state, &poll).expect("settled hit"))[queries / 2];
+    let ratio = settled_us / route_us;
+    report::metric("leaderboard_poll_route_us", route_us);
+    report::metric("leaderboard_poll_settled_ratio", ratio);
+    report::budget(
+        "leaderboard_poll_settled_us",
+        settled_us,
+        Direction::AtMost,
+        route_us / 4.0,
+    );
+    println!(
+        "fleet_leaderboard: settled top-10 poll of {POLL_CAMPAIGNS} inline median \
+         {settled_us:.2}us vs worker route {route_us:.1}us ({ratio:.3}x, ceiling 0.25x)"
+    );
+
+    let mut group = c.benchmark_group("fleet_leaderboard");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::new("poll", "route_top10_of_2000"), |b| {
+        b.iter(|| black_box(route(&state, &poll).1.body.len()))
+    });
+    group.bench_function(BenchmarkId::new("poll", "settled_top10_of_2000"), |b| {
+        b.iter(|| black_box(route_fast(&state, &poll).map(|r| r.1.body.len())))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fleet_concurrency,
     bench_plane_ingest,
     bench_leaderboard,
-    bench_leaderboard_top10
+    bench_leaderboard_top10,
+    bench_leaderboard_poll_settled
 );
 power_bench::bench_main!("fleet", benches);

@@ -175,6 +175,9 @@ pub struct Fleet {
     next_id: AtomicU64,
     campaigns: AtomicU64,
     live: AtomicU64,
+    /// Bumped after every change a leaderboard can show; see
+    /// [`Fleet::version`].
+    version: AtomicU64,
     stopping: AtomicBool,
     idle: Mutex<()>,
     wake: Condvar,
@@ -219,6 +222,7 @@ impl Fleet {
             next_id: AtomicU64::new(0),
             campaigns: AtomicU64::new(0),
             live: AtomicU64::new(0),
+            version: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
             idle: Mutex::new(()),
             wake: Condvar::new(),
@@ -332,6 +336,24 @@ impl Fleet {
         self.live.load(Ordering::Relaxed)
     }
 
+    /// A counter that moves after every change a leaderboard can show:
+    /// a [`Fleet::create`], a [`Fleet::delete`], and an
+    /// [`Fleet::advance_shard`] pass that advanced or finished a live
+    /// campaign. Reads and passes over a shard with no live campaign
+    /// leave it where it is.
+    ///
+    /// The fleet is mutated, then the version is bumped (`Release`); a
+    /// reader loads it (`Acquire`) before it ranks, so what it ranks is
+    /// never older than the version it read. A response stamped with
+    /// that version is current for as long as `version()` returns it.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    fn bump_version(&self) {
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
     /// Creates a campaign and returns its id. The creation is journaled
     /// before the campaign becomes visible, so a crash can lose an
     /// unacknowledged creation but never acknowledge a lost one.
@@ -372,6 +394,7 @@ impl Fleet {
             .insert(id, runtime);
         self.campaigns.fetch_add(1, Ordering::Relaxed);
         self.live.fetch_add(1, Ordering::Relaxed);
+        self.bump_version();
         self.wake.notify_all();
         Ok(id)
     }
@@ -389,6 +412,7 @@ impl Fleet {
             self.live.fetch_sub(1, Ordering::Relaxed);
         }
         self.campaigns.fetch_sub(1, Ordering::Relaxed);
+        self.bump_version();
         self.plane.deregister(id);
         if let Some(journal) = &self.journal {
             journal
@@ -448,19 +472,26 @@ impl Fleet {
     /// Advances every live campaign on `shard` by exactly one node.
     /// Returns the number of nodes metered. A campaign whose advance
     /// fails is marked `Failed` and skipped thereafter; the pass
-    /// continues so one bad campaign cannot stall a shard.
+    /// continues so one bad campaign cannot stall a shard. A pass that
+    /// touched a live campaign bumps [`Fleet::version`].
     pub fn advance_shard(&self, shard: usize) -> u64 {
         let mut scratch: Vec<Sample> = Vec::new();
         let mut table = self.tables[shard].lock().expect("fleet table poisoned");
         let mut advanced = 0;
+        let mut touched = false;
         for (&id, rt) in table.iter_mut() {
             if rt.state != CampaignState::Live {
                 continue;
             }
+            touched = true;
             match self.advance_one(id, rt, &mut scratch) {
                 Ok(()) => advanced += 1,
                 Err(e) => self.finish(id, rt, CampaignState::Failed, Some(e.to_string())),
             }
+        }
+        drop(table);
+        if touched {
+            self.bump_version();
         }
         advanced
     }

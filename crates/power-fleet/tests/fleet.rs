@@ -539,3 +539,129 @@ proptest! {
         assert_topk_matches_oracle(&mixed_fleet(shards, campaigns, classes, &rounds));
     }
 }
+
+/// A journal that refuses node records once `fail` is set — the seam
+/// that turns a live campaign `Failed` mid-pass.
+struct FlakyJournal {
+    inner: MemJournal,
+    fail: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl FleetJournal for FlakyJournal {
+    fn replay(&mut self) -> power_telemetry::Result<BTreeMap<u64, CampaignReplay>> {
+        self.inner.replay()
+    }
+    fn record_created(&mut self, id: u64, fp: u64, spec: &[u8]) -> power_telemetry::Result<()> {
+        self.inner.record_created(id, fp, spec)
+    }
+    fn record_node(&mut self, id: u64, node: u64, average: f64) -> power_telemetry::Result<()> {
+        if self.fail.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(power_telemetry::TelemetryError::Journal(
+                "injected node-record failure".into(),
+            ));
+        }
+        self.inner.record_node(id, node, average)
+    }
+    fn record_finished(&mut self, id: u64) -> power_telemetry::Result<()> {
+        self.inner.record_finished(id)
+    }
+    fn record_deleted(&mut self, id: u64) -> power_telemetry::Result<()> {
+        self.inner.record_deleted(id)
+    }
+    fn sync(&mut self) -> power_telemetry::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// Every read the serving layer makes of a fleet; none may move
+/// [`Fleet::version`].
+fn assert_reads_keep_version(fleet: &Fleet) {
+    let before = fleet.version();
+    fleet.leaderboard(10);
+    fleet.leaderboard(0);
+    for id in 0..4 {
+        fleet.status(id);
+    }
+    fleet.list();
+    fleet.state_counts();
+    assert_eq!(fleet.version(), before, "a read moved the version");
+}
+
+#[test]
+fn version_moves_on_every_leaderboard_visible_change_and_only_then() {
+    let fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let v0 = fleet.version();
+    assert_reads_keep_version(&fleet);
+    for shard in 0..2 {
+        assert_eq!(fleet.advance_shard(shard), 0);
+    }
+    assert_eq!(fleet.version(), v0, "passes over empty shards");
+
+    let id = fleet.create(spec(0)).unwrap();
+    let (home, other) = ((id % 2) as usize, ((id + 1) % 2) as usize);
+    assert!(fleet.version() > v0, "create");
+    assert_reads_keep_version(&fleet);
+    let before = fleet.version();
+    fleet.advance_shard(other);
+    assert_eq!(
+        fleet.version(),
+        before,
+        "a pass over a shard with no campaign"
+    );
+
+    // Every round meters a node, and the last one finishes the campaign.
+    let mut rounds = 0;
+    while fleet.status(id).unwrap().state == CampaignState::Live {
+        let before = fleet.version();
+        assert_eq!(fleet.advance_shard(home), 1);
+        assert!(fleet.version() > before, "round {rounds}");
+        rounds += 1;
+    }
+    assert_eq!(fleet.status(id).unwrap().state, CampaignState::Stopped);
+    assert!(rounds >= 2, "the campaign must meter before it stops");
+    assert_reads_keep_version(&fleet);
+    let settled = fleet.version();
+    for shard in 0..2 {
+        assert_eq!(fleet.advance_shard(shard), 0);
+    }
+    assert_eq!(fleet.version(), settled, "passes over finished campaigns");
+
+    assert!(fleet.delete(id).unwrap());
+    assert!(fleet.version() > settled, "delete");
+    let deleted = fleet.version();
+    assert!(!fleet.delete(id).unwrap());
+    assert_eq!(fleet.version(), deleted, "deleting an unknown id");
+}
+
+#[test]
+fn version_moves_when_a_journal_failure_fails_a_campaign() {
+    let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let fleet = Fleet::open(
+        FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        },
+        Box::new(FlakyJournal {
+            inner: MemJournal::default(),
+            fail: Arc::clone(&fail),
+        }),
+    )
+    .unwrap();
+    let id = fleet.create(spec(1)).unwrap();
+    fleet.advance_shard(0);
+    fail.store(true, std::sync::atomic::Ordering::SeqCst);
+    let before = fleet.version();
+    assert_eq!(fleet.advance_shard(0), 0, "the failing node is not metered");
+    assert_eq!(fleet.status(id).unwrap().state, CampaignState::Failed);
+    assert!(
+        fleet.version() > before,
+        "the pass that failed the campaign"
+    );
+    let failed = fleet.version();
+    fleet.advance_shard(0);
+    assert_eq!(fleet.version(), failed, "a pass over a failed campaign");
+}

@@ -78,12 +78,13 @@ pub fn route(state: &ServeState, req: &Request) -> (Endpoint, Response) {
 
 /// The reactor-inline half of the router. Answers requests whose
 /// handlers are cheap and never block — liveness, metrics, the catalog,
-/// wrong-method `405`s, unknown-path `404`s, and `/v1/trace/window`
-/// queries a store summary tier can aggregate — and returns `None` for
-/// anything that may simulate, lock the fleet, or sleep, which the
-/// caller must hand to the worker pool. Everything it answers except
-/// the window query goes through [`route`], so the two agree byte for
-/// byte.
+/// wrong-method `405`s, unknown-path `404`s, `/v1/trace/window` queries
+/// a store summary tier can aggregate, and `/v1/leaderboard` polls the
+/// last worker already answered for an unchanged fleet — and returns
+/// `None` for anything that may simulate, rank the fleet, or sleep,
+/// which the caller must hand to the worker pool. Everything it answers
+/// except the window query and the replayed leaderboard goes through
+/// [`route`], so the two agree byte for byte.
 pub fn route_fast(state: &ServeState, req: &Request) -> Option<(Endpoint, Response)> {
     if req.path.starts_with("/v1/campaigns")
         || (state.config.debug_routes && req.path.starts_with("/debug/"))
@@ -94,8 +95,11 @@ pub fn route_fast(state: &ServeState, req: &Request) -> Option<(Endpoint, Respon
         ("GET", "/v1/trace/window") => {
             trace_window_fast(state, req).map(|r| (Endpoint::TraceWindow, r))
         }
-        // Handlers that may simulate or contend on the fleet.
-        ("POST", "/v1/sample-size") | ("POST", "/v1/measure") | ("GET", "/v1/leaderboard") => None,
+        ("GET", "/v1/leaderboard") => {
+            leaderboard_fast(state, req).map(|r| (Endpoint::Leaderboard, r))
+        }
+        // Handlers that may simulate.
+        ("POST", "/v1/sample-size") | ("POST", "/v1/measure") => None,
         _ => Some(route(state, req)),
     }
 }
@@ -882,26 +886,49 @@ fn campaign_item(state: &ServeState, req: &Request, rest: &str) -> Response {
     }
 }
 
-/// `GET /v1/leaderboard` — live Green500-style ranking with CIs.
+/// The `limit` a leaderboard query asks for (absent means 100).
+fn leaderboard_limit(req: &Request) -> Result<usize, Response> {
+    Ok(parse_query_u64(req, "limit")?.unwrap_or(100) as usize)
+}
+
+/// `GET /v1/leaderboard` — live Green500-style ranking with CIs. Every
+/// answer is stored in the state's leaderboard slot, stamped with the
+/// fleet version read *before* ranking: a change that lands during the
+/// ranking bumps the version past the stamp, so a stored body is never
+/// older than its stamp.
 fn leaderboard(state: &ServeState, req: &Request) -> Response {
-    let limit = match parse_query_u64(req, "limit") {
-        Ok(v) => v.unwrap_or(100) as usize,
+    let limit = match leaderboard_limit(req) {
+        Ok(limit) => limit,
         Err(r) => return r,
     };
+    let version = state.fleet.version();
     let rows: Vec<Json> = state
         .fleet
         .leaderboard(limit)
         .iter()
         .map(leaderboard_row_json)
         .collect();
-    Response::json(
+    let response = Response::json(
         200,
         &Json::object([
             ("campaigns", Json::num(state.fleet.campaign_count() as f64)),
             ("live", Json::num(state.fleet.live_count() as f64)),
             ("rows", Json::Array(rows)),
         ]),
-    )
+    );
+    state.leaderboard.store(version, limit, &response);
+    response
+}
+
+/// The reactor-inline half of `/v1/leaderboard`: the slot's response
+/// when it was ranked for this `limit` at the fleet's current version,
+/// read with one atomic load and the slot's own mutex — no fleet table
+/// lock. `None` (a changed fleet, another limit, an invalid limit, a
+/// poisoned slot) sends the poll to a worker, where [`leaderboard`]
+/// ranks it and refills the slot.
+fn leaderboard_fast(state: &ServeState, req: &Request) -> Option<Response> {
+    let limit = leaderboard_limit(req).ok()?;
+    state.leaderboard.get(state.fleet.version(), limit)
 }
 
 fn opt_num(v: Option<f64>) -> Json {
@@ -1547,6 +1574,108 @@ mod tests {
         let fast = route_fast(&state, &get(path)).expect("warm window answers inline");
         assert_eq!(fast.1.status, 200);
         assert_eq!(fast.1.body, warm.body);
+
+        // A leaderboard poll defers until a worker has ranked it; then
+        // the same limit answers inline, identical to `route`, until the
+        // fleet changes.
+        let board = "/v1/leaderboard?limit=10";
+        let batch = r#"{"population": 32, "samples_per_node": 4, "count": 3}"#;
+        assert_eq!(route(&state, &post("/v1/campaigns", batch)).1.status, 201);
+        state.fleet.drive_until_idle();
+        assert!(
+            route_fast(&state, &get(board)).is_none(),
+            "nothing ranked yet"
+        );
+        let ranked = route(&state, &get(board));
+        assert_eq!(ranked.1.status, 200);
+        assert_eq!(route_fast(&state, &get(board)), Some(ranked));
+        assert!(route_fast(&state, &get("/v1/leaderboard?limit=1")).is_none());
+        assert!(route_fast(&state, &get("/v1/leaderboard?limit=ten")).is_none());
+        // An absent limit is 100.
+        assert!(route_fast(&state, &get("/v1/leaderboard")).is_none());
+        let default = route(&state, &get("/v1/leaderboard"));
+        assert_eq!(
+            route_fast(&state, &get("/v1/leaderboard?limit=100")),
+            Some(default)
+        );
+
+        // Any change defers the next poll.
+        let defers = |what: &str, change: &dyn Fn()| {
+            route(&state, &get(board));
+            assert!(route_fast(&state, &get(board)).is_some(), "before {what}");
+            change();
+            assert!(route_fast(&state, &get(board)).is_none(), "after {what}");
+        };
+        let one = r#"{"population": 32, "samples_per_node": 4}"#;
+        let created = route(&state, &post("/v1/campaigns", one)).1;
+        let id = body_json(&created).get("id").unwrap().as_u64().unwrap();
+        defers("create", &|| {
+            assert_eq!(route(&state, &post("/v1/campaigns", one)).1.status, 201)
+        });
+        defers("a driven round", &|| {
+            let metered: u64 = (0..state.fleet.shards())
+                .map(|shard| state.fleet.advance_shard(shard))
+                .sum();
+            assert!(metered > 0);
+        });
+        defers("delete", &|| {
+            let path = format!("/v1/campaigns/{id}");
+            assert_eq!(route(&state, &delete(&path)).1.status, 200);
+        });
+    }
+
+    /// Random creates, scheduler passes, deletes and polls at limits 1,
+    /// 10 and 0: every poll the reactor answers inline equals what a
+    /// worker would rank at that point.
+    #[test]
+    fn inline_leaderboard_answers_equal_a_fresh_ranking() {
+        let state = state();
+        let mut seed = 0x1EAD_B0A2_u64;
+        let mut next = move || {
+            // SplitMix64.
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut ids: Vec<u64> = Vec::new();
+        let (mut hits, mut misses) = (0, 0);
+        for step in 0..1_500u64 {
+            match next() % 20 {
+                0 | 1 => {
+                    let body =
+                        format!(r#"{{"population": 32, "samples_per_node": 4, "seed": {step}}}"#);
+                    let created = route(&state, &post("/v1/campaigns", &body)).1;
+                    assert_eq!(created.status, 201);
+                    ids.push(body_json(&created).get("id").unwrap().as_u64().unwrap());
+                }
+                2 if !ids.is_empty() => {
+                    let id = ids.swap_remove(next() as usize % ids.len());
+                    let path = format!("/v1/campaigns/{id}");
+                    assert_eq!(route(&state, &delete(&path)).1.status, 200);
+                }
+                3..=7 => {
+                    state
+                        .fleet
+                        .advance_shard(next() as usize % state.fleet.shards());
+                }
+                _ => {
+                    let limit = [1, 10, 0][next() as usize % 3];
+                    let req = get(&format!("/v1/leaderboard?limit={limit}"));
+                    match route_fast(&state, &req) {
+                        Some(fast) => {
+                            hits += 1;
+                            assert_eq!(fast, route(&state, &req), "step {step}, limit {limit}");
+                        }
+                        None => {
+                            misses += 1;
+                            route(&state, &req);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(hits >= 100 && misses >= 100, "{hits} hits, {misses} misses");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   connections cost ten thousand fds and small buffers — not ten
 //!   thousand threads.
 //! * Cheap routes (`/healthz`, `/metrics`, the catalog, wrong-method
-//!   `405`s, summary-answerable `/v1/trace/window` queries) are answered
-//!   **inline** on the reactor thread via [`crate::router::route_fast`].
+//!   `405`s, summary-answerable `/v1/trace/window` queries, and
+//!   `/v1/leaderboard` polls a worker already answered for the unchanged
+//!   fleet) are answered **inline** on the reactor thread via
+//!   [`crate::router::route_fast`].
 //!   Routes that may simulate or contend are handed to a fixed pool of
 //!   **worker threads** through a bounded dispatch queue; the worker
 //!   routes the request and posts the response back as a completion, and

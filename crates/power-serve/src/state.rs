@@ -2,16 +2,17 @@
 //! metrics.
 //!
 //! One [`ServeState`] is shared (via `Arc`) by every worker thread. All
-//! interior mutability lives in the [`TraceStore`] and [`Metrics`] — the
-//! catalog and configuration are immutable after construction, so
-//! handlers never contend except on the caches they are supposed to
-//! share.
+//! interior mutability lives in the [`TraceStore`], the fleet, the
+//! leaderboard slot and [`Metrics`] — the catalog and configuration are
+//! immutable after construction, so handlers never contend except on the
+//! caches they are supposed to share.
 //!
 //! With [`ServeConfig::store_dir`] set, the trace store gains a disk
 //! tier: a crash-safe `power-archive` store that survives restarts, so a
 //! sweep computed by one server process is served from disk — not
 //! recomputed — by the next.
 
+use crate::http::Response;
 use crate::metrics::Metrics;
 use power_archive::{Archive, FleetWal, ProductsArchive};
 use power_fleet::{Fleet, FleetConfig};
@@ -19,7 +20,7 @@ use power_sim::store::{ArchiveTier, TraceStore};
 use power_sim::systems::SystemPreset;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Resource and simulation-shape limits for the service.
@@ -95,6 +96,42 @@ pub struct ServeState {
     pub metrics: Metrics,
     /// Server start time, for `/healthz` uptime.
     pub started: Instant,
+    /// The last `/v1/leaderboard` response a worker ranked, which the
+    /// reactor replays while the fleet has not changed.
+    pub(crate) leaderboard: LeaderboardSlot,
+}
+
+/// One `/v1/leaderboard` response, stamped with the
+/// [`Fleet::version`] its worker read before ranking and the `limit` it
+/// ranked for. The stamp makes the slot self-invalidating: once the
+/// fleet changes, the current version no longer matches and every
+/// lookup misses until a worker ranks again.
+#[derive(Debug, Default)]
+pub(crate) struct LeaderboardSlot(Mutex<Option<(u64, usize, Response)>>);
+
+impl LeaderboardSlot {
+    /// The stored response, if it was ranked at `version` for `limit`. A
+    /// poisoned slot reads as a miss.
+    pub(crate) fn get(&self, version: u64, limit: usize) -> Option<Response> {
+        let slot = self.0.lock().ok()?;
+        match &*slot {
+            Some((v, l, response)) if *v == version && *l == limit => Some(response.clone()),
+            _ => None,
+        }
+    }
+
+    /// Stores `response`, ranked at `version` for `limit`, unless the
+    /// slot already holds a newer version: a worker that ranked before
+    /// a change never overwrites the answer of one that ranked after it.
+    pub(crate) fn store(&self, version: u64, limit: usize, response: &Response) {
+        let Ok(mut slot) = self.0.lock() else {
+            return;
+        };
+        if slot.as_ref().is_some_and(|(v, _, _)| *v > version) {
+            return;
+        }
+        *slot = Some((version, limit, response.clone()));
+    }
 }
 
 impl ServeState {
@@ -144,6 +181,7 @@ impl ServeState {
             fleet: Arc::new(fleet),
             metrics: Metrics::new(),
             started: Instant::now(),
+            leaderboard: LeaderboardSlot::default(),
         })
     }
 
@@ -209,5 +247,40 @@ mod tests {
         assert!(!plain.store.has_archive());
         assert!(plain.archive.is_none());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn leaderboard_slot_keeps_the_newest_version() {
+        let slot = LeaderboardSlot::default();
+        let body = |text: &str| Response::text(200, text);
+        assert_eq!(slot.get(0, 10), None, "an empty slot misses");
+        slot.store(5, 10, &body("v5"));
+        assert_eq!(slot.get(5, 10), Some(body("v5")));
+        assert_eq!(slot.get(5, 1), None, "another limit misses");
+        assert_eq!(slot.get(6, 10), None, "a newer fleet misses");
+        assert_eq!(slot.get(4, 10), None, "an older fleet misses");
+        // A worker that read an older version never replaces the slot,
+        // whatever its limit.
+        slot.store(4, 10, &body("v4"));
+        slot.store(4, 1, &body("v4 limit 1"));
+        assert_eq!(slot.get(5, 10), Some(body("v5")));
+        assert_eq!(slot.get(4, 10), None);
+        assert_eq!(slot.get(4, 1), None);
+        // The same version replaces it (another limit), a newer one too.
+        slot.store(5, 1, &body("v5 limit 1"));
+        assert_eq!(slot.get(5, 1), Some(body("v5 limit 1")));
+        assert_eq!(slot.get(5, 10), None, "one slot holds one limit");
+        slot.store(7, 10, &body("v7"));
+        assert_eq!(slot.get(7, 10), Some(body("v7")));
+
+        // A poisoned slot misses and ignores stores instead of panicking.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = slot.0.lock().unwrap();
+            panic!("poison the slot");
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(slot.get(7, 10), None);
+        slot.store(8, 10, &body("v8"));
+        assert_eq!(slot.get(8, 10), None);
     }
 }
