@@ -928,4 +928,227 @@ mod tests {
             "{err}"
         );
     }
+
+    /// What [`live_reports_are_pinned`] holds fixed of a report: the stop,
+    /// the node counts, the estimate and its interval as bits, every
+    /// ingest counter, and the anomaly events.
+    type Pin = (
+        Option<u64>,
+        u64,
+        u64,
+        [u64; 3],
+        [u64; 5],
+        Vec<(usize, u64, &'static str)>,
+    );
+
+    fn pin(r: &LiveCampaignReport) -> Pin {
+        let IngestStats {
+            accepted,
+            late_dropped,
+            gaps,
+            reordered,
+            duplicates,
+        } = r.ingest;
+        let events = r
+            .anomalies
+            .iter()
+            .map(|e| {
+                let kind = match e.kind {
+                    crate::anomaly::AnomalyKind::Drift { .. } => "drift",
+                    crate::anomaly::AnomalyKind::Stuck { .. } => "stuck",
+                    crate::anomaly::AnomalyKind::Gap { .. } => "gap",
+                };
+                (e.node, e.seq, kind)
+            })
+            .collect();
+        (
+            r.stopped_at,
+            r.metered_nodes,
+            r.resumed_nodes,
+            [
+                r.mean_node_w.to_bits(),
+                r.ci.lower().to_bits(),
+                r.ci.upper().to_bits(),
+            ],
+            [accepted, late_dropped, gaps, reordered, duplicates],
+            events,
+        )
+    }
+
+    /// Four campaigns' reports, and a resume of the faulted one from a
+    /// three-node prefix, pinned bit for bit: a planned-CV Table 5 cell
+    /// on ideal meters, an empirical-CV PDU campaign, the same with a
+    /// drift and a stuck meter under a detector, and a node-capped
+    /// campaign.
+    #[test]
+    fn live_reports_are_pinned() {
+        let (cluster, wl) = rig(60, 30.0, 300.0);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let planned = LiveCampaignConfig::table5(0.02, 0.03, MeterModel::ideal());
+        let pdu = LiveCampaignConfig {
+            cv: CvAssumption::Empirical,
+            pilot_nodes: 6,
+            lateness: 4,
+            ..LiveCampaignConfig::table5(0.01, 0.03, MeterModel::pdu_grade())
+        };
+        let mut faulted = pdu.clone();
+        let order = faulted.selection_order(60).unwrap();
+        faulted.faults = vec![
+            (order[1], MeterFault::Drift { rate_per_hour: 0.9 }),
+            (order[3], MeterFault::StuckAfter { after_s: 60.0 }),
+        ];
+        faulted.detector = Some(DetectorConfig {
+            drift_window: 24,
+            drift_threshold_per_hour: 0.5,
+            stuck_run: 10,
+            stuck_tolerance_w: 0.0,
+            gap_threshold: 5,
+        });
+        let capped = LiveCampaignConfig {
+            lambda: 1e-6,
+            max_nodes: 10,
+            ..pdu.clone()
+        };
+        let mut got: Vec<Pin> = [&planned, &pdu, &faulted, &capped]
+            .into_iter()
+            .map(|cfg| pin(&run_live_campaign(&sim, cfg).unwrap()))
+            .collect();
+        let mut journal = CrashingJournal {
+            fail_after: Some(3),
+            ..CrashingJournal::default()
+        };
+        run_live_campaign_journaled(&sim, &faulted, &mut journal).unwrap_err();
+        journal.fail_after = None;
+        got.push(pin(&run_live_campaign_journaled(
+            &sim,
+            &faulted,
+            &mut journal,
+        )
+        .unwrap()));
+        // At dt = 5 s the core phase's thermal rise trips the drift
+        // detector on every node; the pin holds what the monitor reports.
+        let want: Vec<Pin> = vec![
+            (
+                Some(8),
+                8,
+                0,
+                [
+                    4644596354562026782,
+                    4644540957978016209,
+                    4644651751146037355,
+                ],
+                [576, 0, 0, 295, 0],
+                vec![],
+            ),
+            (
+                Some(15),
+                15,
+                0,
+                [
+                    4644543706630605592,
+                    4644485953499377306,
+                    4644601459761833878,
+                ],
+                [1080, 0, 0, 525, 0],
+                vec![],
+            ),
+            (
+                Some(16),
+                16,
+                0,
+                [
+                    4644558529811147916,
+                    4644502062305021414,
+                    4644614997317274418,
+                ],
+                [1152, 0, 0, 562, 0],
+                vec![
+                    (0, 47, "drift"),
+                    (0, 66, "drift"),
+                    (1, 47, "drift"),
+                    (1, 67, "drift"),
+                    (2, 47, "drift"),
+                    (2, 66, "drift"),
+                    (3, 26, "stuck"),
+                    (3, 47, "drift"),
+                    (4, 47, "drift"),
+                    (4, 66, "drift"),
+                    (5, 47, "drift"),
+                    (5, 66, "drift"),
+                    (6, 47, "drift"),
+                    (6, 66, "drift"),
+                    (7, 47, "drift"),
+                    (7, 66, "drift"),
+                    (8, 47, "drift"),
+                    (8, 66, "drift"),
+                    (9, 47, "drift"),
+                    (9, 66, "drift"),
+                    (10, 47, "drift"),
+                    (10, 66, "drift"),
+                    (11, 47, "drift"),
+                    (11, 66, "drift"),
+                    (12, 47, "drift"),
+                    (12, 66, "drift"),
+                    (13, 47, "drift"),
+                    (13, 66, "drift"),
+                    (14, 47, "drift"),
+                    (14, 66, "drift"),
+                    (15, 47, "drift"),
+                    (15, 66, "drift"),
+                ],
+            ),
+            (
+                None,
+                10,
+                0,
+                [
+                    4644554086020371797,
+                    4644473760760442099,
+                    4644634411280301495,
+                ],
+                [720, 0, 0, 358, 0],
+                vec![],
+            ),
+            (
+                Some(16),
+                16,
+                3,
+                [
+                    4644558529811147916,
+                    4644502062305021414,
+                    4644614997317274418,
+                ],
+                [936, 0, 0, 448, 0],
+                vec![
+                    (3, 26, "stuck"),
+                    (3, 47, "drift"),
+                    (4, 47, "drift"),
+                    (4, 66, "drift"),
+                    (5, 47, "drift"),
+                    (5, 66, "drift"),
+                    (6, 47, "drift"),
+                    (6, 66, "drift"),
+                    (7, 47, "drift"),
+                    (7, 66, "drift"),
+                    (8, 47, "drift"),
+                    (8, 66, "drift"),
+                    (9, 47, "drift"),
+                    (9, 66, "drift"),
+                    (10, 47, "drift"),
+                    (10, 66, "drift"),
+                    (11, 47, "drift"),
+                    (11, 66, "drift"),
+                    (12, 47, "drift"),
+                    (12, 66, "drift"),
+                    (13, 47, "drift"),
+                    (13, 66, "drift"),
+                    (14, 47, "drift"),
+                    (14, 66, "drift"),
+                    (15, 47, "drift"),
+                    (15, 66, "drift"),
+                ],
+            ),
+        ];
+        assert_eq!(got, want, "{got:?}");
+    }
 }
