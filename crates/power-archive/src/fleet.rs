@@ -445,7 +445,7 @@ mod tests {
         let live_log = Box::new(FleetWal::open(&live_path).unwrap());
         let err = Fleet::open(FleetConfig::default(), live_log).unwrap_err();
         assert!(
-            matches!(&err, FleetError::Journal(what) if what.starts_with("spec decode")),
+            matches!(&err, FleetError::Journal(what) if what.starts_with("campaign 0: spec decode")),
             "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();

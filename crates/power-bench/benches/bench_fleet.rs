@@ -7,7 +7,8 @@
 //!   least 13 M samples/s from a single producer multiplexing many
 //!   campaigns (half the single-campaign collector baseline: the
 //!   shard hand-off may cost at most one more indirection, not a new
-//!   bottleneck);
+//!   bottleneck), judged on the median of several timed batches so one
+//!   host stall cannot fail it;
 //! * **leaderboard latency** — ranking 1 000 finished campaigns must
 //!   take at most 1 ms per query at the median, so the live endpoint
 //!   stays interactive while the fleet churns;
@@ -166,26 +167,38 @@ fn bench_plane_ingest(c: &mut Criterion) {
         }
     };
 
-    // Warm up, then time enough passes to smooth scheduler noise.
+    // Warm up, then time batches of passes; the budget reads the median
+    // batch, so one stalled batch moves it no more than any other.
     offer_pass(&mut batches);
+    const BATCHES: usize = 5;
     let passes = 10u64;
     let per_pass = PLANE_CAMPAIGNS * NODES as u64 * PER_NODE;
-    let start = Instant::now();
-    for _ in 0..passes {
-        offer_pass(&mut batches);
+    let mut rates: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..passes {
+                offer_pass(&mut batches);
+            }
+            (passes * per_pass) as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    for (i, rate) in rates.iter().enumerate() {
+        report::metric(&format!("ingest_batch_{i}_samples_per_s"), *rate);
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let rate = (passes * per_pass) as f64 / elapsed;
+    rates.sort_by(f64::total_cmp);
+    let rate = rates[BATCHES / 2];
 
     let stats = plane.stats();
     assert!(stats.conserved(), "plane conservation violated: {stats:?}");
-    assert_eq!(stats.offered, (passes + 1) * per_pass);
+    assert_eq!(stats.offered, (BATCHES as u64 * passes + 1) * per_pass);
     assert_eq!(stats.ingest.duplicates, 0, "shifted batches must be fresh");
     report::budget("ingest_samples_per_s", rate, Direction::AtLeast, 13.0e6);
     println!(
-        "plane_ingest: {:.1}M samples/s aggregate over {PLANE_CAMPAIGNS} campaigns \
-         on 8 shards (floor 13M)",
-        rate / 1e6
+        "plane_ingest: median {:.1}M samples/s aggregate over {BATCHES} batches, \
+         {PLANE_CAMPAIGNS} campaigns on 8 shards (batches {:.1}M..{:.1}M, floor 13M)",
+        rate / 1e6,
+        rates[0] / 1e6,
+        rates[BATCHES - 1] / 1e6
     );
 
     let mut group = c.benchmark_group("fleet_plane_ingest");

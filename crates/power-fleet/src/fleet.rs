@@ -8,12 +8,17 @@
 //! shard ([`Fleet::advance_shard`]) advances every live campaign on it
 //! by exactly one node — generate the node's metered stream, hand it to
 //! the plane, wait for the lane watermark to pass the end of the
-//! stream, finalize the window average, feed the campaign's
-//! [`SequentialEstimator`], and journal the pair. One node per campaign
-//! per pass is the fairness contract: no campaign can starve while
-//! another runs to census, because the scheduler is lockstep
-//! round-robin by construction.
+//! stream, finalize the window average, journal the pair and feed the
+//! campaign's
+//! [`SequentialEstimator`](power_telemetry::SequentialEstimator). One
+//! node per campaign per pass is the fairness contract: no campaign can
+//! starve while another runs to census, because the scheduler is
+//! lockstep round-robin by construction.
 //!
+//! Each campaign is a [`CampaignRuntime`] over its
+//! [`FleetCampaignSpec`]: the one campaign state machine, which a live
+//! campaign (`power_telemetry::live`) runs too. The fleet adds the
+//! campaign table, the shared journal and the scheduler around it.
 //! Campaign lifecycle: `Live` → (`Stopped` | `Exhausted` | `Failed`).
 //! `Stopped` means the sequential rule fired (paper Eq. 5 / Table 5);
 //! `Exhausted` means the meter budget ran out first; `Failed` means an
@@ -25,18 +30,15 @@
 use crate::spec::FleetCampaignSpec;
 use crate::{FleetError, Result};
 use power_stats::ConfidenceInterval;
-use power_telemetry::online::{replay_nodes, SequentialEstimator};
 use power_telemetry::plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};
-use power_telemetry::{FleetJournal, IngestConfig, IngestStats, Sample};
+use power_telemetry::runtime::{CampaignLog, CampaignRuntime};
+use power_telemetry::{FleetJournal, IngestStats, Sample};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Sample-time geometry shared by every campaign lane: sequence `k`
-/// covers `[k, k + 1)` seconds from origin 0.
-const T0: f64 = 0.0;
-const DT: f64 = 1.0;
+pub use power_telemetry::runtime::CampaignState;
 
 /// Fleet-level configuration.
 #[derive(Debug, Clone, Copy)]
@@ -55,39 +57,6 @@ impl Default for FleetConfig {
             max_campaigns: 10_000,
         }
     }
-}
-
-/// Where a campaign is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CampaignState {
-    /// Still metering nodes.
-    Live,
-    /// The sequential stopping rule fired.
-    Stopped,
-    /// The meter budget ran out before the rule fired.
-    Exhausted,
-    /// An unrecoverable journal or plane error halted the campaign.
-    Failed,
-}
-
-impl CampaignState {
-    /// Stable lowercase label (used by the HTTP API and metrics).
-    pub fn label(&self) -> &'static str {
-        match self {
-            CampaignState::Live => "live",
-            CampaignState::Stopped => "stopped",
-            CampaignState::Exhausted => "exhausted",
-            CampaignState::Failed => "failed",
-        }
-    }
-
-    /// Every state, in display order.
-    pub const ALL: [CampaignState; 4] = [
-        CampaignState::Live,
-        CampaignState::Stopped,
-        CampaignState::Exhausted,
-        CampaignState::Failed,
-    ];
 }
 
 /// Point-in-time snapshot of one campaign.
@@ -132,36 +101,31 @@ impl CampaignStatus {
     }
 }
 
-/// One campaign's in-flight scheduler state.
-pub(crate) struct CampaignRuntime {
-    pub(crate) spec: FleetCampaignSpec,
-    pub(crate) estimator: SequentialEstimator,
-    pub(crate) state: CampaignState,
-    /// Next node (== lane slot) to meter; equals nodes finalized.
-    pub(crate) next_slot: u64,
-    resumed: u64,
-    budget: u64,
-    /// Final lane counters, captured when the plane lanes are released.
-    ingest_final: Option<(IngestStats, u64)>,
-    error: Option<String>,
+/// One fleet campaign's scheduler state.
+pub(crate) type Runtime = CampaignRuntime<FleetCampaignSpec>;
+
+fn status(id: u64, rt: &Runtime, plane: &IngestPlane) -> CampaignStatus {
+    let estimator = rt.estimator();
+    CampaignStatus {
+        id,
+        spec: rt.source().clone(),
+        state: rt.state(),
+        metered_nodes: estimator.count(),
+        resumed_nodes: rt.resumed_nodes(),
+        budget: rt.budget(),
+        mean_node_w: (estimator.count() > 0).then(|| estimator.mean()),
+        ci_node_w: estimator.ci().ok(),
+        relative_accuracy: estimator.relative_accuracy().ok(),
+        ingest: rt.ingest(id, plane),
+        error: rt.error().map(|e| FleetError::from(e.clone()).to_string()),
+    }
 }
 
-impl CampaignRuntime {
-    fn status(&self, id: u64, plane: &IngestPlane) -> CampaignStatus {
-        let n = self.estimator.count();
-        CampaignStatus {
-            id,
-            spec: self.spec.clone(),
-            state: self.state,
-            metered_nodes: self.next_slot,
-            resumed_nodes: self.resumed,
-            budget: self.budget,
-            mean_node_w: (n > 0).then(|| self.estimator.mean()),
-            ci_node_w: self.estimator.ci().ok(),
-            relative_accuracy: self.estimator.relative_accuracy().ok(),
-            ingest: self.ingest_final.or_else(|| plane.campaign_stats(id)),
-            error: self.error.clone(),
-        }
+/// Prefixes a journal error with the campaign it concerns.
+fn named(id: u64, e: impl Into<FleetError>) -> FleetError {
+    match e.into() {
+        FleetError::Journal(what) => FleetError::Journal(format!("campaign {id}: {what}")),
+        other => other,
     }
 }
 
@@ -170,7 +134,7 @@ impl CampaignRuntime {
 pub struct Fleet {
     cfg: FleetConfig,
     plane: IngestPlane,
-    tables: Vec<Mutex<BTreeMap<u64, CampaignRuntime>>>,
+    tables: Vec<Mutex<BTreeMap<u64, Runtime>>>,
     journal: Option<Mutex<Box<dyn FleetJournal>>>,
     next_id: AtomicU64,
     campaigns: AtomicU64,
@@ -240,7 +204,7 @@ impl Fleet {
         let mut max_id = None;
         for (id, rep) in replays {
             max_id = Some(id);
-            let spec = FleetCampaignSpec::decode(&rep.spec)?;
+            let spec = FleetCampaignSpec::decode(&rep.spec).map_err(|e| named(id, e))?;
             if spec.fingerprint() != rep.fingerprint {
                 return Err(FleetError::Journal(format!(
                     "campaign {id}: journaled fingerprint {:#018x} does not match its spec \
@@ -249,42 +213,11 @@ impl Fleet {
                     spec.fingerprint()
                 )));
             }
-            let budget = spec.budget();
-            // Fleet campaigns meter nodes 0, 1, 2, … (see `spec`).
-            let estimator =
-                replay_nodes(spec.rule(), &rep.nodes, budget, |i| i as u64).map_err(|e| {
-                    match FleetError::from(e) {
-                        FleetError::Journal(what) => {
-                            FleetError::Journal(format!("campaign {id}: {what}"))
-                        }
-                        other => other,
-                    }
-                })?;
-            let rule_fired = estimator.stopped_at().is_some();
-            let metered = rep.nodes.len() as u64;
-            let state = if rep.finished || rule_fired || metered >= budget {
-                if rule_fired {
-                    CampaignState::Stopped
-                } else {
-                    CampaignState::Exhausted
-                }
-            } else {
-                CampaignState::Live
-            };
-            if state == CampaignState::Live {
-                self.register_lanes(id, &spec, metered.max(1) as usize)?;
+            let runtime =
+                CampaignRuntime::resume(id, spec, &rep, &self.plane).map_err(|e| named(id, e))?;
+            if runtime.state() == CampaignState::Live {
                 self.live.fetch_add(1, Ordering::Relaxed);
             }
-            let runtime = CampaignRuntime {
-                spec,
-                estimator,
-                state,
-                next_slot: metered,
-                resumed: metered,
-                budget,
-                ingest_final: None,
-                error: None,
-            };
             self.table(id)
                 .lock()
                 .expect("fleet table poisoned")
@@ -297,18 +230,16 @@ impl Fleet {
         Ok(())
     }
 
-    fn table(&self, id: u64) -> &Mutex<BTreeMap<u64, CampaignRuntime>> {
+    fn table(&self, id: u64) -> &Mutex<BTreeMap<u64, Runtime>> {
         &self.tables[(id % self.cfg.shards as u64) as usize]
     }
 
-    fn register_lanes(&self, id: u64, spec: &FleetCampaignSpec, slots: usize) -> Result<()> {
-        let ingest_cfg = IngestConfig {
-            lateness: spec.lateness,
-            ring_capacity: spec.samples_per_node as usize,
-        };
-        self.plane
-            .register(id, slots, T0, DT, &ingest_cfg)
-            .map_err(FleetError::Telemetry)
+    /// Where campaign records go: the fleet's shared journal, if any.
+    fn log(&self) -> CampaignLog<'_> {
+        match &self.journal {
+            Some(journal) => CampaignLog::Shared(journal),
+            None => CampaignLog::None,
+        }
     }
 
     /// The plane the fleet ingests through (for accounting queries).
@@ -368,26 +299,7 @@ impl Fleet {
         if spec.name.is_empty() {
             spec.name = format!("campaign-{id}");
         }
-        if let Some(journal) = &self.journal {
-            journal.lock().expect("journal poisoned").record_created(
-                id,
-                spec.fingerprint(),
-                &spec.encode(),
-            )?;
-        }
-        self.register_lanes(id, &spec, 1)?;
-        let budget = spec.budget();
-        let estimator = SequentialEstimator::new(spec.rule()).map_err(FleetError::Telemetry)?;
-        let runtime = CampaignRuntime {
-            spec,
-            estimator,
-            state: CampaignState::Live,
-            next_slot: 0,
-            resumed: 0,
-            budget,
-            ingest_final: None,
-            error: None,
-        };
+        let runtime = CampaignRuntime::create(id, spec, &self.plane, &mut self.log())?;
         self.table(id)
             .lock()
             .expect("fleet table poisoned")
@@ -408,7 +320,7 @@ impl Fleet {
         let Some(runtime) = removed else {
             return Ok(false);
         };
-        if runtime.state == CampaignState::Live {
+        if runtime.state() == CampaignState::Live {
             self.live.fetch_sub(1, Ordering::Relaxed);
         }
         self.campaigns.fetch_sub(1, Ordering::Relaxed);
@@ -426,13 +338,13 @@ impl Fleet {
     /// Snapshot of one campaign.
     pub fn status(&self, id: u64) -> Option<CampaignStatus> {
         let table = self.table(id).lock().expect("fleet table poisoned");
-        table.get(&id).map(|rt| rt.status(id, &self.plane))
+        table.get(&id).map(|rt| status(id, rt, &self.plane))
     }
 
     /// Visits every campaign runtime under its table lock, shard by
     /// shard — the allocation-free walk the leaderboard builds rows
     /// from without materializing [`CampaignStatus`] snapshots.
-    pub(crate) fn for_each_runtime(&self, mut f: impl FnMut(u64, &CampaignRuntime)) {
+    pub(crate) fn for_each_runtime(&self, mut f: impl FnMut(u64, &Runtime)) {
         for table in &self.tables {
             let table = table.lock().expect("fleet table poisoned");
             for (id, rt) in table.iter() {
@@ -444,10 +356,7 @@ impl Fleet {
     /// Snapshot of every campaign, ascending id order.
     pub fn list(&self) -> Vec<CampaignStatus> {
         let mut out = Vec::new();
-        for table in &self.tables {
-            let table = table.lock().expect("fleet table poisoned");
-            out.extend(table.iter().map(|(id, rt)| rt.status(*id, &self.plane)));
-        }
+        self.for_each_runtime(|id, rt| out.push(status(id, rt, &self.plane)));
         out.sort_by_key(|s| s.id);
         out
     }
@@ -456,16 +365,13 @@ impl Fleet {
     /// metrics page exports (4 series however large the fleet).
     pub fn state_counts(&self) -> [(CampaignState, u64); 4] {
         let mut counts = CampaignState::ALL.map(|s| (s, 0u64));
-        for table in &self.tables {
-            let table = table.lock().expect("fleet table poisoned");
-            for rt in table.values() {
-                let idx = CampaignState::ALL
-                    .iter()
-                    .position(|s| *s == rt.state)
-                    .expect("state in ALL");
-                counts[idx].1 += 1;
-            }
-        }
+        self.for_each_runtime(|_, rt| {
+            let (_, n) = counts
+                .iter_mut()
+                .find(|(s, _)| *s == rt.state())
+                .expect("state in ALL");
+            *n += 1;
+        });
         counts
     }
 
@@ -476,17 +382,21 @@ impl Fleet {
     /// touched a live campaign bumps [`Fleet::version`].
     pub fn advance_shard(&self, shard: usize) -> u64 {
         let mut scratch: Vec<Sample> = Vec::new();
+        let mut log = self.log();
         let mut table = self.tables[shard].lock().expect("fleet table poisoned");
         let mut advanced = 0;
         let mut touched = false;
         for (&id, rt) in table.iter_mut() {
-            if rt.state != CampaignState::Live {
+            if rt.state() != CampaignState::Live {
                 continue;
             }
             touched = true;
-            match self.advance_one(id, rt, &mut scratch) {
+            match rt.advance(id, &self.plane, &mut log, &mut scratch) {
                 Ok(()) => advanced += 1,
-                Err(e) => self.finish(id, rt, CampaignState::Failed, Some(e.to_string())),
+                Err(e) => rt.fail(id, &self.plane, e),
+            }
+            if rt.state() != CampaignState::Live {
+                self.live.fetch_sub(1, Ordering::Relaxed);
             }
         }
         drop(table);
@@ -494,80 +404,6 @@ impl Fleet {
             self.bump_version();
         }
         advanced
-    }
-
-    /// Meters one node of one campaign: generate → offer → watermark →
-    /// finalize → journal → estimate → maybe finish.
-    fn advance_one(
-        &self,
-        id: u64,
-        rt: &mut CampaignRuntime,
-        scratch: &mut Vec<Sample>,
-    ) -> Result<()> {
-        let slot = rt.next_slot;
-        self.plane
-            .ensure_slots(id, slot as usize + 1)
-            .map_err(FleetError::Telemetry)?;
-        rt.spec.node_stream(slot, slot as usize, scratch);
-        self.plane
-            .offer(id, scratch)
-            .map_err(FleetError::Telemetry)?;
-        // End of this node's stream: finalize the jittered tail so the
-        // lane watermark passes the stream end.
-        self.plane.flush(id).map_err(FleetError::Telemetry)?;
-        let end = f64::from(rt.spec.samples_per_node) * DT;
-        let avg = self
-            .plane
-            .with_campaign(id, |c| {
-                let ring = c.ring(slot as usize)?;
-                debug_assert_eq!(ring.next_seq(), u64::from(rt.spec.samples_per_node));
-                Some(ring.window_average(T0, T0 + end))
-            })
-            .flatten()
-            .ok_or(FleetError::UnknownCampaign { id })?
-            .map_err(FleetError::Telemetry)?;
-        if let Some(journal) = &self.journal {
-            journal
-                .lock()
-                .expect("journal poisoned")
-                .record_node(id, slot, avg)?;
-        }
-        rt.next_slot += 1;
-        let decision = rt.estimator.push(avg);
-        if decision.stop {
-            self.finish(id, rt, CampaignState::Stopped, None);
-        } else if rt.next_slot >= rt.budget {
-            self.finish(id, rt, CampaignState::Exhausted, None);
-        }
-        Ok(())
-    }
-
-    /// Transitions a live campaign out of `Live`: journal the
-    /// completion, snapshot lane counters, release the lanes.
-    fn finish(
-        &self,
-        id: u64,
-        rt: &mut CampaignRuntime,
-        state: CampaignState,
-        error: Option<String>,
-    ) {
-        rt.state = state;
-        rt.error = error;
-        if state != CampaignState::Failed {
-            if let Some(journal) = &self.journal {
-                if let Err(e) = journal
-                    .lock()
-                    .expect("journal poisoned")
-                    .record_finished(id)
-                {
-                    rt.state = CampaignState::Failed;
-                    rt.error = Some(FleetError::from(e).to_string());
-                }
-            }
-        }
-        rt.ingest_final = self.plane.campaign_stats(id);
-        self.plane.deregister(id);
-        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Drives every shard round-robin on the calling thread until no

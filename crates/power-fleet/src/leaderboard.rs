@@ -78,17 +78,18 @@ impl Fleet {
         // campaign ranking after it cannot make the cut.
         let mut cutoff: Option<(f64, u64)> = None;
         self.for_each_runtime(|id, rt| {
-            if rt.estimator.count() == 0 {
+            let (spec, estimator) = (rt.source(), rt.estimator());
+            if estimator.count() == 0 {
                 return;
             }
-            let population = rt.spec.population;
-            let power_w = rt.estimator.mean() * population as f64;
-            let rmax = rt.spec.rmax_gflops();
+            let population = spec.population;
+            let power_w = estimator.mean() * population as f64;
+            let rmax = spec.rmax_gflops();
             let gflops_per_w = rmax / power_w;
             if cutoff.is_some_and(|c| rank_order((gflops_per_w, id), c).is_gt()) {
                 return;
             }
-            let ci_gflops_per_w = rt.estimator.ci().ok().map(|ci| {
+            let ci_gflops_per_w = estimator.ci().ok().map(|ci| {
                 let p_lo = ci.lower() * population as f64;
                 let p_hi = ci.upper() * population as f64;
                 (rmax / p_hi, rmax / p_lo)
@@ -96,17 +97,17 @@ impl Fleet {
             rows.push(LeaderboardRow {
                 rank: 0,
                 id,
-                name: rt.spec.name.clone(),
-                level: rt.spec.level,
-                power_capped: rt.spec.power_capped,
-                state: rt.state,
+                name: spec.name.clone(),
+                level: spec.level,
+                power_capped: spec.power_capped,
+                state: rt.state(),
                 population,
-                metered_nodes: rt.next_slot,
+                metered_nodes: estimator.count(),
                 rmax_gflops: rmax,
                 power_w,
                 gflops_per_w,
                 ci_gflops_per_w,
-                relative_accuracy: rt.estimator.relative_accuracy().ok(),
+                relative_accuracy: estimator.relative_accuracy().ok(),
             });
             if limit > 0 && rows.len() >= limit.saturating_mul(2) {
                 rows.select_nth_unstable_by(limit - 1, row_order);

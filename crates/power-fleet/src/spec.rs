@@ -21,7 +21,8 @@ use power_method::Methodology;
 use power_stats::hash::fnv1a;
 use power_stats::rng::{substream, ziggurat};
 use power_telemetry::online::{CiQuantile, CvAssumption, StoppingRule};
-use power_telemetry::Sample;
+use power_telemetry::runtime::{CampaignSource, Plan};
+use power_telemetry::{IngestConfig, Sample};
 use rand::Rng;
 
 /// Substream tags: decorrelate the three random surfaces of a campaign.
@@ -114,16 +115,6 @@ impl FleetCampaignSpec {
                 CvAssumption::Planned(self.cv)
             },
             min_nodes: 2,
-        }
-    }
-
-    /// Effective meter budget: `max_nodes` clamped into `1..=population`
-    /// (0 means census).
-    pub fn budget(&self) -> u64 {
-        if self.max_nodes == 0 {
-            self.population
-        } else {
-            self.max_nodes.min(self.population)
         }
     }
 
@@ -335,6 +326,41 @@ impl FleetCampaignSpec {
                 chunk.rotate_left(by);
             }
         }
+    }
+}
+
+/// A fleet campaign meters nodes `0, 1, 2, …` (see the module docs) on
+/// lanes where sequence `k` covers `[k, k + 1)` seconds, each node's
+/// average taken over its whole stream.
+impl CampaignSource for FleetCampaignSpec {
+    fn plan(&self) -> Plan {
+        Plan {
+            rule: self.rule(),
+            budget: match self.max_nodes {
+                0 => self.population,
+                cap => cap.min(self.population),
+            },
+            t0: 0.0,
+            dt: 1.0,
+            ingest: IngestConfig {
+                lateness: self.lateness,
+                ring_capacity: self.samples_per_node as usize,
+            },
+            window: (0.0, f64::from(self.samples_per_node)),
+        }
+    }
+
+    fn node_id(&self, slot: u64) -> u64 {
+        slot
+    }
+
+    fn identity(&self) -> (u64, Vec<u8>) {
+        (self.fingerprint(), self.encode())
+    }
+
+    fn meter_node(&mut self, slot: u64, out: &mut Vec<Sample>) -> power_telemetry::Result<()> {
+        self.node_stream(slot, slot as usize, out);
+        Ok(())
     }
 }
 

@@ -665,3 +665,16 @@ fn version_moves_when_a_journal_failure_fails_a_campaign() {
     fleet.advance_shard(0);
     assert_eq!(fleet.version(), failed, "a pass over a failed campaign");
 }
+
+/// A log whose creation record is not a fleet spec (here, a live
+/// campaign's 12 creation bytes) is refused naming the campaign.
+#[test]
+fn open_names_the_campaign_whose_spec_does_not_decode() {
+    let mut journal = MemJournal::default();
+    journal.record_created(0, 7, &[0; 12]).unwrap();
+    let err = Fleet::open(FleetConfig::default(), Box::new(journal)).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "fleet journal error: campaign 0: spec decode: record too short"
+    );
+}

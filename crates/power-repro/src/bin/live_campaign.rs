@@ -32,24 +32,22 @@ use std::path::PathBuf;
 fn main() {
     // Split our own `--store-dir DIR` off before handing the rest to
     // the shared scale parser.
+    const EXTRA: &str = " [--store-dir DIR]";
     let mut store_dir: Option<PathBuf> = None;
     let mut rest = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         if arg == "--store-dir" {
             match argv.next() {
-                Some(dir) => store_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("live_campaign: --store-dir needs a value");
-                    std::process::exit(1);
-                }
+                Some(dir) if !dir.starts_with('-') => store_dir = Some(PathBuf::from(dir)),
+                _ => scale::usage("--store-dir needs a directory", EXTRA),
             }
         } else {
             rest.push(arg);
         }
     }
     let scale = Args::parse(rest, false)
-        .unwrap_or_else(|e| scale::usage(&e, " [--store-dir DIR]"))
+        .unwrap_or_else(|e| scale::usage(&e, EXTRA))
         .scale;
     let preset = systems::calcul_quebec();
     let nodes = scale.clamp_nodes(preset.cluster_spec.total_nodes);

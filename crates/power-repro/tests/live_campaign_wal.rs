@@ -1,6 +1,7 @@
 //! `live_campaign --store-dir` over a log written under another model
 //! revision refuses it in one line, naming the file and both revisions,
-//! and exits with status 1 instead of panicking.
+//! and exits with status 1 instead of panicking; a `--store-dir` without
+//! a directory is a usage error, status 2.
 
 use power_archive::FleetWal;
 use power_sim::store::SIMULATION_KEY_EPOCH;
@@ -41,4 +42,28 @@ fn a_wal_from_another_revision_is_refused_in_one_line() {
             path.display()
         )
     );
+}
+
+#[test]
+fn a_store_dir_without_a_directory_is_a_usage_error() {
+    for args in [&["--store-dir"][..], &["--store-dir", "--full"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_live_campaign"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 2, "{args:?}: {stderr}");
+        assert!(
+            lines[0].ends_with(": --store-dir needs a directory"),
+            "{stderr}"
+        );
+        assert!(
+            lines[1].starts_with("usage: ")
+                && lines[1].ends_with(" [--quick | --full] [--store-dir DIR]"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran the campaign");
+    }
 }

@@ -48,6 +48,7 @@ pub mod live;
 pub mod online;
 pub mod plane;
 pub mod ring;
+pub mod runtime;
 
 pub use anomaly::{AnomalyEvent, AnomalyKind, AnomalyMonitor, DetectorConfig};
 pub use ingest::{Collector, IngestConfig, IngestStats, Sample};
@@ -59,6 +60,7 @@ pub use live::{
 pub use online::{CiQuantile, CvAssumption, Decision, SequentialEstimator, StoppingRule};
 pub use plane::{IngestPlane, PlaneConfig, PlaneStats, ShardStats};
 pub use ring::RingBuffer;
+pub use runtime::{CampaignLog, CampaignRuntime, CampaignSource, CampaignState, Plan};
 
 /// Errors produced by the telemetry subsystem.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,10 +5,15 @@
 //! time*, takes each node's trace from the engine
 //! ([`Simulator::subset_trace`]), pushes every step through a sampling
 //! meter into the ingestion layer, and after the node's window average
-//! lands re-evaluates the sequential stopping rule. The campaign ends the moment the Eq. 1–2 confidence
-//! interval (with finite-population correction) reaches the target λ —
-//! typically after exactly the Table 5 node count, but *measured*, not
-//! assumed.
+//! lands re-evaluates the sequential stopping rule. The campaign ends the
+//! moment the Eq. 1–2 confidence interval (with finite-population
+//! correction) reaches the target λ — typically after exactly the Table 5
+//! node count, but *measured*, not assumed.
+//!
+//! The state machine is the fleet's: a live campaign is a
+//! [`CampaignRuntime`] over the simulator's nodes, driven to its end on a
+//! one-shard [`IngestPlane`]. This module holds that node source, the
+//! identity checks a journal passes before it resumes, and the report.
 //!
 //! Everything is deterministic: node selection, meter gains, meter
 //! noise, the block-bounded arrival jitter that exercises the reordering
@@ -27,7 +32,8 @@
 //! and the model revision ([`SIMULATION_KEY_EPOCH`]) as 4, one synced
 //! `Node` record per finalized average, and `Finished`
 //! when the rule fires or the budget runs out. On startup the durable
-//! prefix is checked by [`replay_nodes`] against the selection order and
+//! prefix is checked by [`replay_nodes`](crate::online::replay_nodes)
+//! against the selection order and
 //! replayed into the estimator, so the campaign continues at its
 //! watermark and reports what an uninterrupted run reports (ingestion
 //! accounting and anomaly events cover only the resumed portion). A
@@ -39,9 +45,12 @@
 //! through the fingerprint.
 
 use crate::anomaly::{AnomalyEvent, AnomalyMonitor, DetectorConfig};
-use crate::ingest::{Collector, IngestConfig, IngestStats, Sample};
-use crate::journal::FleetJournal;
-use crate::online::{replay_nodes, CiQuantile, CvAssumption, SequentialEstimator, StoppingRule};
+use crate::ingest::{IngestConfig, IngestStats, Sample};
+use crate::journal::{CampaignReplay, FleetJournal};
+use crate::online::{CiQuantile, CvAssumption, StoppingRule};
+use crate::plane::{IngestPlane, PlaneConfig};
+use crate::ring::RingBuffer;
+use crate::runtime::{CampaignLog, CampaignRuntime, CampaignSource, Plan};
 use crate::{Result, TelemetryError};
 use power_meter::faults::MeterFault;
 use power_meter::MeterModel;
@@ -252,8 +261,8 @@ fn block_jitter<R: Rng + ?Sized>(samples: &mut [Sample], lateness: u64, rng: &mu
 /// metered one at a time: the engine's trace of the node goes through
 /// the node's meter (and fault, if injected), arrival order is jittered
 /// within the lateness bound, the samples are ingested into the
-/// campaign's [`Collector`], and the finalized window average goes to
-/// the sequential estimator. The campaign stops at the
+/// campaign's lanes, and the finalized window average goes to the
+/// sequential estimator. The campaign stops at the
 /// rule's word, at a census of the candidate budget, or at `max_nodes`.
 pub fn run_live_campaign(
     sim: &Simulator<'_>,
@@ -277,99 +286,76 @@ pub fn run_live_campaign_journaled(
     run_campaign(sim, cfg, Some(journal))
 }
 
-fn run_campaign(
-    sim: &Simulator<'_>,
+/// The live campaign's durable state in `journal`, if it holds one. A
+/// journal holding another campaign id, or campaign [`LIVE_CAMPAIGN_ID`]
+/// written under another model revision, config or population, is
+/// refused before anything is written to it.
+fn own_replay(
+    journal: &mut dyn FleetJournal,
     cfg: &LiveCampaignConfig,
-    mut journal: Option<&mut dyn FleetJournal>,
-) -> Result<LiveCampaignReport> {
-    cfg.validate()?;
-    let population = sim.cluster().len();
-    let phases = sim.workload().phases();
-    let window = (phases.core_start(), phases.core_end());
-    let dt = sim.dt();
-    let steps = sim.run_steps();
-
-    let rule = StoppingRule {
-        confidence: cfg.confidence,
-        lambda: cfg.lambda,
-        population: population as u64,
-        quantile: cfg.quantile,
-        cv: cfg.cv,
-        min_nodes: cfg.pilot_nodes as u64,
-    };
-    let mut estimator = SequentialEstimator::new(rule)?;
-    let planned_nodes = match cfg.cv {
-        CvAssumption::Planned(cv) => Some(
-            SampleSizePlan::new(cfg.confidence, cfg.lambda, cv)?
-                .required_nodes(population as u64)?,
-        ),
-        CvAssumption::Empirical => None,
-    };
-
-    // Candidate order: seeded draw without replacement over the machine.
-    let candidates = cfg.selection_order(population)?;
-
-    // Rings retain the whole run.
-    let ingest_cfg = IngestConfig {
-        lateness: cfg.lateness,
-        ring_capacity: steps + 1,
-    };
-    let mut collector = Collector::new(candidates.len(), 0.0, dt, &ingest_cfg)?;
-    let mut monitor = match cfg.detector {
-        Some(det) => Some(AnomalyMonitor::new(candidates.len(), 0.0, dt, det)?),
-        None => None,
-    };
-
-    // Replay the journal's durable prefix into the estimator: those
-    // nodes were metered by a previous incarnation of this campaign,
-    // and determinism guarantees re-metering them would reproduce the
-    // recorded averages exactly.
-    let mut finished = false;
-    if let Some(journal) = journal.as_deref_mut() {
-        let fingerprint = campaign_fingerprint(cfg, population);
-        let created = creation_bytes(population);
-        let mut replays = journal.replay()?;
-        let live = replays.remove(&LIVE_CAMPAIGN_ID);
-        if let Some(other) = replays.keys().next() {
-            return Err(TelemetryError::Journal(format!(
-                "journal holds campaign {other}: a live campaign only resumes its own"
-            )));
-        }
-        match live {
-            None => journal.record_created(LIVE_CAMPAIGN_ID, fingerprint, &created)?,
-            Some(rep) => {
-                let revision = journal_revision(cfg, population, rep.fingerprint, &rep.spec);
-                if let Some(journal) = revision.filter(|&r| r != SIMULATION_KEY_EPOCH) {
-                    return Err(TelemetryError::ModelRevision {
-                        journal,
-                        current: SIMULATION_KEY_EPOCH,
-                    });
-                }
-                if rep.fingerprint != fingerprint || rep.spec != created {
-                    return Err(TelemetryError::Journal(format!(
-                        "journal belongs to campaign {:#018x} ({} creation bytes), \
-                         not {fingerprint:#018x}/{population} nodes",
-                        rep.fingerprint,
-                        rep.spec.len()
-                    )));
-                }
-                estimator = replay_nodes(rule, &rep.nodes, candidates.len() as u64, |i| {
-                    candidates[i] as u64
-                })?;
-                finished = rep.finished || estimator.stopped_at().is_some();
-            }
-        }
+    population: usize,
+) -> Result<Option<CampaignReplay>> {
+    let mut replays = journal.replay()?;
+    let live = replays.remove(&LIVE_CAMPAIGN_ID);
+    if let Some(other) = replays.keys().next() {
+        return Err(TelemetryError::Journal(format!(
+            "journal holds campaign {other}: a live campaign only resumes its own"
+        )));
     }
-    let resumed_nodes = estimator.count();
+    let Some(rep) = live else {
+        return Ok(None);
+    };
+    let revision = journal_revision(cfg, population, rep.fingerprint, &rep.spec);
+    if let Some(journal) = revision.filter(|&r| r != SIMULATION_KEY_EPOCH) {
+        return Err(TelemetryError::ModelRevision {
+            journal,
+            current: SIMULATION_KEY_EPOCH,
+        });
+    }
+    let fingerprint = campaign_fingerprint(cfg, population);
+    if rep.fingerprint != fingerprint || rep.spec != creation_bytes(population) {
+        return Err(TelemetryError::Journal(format!(
+            "journal belongs to campaign {:#018x} ({} creation bytes), \
+             not {fingerprint:#018x}/{population} nodes",
+            rep.fingerprint,
+            rep.spec.len()
+        )));
+    }
+    Ok(Some(rep))
+}
 
-    // One node at a time: its trace from the engine, through its meter
-    // (and fault, if injected), jittered within the lateness bound,
-    // ingested, reduced to its window average and handed to the rule.
-    let mut slot = resumed_nodes as usize;
-    let mut stopped = finished;
-    while slot < candidates.len() && !stopped {
-        let node = candidates[slot];
-        let trace = sim.subset_trace(&[node], cfg.scope)?;
+/// A live campaign's nodes: the machine's, in selection order, each
+/// metered from the engine's one-node trace through its meter (and
+/// fault, if injected), its arrival order jittered within the lateness
+/// bound, its finalized ring replayed into the anomaly monitor.
+struct SimulatedNodes<'a, 's> {
+    sim: &'a Simulator<'s>,
+    cfg: &'a LiveCampaignConfig,
+    population: usize,
+    plan: Plan,
+    /// Candidate order: seeded draw without replacement over the machine.
+    candidates: Vec<usize>,
+    monitor: Option<AnomalyMonitor>,
+}
+
+impl CampaignSource for SimulatedNodes<'_, '_> {
+    fn plan(&self) -> Plan {
+        self.plan
+    }
+
+    fn node_id(&self, slot: u64) -> u64 {
+        self.candidates[slot as usize] as u64
+    }
+
+    fn identity(&self) -> (u64, Vec<u8>) {
+        let fingerprint = campaign_fingerprint(self.cfg, self.population);
+        (fingerprint, creation_bytes(self.population).to_vec())
+    }
+
+    fn meter_node(&mut self, slot: u64, out: &mut Vec<Sample>) -> Result<()> {
+        let cfg = self.cfg;
+        let node = self.candidates[slot as usize];
+        let trace = self.sim.subset_trace(&[node], cfg.scope)?;
         let mut rng = substream(cfg.seed ^ STREAM_METER, node as u64);
         let meter = cfg.meter.instantiate(&mut rng)?;
         let fault = cfg
@@ -379,36 +365,30 @@ fn run_campaign(
             .map(|(_, f)| *f)
             .unwrap_or(MeterFault::None);
         let mut last_good = None;
-        let mut samples = Vec::with_capacity(steps);
+        out.clear();
         for (step, &watts) in trace.samples[0].iter().enumerate() {
             let w = meter.sample_one(&mut rng, watts);
             // Fault layer, same draw order as `FaultyMeter::measure`;
             // t_rel is measured from the window start, before which the
             // stuck fault has nothing to freeze onto.
-            let t = step as f64 * dt;
-            if let Some(faulted) = fault.apply_sample(&mut rng, w, t - window.0, &mut last_good) {
-                samples.push(Sample {
-                    node: slot,
+            let t = step as f64 * self.plan.dt;
+            if let Some(faulted) =
+                fault.apply_sample(&mut rng, w, t - self.plan.window.0, &mut last_good)
+            {
+                out.push(Sample {
+                    node: slot as usize,
                     seq: step as u64,
                     watts: faulted,
                 });
             }
         }
-
         let mut rng = substream(cfg.seed ^ STREAM_JITTER, node as u64);
-        block_jitter(&mut samples, cfg.lateness, &mut rng);
-        for &s in &samples {
-            collector.ingest(s)?;
-        }
-        collector.flush();
+        block_jitter(out, cfg.lateness, &mut rng);
+        Ok(())
+    }
 
-        // The finalized ring: replay it into the detectors, reduce it to
-        // the window average, and consult the stopping rule.
-        let ring = collector.ring(slot).ok_or(TelemetryError::InvalidConfig {
-            field: "slot",
-            reason: "collector lost a node slot",
-        })?;
-        if let Some(mon) = monitor.as_mut() {
+    fn finalized(&mut self, slot: usize, ring: &RingBuffer) -> Result<()> {
+        if let Some(mon) = self.monitor.as_mut() {
             for seq in ring.first_seq()..ring.next_seq() {
                 match ring.get(seq) {
                     Some(w) => mon.observe(slot, w)?,
@@ -416,45 +396,104 @@ fn run_campaign(
                 }
             }
         }
-        let avg = ring
-            .window_average(window.0, window.1)
-            .map_err(|e| match e {
-                // An all-dropped node is a campaign-level failure the
-                // operator should see named.
-                TelemetryError::EmptyWindow => TelemetryError::InvalidConfig {
-                    field: "node",
-                    reason: "a metered node delivered no usable window samples",
-                },
-                other => other,
-            })?;
-        stopped = estimator.push(avg).stop;
-        if let Some(journal) = journal.as_deref_mut() {
-            journal.record_node(LIVE_CAMPAIGN_ID, node as u64, avg)?;
-            journal.sync()?;
-        }
-        slot += 1;
+        Ok(())
     }
-    if let Some(journal) = journal.filter(|_| !finished) {
-        journal.record_finished(LIVE_CAMPAIGN_ID)?;
-        journal.sync()?;
-    }
+}
 
+fn run_campaign(
+    sim: &Simulator<'_>,
+    cfg: &LiveCampaignConfig,
+    journal: Option<&mut dyn FleetJournal>,
+) -> Result<LiveCampaignReport> {
+    cfg.validate()?;
+    let population = sim.cluster().len();
+    let phases = sim.workload().phases();
+    let rule = StoppingRule {
+        confidence: cfg.confidence,
+        lambda: cfg.lambda,
+        population: population as u64,
+        quantile: cfg.quantile,
+        cv: cfg.cv,
+        min_nodes: cfg.pilot_nodes as u64,
+    };
+    rule.validate()?;
+    let planned_nodes = match cfg.cv {
+        CvAssumption::Planned(cv) => Some(
+            SampleSizePlan::new(cfg.confidence, cfg.lambda, cv)?
+                .required_nodes(population as u64)?,
+        ),
+        CvAssumption::Empirical => None,
+    };
+    let candidates = cfg.selection_order(population)?;
+    let plan = Plan {
+        rule,
+        budget: candidates.len() as u64,
+        t0: 0.0,
+        dt: sim.dt(),
+        // Rings retain the whole run.
+        ingest: IngestConfig {
+            lateness: cfg.lateness,
+            ring_capacity: sim.run_steps() + 1,
+        },
+        window: (phases.core_start(), phases.core_end()),
+    };
+    plan.ingest.validate()?;
+    let monitor = match cfg.detector {
+        Some(det) => Some(AnomalyMonitor::new(candidates.len(), 0.0, plan.dt, det)?),
+        None => None,
+    };
+    let source = SimulatedNodes {
+        sim,
+        cfg,
+        population,
+        plan,
+        candidates,
+        monitor,
+    };
+
+    // The campaign is the one campaign of a one-shard plane. A journaled
+    // prefix replays into the estimator: those nodes were metered by a
+    // previous incarnation of this campaign, and determinism guarantees
+    // re-metering them would reproduce the recorded averages exactly.
+    let id = LIVE_CAMPAIGN_ID;
+    let plane = IngestPlane::new(PlaneConfig { shards: 1 })?;
+    let mut log = CampaignLog::None;
+    let mut prior = None;
+    if let Some(journal) = journal {
+        prior = own_replay(journal, cfg, population)?;
+        log = CampaignLog::Own(journal);
+    }
+    let mut runtime = match prior {
+        Some(rep) => CampaignRuntime::resume(id, source, &rep, &plane)?,
+        None => CampaignRuntime::create(id, source, &plane, &mut log)?,
+    };
+    runtime.run(id, &plane, &mut log)?;
+
+    let estimator = runtime.estimator();
     let ci = estimator.ci()?;
     let relative_accuracy = ci.relative_accuracy()?;
     let mean_node_w = estimator.mean();
     Ok(LiveCampaignReport {
         population,
         metered_nodes: estimator.count(),
-        resumed_nodes,
+        resumed_nodes: runtime.resumed_nodes(),
         stopped_at: estimator.stopped_at(),
         planned_nodes,
         mean_node_w,
         ci,
         relative_accuracy,
         reported_power_w: mean_node_w * population as f64,
-        window,
-        ingest: collector.stats(),
-        anomalies: monitor.map(|m| m.events().to_vec()).unwrap_or_default(),
+        window: plan.window,
+        ingest: runtime
+            .ingest(id, &plane)
+            .map(|(stats, _)| stats)
+            .unwrap_or_default(),
+        anomalies: runtime
+            .source()
+            .monitor
+            .as_ref()
+            .map(|m| m.events().to_vec())
+            .unwrap_or_default(),
     })
 }
 
