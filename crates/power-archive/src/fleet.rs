@@ -1,7 +1,8 @@
 //! Campaign write-ahead log: one durable file for many campaigns.
 //!
 //! [`FleetWal`] is the file-backed [`FleetJournal`]: one append-only
-//! log whose records are tagged by campaign id. A fleet multiplexes
+//! log whose records are tagged by campaign id, written by the one
+//! campaign runtime (`power_telemetry::runtime`). A fleet multiplexes
 //! thousands of campaigns onto it; a live campaign
 //! (`power_telemetry::live`) is recorded in its own file as a fleet of
 //! one, campaign 0. Reopening the file truncates any torn tail and

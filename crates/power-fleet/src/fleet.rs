@@ -112,7 +112,7 @@ fn status(id: u64, rt: &Runtime, plane: &IngestPlane) -> CampaignStatus {
         state: rt.state(),
         metered_nodes: estimator.count(),
         resumed_nodes: rt.resumed_nodes(),
-        budget: rt.budget(),
+        budget: rt.source().budget(),
         mean_node_w: (estimator.count() > 0).then(|| estimator.mean()),
         ci_node_w: estimator.ci().ok(),
         relative_accuracy: estimator.relative_accuracy().ok(),
@@ -213,8 +213,8 @@ impl Fleet {
                     spec.fingerprint()
                 )));
             }
-            let runtime =
-                CampaignRuntime::resume(id, spec, &rep, &self.plane).map_err(|e| named(id, e))?;
+            let runtime = CampaignRuntime::resume(id, spec, &rep, &self.plane, &mut self.log())
+                .map_err(|e| named(id, e))?;
             if runtime.state() == CampaignState::Live {
                 self.live.fetch_add(1, Ordering::Relaxed);
             }

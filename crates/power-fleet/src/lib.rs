@@ -3,9 +3,10 @@
 //!
 //! The paper's central object is a *list*: hundreds of machines
 //! measured under different methodology levels and ranked by energy
-//! efficiency with quantified uncertainty. `power_telemetry::live`
-//! drives exactly one campaign through one watermark; this crate is
-//! the layer that runs thousands at once:
+//! efficiency with quantified uncertainty. Every campaign, here or in
+//! `power_telemetry::live`, is one
+//! [`power_telemetry::runtime::CampaignRuntime`]; this crate is the
+//! layer that runs thousands of them at once:
 //!
 //! * [`spec`] — what one submission measures: a deterministic synthetic
 //!   machine (Gaussian node population, relative-noise meter) plus the

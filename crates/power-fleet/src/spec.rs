@@ -118,6 +118,16 @@ impl FleetCampaignSpec {
         }
     }
 
+    /// Effective meter budget: `max_nodes` clamped into `1..=population`
+    /// (0 means census).
+    pub fn budget(&self) -> u64 {
+        if self.max_nodes == 0 {
+            self.population
+        } else {
+            self.max_nodes.min(self.population)
+        }
+    }
+
     /// Total machine Rmax in GFLOPS.
     pub fn rmax_gflops(&self) -> f64 {
         self.gflops_per_node * self.population as f64
@@ -329,18 +339,13 @@ impl FleetCampaignSpec {
     }
 }
 
-/// A fleet campaign meters nodes `0, 1, 2, …` (see the module docs) on
-/// lanes where sequence `k` covers `[k, k + 1)` seconds, each node's
-/// average taken over its whole stream.
+/// A fleet campaign meters nodes `0, 1, 2, …` (see the module docs),
+/// one sample a second, each node's average taken over its whole stream.
 impl CampaignSource for FleetCampaignSpec {
     fn plan(&self) -> Plan {
         Plan {
             rule: self.rule(),
-            budget: match self.max_nodes {
-                0 => self.population,
-                cap => cap.min(self.population),
-            },
-            t0: 0.0,
+            budget: self.budget(),
             dt: 1.0,
             ingest: IngestConfig {
                 lateness: self.lateness,

@@ -13,7 +13,8 @@
 //! rerun over the same directory resumes at the watermark instead of
 //! re-metering recorded nodes. A log it cannot resume, such as one
 //! written under another model revision, ends the run with a one-line
-//! message naming the file and exit status 1.
+//! message naming the file and exit status 1; a usage error (an unknown
+//! flag, `--store-dir` without a directory) exits 2 with the usage line.
 
 use power_archive::FleetWal;
 use power_campaign::artifacts::sim_config;

@@ -14,8 +14,8 @@
 //! paper's accuracy claims rest on knowing exactly what fraction of
 //! samples made it.
 //!
-//! [`Collector::ingest`] is the only way a sample enters a ring: live
-//! campaigns call it directly, and the fleet calls it through
+//! [`Collector::ingest`] is the only way a sample enters a ring: every
+//! campaign, the fleet's and the live driver's, calls it through
 //! [`IngestPlane`](crate::plane::IngestPlane), which adds sharding and
 //! locking around it.
 

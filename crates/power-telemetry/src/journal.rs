@@ -3,9 +3,10 @@
 //! A [`FleetJournal`] is a log of campaign records tagged by campaign
 //! id; one `replay` at open time reconstructs every campaign's creation
 //! identity, finalized node averages in metering order, and completion
-//! mark. `power_fleet::Fleet` multiplexes thousands of campaigns onto
-//! one log, and a live campaign ([`crate::live`]) records itself
-//! as a fleet of one. A record lost to a crash is re-derived by
+//! mark. Records are written by [`crate::runtime`]:
+//! `power_fleet::Fleet` multiplexes thousands of campaigns onto one
+//! log, and a live campaign ([`crate::live`]) records itself as a fleet
+//! of one. A record lost to a crash is re-derived by
 //! re-metering, which is safe because node averages are deterministic
 //! functions of the campaign's identity; replayed nodes pass through
 //! [`replay_nodes`](crate::online::replay_nodes). The file-backed
@@ -19,7 +20,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReplay {
     /// Opaque creation payload: the encoded fleet spec, or a live
-    /// campaign's population as 8 little-endian bytes.
+    /// campaign's population (8 little-endian bytes) and model revision
+    /// (4).
     pub spec: Vec<u8>,
     /// Identity fingerprint recorded at creation, revalidated on resume.
     pub fingerprint: u64,

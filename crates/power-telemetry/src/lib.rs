@@ -22,6 +22,10 @@
 //! * [`anomaly`] — streaming detectors for the fault taxonomy of
 //!   `power_meter::faults`: drift (windowed mean slope), stuck registers
 //!   (run length), dropped samples (watermark gaps);
+//! * [`runtime`] — the one campaign state machine,
+//!   [`CampaignRuntime`], generic over the campaign's node source: it
+//!   meters, journals, resumes and stops a campaign for the fleet and
+//!   the live driver alike;
 //! * [`live`] — a live-campaign driver that feeds `power-sim` engine
 //!   output through sampling meters sample-by-sample and stops the
 //!   campaign with a defensible accuracy statement;

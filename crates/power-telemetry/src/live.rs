@@ -50,7 +50,7 @@ use crate::journal::{CampaignReplay, FleetJournal};
 use crate::online::{CiQuantile, CvAssumption, StoppingRule};
 use crate::plane::{IngestPlane, PlaneConfig};
 use crate::ring::RingBuffer;
-use crate::runtime::{CampaignLog, CampaignRuntime, CampaignSource, Plan};
+use crate::runtime::{CampaignLog, CampaignRuntime, CampaignSource, CampaignState, Plan};
 use crate::{Result, TelemetryError};
 use power_meter::faults::MeterFault;
 use power_meter::MeterModel;
@@ -416,7 +416,6 @@ fn run_campaign(
         cv: cfg.cv,
         min_nodes: cfg.pilot_nodes as u64,
     };
-    rule.validate()?;
     let planned_nodes = match cfg.cv {
         CvAssumption::Planned(cv) => Some(
             SampleSizePlan::new(cfg.confidence, cfg.lambda, cv)?
@@ -428,7 +427,6 @@ fn run_campaign(
     let plan = Plan {
         rule,
         budget: candidates.len() as u64,
-        t0: 0.0,
         dt: sim.dt(),
         // Rings retain the whole run.
         ingest: IngestConfig {
@@ -437,7 +435,6 @@ fn run_campaign(
         },
         window: (phases.core_start(), phases.core_end()),
     };
-    plan.ingest.validate()?;
     let monitor = match cfg.detector {
         Some(det) => Some(AnomalyMonitor::new(candidates.len(), 0.0, plan.dt, det)?),
         None => None,
@@ -464,10 +461,16 @@ fn run_campaign(
         log = CampaignLog::Own(journal);
     }
     let mut runtime = match prior {
-        Some(rep) => CampaignRuntime::resume(id, source, &rep, &plane)?,
+        Some(rep) => CampaignRuntime::resume(id, source, &rep, &plane, &mut log)?,
         None => CampaignRuntime::create(id, source, &plane, &mut log)?,
     };
-    runtime.run(id, &plane, &mut log)?;
+    let mut scratch = Vec::new();
+    while runtime.state() == CampaignState::Live {
+        runtime.advance(id, &plane, &mut log, &mut scratch)?;
+    }
+    if let Some(e) = runtime.error() {
+        return Err(e.clone());
+    }
 
     let estimator = runtime.estimator();
     let ci = estimator.ci()?;
@@ -843,6 +846,41 @@ mod tests {
         assert_eq!(resumed.stopped_at, baseline.stopped_at);
         assert_eq!(resumed.mean_node_w, baseline.mean_node_w);
         assert_eq!(resumed.relative_accuracy, baseline.relative_accuracy);
+    }
+
+    /// A capped campaign that crashed after its last budgeted node but
+    /// before `Finished` resumes done, meters nothing, and records the
+    /// missing `Finished` once.
+    #[test]
+    fn capped_campaign_resumed_without_its_finish_records_it() {
+        let (cluster, wl) = rig(60, 30.0, 300.0);
+        let sim = Simulator::new(&cluster, &wl, LoadBalance::Balanced, config()).unwrap();
+        let mut cfg = campaign(CvAssumption::Empirical);
+        cfg.lambda = 1e-6; // unreachable: meter the whole 12-node budget
+        cfg.max_nodes = 12;
+        let mut first = MemJournal::default();
+        let baseline = run_live_campaign_journaled(&sim, &cfg, &mut first).unwrap();
+        assert_eq!((baseline.metered_nodes, baseline.stopped_at), (12, None));
+
+        let nodes = live(&mut first).nodes;
+        let fingerprint = campaign_fingerprint(&cfg, 60);
+        let mut journal = live_journal(fingerprint, 60, &nodes);
+        assert!(!live(&mut journal).finished);
+        let resumed = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
+        assert_eq!((resumed.resumed_nodes, resumed.metered_nodes), (12, 12));
+        assert_eq!(
+            resumed.mean_node_w.to_bits(),
+            baseline.mean_node_w.to_bits()
+        );
+        assert_eq!(resumed.ingest, IngestStats::default());
+        let rep = live(&mut journal);
+        assert!(rep.finished);
+        assert_eq!(rep.nodes, nodes);
+
+        // Done and finished: a second resume leaves the journal as it is.
+        let again = run_live_campaign_journaled(&sim, &cfg, &mut journal).unwrap();
+        assert_eq!(again.mean_node_w.to_bits(), baseline.mean_node_w.to_bits());
+        assert_eq!(live(&mut journal), rep);
     }
 
     #[test]

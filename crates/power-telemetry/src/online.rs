@@ -218,11 +218,12 @@ impl SequentialEstimator {
 }
 
 /// Replays journaled `(node, window average)` pairs into a fresh
-/// estimator for `rule` — the one validator both campaign runtimes
-/// resume through. Refused with [`TelemetryError::Journal`]: more than
-/// `budget` nodes, a node at position `i` other than `expected(i)` (the
-/// selection order), or any node after the stopping decision. The
-/// estimator's `stopped_at` says whether the rule fired in the replay.
+/// estimator for `rule` — the one validator every campaign resumes
+/// through ([`CampaignRuntime::resume`](crate::runtime::CampaignRuntime::resume)).
+/// Refused with [`TelemetryError::Journal`]: more than `budget` nodes,
+/// a node at position `i` other than `expected(i)` (the selection
+/// order), or any node after the stopping decision. The estimator's
+/// `stopped_at` says whether the rule fired in the replay.
 pub fn replay_nodes(
     rule: StoppingRule,
     nodes: &[(u64, f64)],

@@ -55,15 +55,14 @@ impl CampaignState {
     ];
 }
 
-/// What a campaign runs.
+/// What a campaign runs. Its lanes start at time 0: sequence `k`
+/// covers `[k·dt, (k + 1)·dt)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
     /// The stopping rule.
     pub rule: StoppingRule,
     /// Most nodes the campaign may meter.
     pub budget: u64,
-    /// Lane time origin: sequence `k` covers `[t0 + k·dt, t0 + (k + 1)·dt)`.
-    pub t0: f64,
     /// Lane sample interval in seconds.
     pub dt: f64,
     /// Lateness bound and ring capacity of every lane.
@@ -78,8 +77,7 @@ pub trait CampaignSource {
     fn plan(&self) -> Plan;
     /// The node id metered in slot `slot` (so its journal records name).
     fn node_id(&self, slot: u64) -> u64;
-    /// The identity a journal records at creation: the fingerprint and
-    /// the creation payload.
+    /// The fingerprint and creation payload a journal records.
     fn identity(&self) -> (u64, Vec<u8>);
     /// Fills `out` (cleared first) with slot `slot`'s samples, on lane
     /// `slot`, in arrival order.
@@ -99,7 +97,8 @@ pub enum CampaignLog<'a> {
     /// watermark, and re-metering reproduces it.
     Shared(&'a Mutex<Box<dyn FleetJournal>>),
     /// A log of one campaign: each node and completion record is synced
-    /// before the campaign moves on.
+    /// before the campaign moves on, and a campaign resumed with its
+    /// budget metered but no completion record gets one.
     Own(&'a mut dyn FleetJournal),
 }
 
@@ -130,8 +129,6 @@ pub struct CampaignRuntime<S> {
     /// Fed one average per metered node, so its count is the next slot.
     estimator: SequentialEstimator,
     state: CampaignState,
-    budget: u64,
-    window: (f64, f64),
     resumed: u64,
     /// Final lane counters, captured when the lanes are released.
     ingest_final: Option<(IngestStats, u64)>,
@@ -155,24 +152,31 @@ impl<S: CampaignSource> CampaignRuntime<S> {
             let (fingerprint, created) = source.identity();
             j.record_created(id, fingerprint, &created)
         })?;
-        Self::at(id, source, plan, estimator, false, plane)
+        Self::at(id, source, estimator, false, plane)
     }
 
     /// Resumes campaign `id` from its journaled state, whose identity the
     /// caller has checked: the averages replay in the source's node
     /// order. A campaign the journal shows done (finished, the rule
-    /// fired, or the budget metered) is not recorded again.
+    /// fired, or the budget metered) resumes done.
     pub fn resume(
         id: u64,
         source: S,
         replay: &CampaignReplay,
         plane: &IngestPlane,
+        log: &mut CampaignLog<'_>,
     ) -> Result<Self> {
         let plan = source.plan();
         let estimator = replay_nodes(plan.rule, &replay.nodes, plan.budget, |i| {
             source.node_id(i as u64)
         })?;
-        Self::at(id, source, plan, estimator, replay.finished, plane)
+        let runtime = Self::at(id, source, estimator, replay.finished, plane)?;
+        if runtime.state == CampaignState::Exhausted && !replay.finished {
+            if let CampaignLog::Own(_) = log {
+                log.append(true, |j| j.record_finished(id))?;
+            }
+        }
+        Ok(runtime)
     }
 
     /// The campaign after `estimator.count()` nodes; a live one gets its
@@ -180,11 +184,11 @@ impl<S: CampaignSource> CampaignRuntime<S> {
     fn at(
         id: u64,
         source: S,
-        plan: Plan,
         estimator: SequentialEstimator,
         finished: bool,
         plane: &IngestPlane,
     ) -> Result<Self> {
+        let plan = source.plan();
         let metered = estimator.count();
         let state = if estimator.stopped_at().is_some() {
             CampaignState::Stopped
@@ -194,15 +198,12 @@ impl<S: CampaignSource> CampaignRuntime<S> {
             CampaignState::Live
         };
         if state == CampaignState::Live {
-            let slots = metered.max(1) as usize;
-            plane.register(id, slots, plan.t0, plan.dt, &plan.ingest)?;
+            plane.register(id, metered.max(1) as usize, 0.0, plan.dt, &plan.ingest)?;
         }
         Ok(CampaignRuntime {
             source,
             estimator,
             state,
-            budget: plan.budget,
-            window: plan.window,
             resumed: metered,
             ingest_final: None,
             error: None,
@@ -221,13 +222,14 @@ impl<S: CampaignSource> CampaignRuntime<S> {
         scratch: &mut Vec<Sample>,
     ) -> Result<()> {
         let slot = self.estimator.count();
+        let plan = self.source.plan();
         plane.ensure_slots(id, slot as usize + 1)?;
         self.source.meter_node(slot, scratch)?;
         plane.offer(id, scratch)?;
         // End of this node's stream: finalize the jittered tail so the
         // lane watermark passes the stream end.
         plane.flush(id)?;
-        let ((from, to), source) = (self.window, &mut self.source);
+        let ((from, to), source) = (plan.window, &mut self.source);
         let avg = plane
             .with_campaign(id, |c| {
                 let ring = c.ring(slot as usize).expect("slot ensured above");
@@ -248,20 +250,10 @@ impl<S: CampaignSource> CampaignRuntime<S> {
         log.append(true, |j| j.record_node(id, node, avg))?;
         if self.estimator.push(avg).stop {
             self.finish(id, plane, log, CampaignState::Stopped);
-        } else if self.estimator.count() >= self.budget {
+        } else if self.estimator.count() >= plan.budget {
             self.finish(id, plane, log, CampaignState::Exhausted);
         }
         Ok(())
-    }
-
-    /// Meters a live campaign to its end. A campaign that fails while
-    /// finishing returns the error that failed it.
-    pub fn run(&mut self, id: u64, plane: &IngestPlane, log: &mut CampaignLog<'_>) -> Result<()> {
-        let mut scratch = Vec::new();
-        while self.state == CampaignState::Live {
-            self.advance(id, plane, log, &mut scratch)?;
-        }
-        self.error.clone().map_or(Ok(()), Err)
     }
 
     /// Ends a live campaign as `Failed` with `error`.
@@ -306,11 +298,6 @@ impl<S: CampaignSource> CampaignRuntime<S> {
     /// Lifecycle state.
     pub fn state(&self) -> CampaignState {
         self.state
-    }
-
-    /// Most nodes the campaign may meter.
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 
     /// Nodes replayed from the journal rather than metered here.
