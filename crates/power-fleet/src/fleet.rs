@@ -213,7 +213,7 @@ impl Fleet {
                     spec.fingerprint()
                 )));
             }
-            let runtime = CampaignRuntime::resume(id, spec, &rep, &self.plane, &mut self.log())
+            let runtime = CampaignRuntime::open(id, spec, Some(&rep), &self.plane, &mut self.log())
                 .map_err(|e| named(id, e))?;
             if runtime.state() == CampaignState::Live {
                 self.live.fetch_add(1, Ordering::Relaxed);
@@ -299,7 +299,7 @@ impl Fleet {
         if spec.name.is_empty() {
             spec.name = format!("campaign-{id}");
         }
-        let runtime = CampaignRuntime::create(id, spec, &self.plane, &mut self.log())?;
+        let runtime = CampaignRuntime::open(id, spec, None, &self.plane, &mut self.log())?;
         self.table(id)
             .lock()
             .expect("fleet table poisoned")

@@ -460,10 +460,7 @@ fn run_campaign(
         prior = own_replay(journal, cfg, population)?;
         log = CampaignLog::Own(journal);
     }
-    let mut runtime = match prior {
-        Some(rep) => CampaignRuntime::resume(id, source, &rep, &plane, &mut log)?,
-        None => CampaignRuntime::create(id, source, &plane, &mut log)?,
-    };
+    let mut runtime = CampaignRuntime::open(id, source, prior.as_ref(), &plane, &mut log)?;
     let mut scratch = Vec::new();
     while runtime.state() == CampaignState::Live {
         runtime.advance(id, &plane, &mut log, &mut scratch)?;

@@ -219,7 +219,7 @@ impl SequentialEstimator {
 
 /// Replays journaled `(node, window average)` pairs into a fresh
 /// estimator for `rule` — the one validator every campaign resumes
-/// through ([`CampaignRuntime::resume`](crate::runtime::CampaignRuntime::resume)).
+/// through ([`CampaignRuntime::open`](crate::runtime::CampaignRuntime::open)).
 /// Refused with [`TelemetryError::Journal`]: more than `budget` nodes,
 /// a node at position `i` other than `expected(i)` (the selection
 /// order), or any node after the stopping decision. The estimator's

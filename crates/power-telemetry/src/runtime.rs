@@ -136,59 +136,37 @@ pub struct CampaignRuntime<S> {
 }
 
 impl<S: CampaignSource> CampaignRuntime<S> {
-    /// Starts campaign `id`: records its creation in `log`, then
-    /// registers its lanes. A rule or lane geometry that does not
-    /// validate is refused before anything is recorded.
-    pub fn create(
+    /// Starts campaign `id`, or resumes it from `replay`, its journaled
+    /// state, whose identity the caller has checked. A new campaign whose
+    /// rule or lane geometry does not validate is refused before its
+    /// creation is recorded. A resumed one replays its averages in the
+    /// source's node order, and resumes done when the journal shows it
+    /// finished, the rule fired or the budget metered.
+    pub fn open(
         id: u64,
         source: S,
+        replay: Option<&CampaignReplay>,
         plane: &IngestPlane,
         log: &mut CampaignLog<'_>,
     ) -> Result<Self> {
         let plan = source.plan();
-        let estimator = SequentialEstimator::new(plan.rule)?;
-        plan.ingest.validate()?;
-        log.append(false, |j| {
-            let (fingerprint, created) = source.identity();
-            j.record_created(id, fingerprint, &created)
-        })?;
-        Self::at(id, source, estimator, false, plane)
-    }
-
-    /// Resumes campaign `id` from its journaled state, whose identity the
-    /// caller has checked: the averages replay in the source's node
-    /// order. A campaign the journal shows done (finished, the rule
-    /// fired, or the budget metered) resumes done.
-    pub fn resume(
-        id: u64,
-        source: S,
-        replay: &CampaignReplay,
-        plane: &IngestPlane,
-        log: &mut CampaignLog<'_>,
-    ) -> Result<Self> {
-        let plan = source.plan();
-        let estimator = replay_nodes(plan.rule, &replay.nodes, plan.budget, |i| {
-            source.node_id(i as u64)
-        })?;
-        let runtime = Self::at(id, source, estimator, replay.finished, plane)?;
-        if runtime.state == CampaignState::Exhausted && !replay.finished {
-            if let CampaignLog::Own(_) = log {
-                log.append(true, |j| j.record_finished(id))?;
+        let (estimator, finished) = match replay {
+            Some(rep) => {
+                let estimator = replay_nodes(plan.rule, &rep.nodes, plan.budget, |i| {
+                    source.node_id(i as u64)
+                })?;
+                (estimator, rep.finished)
             }
-        }
-        Ok(runtime)
-    }
-
-    /// The campaign after `estimator.count()` nodes; a live one gets its
-    /// lanes.
-    fn at(
-        id: u64,
-        source: S,
-        estimator: SequentialEstimator,
-        finished: bool,
-        plane: &IngestPlane,
-    ) -> Result<Self> {
-        let plan = source.plan();
+            None => {
+                let estimator = SequentialEstimator::new(plan.rule)?;
+                plan.ingest.validate()?;
+                log.append(false, |j| {
+                    let (fingerprint, created) = source.identity();
+                    j.record_created(id, fingerprint, &created)
+                })?;
+                (estimator, false)
+            }
+        };
         let metered = estimator.count();
         let state = if estimator.stopped_at().is_some() {
             CampaignState::Stopped
@@ -199,6 +177,10 @@ impl<S: CampaignSource> CampaignRuntime<S> {
         };
         if state == CampaignState::Live {
             plane.register(id, metered.max(1) as usize, 0.0, plan.dt, &plan.ingest)?;
+        } else if state == CampaignState::Exhausted && !finished {
+            if let CampaignLog::Own(_) = log {
+                log.append(true, |j| j.record_finished(id))?;
+            }
         }
         Ok(CampaignRuntime {
             source,
