@@ -1,15 +1,12 @@
 //! One campaign's state machine, whatever meters its nodes.
 //!
-//! A campaign meters one node at a time: its [`CampaignSource`] makes the
-//! node's samples, they enter the campaign's lanes on an [`IngestPlane`],
-//! the finalized ring is reduced to its window average, the pair is
-//! journaled, and the sequential stopping rule ([`crate::online`])
-//! decides. A resumed campaign replays its journaled averages through
-//! [`replay_nodes`] and continues at its watermark. [`CampaignRuntime`]
-//! is that state machine: the fleet (`power_fleet`) holds one per
-//! submission, and a live campaign ([`crate::live`]) drives one to its
-//! end on a one-shard plane. Each caller checks a journaled identity
-//! against its own before it resumes.
+//! [`CampaignRuntime`] meters one node at a time from its
+//! [`CampaignSource`] through the campaign's lanes on an [`IngestPlane`],
+//! journals each window average and lets the sequential stopping rule
+//! ([`crate::online`]) decide; a resumed campaign replays its journaled
+//! averages through [`replay_nodes`]. The fleet (`power_fleet`) holds one
+//! per submission, and a live campaign ([`crate::live`]) drives one to its
+//! end on a one-shard plane.
 //!
 //! Lifecycle: `Live` → (`Stopped` | `Exhausted` | `Failed`). A campaign
 //! that leaves `Live` releases its lanes and keeps their final counters.
